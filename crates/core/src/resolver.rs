@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unikv_common::{Result, ValuePointer};
 use unikv_env::{Env, RandomAccessFile};
-use unikv_vlog::{read_value_record, vlog_file_name};
+use unikv_vlog::{read_value_record, read_value_run, vlog_file_name};
 
 /// Directory of partition `id` under the database root.
 pub fn partition_dir(root: &Path, id: u32) -> PathBuf {
@@ -54,11 +54,16 @@ impl ValueResolver {
         read_value_record(reader.as_ref(), ptr.offset, ptr.length)
     }
 
-    /// Readahead hint for an upcoming read of `ptr` (scan optimization).
-    pub fn readahead(&self, ptr: &ValuePointer) {
-        if let Ok(r) = self.reader(ptr.partition, ptr.log_number) {
-            r.readahead(ptr.offset, ptr.length as usize + 9);
-        }
+    /// Read a run of records that sit back to back in one log — the first
+    /// at `first`, then one per entry of `lengths` — with a single read
+    /// (see [`read_value_run`]). Values come back in run order.
+    pub fn read_run(
+        &self,
+        first: &ValuePointer,
+        lengths: impl Iterator<Item = u32> + Clone,
+    ) -> Result<Vec<Vec<u8>>> {
+        let reader = self.reader(first.partition, first.log_number)?;
+        read_value_run(reader.as_ref(), first.offset, lengths)
     }
 
     /// Drop cached readers for a log that is about to be deleted.
@@ -87,7 +92,6 @@ mod tests {
         let resolver = ValueResolver::new(env, root);
         assert_eq!(resolver.read(&p3).unwrap(), b"from-three");
         assert_eq!(resolver.read(&p5).unwrap(), b"from-five");
-        resolver.readahead(&p3);
         // Cached-path read works too.
         assert_eq!(resolver.read(&p3).unwrap(), b"from-three");
         resolver.evict(3, p3.log_number);

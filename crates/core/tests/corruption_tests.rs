@@ -198,6 +198,46 @@ fn corrupt_vlog_value_is_detected_never_served() {
     }
 }
 
+/// A scan reads back-to-back value records with one read per run; a
+/// flipped byte in a record inside such a run must fail the whole scan
+/// with a typed corruption error, while point reads of every other key
+/// stay correct.
+#[test]
+fn corrupt_vlog_value_inside_scan_run_fails_scan() {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let model = build_db(&fault);
+    let value = |i: u64| model[&format_key(i)].clone();
+    let (vlog, data, at) = files_with_suffix(&fault, ".vlog")
+        .into_iter()
+        .find_map(|(path, _)| {
+            let data = fault.read_to_vec(&path).unwrap();
+            let target = value(250);
+            let at = data.windows(target.len()).position(|w| w == target)?;
+            Some((path, data, at))
+        })
+        .expect("key 250's value sits in a value log");
+    // Keys 249..=251 are back to back in this log: one run for the scan.
+    let record = unikv_vlog::record_size(value(250).len() as u32) as usize;
+    let find = |i: u64| {
+        let v = value(i);
+        data.windows(v.len()).position(|w| w == v)
+    };
+    assert_eq!(find(249), Some(at - record));
+    assert_eq!(find(251), Some(at + record));
+    fault.flip_byte(&vlog, (at + 40) as u64).unwrap();
+
+    let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()).unwrap();
+    let err = db.scan(&format_key(245), 10).unwrap_err();
+    assert!(err.is_corruption(), "expected typed corruption, got: {err}");
+    for (k, v) in &model {
+        if *k == format_key(250) {
+            assert!(db.get(k).unwrap_err().is_corruption());
+        } else {
+            assert_eq!(&db.get(k).unwrap().expect("key present"), v);
+        }
+    }
+}
+
 #[test]
 fn corrupt_index_checkpoint_recovers_cleanly() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());

@@ -467,3 +467,50 @@ fn manual_clock_drives_retry_schedule_without_sleeping() {
         );
     }
 }
+
+/// A counted retry is published only after health has left `Healthy`:
+/// an observer polling from another thread must never see
+/// `maint_job_retries > 0` together with a `Healthy` state. The hour-long
+/// backoff under a frozen scheduler clock keeps the job parked, so the
+/// database cannot legitimately heal while the observer watches.
+#[test]
+fn retry_counter_never_runs_ahead_of_health() {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let mut o = opts(1);
+    o.maint_retry_base_ms = 3_600_000;
+    o.maint_retry_max_ms = 7_200_000;
+    let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", o).unwrap();
+    db.set_maintenance_clock(Some(Arc::new(|| 0)));
+    fault.set_plan(
+        FaultPlan::new(4).rule(FaultRule::fail_times(FaultOp::Append, 1).on_path(".sst")),
+    );
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    std::thread::scope(|s| {
+        let observer = s.spawn(|| {
+            let mut polls = 0u64;
+            while !done.load(Ordering::Acquire) && Instant::now() < deadline {
+                // Counter first, then health: with the counter published
+                // last, a nonzero read implies health already moved.
+                let retries = stat(&db, "maint_job_retries");
+                let health = db.health();
+                assert!(
+                    retries == 0 || health != HealthState::Healthy,
+                    "observed {retries} retries while Healthy after {polls} polls"
+                );
+                polls += 1;
+            }
+        });
+        let mut i = 0u64;
+        while stat(&db, "maint_job_retries") == 0 {
+            assert!(Instant::now() < deadline, "flush never entered retry");
+            match db.put(&format_key(i), &make_value(i, 9, VALUE_LEN)) {
+                Ok(()) => i += 1,
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        done.store(true, Ordering::Release);
+        observer.join().unwrap();
+    });
+    assert_eq!(db.health(), HealthState::Degraded);
+}

@@ -186,8 +186,7 @@ impl BlockIterator {
         let (mut lo, mut hi) = (0usize, self.block.num_restarts - 1);
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let key = self.restart_key(mid)?;
-            if (self.cmp)(&key, target) == Ordering::Less {
+            if (self.cmp)(self.restart_key(mid)?, target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -216,7 +215,7 @@ impl BlockIterator {
     }
 
     /// Full key stored at restart point `i` (shared is always 0 there).
-    fn restart_key(&self, i: usize) -> Result<Vec<u8>> {
+    fn restart_key(&self, i: usize) -> Result<&[u8]> {
         let off = self.block.restart_point(i);
         let data = &self.block.data[..self.block.restarts_offset];
         let (shared, n1) = get_varint32(&data[off..])?;
@@ -230,7 +229,7 @@ impl BlockIterator {
         if kend > data.len() {
             return Err(Error::corruption("restart key out of range"));
         }
-        Ok(data[kstart..kend].to_vec())
+        Ok(&data[kstart..kend])
     }
 
     fn parse_next(&mut self) -> Result<()> {

@@ -36,20 +36,20 @@ pub fn parse_vlog_file_name(name: &str) -> Option<u64> {
     stem.parse().ok()
 }
 
-/// Read and verify one value record at `offset` in a log file, expecting a
-/// value of `expected_len` bytes. Used both by [`ValueLog::read`] and by
-/// cross-partition pointer resolution after a split (children reading a
-/// parent's shared logs).
-pub fn read_value_record(
-    file: &dyn RandomAccessFile,
-    offset: u64,
-    expected_len: u32,
-) -> Result<Vec<u8>> {
-    // Record = varint32 len (<=5 bytes) + value + 4-byte crc.
-    let header_max = 5usize;
-    let want = header_max + expected_len as usize + 4;
-    let data = file.read_at(offset, want)?;
-    let (len, n) = get_varint32(&data)?;
+/// Bytes the record of a `len`-byte value occupies in its log:
+/// `varint32(len) + len + 4`. The record of the next value appended to the
+/// same log starts this many bytes after this one.
+pub fn record_size(len: u32) -> u64 {
+    (varint64_length(u64::from(len)) + len as usize + 4) as u64
+}
+
+/// Check the record that `data` holds (exactly [`record_size`] bytes as
+/// read) against the pointer's `expected_len` and return its value: the
+/// length prefix must match, the record must be whole, and the CRC must
+/// verify. Every read path goes through here, so single-record and run
+/// reads apply identical checks.
+fn decode_record(data: &[u8], expected_len: u32) -> Result<&[u8]> {
+    let (len, n) = get_varint32(data)?;
     if len != expected_len {
         return Err(Error::corruption(format!(
             "vlog length mismatch: pointer says {expected_len}, record says {len}"
@@ -65,8 +65,51 @@ pub fn read_value_record(
         return Err(Error::corruption("vlog value crc mismatch"));
     }
     perf::count_vlog_fetch();
+    Ok(value)
+}
+
+/// Read and verify one value record at `offset` in a log file, expecting a
+/// value of `expected_len` bytes. Used both by [`ValueLog::read`] and by
+/// cross-partition pointer resolution after a split (children reading a
+/// parent's shared logs).
+pub fn read_value_record(
+    file: &dyn RandomAccessFile,
+    offset: u64,
+    expected_len: u32,
+) -> Result<Vec<u8>> {
+    let data = file.read_at(offset, record_size(expected_len) as usize)?;
+    let value = decode_record(&data, expected_len)?.to_vec();
     perf::mark(PerfStage::VlogFetch);
-    Ok(value.to_vec())
+    Ok(value)
+}
+
+/// Read a run of records that sit back to back in one log file — the
+/// first at `offset`, then one per entry of `lengths`, each starting where
+/// the previous record ends — with a single read, and return their values
+/// in run order. Each record gets the checks of [`read_value_record`]; a
+/// buffer cut short (a run past the end of the file) is
+/// [`Error::Corruption`]. All or nothing: no value is returned if any
+/// record fails.
+pub fn read_value_run(
+    file: &dyn RandomAccessFile,
+    offset: u64,
+    lengths: impl Iterator<Item = u32> + Clone,
+) -> Result<Vec<Vec<u8>>> {
+    let total: u64 = lengths.clone().map(record_size).sum();
+    let data = file.read_at(offset, total as usize)?;
+    let mut pos = 0usize;
+    let values = lengths
+        .map(|len| {
+            let end = pos + record_size(len) as usize;
+            let record = data
+                .get(pos..end)
+                .ok_or_else(|| Error::corruption("vlog run truncated"))?;
+            pos = end;
+            decode_record(record, len).map(<[u8]>::to_vec)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    perf::mark(PerfStage::VlogFetch);
+    Ok(values)
 }
 
 /// Walk every record in the value-log file at `path`, verifying framing
@@ -224,7 +267,7 @@ impl ValueLog {
         }
         let active = self.active.as_mut().expect("rotated above");
         let offset = active.file.len();
-        let mut buf = Vec::with_capacity(value.len() + varint64_length(value.len() as u64) + 4);
+        let mut buf = Vec::with_capacity(record_size(value.len() as u32) as usize);
         put_varint32(&mut buf, value.len() as u32);
         buf.extend_from_slice(value);
         buf.extend_from_slice(&crc32c::mask(crc32c::value(value)).to_le_bytes());
@@ -269,14 +312,6 @@ impl ValueLog {
     pub fn read(&self, ptr: &ValuePointer) -> Result<Vec<u8>> {
         let reader = self.reader(ptr.log_number)?;
         read_value_record(reader.as_ref(), ptr.offset, ptr.length)
-    }
-
-    /// Issue a readahead hint covering `ptr` (scan optimization: prefetch
-    /// values before the parallel fetch, paper §Scan Optimization).
-    pub fn readahead(&self, ptr: &ValuePointer) {
-        if let Ok(reader) = self.reader(ptr.log_number) {
-            reader.readahead(ptr.offset, ptr.length as usize + 9);
-        }
     }
 
     /// Numbers of all live logs, ascending.
@@ -350,7 +385,6 @@ mod tests {
         for (v, p) in values.iter().zip(&ptrs) {
             assert_eq!(p.partition, 7);
             assert_eq!(&vl.read(p).unwrap(), v);
-            vl.readahead(p);
         }
     }
 
