@@ -51,7 +51,7 @@ pub mod verify;
 
 pub use batch::WriteBatch;
 pub use db::{UniKv, UniKvStats};
-pub use fetch::{FetchMetrics, FetchPool};
+pub use fetch::FetchMetrics;
 pub use iter::UniKvIterator;
 pub use journal::{read_events, EventJournal, EVENTS_FILE, EVENTS_OLD_FILE};
 pub use maintenance::{

@@ -141,7 +141,6 @@ fn tiny_opts() -> UniKvOptions {
         max_log_size: 4 << 10,
         gc_min_bytes: 4 << 10,
         index_checkpoint_interval: 2,
-        value_fetch_threads: 2,
         block_cache_bytes: 64 << 10,
         ..Default::default()
     }

@@ -488,10 +488,6 @@ impl RandomAccessFile for FaultRandomAccess {
     fn size(&self) -> Result<u64> {
         self.inner.size()
     }
-
-    fn readahead(&self, offset: u64, len: usize) {
-        self.inner.readahead(offset, len)
-    }
 }
 
 struct FaultSequential {

@@ -45,6 +45,8 @@ pub trait RandomAccessFile: Send + Sync {
     fn size(&self) -> Result<u64>;
     /// Advisory readahead hint: the caller is about to read `[offset,
     /// offset+len)` sequentially. Implementations may prefetch; default no-op.
+    /// The engine issues no hints: scans read back-to-back value records
+    /// with one `read_at` instead.
     fn readahead(&self, _offset: u64, _len: usize) {}
 }
 
