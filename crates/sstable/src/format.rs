@@ -82,7 +82,7 @@ impl Footer {
 /// Read a block's payload at `handle`, verifying the trailer CRC.
 pub fn read_block_payload(file: &dyn RandomAccessFile, handle: &BlockHandle) -> Result<Vec<u8>> {
     let total = handle.size as usize + BLOCK_TRAILER_SIZE;
-    let data = file.read_at(handle.offset, total)?;
+    let mut data = file.read_at(handle.offset, total)?;
     if data.len() != total {
         return Err(Error::corruption("truncated block read"));
     }
@@ -99,7 +99,8 @@ pub fn read_block_payload(file: &dyn RandomAccessFile, handle: &BlockHandle) -> 
     if crc32c::unmask(stored) != actual {
         return Err(Error::corruption("block checksum mismatch"));
     }
-    Ok(data[..handle.size as usize].to_vec())
+    data.truncate(handle.size as usize);
+    Ok(data)
 }
 
 /// Append a block (payload + trailer) to `out`, returning its handle.

@@ -14,6 +14,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unikv_common::coding::{get_varint32, put_varint32, varint64_length};
@@ -44,11 +45,11 @@ pub fn record_size(len: u32) -> u64 {
 }
 
 /// Check the record that `data` holds (exactly [`record_size`] bytes as
-/// read) against the pointer's `expected_len` and return its value: the
-/// length prefix must match, the record must be whole, and the CRC must
-/// verify. Every read path goes through here, so single-record and run
-/// reads apply identical checks.
-fn decode_record(data: &[u8], expected_len: u32) -> Result<&[u8]> {
+/// read) against the pointer's `expected_len` and return where its value
+/// lies in `data`: the length prefix must match, the record must be whole,
+/// and the CRC must verify. Every read path goes through here, so
+/// single-record and run reads apply identical checks.
+fn decode_record(data: &[u8], expected_len: u32) -> Result<Range<usize>> {
     let (len, n) = get_varint32(data)?;
     if len != expected_len {
         return Err(Error::corruption(format!(
@@ -59,13 +60,12 @@ fn decode_record(data: &[u8], expected_len: u32) -> Result<&[u8]> {
     if data.len() < end + 4 {
         return Err(Error::corruption("vlog record truncated"));
     }
-    let value = &data[n..end];
     let stored = u32::from_le_bytes(data[end..end + 4].try_into().expect("4 bytes"));
-    if crc32c::unmask(stored) != crc32c::value(value) {
+    if crc32c::unmask(stored) != crc32c::value(&data[n..end]) {
         return Err(Error::corruption("vlog value crc mismatch"));
     }
     perf::count_vlog_fetch();
-    Ok(value)
+    Ok(n..end)
 }
 
 /// Read and verify one value record at `offset` in a log file, expecting a
@@ -77,10 +77,12 @@ pub fn read_value_record(
     offset: u64,
     expected_len: u32,
 ) -> Result<Vec<u8>> {
-    let data = file.read_at(offset, record_size(expected_len) as usize)?;
-    let value = decode_record(&data, expected_len)?.to_vec();
+    let mut data = file.read_at(offset, record_size(expected_len) as usize)?;
+    let value = decode_record(&data, expected_len)?;
+    data.truncate(value.end);
+    data.drain(..value.start);
     perf::mark(PerfStage::VlogFetch);
-    Ok(value)
+    Ok(data)
 }
 
 /// Read a run of records that sit back to back in one log file — the
@@ -105,7 +107,7 @@ pub fn read_value_run(
                 .get(pos..end)
                 .ok_or_else(|| Error::corruption("vlog run truncated"))?;
             pos = end;
-            decode_record(record, len).map(<[u8]>::to_vec)
+            decode_record(record, len).map(|value| record[value].to_vec())
         })
         .collect::<Result<Vec<_>>>()?;
     perf::mark(PerfStage::VlogFetch);
