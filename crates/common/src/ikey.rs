@@ -27,6 +27,7 @@ pub enum ValueType {
 
 impl ValueType {
     /// Decode from the low byte of the packed trailer.
+    #[inline]
     pub fn from_u8(v: u8) -> Result<ValueType> {
         match v {
             0 => Ok(ValueType::Deletion),
@@ -71,6 +72,7 @@ pub fn extract_user_key(ikey: &[u8]) -> &[u8] {
 }
 
 /// Extract `(seq, type)` from an encoded internal key.
+#[inline]
 pub fn extract_seq_type(ikey: &[u8]) -> Result<(SequenceNumber, ValueType)> {
     if ikey.len() < 8 {
         return Err(Error::corruption("internal key too short"));
@@ -81,6 +83,7 @@ pub fn extract_seq_type(ikey: &[u8]) -> Result<(SequenceNumber, ValueType)> {
 }
 
 /// Compare two encoded internal keys under the internal ordering.
+#[inline]
 pub fn compare_internal_keys(a: &[u8], b: &[u8]) -> Ordering {
     let ua = extract_user_key(a);
     let ub = extract_user_key(b);
@@ -91,6 +94,18 @@ pub fn compare_internal_keys(a: &[u8], b: &[u8]) -> Ordering {
             // Higher (seq,type) sorts first.
             tb.cmp(&ta)
         }
+        other => other,
+    }
+}
+
+/// Compare the encoded internal key `a` with the key that
+/// `(user_key, packed)` would encode to (`packed` from
+/// [`pack_seq_and_type`]), under the same ordering as
+/// [`compare_internal_keys`] and without building that key.
+#[inline]
+pub fn compare_internal_key_with(a: &[u8], user_key: &[u8], packed: u64) -> Ordering {
+    match extract_user_key(a).cmp(user_key) {
+        Ordering::Equal => packed.cmp(&decode_fixed64(&a[a.len() - 8..])),
         other => other,
     }
 }
@@ -227,6 +242,8 @@ mod tests {
             let b = make_internal_key(&k2, s2, ValueType::Value);
             let expect = (&k1, std::cmp::Reverse(s1)).cmp(&(&k2, std::cmp::Reverse(s2)));
             prop_assert_eq!(compare_internal_keys(&a, &b), expect);
+            let packed = pack_seq_and_type(s2, ValueType::Value);
+            prop_assert_eq!(compare_internal_key_with(&a, &k2, packed), expect);
         }
     }
 }

@@ -62,6 +62,11 @@ use unikv_sstable::{BlockCache, Table, TableBuilder, TableBuilderOptions, TableO
 use unikv_vlog::{parse_vlog_file_name, vlog_file_name, ValueLog};
 use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 
+/// A scan reserves `min(limit, SCAN_RESERVE_ITEMS)` items up front: a scan
+/// of up to this many items never regrows its result, and a huge `limit`
+/// does not reserve a huge buffer.
+const SCAN_RESERVE_ITEMS: usize = 1024;
+
 thread_local! {
     /// Set when `commit_meta` fails on the current thread. The worker
     /// loop reads it to tell commit-step failures — the only permanent
@@ -995,7 +1000,7 @@ impl DbInner {
                 LookupResult::Value(slot) => {
                     UniKvStats::add(&self.stats.memtable_hits, 1);
                     perf::mark(PerfStage::Memtable);
-                    let (v, _) = self.resolve_slot(&slot)?;
+                    let (v, _) = self.resolve_slot(slot)?;
                     return Ok((Some(v), TraceOutcome::Memtable, pid));
                 }
                 LookupResult::Deleted => {
@@ -1159,14 +1164,15 @@ impl DbInner {
         let snapshot = core.last_seq;
         let start_idx = if from.is_empty() { 0 } else { core.route(from) };
 
-        // Slots are decoded straight off the iterator: inline values are
-        // copied once into `values`, pointers become fetch jobs.
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut values: Vec<Option<Vec<u8>>> = Vec::new();
-        let mut jobs = Vec::new();
+        // The result is assembled in place: each slot is decoded straight
+        // off the iterator into its item, an inline value copied once and a
+        // pointer left empty as a fetch job until the fetch fills it.
+        let reserve = limit.min(SCAN_RESERVE_ITEMS);
+        let mut items: Vec<ScanItem> = Vec::with_capacity(reserve);
+        let mut jobs = Vec::with_capacity(reserve);
         let mut current_key = Vec::new();
         'partitions: for p in &core.partitions[start_idx..] {
-            if keys.len() >= limit {
+            if items.len() >= limit {
                 break;
             }
             if let Some(end) = end {
@@ -1182,7 +1188,7 @@ impl DbInner {
             let mut iter = self.partition_iter(p)?;
             iter.seek(&make_internal_key(seek_from, snapshot, ValueType::Value))?;
             let mut have_current = false;
-            while iter.valid() && keys.len() < limit {
+            while iter.valid() && items.len() < limit {
                 let ikey = iter.ikey();
                 let user_key = extract_user_key(ikey);
                 if let Some(end) = end {
@@ -1203,14 +1209,17 @@ impl DbInner {
                     current_key.clear();
                     current_key.extend_from_slice(user_key);
                     if t == ValueType::Value {
-                        match SeparatedValue::decode(iter.value())? {
-                            SeparatedValue::Inline(v) => values.push(Some(v)),
+                        let value = match SeparatedValue::decode(iter.value())? {
+                            SeparatedValue::Inline(v) => v,
                             SeparatedValue::Pointer(ptr) => {
-                                jobs.push((values.len(), ptr));
-                                values.push(None);
+                                jobs.push((items.len(), ptr));
+                                Vec::new()
                             }
-                        }
-                        keys.push(user_key.to_vec());
+                        };
+                        items.push(ScanItem {
+                            key: user_key.to_vec(),
+                            value,
+                        });
                     }
                 }
                 iter.next()?;
@@ -1226,19 +1235,11 @@ impl DbInner {
         fetch_values(
             &self.resolver,
             jobs,
-            &mut values,
+            &mut items,
             self.opts.enable_scan_optimization,
             &self.metrics.fetch,
         )?;
-
-        Ok(keys
-            .into_iter()
-            .zip(values)
-            .map(|(key, value)| ScanItem {
-                key,
-                value: value.expect("every slot resolved"),
-            })
-            .collect())
+        Ok(items)
     }
 
     /// A streaming iterator over the whole database at the current
@@ -1283,7 +1284,8 @@ impl DbInner {
     /// Merging iterator over one partition (memtable + UnsortedStore
     /// tables + the SortedStore run).
     fn partition_iter(&self, p: &Partition) -> Result<MergingIterator> {
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        let mut children: Vec<Box<dyn InternalIterator>> =
+            Vec::with_capacity(2 + p.imms.len() + p.meta.unsorted.len());
         children.push(Box::new(MemTableSource::new(p.mem.clone())));
         for sealed in &p.imms {
             children.push(Box::new(MemTableSource::new(sealed.mem.clone())));

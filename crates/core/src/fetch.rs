@@ -16,6 +16,7 @@
 use crate::resolver::ValueResolver;
 use unikv_common::metrics::{Counter, MetricsRegistry};
 use unikv_common::{Result, ValuePointer};
+use unikv_lsm::db::ScanItem;
 use unikv_vlog::record_size;
 
 /// One value to fetch: the caller's output slot and the value's address.
@@ -51,14 +52,14 @@ impl FetchMetrics {
     }
 }
 
-/// Fetch every pointer in `jobs`, writing results into `out[idx]`.
+/// Fetch every pointer in `jobs`, writing each value into `out[idx].value`.
 ///
 /// `scan_optimization = true` reads runs of back-to-back records with one
 /// read each; `false` (ablation E10) reads pointer by pointer.
 pub(crate) fn fetch_values(
     resolver: &ValueResolver,
     mut jobs: Vec<Job>,
-    out: &mut [Option<Vec<u8>>],
+    out: &mut [ScanItem],
     scan_optimization: bool,
     metrics: &FetchMetrics,
 ) -> Result<()> {
@@ -68,16 +69,16 @@ pub(crate) fn fetch_values(
     metrics.inline_batches.inc();
     if !scan_optimization {
         for (idx, ptr) in &jobs {
-            out[*idx] = Some(resolver.read(ptr)?);
+            out[*idx].value = resolver.read(ptr)?;
         }
         return Ok(());
     }
     jobs.sort_unstable_by_key(|(_, p)| (p.partition, p.log_number, p.offset));
     for run in jobs.chunk_by(extends_run) {
-        let values = resolver.read_run(&run[0].1, run.iter().map(|(_, p)| p.length))?;
-        for ((idx, _), v) in run.iter().zip(values) {
-            out[*idx] = Some(v);
-        }
+        let lengths = run.iter().map(|(_, p)| p.length);
+        resolver.read_run(&run[0].1, lengths, |i, value| {
+            out[run[i].0].value = value.to_vec();
+        })?;
     }
     Ok(())
 }
@@ -95,6 +96,17 @@ mod tests {
 
     fn metrics() -> FetchMetrics {
         FetchMetrics::new(&MetricsRegistry::new(true, 0))
+    }
+
+    /// `n` output items whose values the fetch has yet to fill.
+    fn slots(n: usize) -> Vec<ScanItem> {
+        vec![
+            ScanItem {
+                key: Vec::new(),
+                value: Vec::new(),
+            };
+            n
+        ]
     }
 
     #[allow(clippy::type_complexity)]
@@ -129,15 +141,15 @@ mod tests {
         let sparse = scattered(&jobs);
         let m = metrics();
         for opt in [false, true] {
-            let mut out = vec![None; jobs.len()];
+            let mut out = slots(jobs.len());
             fetch_values(&resolver, jobs.clone(), &mut out, opt, &m).unwrap();
             for (i, e) in expect.iter().enumerate() {
-                assert_eq!(out[i].as_ref().unwrap(), e, "opt={opt}");
+                assert_eq!(&out[i].value, e, "opt={opt}");
             }
-            let mut out = vec![None; sparse.len()];
+            let mut out = slots(sparse.len());
             fetch_values(&resolver, sparse.clone(), &mut out, opt, &m).unwrap();
             for (slot, e) in expect.iter().step_by(2).enumerate() {
-                assert_eq!(out[slot].as_ref().unwrap(), e, "opt={opt}");
+                assert_eq!(&out[slot].value, e, "opt={opt}");
             }
         }
         assert_eq!(
@@ -150,8 +162,7 @@ mod tests {
     fn empty_jobs_ok() {
         let (resolver, _, _) = setup(1);
         let m = metrics();
-        let mut out: Vec<Option<Vec<u8>>> = Vec::new();
-        fetch_values(&resolver, Vec::new(), &mut out, true, &m).unwrap();
+        fetch_values(&resolver, Vec::new(), &mut [], true, &m).unwrap();
         assert_eq!(m.inline_batches.value(), 0);
     }
 
@@ -161,7 +172,7 @@ mod tests {
         for mut jobs in [jobs.clone(), scattered(&jobs)] {
             jobs[150].1.offset = 1 << 40;
             for opt in [false, true] {
-                let mut out = vec![None; jobs.len()];
+                let mut out = slots(jobs.len());
                 assert!(fetch_values(&resolver, jobs.clone(), &mut out, opt, &metrics()).is_err());
             }
         }
@@ -206,10 +217,10 @@ mod tests {
     /// bytes the fetch issued.
     fn fetch_counted(env: &Arc<CountingEnv>, jobs: Vec<Job>) -> (Result<Vec<Vec<u8>>>, u64, u64) {
         let resolver = ValueResolver::new(env.clone(), PathBuf::from(ROOT));
-        let mut out = vec![None; jobs.len()];
+        let mut out = slots(jobs.len());
         env.counters().reset();
         let result = fetch_values(&resolver, jobs, &mut out, true, &metrics())
-            .map(|()| out.into_iter().map(|v| v.expect("slot filled")).collect());
+            .map(|()| out.into_iter().map(|item| item.value).collect());
         let counters = env.counters();
         (result, counters.random_reads(), counters.bytes_read())
     }

@@ -55,15 +55,17 @@ impl ValueResolver {
     }
 
     /// Read a run of records that sit back to back in one log — the first
-    /// at `first`, then one per entry of `lengths` — with a single read
-    /// (see [`read_value_run`]). Values come back in run order.
+    /// at `first`, then one per entry of `lengths` — with a single read,
+    /// handing each verified value to `each` with its position in the run
+    /// (see [`read_value_run`]).
     pub fn read_run(
         &self,
         first: &ValuePointer,
         lengths: impl Iterator<Item = u32> + Clone,
-    ) -> Result<Vec<Vec<u8>>> {
+        each: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
         let reader = self.reader(first.partition, first.log_number)?;
-        read_value_run(reader.as_ref(), first.offset, lengths)
+        read_value_run(reader.as_ref(), first.offset, lengths, each)
     }
 
     /// Drop cached readers for a log that is about to be deleted.

@@ -693,7 +693,7 @@ impl LsmDb {
             LookupResult::Value(v) => {
                 EngineStats::add(&self.stats.memtable_hits, 1);
                 perf::mark(PerfStage::Memtable);
-                return Ok((Some(v), TraceOutcome::Memtable));
+                return Ok((Some(v.to_vec()), TraceOutcome::Memtable));
             }
             LookupResult::Deleted => {
                 EngineStats::add(&self.stats.memtable_hits, 1);

@@ -175,6 +175,11 @@ impl InternalIterator for ConcatSource {
 pub struct MergingIterator {
     children: Vec<Box<dyn InternalIterator>>,
     current: Option<usize>,
+    /// The second-smallest child when `current` was picked. Only the
+    /// current child moves between picks, so while its key stays below
+    /// this child's key it is still the smallest, and `next` needs one
+    /// comparison instead of a pass over every child.
+    runner_up: Option<usize>,
 }
 
 impl MergingIterator {
@@ -183,27 +188,30 @@ impl MergingIterator {
         MergingIterator {
             children,
             current: None,
+            runner_up: None,
         }
     }
 
     fn find_smallest(&mut self) {
-        let mut best: Option<usize> = None;
+        let mut best: Option<(usize, &[u8])> = None;
+        let mut second: Option<(usize, &[u8])> = None;
         for (i, c) in self.children.iter().enumerate() {
             if !c.valid() {
                 continue;
             }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    if compare_internal_keys(c.ikey(), self.children[b].ikey()) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
+            let key = c.ikey();
+            match (best, second) {
+                (Some((_, b)), _) if compare_internal_keys(key, b) == Ordering::Less => {
+                    second = best;
+                    best = Some((i, key));
                 }
-            };
+                (None, _) => best = Some((i, key)),
+                (_, Some((_, s))) if compare_internal_keys(key, s) != Ordering::Less => {}
+                _ => second = Some((i, key)),
+            }
         }
-        self.current = best;
+        self.current = best.map(|(i, _)| i);
+        self.runner_up = second.map(|(i, _)| i);
     }
 }
 
@@ -231,6 +239,18 @@ impl InternalIterator for MergingIterator {
     fn next(&mut self) -> Result<()> {
         let cur = self.current.expect("iterator not positioned");
         self.children[cur].next()?;
+        let child = &self.children[cur];
+        if child.valid() {
+            let still_smallest = match self.runner_up {
+                None => true,
+                Some(r) => {
+                    compare_internal_keys(child.ikey(), self.children[r].ikey()) == Ordering::Less
+                }
+            };
+            if still_smallest {
+                return Ok(());
+            }
+        }
         self.find_smallest();
         Ok(())
     }
@@ -381,6 +401,51 @@ mod tests {
         src.seek(&make_internal_key(b"x", 1, ValueType::Value))
             .unwrap();
         assert!(!src.valid());
+    }
+
+    proptest::proptest! {
+        /// Full merges and merges from a seek yield every entry of every
+        /// child exactly once, in internal-key order, however the keys
+        /// interleave (runs from one child, alternation, exhausted children).
+        #[test]
+        fn prop_merge_matches_sorted_union(
+            entries in proptest::collection::vec((0u8..5, 0u8..40), 0..120),
+            start in 0u8..42,
+        ) {
+            let mut want: Vec<Vec<u8>> = Vec::new();
+            let mems: Vec<Arc<MemTable>> = (0..5).map(|_| Arc::new(MemTable::new())).collect();
+            for (seq, (child, key)) in entries.iter().enumerate() {
+                let key = [b'k', *key];
+                let seq = seq as u64 + 1;
+                mems[*child as usize].add(seq, ValueType::Value, &key, b"");
+                want.push(make_internal_key(&key, seq, ValueType::Value));
+            }
+            want.sort_by(|a, b| compare_internal_keys(a, b));
+            let merged = |seek: Option<&[u8]>| -> Vec<Vec<u8>> {
+                let children = mems
+                    .iter()
+                    .map(|m| Box::new(MemTableSource::new(m.clone())) as Box<dyn InternalIterator>)
+                    .collect();
+                let mut m = MergingIterator::new(children);
+                match seek {
+                    Some(target) => m.seek(target).unwrap(),
+                    None => m.seek_to_first().unwrap(),
+                }
+                let mut out = Vec::new();
+                while m.valid() {
+                    out.push(m.ikey().to_vec());
+                    m.next().unwrap();
+                }
+                out
+            };
+            proptest::prop_assert_eq!(merged(None), want.clone());
+            let target = make_internal_key(&[b'k', start], u64::MAX >> 9, ValueType::Value);
+            let from: Vec<Vec<u8>> = want
+                .into_iter()
+                .filter(|k| compare_internal_keys(k, &target) != Ordering::Less)
+                .collect();
+            proptest::prop_assert_eq!(merged(Some(&target)), from);
+        }
     }
 
     #[test]

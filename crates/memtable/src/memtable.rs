@@ -4,11 +4,22 @@
 
 use crate::skiplist::{SkipList, SkipListIterator};
 use std::cmp::Ordering;
-use unikv_common::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
+use unikv_common::coding::{
+    get_length_prefixed_slice, put_length_prefixed_slice, put_varint32, varint64_length,
+};
 use unikv_common::ikey::{
-    compare_internal_keys, extract_seq_type, extract_user_key, make_internal_key,
+    append_internal_key, compare_internal_key_with, compare_internal_keys, extract_seq_type,
+    extract_user_key, pack_seq_and_type, VALUE_TYPE_FOR_SEEK,
 };
 use unikv_common::{SequenceNumber, ValueType};
+
+/// The internal key at the front of an encoded memtable entry.
+#[inline]
+fn entry_ikey(entry: &[u8]) -> &[u8] {
+    get_length_prefixed_slice(entry)
+        .expect("valid memtable entry")
+        .0
+}
 
 /// Comparator over encoded memtable entries: decode the length-prefixed
 /// internal key and apply the internal-key order.
@@ -17,17 +28,15 @@ pub struct EntryComparator;
 
 impl crate::skiplist::Comparator for EntryComparator {
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        let (ka, _) = get_length_prefixed_slice(a).expect("valid memtable entry");
-        let (kb, _) = get_length_prefixed_slice(b).expect("valid memtable entry");
-        compare_internal_keys(ka, kb)
+        compare_internal_keys(entry_ikey(a), entry_ikey(b))
     }
 }
 
 /// Outcome of a memtable point lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LookupResult {
-    /// The newest visible version is a value.
-    Value(Vec<u8>),
+pub enum LookupResult<'a> {
+    /// The newest visible version is a value, borrowed from the memtable.
+    Value(&'a [u8]),
     /// The newest visible version is a tombstone — stop searching older
     /// stores and report not-found to the caller.
     Deleted,
@@ -44,8 +53,8 @@ pub enum LookupResult {
 /// let mem = MemTable::new();
 /// mem.add(1, ValueType::Value, b"k", b"old");
 /// mem.add(2, ValueType::Value, b"k", b"new");
-/// assert_eq!(mem.get(b"k", 2), LookupResult::Value(b"new".to_vec()));
-/// assert_eq!(mem.get(b"k", 1), LookupResult::Value(b"old".to_vec()));
+/// assert_eq!(mem.get(b"k", 2), LookupResult::Value(b"new"));
+/// assert_eq!(mem.get(b"k", 1), LookupResult::Value(b"old"));
 /// ```
 pub struct MemTable {
     list: SkipList<EntryComparator>,
@@ -68,25 +77,27 @@ impl MemTable {
     /// Insert a versioned entry. `value` is ignored for deletions by
     /// convention (pass empty).
     pub fn add(&self, seq: SequenceNumber, t: ValueType, user_key: &[u8], value: &[u8]) {
-        let ikey = make_internal_key(user_key, seq, t);
-        let mut entry = Vec::with_capacity(ikey.len() + value.len() + 10);
-        put_length_prefixed_slice(&mut entry, &ikey);
+        // Encoded in place at its exact size, so the skiplist node takes
+        // this buffer as it is.
+        let ikey_len = user_key.len() + 8;
+        let len = varint64_length(ikey_len as u64)
+            + ikey_len
+            + varint64_length(value.len() as u64)
+            + value.len();
+        let mut entry = Vec::with_capacity(len);
+        put_varint32(&mut entry, ikey_len as u32);
+        append_internal_key(&mut entry, user_key, seq, t);
         put_length_prefixed_slice(&mut entry, value);
-        let inserted = self.list.insert(&entry);
+        debug_assert_eq!(entry.len(), len);
+        let inserted = self.list.insert(entry);
         debug_assert!(inserted, "duplicate (key, seq) inserted into memtable");
     }
 
     /// Look up the newest version of `user_key` visible at `snapshot`.
-    pub fn get(&self, user_key: &[u8], snapshot: SequenceNumber) -> LookupResult {
-        let lookup = {
-            let ikey = make_internal_key(user_key, snapshot, ValueType::Value);
-            let mut e = Vec::with_capacity(ikey.len() + 10);
-            put_length_prefixed_slice(&mut e, &ikey);
-            put_length_prefixed_slice(&mut e, &[]);
-            e
-        };
+    pub fn get(&self, user_key: &[u8], snapshot: SequenceNumber) -> LookupResult<'_> {
+        let target = pack_seq_and_type(snapshot, VALUE_TYPE_FOR_SEEK);
         let mut it = self.list.iter();
-        it.seek(&lookup);
+        it.seek_by(|entry| compare_internal_key_with(entry_ikey(entry), user_key, target).is_lt());
         if !it.valid() {
             return LookupResult::NotFound;
         }
@@ -99,7 +110,7 @@ impl MemTable {
         match t {
             ValueType::Value => {
                 let (v, _) = get_length_prefixed_slice(&entry[n..]).expect("valid memtable entry");
-                LookupResult::Value(v.to_vec())
+                LookupResult::Value(v)
             }
             ValueType::Deletion => LookupResult::Deleted,
         }
@@ -199,10 +210,8 @@ impl<'a> MemTableIterator<'a> {
 
     /// Position at the first entry with internal key `>= ikey`.
     pub fn seek(&mut self, ikey: &[u8]) {
-        let mut e = Vec::with_capacity(ikey.len() + 10);
-        put_length_prefixed_slice(&mut e, ikey);
-        put_length_prefixed_slice(&mut e, &[]);
-        self.inner.seek(&e);
+        self.inner
+            .seek_by(|entry| compare_internal_keys(entry_ikey(entry), ikey).is_lt());
     }
 
     /// Advance to the next entry.
@@ -212,8 +221,7 @@ impl<'a> MemTableIterator<'a> {
 
     /// The internal key under the cursor.
     pub fn ikey(&self) -> &'a [u8] {
-        let (k, _) = get_length_prefixed_slice(self.inner.entry()).expect("valid entry");
-        k
+        entry_ikey(self.inner.entry())
     }
 
     /// The value under the cursor.
@@ -228,6 +236,7 @@ impl<'a> MemTableIterator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unikv_common::ikey::make_internal_key;
 
     #[test]
     fn get_returns_newest_visible_version() {
@@ -236,10 +245,10 @@ mod tests {
         m.add(3, ValueType::Value, b"k", b"v3");
         m.add(5, ValueType::Value, b"k", b"v5");
 
-        assert_eq!(m.get(b"k", 100), LookupResult::Value(b"v5".to_vec()));
-        assert_eq!(m.get(b"k", 5), LookupResult::Value(b"v5".to_vec()));
-        assert_eq!(m.get(b"k", 4), LookupResult::Value(b"v3".to_vec()));
-        assert_eq!(m.get(b"k", 2), LookupResult::Value(b"v1".to_vec()));
+        assert_eq!(m.get(b"k", 100), LookupResult::Value(b"v5"));
+        assert_eq!(m.get(b"k", 5), LookupResult::Value(b"v5"));
+        assert_eq!(m.get(b"k", 4), LookupResult::Value(b"v3"));
+        assert_eq!(m.get(b"k", 2), LookupResult::Value(b"v1"));
         assert_eq!(m.get(b"k", 0), LookupResult::NotFound);
     }
 
@@ -249,7 +258,7 @@ mod tests {
         m.add(1, ValueType::Value, b"k", b"v");
         m.add(2, ValueType::Deletion, b"k", b"");
         assert_eq!(m.get(b"k", 10), LookupResult::Deleted);
-        assert_eq!(m.get(b"k", 1), LookupResult::Value(b"v".to_vec()));
+        assert_eq!(m.get(b"k", 1), LookupResult::Value(b"v"));
     }
 
     #[test]
@@ -316,6 +325,6 @@ mod tests {
     fn empty_value_roundtrips() {
         let m = MemTable::new();
         m.add(1, ValueType::Value, b"k", b"");
-        assert_eq!(m.get(b"k", 1), LookupResult::Value(Vec::new()));
+        assert_eq!(m.get(b"k", 1), LookupResult::Value(&[]));
     }
 }

@@ -120,14 +120,24 @@ impl<C: Comparator> SkipList<C> {
     fn find_greater_or_equal(
         &self,
         key: &[u8],
+        prev: Option<&mut [*mut Node; MAX_HEIGHT]>,
+    ) -> *mut Node {
+        self.find_first_not_before(|entry| self.cmp.compare(entry, key) == Ordering::Less, prev)
+    }
+
+    /// The first node whose entry `before` rejects, where `before` holds
+    /// for a prefix of the list; fills `prev` with the predecessor at each
+    /// level when provided.
+    fn find_first_not_before(
+        &self,
+        before: impl Fn(&[u8]) -> bool,
         mut prev: Option<&mut [*mut Node; MAX_HEIGHT]>,
     ) -> *mut Node {
         let mut x = self.head;
         let mut level = self.max_height.load(AtomicOrd::Acquire) - 1;
         loop {
             let next = unsafe { (*x).next(level) };
-            let key_is_after = !next.is_null()
-                && self.cmp.compare(unsafe { &(*next).entry }, key) == Ordering::Less;
+            let key_is_after = !next.is_null() && before(unsafe { &(*next).entry });
             if key_is_after {
                 x = next;
             } else {
@@ -176,11 +186,12 @@ impl<C: Comparator> SkipList<C> {
     /// Insert `entry`. Duplicate entries (equal under the comparator) are
     /// rejected with `false`; memtables never produce duplicates because
     /// every entry carries a unique sequence number.
-    pub fn insert(&self, entry: &[u8]) -> bool {
+    pub fn insert(&self, entry: impl Into<Box<[u8]>>) -> bool {
+        let entry: Box<[u8]> = entry.into();
         let mut rng = self.insert_lock.lock();
         let mut prev: [*mut Node; MAX_HEIGHT] = [ptr::null_mut(); MAX_HEIGHT];
-        let ge = self.find_greater_or_equal(entry, Some(&mut prev));
-        if !ge.is_null() && self.cmp.compare(unsafe { &(*ge).entry }, entry) == Ordering::Equal {
+        let ge = self.find_greater_or_equal(&entry, Some(&mut prev));
+        if !ge.is_null() && self.cmp.compare(unsafe { &(*ge).entry }, &entry) == Ordering::Equal {
             return false;
         }
 
@@ -195,7 +206,8 @@ impl<C: Comparator> SkipList<C> {
             self.max_height.store(height, AtomicOrd::Release);
         }
 
-        let node = Node::new(entry.to_vec().into_boxed_slice());
+        let entry_len = entry.len();
+        let node = Node::new(entry);
         for (level, &p) in prev.iter().enumerate().take(height) {
             unsafe {
                 // New node first points at successor, then becomes visible.
@@ -205,7 +217,7 @@ impl<C: Comparator> SkipList<C> {
         }
         self.len.fetch_add(1, AtomicOrd::AcqRel);
         self.memory
-            .fetch_add(entry.len() + std::mem::size_of::<Node>(), AtomicOrd::AcqRel);
+            .fetch_add(entry_len + std::mem::size_of::<Node>(), AtomicOrd::AcqRel);
         true
     }
 
@@ -266,6 +278,13 @@ impl<'a, C: Comparator> SkipListIterator<'a, C> {
     /// Position at the first entry `>= key`.
     pub fn seek(&mut self, key: &[u8]) {
         self.node = self.list.find_greater_or_equal(key, None);
+    }
+
+    /// Position at the first entry for which `before` is false, where
+    /// `before` holds exactly for the entries that sort before some target:
+    /// a seek that needs no encoded target entry.
+    pub fn seek_by(&mut self, before: impl Fn(&[u8]) -> bool) {
+        self.node = self.list.find_first_not_before(before, None);
     }
 
     /// Position at the first entry.
@@ -329,10 +348,10 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let l = bytes_list();
-        assert!(l.insert(b"b"));
-        assert!(l.insert(b"a"));
-        assert!(l.insert(b"c"));
-        assert!(!l.insert(b"b"), "duplicates rejected");
+        assert!(l.insert(&b"b"[..]));
+        assert!(l.insert(&b"a"[..]));
+        assert!(l.insert(&b"c"[..]));
+        assert!(!l.insert(&b"b"[..]), "duplicates rejected");
         assert_eq!(l.len(), 3);
         assert!(l.contains(b"a") && l.contains(b"b") && l.contains(b"c"));
         assert!(!l.contains(b"d"));
@@ -389,7 +408,7 @@ mod tests {
             let l = l.clone();
             std::thread::spawn(move || {
                 for i in 0..5_000u32 {
-                    l.insert(&i.to_be_bytes());
+                    l.insert(&i.to_be_bytes()[..]);
                 }
             })
         };
@@ -430,7 +449,7 @@ mod tests {
             let mut model = BTreeSet::new();
             for k in &keys {
                 let fresh = model.insert(k.clone());
-                prop_assert_eq!(l.insert(k), fresh);
+                prop_assert_eq!(l.insert(&k[..]), fresh);
             }
             prop_assert_eq!(l.len(), model.len());
             // Full scans agree.

@@ -6,9 +6,13 @@ use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable slice of bytes.
+///
+/// The buffer is the `Vec` it was built from, shared behind an `Arc`, so
+/// `Bytes::from(Vec<u8>)` takes ownership without copying, as the real
+/// crate does.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -25,11 +29,13 @@ impl Bytes {
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// True if the buffer holds no bytes.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -58,12 +64,14 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self
     }
@@ -71,11 +79,10 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let data: Arc<[u8]> = v.into();
         Bytes {
             start: 0,
-            end: data.len(),
-            data,
+            end: v.len(),
+            data: Arc::new(v),
         }
     }
 }
@@ -125,5 +132,14 @@ mod tests {
         let b = Bytes::from(vec![0u8; 1024]);
         let c = b.clone();
         assert_eq!(b.data.as_ptr(), c.data.as_ptr());
+    }
+
+    #[test]
+    fn from_vec_keeps_the_buffer() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(100..).as_ptr(), ptr.wrapping_add(100));
     }
 }

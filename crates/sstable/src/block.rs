@@ -157,18 +157,30 @@ pub struct BlockIterator {
 }
 
 impl BlockIterator {
+    /// Point the iterator at `block`, unpositioned. The key buffer is kept,
+    /// so an iterator moving from block to block allocates it once.
+    pub(crate) fn reset(&mut self, block: &Block) {
+        self.block = block.clone();
+        self.offset = usize::MAX;
+        self.next_offset = 0;
+        self.key.clear();
+    }
+
     /// True if positioned on an entry.
+    #[inline]
     pub fn valid(&self) -> bool {
         self.offset != usize::MAX
     }
 
     /// Current key. Panics if not valid.
+    #[inline]
     pub fn key(&self) -> &[u8] {
         assert!(self.valid());
         &self.key
     }
 
     /// Current value. Panics if not valid.
+    #[inline]
     pub fn value(&self) -> &[u8] {
         assert!(self.valid());
         &self.block.data[self.value_range.clone()]

@@ -6,58 +6,128 @@
 
 use crate::block::Block;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SHARDS: usize = 16;
 
-/// Cache statistics for hit-rate reporting.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// End-of-list marker for slot links.
+const NIL: usize = usize::MAX;
+
+type Key = (u64, u64);
+
+/// One cached block, linked into its shard's recency list.
+struct Slot {
+    key: Key,
+    /// `None` while the slot sits on the free list.
+    block: Option<Arc<Block>>,
+    /// Towards the least recently used end.
+    prev: usize,
+    /// Towards the most recently used end.
+    next: usize,
 }
 
-impl CacheStats {
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
+/// An exact LRU: a hash map from key to slot index, and a doubly linked
+/// recency list threaded through a slab of slots, so a hit, an insert and
+/// an eviction each cost O(1).
 struct Shard {
-    map: HashMap<(u64, u64), (Arc<Block>, u64)>,
-    lru: BTreeMap<u64, (u64, u64)>,
+    map: HashMap<Key, usize>,
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// Least recently used slot.
+    head: usize,
+    /// Most recently used slot.
+    tail: usize,
     bytes: usize,
-    tick: u64,
 }
 
 impl Shard {
-    fn touch(&mut self, key: (u64, u64)) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, old_tick)) = self.map.get_mut(&key) {
-            self.lru.remove(old_tick);
-            *old_tick = tick;
-            self.lru.insert(tick, key);
+    fn new() -> Shard {
+        Shard {
+            map: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            bytes: 0,
         }
     }
 
-    fn evict_to(&mut self, capacity: usize) {
-        while self.bytes > capacity {
-            let Some((&tick, &key)) = self.lru.iter().next() else {
-                break;
-            };
-            self.lru.remove(&tick);
-            if let Some((block, _)) = self.map.remove(&key) {
-                self.bytes -= block.size();
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Link slot `i` in as the most recently used.
+    fn push_back(&mut self, i: usize) {
+        self.slots[i].prev = self.tail;
+        self.slots[i].next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            t => self.slots[t].next = i,
+        }
+        self.tail = i;
+    }
+
+    fn get(&mut self, key: Key) -> Option<Arc<Block>> {
+        let i = *self.map.get(&key)?;
+        if self.tail != i {
+            self.unlink(i);
+            self.push_back(i);
+        }
+        self.slots[i].block.clone()
+    }
+
+    fn insert(&mut self, key: Key, block: Arc<Block>) {
+        self.bytes += block.size();
+        if let Some(&i) = self.map.get(&key) {
+            let old = self.slots[i].block.replace(block);
+            self.bytes -= old.map_or(0, |b| b.size());
+            self.unlink(i);
+            self.push_back(i);
+            return;
+        }
+        let slot = Slot {
+            key,
+            block: Some(block),
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
             }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.map.insert(key, i);
+        self.push_back(i);
+    }
+
+    /// Drop the entry in slot `i`, returning the slot to the free list.
+    fn remove_slot(&mut self, i: usize) {
+        self.unlink(i);
+        self.map.remove(&self.slots[i].key);
+        if let Some(block) = self.slots[i].block.take() {
+            self.bytes -= block.size();
+        }
+        self.free.push(i);
+    }
+
+    fn evict_to(&mut self, capacity: usize) {
+        while self.bytes > capacity && self.head != NIL {
+            self.remove_slot(self.head);
         }
     }
 }
@@ -67,26 +137,15 @@ pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
     next_id: AtomicU64,
-    stats: CacheStats,
 }
 
 impl BlockCache {
     /// Create a cache holding roughly `capacity_bytes` of block payloads.
     pub fn new(capacity_bytes: usize) -> Arc<Self> {
         Arc::new(BlockCache {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        lru: BTreeMap::new(),
-                        bytes: 0,
-                        tick: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             capacity_per_shard: capacity_bytes.div_ceil(SHARDS).max(1),
             next_id: AtomicU64::new(1),
-            stats: CacheStats::default(),
         })
     }
 
@@ -95,56 +154,41 @@ impl BlockCache {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn shard(&self, key: (u64, u64)) -> &Mutex<Shard> {
+    fn shard_index(key: Key) -> usize {
         let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ key.1;
-        &self.shards[(h as usize) % SHARDS]
+        (h as usize) % SHARDS
     }
 
-    /// Look up a block.
+    fn shard(&self, key: Key) -> &Mutex<Shard> {
+        &self.shards[Self::shard_index(key)]
+    }
+
+    /// Look up a block, making it the most recently used on a hit.
     pub fn get(&self, cache_id: u64, offset: u64) -> Option<Arc<Block>> {
         let key = (cache_id, offset);
-        let mut shard = self.shard(key).lock();
-        let hit = shard.map.get(&key).map(|(b, _)| b.clone());
-        if hit.is_some() {
-            shard.touch(key);
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.shard(key).lock().get(key)
     }
 
     /// Insert a block, evicting least-recently-used blocks if over capacity.
     pub fn insert(&self, cache_id: u64, offset: u64, block: Arc<Block>) {
         let key = (cache_id, offset);
         let mut shard = self.shard(key).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some((old, old_tick)) = shard.map.insert(key, (block.clone(), tick)) {
-            shard.bytes -= old.size();
-            shard.lru.remove(&old_tick);
-        }
-        shard.bytes += block.size();
-        shard.lru.insert(tick, key);
-        let cap = self.capacity_per_shard;
-        shard.evict_to(cap);
+        shard.insert(key, block);
+        shard.evict_to(self.capacity_per_shard);
     }
 
     /// Drop every block belonging to `cache_id` (table deleted).
     pub fn evict_table(&self, cache_id: u64) {
         for shard in &self.shards {
             let mut s = shard.lock();
-            let victims: Vec<_> = s
+            let victims: Vec<usize> = s
                 .map
-                .keys()
-                .filter(|(id, _)| *id == cache_id)
-                .copied()
+                .iter()
+                .filter(|((id, _), _)| *id == cache_id)
+                .map(|(_, &i)| i)
                 .collect();
-            for key in victims {
-                if let Some((block, tick)) = s.map.remove(&key) {
-                    s.bytes -= block.size();
-                    s.lru.remove(&tick);
-                }
+            for i in victims {
+                s.remove_slot(i);
             }
         }
     }
@@ -152,11 +196,6 @@ impl BlockCache {
     /// Total bytes currently cached.
     pub fn bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes).sum()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 }
 
@@ -179,8 +218,6 @@ mod tests {
         cache.insert(id, 0, block_of(10));
         assert!(cache.get(id, 0).is_some());
         assert!(cache.get(id, 1).is_none());
-        assert_eq!(cache.stats().hits(), 1);
-        assert_eq!(cache.stats().misses(), 2);
     }
 
     #[test]
@@ -213,6 +250,114 @@ mod tests {
         // immediately after insertion in the same shard.
         cache.insert(id, 3, block_of(64));
         let _ = cache.get(id, 3); // may or may not hit depending on shard cap
+    }
+
+    impl BlockCache {
+        /// Shard `s`'s keys from least to most recently used, after checking
+        /// that its list, map, slab and byte count agree.
+        fn lru_order(&self, s: usize) -> Vec<Key> {
+            let shard = self.shards[s].lock();
+            let mut keys = Vec::new();
+            let mut bytes = 0;
+            let mut i = shard.head;
+            while i != NIL {
+                let slot = &shard.slots[i];
+                assert_eq!(shard.map.get(&slot.key), Some(&i));
+                bytes += slot
+                    .block
+                    .as_ref()
+                    .expect("linked slot holds a block")
+                    .size();
+                keys.push(slot.key);
+                i = slot.next;
+            }
+            assert_eq!(keys.len(), shard.map.len());
+            assert_eq!(shard.slots.len(), shard.map.len() + shard.free.len());
+            assert_eq!(bytes, shard.bytes);
+            keys
+        }
+    }
+
+    /// Exact LRU per shard, kept as a plain recency-ordered list.
+    struct ModelLru {
+        shards: Vec<Vec<(Key, usize)>>,
+        capacity_per_shard: usize,
+    }
+
+    impl ModelLru {
+        fn get(&mut self, key: Key) -> Option<usize> {
+            let list = &mut self.shards[BlockCache::shard_index(key)];
+            let pos = list.iter().position(|(k, _)| *k == key)?;
+            let entry = list.remove(pos);
+            list.push(entry);
+            Some(entry.1)
+        }
+
+        fn insert(&mut self, key: Key, size: usize) {
+            let list = &mut self.shards[BlockCache::shard_index(key)];
+            list.retain(|(k, _)| *k != key);
+            list.push((key, size));
+            while list.iter().map(|(_, s)| s).sum::<usize>() > self.capacity_per_shard {
+                list.remove(0);
+            }
+        }
+
+        fn evict_table(&mut self, id: u64) {
+            for list in &mut self.shards {
+                list.retain(|((i, _), _)| *i != id);
+            }
+        }
+    }
+
+    #[test]
+    fn evicts_in_exact_lru_order() {
+        let capacity = 16 * 1500;
+        let cache = BlockCache::new(capacity);
+        let mut model = ModelLru {
+            shards: vec![Vec::new(); SHARDS],
+            capacity_per_shard: cache.capacity_per_shard,
+        };
+        let ids: Vec<u64> = (0..4).map(|_| cache.new_id()).collect();
+        let mut rng = unikv_common::rng::DetRng::seed_from_u64(0x1ce);
+        for step in 0..20_000 {
+            let key = (ids[rng.u64_in(0..4) as usize], rng.u64_in(0..48) * 4096);
+            match rng.u64_in(0..100) {
+                0..=54 => {
+                    let hit = cache.get(key.0, key.1).map(|b| b.size());
+                    assert_eq!(hit, model.get(key), "step {step}: get {key:?}");
+                }
+                55..=98 => {
+                    // Sizes up to above a shard's capacity, so a lone
+                    // oversized block is evicted by its own insert.
+                    let block = block_of(rng.u64_in(1..1600) as usize);
+                    model.insert(key, block.size());
+                    cache.insert(key.0, key.1, block);
+                }
+                _ => {
+                    cache.evict_table(key.0);
+                    model.evict_table(key.0);
+                }
+            }
+            for (s, list) in model.shards.iter().enumerate() {
+                let want: Vec<Key> = list.iter().map(|(k, _)| *k).collect();
+                assert_eq!(cache.lru_order(s), want, "step {step}: shard {s}");
+            }
+            let model_bytes: usize = model.shards.iter().flatten().map(|(_, s)| s).sum();
+            assert_eq!(cache.bytes(), model_bytes, "step {step}");
+            assert!(cache.bytes() <= SHARDS * cache.capacity_per_shard);
+        }
+    }
+
+    #[test]
+    fn reinsert_fixes_byte_accounting() {
+        let cache = BlockCache::new(1 << 20);
+        let id = cache.new_id();
+        for n in [100, 1000, 10, 1000] {
+            cache.insert(id, 0, block_of(n));
+            assert_eq!(cache.bytes(), block_of(n).size(), "after a {n}-byte value");
+        }
+        cache.evict_table(id);
+        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]

@@ -209,16 +209,19 @@ pub struct TableIterator {
 
 impl TableIterator {
     /// True if positioned on an entry.
+    #[inline]
     pub fn valid(&self) -> bool {
         self.data_iter.as_ref().is_some_and(|d| d.valid())
     }
 
     /// Current key. Panics if not valid.
+    #[inline]
     pub fn key(&self) -> &[u8] {
         self.data_iter.as_ref().expect("valid iterator").key()
     }
 
     /// Current value. Panics if not valid.
+    #[inline]
     pub fn value(&self) -> &[u8] {
         self.data_iter.as_ref().expect("valid iterator").value()
     }
@@ -230,7 +233,10 @@ impl TableIterator {
         }
         let (handle, _) = BlockHandle::decode_from(self.index_iter.value())?;
         let block = self.table.read_data_block(&handle)?;
-        self.data_iter = Some(block.iter(self.table.opts.cmp));
+        match &mut self.data_iter {
+            Some(d) => d.reset(&block),
+            None => self.data_iter = Some(block.iter(self.table.opts.cmp)),
+        }
         Ok(())
     }
 
@@ -427,6 +433,7 @@ mod tests {
         }
         b.finish().unwrap();
         let cache = BlockCache::new(1 << 20);
+        let io = TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true, 0));
         let file = env.new_random_access(Path::new("/t.sst")).unwrap();
         let size = env.file_size(Path::new("/t.sst")).unwrap();
         let table = Table::open(
@@ -435,15 +442,17 @@ mod tests {
             TableOptions {
                 cmp: crate::raw_cmp,
                 cache: Some(cache.clone()),
-                io: None,
+                io: Some(io.clone()),
             },
         )
         .unwrap();
         table.get(b"key000000", None).unwrap();
-        let misses_after_first = cache.stats().misses();
+        let misses_after_first = io.cache_misses.value();
+        assert_eq!((misses_after_first, io.cache_hits.value()), (1, 0));
         table.get(b"key000000", None).unwrap();
-        assert_eq!(cache.stats().misses(), misses_after_first);
-        assert!(cache.stats().hits() > 0);
+        assert_eq!(io.cache_misses.value(), misses_after_first);
+        assert_eq!(io.cache_hits.value(), 1);
+        assert_eq!(io.block_reads.value(), 1);
         table.evict_from_cache();
         assert_eq!(cache.bytes(), 0);
     }

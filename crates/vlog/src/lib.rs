@@ -87,31 +87,38 @@ pub fn read_value_record(
 
 /// Read a run of records that sit back to back in one log file — the
 /// first at `offset`, then one per entry of `lengths`, each starting where
-/// the previous record ends — with a single read, and return their values
-/// in run order. Each record gets the checks of [`read_value_record`]; a
-/// buffer cut short (a run past the end of the file) is
-/// [`Error::Corruption`]. All or nothing: no value is returned if any
-/// record fails.
+/// the previous record ends — with a single read, and hand each value to
+/// `each` with its position in the run. Each record gets the checks of
+/// [`read_value_record`]; a buffer cut short (a run past the end of the
+/// file) is [`Error::Corruption`]. All or nothing: every record is
+/// verified before the first value is handed out.
 pub fn read_value_run(
     file: &dyn RandomAccessFile,
     offset: u64,
     lengths: impl Iterator<Item = u32> + Clone,
-) -> Result<Vec<Vec<u8>>> {
+    mut each: impl FnMut(usize, &[u8]),
+) -> Result<()> {
     let total: u64 = lengths.clone().map(record_size).sum();
     let data = file.read_at(offset, total as usize)?;
     let mut pos = 0usize;
-    let values = lengths
-        .map(|len| {
-            let end = pos + record_size(len) as usize;
-            let record = data
-                .get(pos..end)
-                .ok_or_else(|| Error::corruption("vlog run truncated"))?;
-            pos = end;
-            decode_record(record, len).map(|value| record[value].to_vec())
-        })
-        .collect::<Result<Vec<_>>>()?;
+    for len in lengths.clone() {
+        let end = pos + record_size(len) as usize;
+        let record = data
+            .get(pos..end)
+            .ok_or_else(|| Error::corruption("vlog run truncated"))?;
+        decode_record(record, len)?;
+        pos = end;
+    }
+    // A verified record is exactly `record_size(len)` bytes, so its length
+    // prefix is the shortest encoding and the value starts right after it.
+    let mut pos = 0usize;
+    for (i, len) in lengths.enumerate() {
+        let start = pos + varint64_length(u64::from(len));
+        each(i, &data[start..start + len as usize]);
+        pos += record_size(len) as usize;
+    }
     perf::mark(PerfStage::VlogFetch);
-    Ok(values)
+    Ok(())
 }
 
 /// Walk every record in the value-log file at `path`, verifying framing
