@@ -35,11 +35,11 @@ fn bench_hashindex(c: &mut Criterion) {
     g.bench_function("candidates_hit", |b| {
         b.iter(|| {
             k = (k.wrapping_mul(2862933555777941757).wrapping_add(3)) % 100_000;
-            std::hint::black_box(idx.candidates(&key(k)))
+            std::hint::black_box(idx.candidates(&key(k)).count())
         });
     });
     g.bench_function("candidates_miss", |b| {
-        b.iter(|| std::hint::black_box(idx.candidates(b"missing!")));
+        b.iter(|| std::hint::black_box(idx.candidates(b"missing!").count()));
     });
     g.bench_function("checkpoint_100k", |b| {
         b.iter(|| std::hint::black_box(idx.checkpoint().len()));

@@ -81,7 +81,7 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
 /// Inlined so that callers in other crates decode one- and two-byte
 /// varints (key lengths, shared-prefix counts, value and block lengths)
 /// without a call; longer or malformed input goes to
-/// [`get_varint64_slow`].
+/// `get_varint64_slow`.
 #[inline]
 pub fn get_varint64(src: &[u8]) -> Result<(u64, usize)> {
     match *src {
@@ -126,7 +126,7 @@ pub fn get_varint32(src: &[u8]) -> Result<(u32, usize)> {
     }
 }
 
-/// The general varint32 decoder: [`get_varint64_slow`] plus the 32-bit
+/// The general varint32 decoder: `get_varint64_slow` plus the 32-bit
 /// overflow check.
 #[inline(never)]
 fn get_varint32_slow(src: &[u8]) -> Result<(u32, usize)> {

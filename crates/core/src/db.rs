@@ -500,8 +500,9 @@ impl DbInner {
             .collect()
     }
 
-    /// Total bytes of in-memory hash-index entries across partitions
-    /// (experiment E12).
+    /// Logical size of the hash indexes across partitions, at the paper's
+    /// 8 B per entry (experiment E12). This is not heap bytes: the flat
+    /// index holds 12 B per entry plus 4 B per bucket.
     pub fn index_memory_bytes(&self) -> usize {
         self.core
             .read()

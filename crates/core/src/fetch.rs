@@ -3,7 +3,7 @@
 //!
 //! Merge and GC append values to a log in key order, so most pointers of
 //! one scan sit back to back in a few logs. With the scan optimization on,
-//! [`fetch_values`] sorts the pointers by position and groups them into
+//! `fetch_values` sorts the pointers by position and groups them into
 //! *runs* — records that each start where the previous one ends in the
 //! same log — and reads every run with one `read_at`. That coalescing is
 //! the readahead; gaps are never bridged, so no dead bytes are read.
@@ -31,7 +31,7 @@ fn extends_run(prev: &Job, next: &Job) -> bool {
         && b.offset == a.offset + record_size(a.length)
 }
 
-/// Dispatch counters recorded by [`fetch_values`].
+/// Dispatch counters recorded by `fetch_values`.
 #[derive(Clone)]
 pub struct FetchMetrics {
     /// Batches fanned out across fetch threads. Always 0, since every batch

@@ -78,7 +78,7 @@ use unikv_common::{Error, Result};
 
 /// Every named sync point in the flush/merge/GC/split commit sequences,
 /// in rough execution order. Each structural operation calls
-/// [`SyncPoints::hit`] between its commit steps; a hook that returns an
+/// `SyncPoints::hit` between its commit steps; a hook that returns an
 /// error there aborts the operation exactly as an I/O failure at that
 /// step would, so a crash test can stop the world between any two steps
 /// and exercise recovery. `*:begin` fires before any file is written,
