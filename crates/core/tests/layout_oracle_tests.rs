@@ -4,6 +4,12 @@
 //! must leave [`LAYOUT_DIGEST`] as it is; a change that means to alter the
 //! format updates it and says why.
 //!
+//! The same workload, run under the manual step clock, must also leave the
+//! same machine metrics report and engine counters ([`REPORT_DIGEST`]).
+//! Every clock reading taken inside an inline flush or merge lands in the
+//! triggering put's latency sample, so a refactor that adds, drops or
+//! moves a clock read changes this digest.
+//!
 //! The digest uses `unikv_common::hash`, not CRC32C, so a checksum kernel
 //! that drifted would change the file bytes and be caught here rather than
 //! cancelling itself out.
@@ -11,7 +17,7 @@
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use unikv::{UniKv, UniKvOptions};
+use unikv::{manual_step_clock, UniKv, UniKvOptions};
 use unikv_common::hash::hash64;
 use unikv_common::rng::DetRng;
 use unikv_env::mem::MemEnv;
@@ -21,13 +27,18 @@ use unikv_env::Env;
 /// slicing-by-4 CRC32C kernel.
 const LAYOUT_DIGEST: u64 = 0x7697_6d09_11e5_ff1c;
 
+/// Digest of `metrics_report_machine()` plus `stats().snapshot()` after
+/// [`run_workload`].
+const REPORT_DIGEST: u64 = 0x5c3e_290f_5714_3ef1;
+
 /// Partition directories are `p<id>`; ids stay far below this bound for
 /// the workload below (the byte-count check catches a miss).
 const MAX_PARTITION_DIRS: u32 = 256;
 
 /// Puts, overwrites and deletes over a seeded key stream, with explicit
 /// flushes, full merges and GC passes between rounds, on the default
-/// inline mode (no worker threads) with the event journal off.
+/// inline mode (no worker threads) with the event journal off. The
+/// metrics clock is the manual step clock from right after open.
 fn run_workload(env: Arc<MemEnv>) -> UniKv {
     let opts = UniKvOptions::small_for_tests();
     assert_eq!(opts.background_jobs, 0, "the oracle runs inline");
@@ -36,6 +47,7 @@ fn run_workload(env: Arc<MemEnv>) -> UniKv {
         "the oracle runs without a journal"
     );
     let db = UniKv::open(env, "/db", opts).unwrap();
+    db.set_metrics_clock(Some(manual_step_clock(1)));
     let mut rng = DetRng::seed_from_u64(0x1a70_u64);
     for round in 0..6u64 {
         for _ in 0..1500 {
@@ -113,5 +125,19 @@ fn inline_layout_is_byte_identical() {
     assert_eq!(
         digest, LAYOUT_DIGEST,
         "inline-mode layout changed: digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn inline_report_is_byte_identical() {
+    let db = run_workload(MemEnv::shared());
+    let mut report = db.metrics_report_machine();
+    for (name, value) in db.stats().snapshot() {
+        report.push_str(&format!("{name}\t{value}\n"));
+    }
+    let digest = hash64(report.as_bytes(), 0);
+    assert_eq!(
+        digest, REPORT_DIGEST,
+        "inline-mode metrics report changed: digest {digest:#018x}\n{report}"
     );
 }
