@@ -145,6 +145,90 @@ impl Drop for OpScope<'_> {
     }
 }
 
+/// Phase 1 of a full merge or a scan-merge, taken under the core lock: the
+/// started op, the input table numbers (UnsortedStore, then SortedStore
+/// for a full merge) and an iterator over them. The build phase needs no
+/// lock; install checks the tiers still name `inputs`.
+struct MergeSnapshot<'a> {
+    scope: OpScope<'a>,
+    full: bool,
+    t0: u64,
+    pid: u32,
+    dir: PathBuf,
+    inputs: Vec<u64>,
+    input_bytes: u64,
+    iter: MergingIterator,
+    vlog: Arc<parking_lot::Mutex<ValueLog>>,
+}
+
+/// What a full merge built: the new SortedStore run, the bytes written
+/// (tables plus newly separated values) and the live separated bytes.
+struct MergeOutput {
+    tables: Vec<TableMeta>,
+    written: u64,
+    live_value_bytes: u64,
+}
+
+/// Writes a sorted entry stream into tables in `dir`, rolling over to a
+/// new table once one reaches `table_size`. Each table takes its number
+/// from the caller's allocator when it opens.
+struct TableRoller<'a> {
+    db: &'a DbInner,
+    dir: PathBuf,
+    builder: Option<TableBuilder>,
+    tables: Vec<TableMeta>,
+    /// Bytes of the finished tables.
+    bytes: u64,
+}
+
+impl<'a> TableRoller<'a> {
+    fn new(db: &'a DbInner, dir: PathBuf) -> TableRoller<'a> {
+        TableRoller {
+            db,
+            dir,
+            builder: None,
+            tables: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    fn add(&mut self, ikey: &[u8], value: &[u8], alloc: &mut dyn FnMut() -> u64) -> Result<()> {
+        if self.builder.is_none() {
+            let number = alloc();
+            let file = self
+                .db
+                .env
+                .new_writable(&filenames::table_file(&self.dir, number))?;
+            self.builder = Some(TableBuilder::new(file, self.db.table_builder_opts()));
+            self.tables.push(TableMeta {
+                number,
+                size: 0,
+                smallest: Vec::new(),
+                largest: Vec::new(),
+            });
+        }
+        let b = self.builder.as_mut().expect("opened above");
+        b.add(ikey, value)?;
+        if b.estimated_size() >= self.db.opts.table_size as u64 {
+            self.finish()?;
+        }
+        Ok(())
+    }
+
+    /// Finish the open table, if any.
+    fn finish(&mut self) -> Result<()> {
+        if let Some(b) = self.builder.take() {
+            let props = b.finish()?;
+            self.bytes += props.file_size;
+            let t = self.tables.last_mut().expect("each builder has a table");
+            t.size = props.file_size;
+            t.smallest = props.smallest;
+            t.largest = props.largest;
+        }
+        Ok(())
+    }
+}
+
 /// Engine-level counters (per-database).
 #[derive(Debug, Default)]
 pub struct UniKvStats {
@@ -1291,15 +1375,29 @@ impl DbInner {
         for sealed in &p.imms {
             children.push(Box::new(MemTableSource::new(sealed.mem.clone())));
         }
+        self.tables_iter(p, true, children)
+    }
+
+    /// Merging iterator over `children` (newer sources, such as
+    /// memtables), then the partition's UnsortedStore tables and, with
+    /// `with_sorted`, its SortedStore run.
+    fn tables_iter(
+        &self,
+        p: &Partition,
+        with_sorted: bool,
+        mut children: Vec<Box<dyn InternalIterator>>,
+    ) -> Result<MergingIterator> {
         for tmeta in &p.meta.unsorted {
             let table = self.open_table(p, tmeta.number)?;
             children.push(Box::new(TableSource::new(&table)));
         }
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
+        if with_sorted {
+            let mut run = Vec::with_capacity(p.meta.sorted.len());
+            for tmeta in &p.meta.sorted {
+                run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
+            }
+            children.push(Box::new(ConcatSource::new(run)));
         }
-        children.push(Box::new(ConcatSource::new(run)));
         Ok(MergingIterator::new(children))
     }
 
@@ -1322,27 +1420,38 @@ impl DbInner {
     /// (usually the triggering flush's finish); each completed step becomes
     /// the cause of the next, chaining seal→flush→merge→GC causally.
     fn run_triggers(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        let (over_unsorted, over_scan_merge) = {
-            let p = &core.partitions[pidx];
-            (
-                p.unsorted_bytes() >= self.opts.unsorted_limit_bytes,
-                self.opts.enable_scan_optimization
-                    && p.meta.unsorted.len() >= self.opts.scan_merge_limit,
-            )
+        let p = &core.partitions[pidx];
+        let fin = if self.merge_due(p) {
+            self.merge_partition(core, pidx, cause)?
+        } else if self.scan_merge_due(p) {
+            self.scan_merge_partition(core, pidx, cause)?
+        } else {
+            None
         };
-        let mut cause = cause;
-        if over_unsorted {
-            if let Some(fin) = self.merge_partition(core, pidx, cause)? {
-                cause = Some(fin);
-            }
-        } else if over_scan_merge {
-            if let Some(fin) = self.scan_merge_partition(core, pidx, cause)? {
-                cause = Some(fin);
-            }
+        let cause = fin.or(cause);
+        if self.gc_due(&core.partitions[pidx]) {
+            self.gc_partition(core, pidx, cause)?;
         }
-        self.maybe_gc(core, pidx, cause)?;
-        self.maybe_split(core, pidx, cause)?;
+        if self.split_due(&core.partitions[pidx]) {
+            self.split_partition(core, pidx, cause)?;
+        }
         Ok(())
+    }
+
+    /// The full-merge trigger: the UnsortedStore reached its byte limit.
+    fn merge_due(&self, p: &Partition) -> bool {
+        p.unsorted_bytes() >= self.opts.unsorted_limit_bytes
+    }
+
+    /// The size-based merge trigger (scan optimization): the UnsortedStore
+    /// holds `scan_merge_limit` tables.
+    fn scan_merge_due(&self, p: &Partition) -> bool {
+        self.opts.enable_scan_optimization && p.meta.unsorted.len() >= self.opts.scan_merge_limit
+    }
+
+    /// The split trigger: the partition outgrew `partition_size_limit`.
+    fn split_due(&self, p: &Partition) -> bool {
+        self.opts.enable_partitioning && p.logical_size() > self.opts.partition_size_limit
     }
 
     /// Background-mode counterpart of [`Self::run_triggers`]: enqueue jobs
@@ -1356,12 +1465,10 @@ impl DbInner {
             // A flush's cause travels with the sealed memtable itself.
             self.schedule(JobKind::Flush, pid);
         }
-        if p.unsorted_bytes() >= self.opts.unsorted_limit_bytes {
+        if self.merge_due(p) {
             self.note_job_cause(JobKind::Merge, pid, cause);
             self.schedule(JobKind::Merge, pid);
-        } else if self.opts.enable_scan_optimization
-            && p.meta.unsorted.len() >= self.opts.scan_merge_limit
-        {
+        } else if self.scan_merge_due(p) {
             self.note_job_cause(JobKind::ScanMerge, pid, cause);
             self.schedule(JobKind::ScanMerge, pid);
         }
@@ -1369,7 +1476,7 @@ impl DbInner {
             self.note_job_cause(JobKind::Gc, pid, cause);
             self.schedule(JobKind::Gc, pid);
         }
-        if self.opts.enable_partitioning && p.logical_size() > self.opts.partition_size_limit {
+        if self.split_due(p) {
             self.note_job_cause(JobKind::Split, pid, cause);
             self.schedule(JobKind::Split, pid);
         }
@@ -1601,80 +1708,126 @@ impl DbInner {
     }
 
     /// Merge the UnsortedStore into the SortedStore with partial KV
-    /// separation: fresh (inline) values move to a new value log; values
-    /// already separated keep their pointers and are NOT rewritten.
+    /// separation, running all three phases under the held write lock.
     fn merge_partition(
         &self,
         core: &mut DbCore,
         pidx: usize,
         cause: Option<u64>,
     ) -> Result<Option<u64>> {
-        let start_file = core.next_file;
-        let mut used = 0u64;
-        let DbCore {
-            partitions,
-            next_file,
-            ..
-        } = core;
-        let p = &mut partitions[pidx];
-        if p.meta.unsorted.is_empty() && p.meta.sorted.is_empty() {
+        let Some(mut snap) = self.snapshot_merge(core, pidx, true, || cause)? else {
+            return Ok(None);
+        };
+        let out = self.build_merge(&mut snap, &mut || core.alloc_file())?;
+        self.install_merge(core, pidx, snap, out).map(Some)
+    }
+
+    /// Size-based merge (scan optimization), all three phases under the
+    /// held write lock.
+    fn scan_merge_partition(
+        &self,
+        core: &mut DbCore,
+        pidx: usize,
+        cause: Option<u64>,
+    ) -> Result<Option<u64>> {
+        let Some(mut snap) = self.snapshot_merge(core, pidx, false, || cause)? else {
+            return Ok(None);
+        };
+        let out = self.build_scan_merge(&mut snap, &mut || core.alloc_file())?;
+        self.install_scan_merge(core, pidx, snap, out).map(Some)
+    }
+
+    /// Phase 1 of a full merge (`full`) or a scan-merge: if the partition
+    /// has input to merge, start the op (clock read, `begin` sync point,
+    /// start event with `cause()`) and open an iterator over the input
+    /// tables. Needs the core lock, read or write.
+    fn snapshot_merge(
+        &self,
+        core: &DbCore,
+        pidx: usize,
+        full: bool,
+        cause: impl FnOnce() -> Option<u64>,
+    ) -> Result<Option<MergeSnapshot<'_>>> {
+        let p = &core.partitions[pidx];
+        let sorted: &[TableMeta] = if full { &p.meta.sorted } else { &[] };
+        let has_input = if full {
+            !p.meta.unsorted.is_empty() || !sorted.is_empty()
+        } else {
+            p.meta.unsorted.len() >= 2
+        };
+        if !has_input {
             return Ok(None);
         }
         let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("merge:begin")?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        let input_bytes = p.unsorted_bytes() + p.sorted_bytes();
-        let input_tables: Vec<u64> = p
+        self.sync.hit(if full {
+            "merge:begin"
+        } else {
+            "scanmerge:begin"
+        })?;
+        let inputs: Vec<u64> = p
             .meta
             .unsorted
             .iter()
-            .chain(p.meta.sorted.iter())
+            .chain(sorted)
             .map(|t| t.number)
             .collect();
+        let input_bytes = p.meta.unsorted.iter().chain(sorted).map(|t| t.size).sum();
+        let (start, abort) = if full {
+            (EventKind::MergeStart, EventKind::MergeAbort)
+        } else {
+            (EventKind::ScanMergeStart, EventKind::ScanMergeAbort)
+        };
         let scope = OpScope::begin(
             &self.events,
-            EventKind::MergeStart,
-            EventKind::MergeAbort,
+            start,
+            abort,
             p.meta.id,
-            cause,
-            input_tables,
+            cause(),
+            inputs.clone(),
             input_bytes,
         );
+        Ok(Some(MergeSnapshot {
+            scope,
+            full,
+            t0,
+            pid: p.meta.id,
+            dir: partition_dir(&self.root, p.meta.id),
+            inputs,
+            input_bytes,
+            iter: self.tables_iter(p, full, Vec::new())?,
+            vlog: p.vlog.clone(),
+        }))
+    }
 
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-        }
-        children.push(Box::new(ConcatSource::new(run)));
-        let mut iter = MergingIterator::new(children);
+    /// Phase 2 of a full merge, no core lock needed: write the newest
+    /// version of every live key into a new SortedStore run. Fresh
+    /// (inline) values move to a newly rotated value log; values already
+    /// separated keep their pointers and are NOT rewritten. Tombstones
+    /// have done their shadowing job and are dropped: this is the bottom
+    /// tier.
+    fn build_merge(
+        &self,
+        snap: &mut MergeSnapshot,
+        alloc: &mut dyn FnMut() -> u64,
+    ) -> Result<MergeOutput> {
+        let iter = &mut snap.iter;
         iter.seek_to_first()?;
-
         if self.opts.enable_kv_separation {
-            p.vlog.lock().rotate()?; // new values go to a freshly created log
+            snap.vlog.lock().rotate()?;
         }
-        let mut new_tables: Vec<TableMeta> = Vec::new();
-        let mut builder: Option<TableBuilder> = None;
+        let mut out = TableRoller::new(self, snap.dir.clone());
         let mut written = 0u64;
         let mut live_value_bytes = 0u64;
         let mut last_user_key: Option<Vec<u8>> = None;
         while iter.valid() {
-            let ikey = iter.ikey().to_vec();
-            let user_key = extract_user_key(&ikey);
-            let (_, vt) = extract_seq_type(&ikey)?;
-            let is_newest = last_user_key.as_deref() != Some(user_key);
-            if is_newest {
+            let user_key = extract_user_key(iter.ikey());
+            let (_, vt) = extract_seq_type(iter.ikey())?;
+            if last_user_key.as_deref() != Some(user_key) {
                 last_user_key = Some(user_key.to_vec());
-                // The SortedStore is the bottom tier: tombstones have done
-                // their shadowing job and are dropped here.
                 if vt == ValueType::Value {
                     let slot = match SeparatedValue::decode(iter.value())? {
                         SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                            let ptr = p.vlog.lock().append(&v)?;
+                            let ptr = snap.vlog.lock().append(&v)?;
                             written += v.len() as u64;
                             live_value_bytes += ptr.length as u64;
                             SeparatedValue::Pointer(ptr)
@@ -1685,190 +1838,164 @@ impl DbInner {
                             SeparatedValue::Pointer(ptr)
                         }
                     };
-                    if builder.is_none() {
-                        let number = start_file + used;
-                        used += 1;
-                        builder = Some(TableBuilder::new(
-                            self.env
-                                .new_writable(&filenames::table_file(&dir, number))?,
-                            self.table_builder_opts(),
-                        ));
-                        new_tables.push(TableMeta {
-                            number,
-                            size: 0,
-                            smallest: Vec::new(),
-                            largest: Vec::new(),
-                        });
-                    }
-                    let b = builder.as_mut().expect("created above");
-                    b.add(&ikey, &slot.encode())?;
-                    if b.estimated_size() >= self.opts.table_size as u64 {
-                        let props = builder.take().expect("present").finish()?;
-                        written += props.file_size;
-                        let t = new_tables.last_mut().expect("pushed");
-                        t.size = props.file_size;
-                        t.smallest = props.smallest;
-                        t.largest = props.largest;
-                    }
+                    out.add(iter.ikey(), &slot.encode(), alloc)?;
                 }
             }
             iter.next()?;
         }
-        if let Some(b) = builder.take() {
-            let props = b.finish()?;
-            written += props.file_size;
-            let t = new_tables.last_mut().expect("pushed");
-            t.size = props.file_size;
-            t.smallest = props.smallest;
-            t.largest = props.largest;
-        }
-        *next_file = start_file + used;
-        p.vlog.lock().sync()?;
+        out.finish()?;
+        snap.vlog.lock().sync()?;
         self.sync.hit("merge:build")?;
+        Ok(MergeOutput {
+            tables: out.tables,
+            written: written + out.bytes,
+            live_value_bytes,
+        })
+    }
 
-        UniKvStats::add(&self.stats.merge_bytes_read, input_bytes);
-        UniKvStats::add(&self.stats.merge_bytes_written, written);
+    /// Phase 3 of a full merge, under the write lock: the new run replaces
+    /// both tiers, the UnsortedStore and its hash index empty, and META
+    /// commits. Returns the finish event's seq.
+    fn install_merge(
+        &self,
+        core: &mut DbCore,
+        pidx: usize,
+        snap: MergeSnapshot,
+        out: MergeOutput,
+    ) -> Result<u64> {
+        let p = &mut core.partitions[pidx];
+        check_merge_inputs(p.meta.unsorted.iter().chain(&p.meta.sorted), &snap.inputs)?;
+        UniKvStats::add(&self.stats.merge_bytes_read, snap.input_bytes);
+        UniKvStats::add(&self.stats.merge_bytes_written, out.written);
         UniKvStats::add(&self.stats.merges, 1);
-
-        // Swap the tiers: UnsortedStore empties; the hash index resets.
-        let output_tables: Vec<u64> = new_tables.iter().map(|t| t.number).collect();
-        let old_tables: Vec<TableMeta> = p
-            .meta
-            .unsorted
-            .drain(..)
-            .chain(p.meta.sorted.drain(..))
-            .collect();
-        p.meta.sorted = new_tables;
-        p.meta.own_logs = p.vlog.lock().log_numbers();
-        p.meta.live_value_bytes = live_value_bytes;
+        let outputs: Vec<u64> = out.tables.iter().map(|t| t.number).collect();
+        p.meta.unsorted.clear();
+        p.meta.sorted = out.tables;
+        p.meta.own_logs = snap.vlog.lock().log_numbers();
+        p.meta.live_value_bytes = out.live_value_bytes;
         p.index.clear();
         p.meta.ckpt_tables.clear();
         p.flushes_since_ckpt = 0;
         if self.opts.enable_hash_index {
-            self.env
-                .write_atomic(&dir.join(INDEX_CKPT), &encode_index_ckpt(&[], &p.index))?;
+            self.env.write_atomic(
+                &snap.dir.join(INDEX_CKPT),
+                &encode_index_ckpt(&[], &p.index),
+            )?;
         }
-
-        self.sync.hit("merge:commit")?;
-        self.commit_meta(core)?;
-        // META committed: the merge is durable, so the finish event fires
-        // here — a cleanup failure below must not read as an aborted merge.
-        let fin = scope.finish(EventKind::MergeFinish, output_tables, written, "");
-        self.sync.hit("merge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        let dir = partition_dir(&self.root, p.meta.id);
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        self.record_maint(TraceOp::Merge, t0, core.partitions[pidx].meta.id, written);
-        Ok(Some(fin))
+        self.commit_merge(core, pidx, snap, outputs, out.written)
     }
 
-    /// Size-based merge (scan optimization): collapse all UnsortedStore
-    /// tables into one globally sorted UnsortedStore table — values stay
-    /// inline, the tier stays hash-indexed, scans stop paying one seek per
-    /// overlapping table.
-    fn scan_merge_partition(
+    /// Phase 2 of a scan-merge, no core lock needed: collapse the input
+    /// tables into one table holding the newest version of every key,
+    /// indexed by a fresh hash index. Values stay inline and tombstones
+    /// stay: the SortedStore below still holds older versions they must
+    /// shadow.
+    fn build_scan_merge(
         &self,
-        core: &mut DbCore,
-        pidx: usize,
-        cause: Option<u64>,
-    ) -> Result<Option<u64>> {
-        let table_number = core.alloc_file();
-        let p = &mut core.partitions[pidx];
-        if p.meta.unsorted.len() < 2 {
-            return Ok(None);
-        }
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("scanmerge:begin")?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        let input_tables: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-        let input_bytes = p.unsorted_bytes();
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::ScanMergeStart,
-            EventKind::ScanMergeAbort,
-            p.meta.id,
-            cause,
-            input_tables,
-            input_bytes,
-        );
-
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut iter = MergingIterator::new(children);
+        snap: &mut MergeSnapshot,
+        alloc: &mut dyn FnMut() -> u64,
+    ) -> Result<(TableMeta, TwoLevelHashIndex)> {
+        let number = alloc();
+        let iter = &mut snap.iter;
         iter.seek_to_first()?;
-
         let mut builder = TableBuilder::new(
             self.env
-                .new_writable(&filenames::table_file(&dir, table_number))?,
+                .new_writable(&filenames::table_file(&snap.dir, number))?,
             self.table_builder_opts(),
         );
-        let mut new_index =
+        let mut index =
             TwoLevelHashIndex::with_capacity(index_capacity(&self.opts), self.opts.num_hashes);
         let mut last_user_key: Option<Vec<u8>> = None;
         while iter.valid() {
             let user_key = extract_user_key(iter.ikey());
             if last_user_key.as_deref() != Some(user_key) {
                 last_user_key = Some(user_key.to_vec());
-                // Tombstones stay: the SortedStore below still holds older
-                // versions they must shadow.
                 builder.add(iter.ikey(), iter.value())?;
                 if self.opts.enable_hash_index {
-                    new_index.insert(user_key, table_number as u32);
+                    index.insert(user_key, number as u32);
                 }
             }
             iter.next()?;
         }
         let props = builder.finish()?;
         self.sync.hit("scanmerge:build")?;
-        UniKvStats::add(&self.stats.merge_bytes_written, props.file_size);
-        UniKvStats::add(&self.stats.scan_merges, 1);
+        let tmeta = TableMeta {
+            number,
+            size: props.file_size,
+            smallest: props.smallest,
+            largest: props.largest,
+        };
+        Ok((tmeta, index))
+    }
 
-        let old_tables = std::mem::replace(
-            &mut p.meta.unsorted,
-            vec![TableMeta {
-                number: table_number,
-                size: props.file_size,
-                smallest: props.smallest,
-                largest: props.largest,
-            }],
-        );
-        p.index = new_index;
+    /// Phase 3 of a scan-merge, under the write lock: the merged table and
+    /// its index replace the UnsortedStore and its index, then META
+    /// commits. Returns the finish event's seq.
+    fn install_scan_merge(
+        &self,
+        core: &mut DbCore,
+        pidx: usize,
+        snap: MergeSnapshot,
+        (tmeta, index): (TableMeta, TwoLevelHashIndex),
+    ) -> Result<u64> {
+        let p = &mut core.partitions[pidx];
+        check_merge_inputs(p.meta.unsorted.iter(), &snap.inputs)?;
+        let (number, size) = (tmeta.number, tmeta.size);
+        UniKvStats::add(&self.stats.merge_bytes_written, size);
+        UniKvStats::add(&self.stats.scan_merges, 1);
+        p.meta.unsorted = vec![tmeta];
+        p.index = index;
         if self.opts.enable_hash_index {
             self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&[table_number], &p.index),
+                &snap.dir.join(INDEX_CKPT),
+                &encode_index_ckpt(&[number], &p.index),
             )?;
-            p.meta.ckpt_tables = vec![table_number];
+            p.meta.ckpt_tables = vec![number];
             p.flushes_since_ckpt = 0;
         }
+        self.commit_merge(core, pidx, snap, vec![number], size)
+    }
 
-        self.sync.hit("scanmerge:commit")?;
+    /// The end of both merges' install: commit META, publish the finish
+    /// event, delete the input tables and record the op.
+    fn commit_merge(
+        &self,
+        core: &mut DbCore,
+        pidx: usize,
+        snap: MergeSnapshot,
+        outputs: Vec<u64>,
+        bytes: u64,
+    ) -> Result<u64> {
+        let (commit, finish, cleanup, op) = if snap.full {
+            (
+                "merge:commit",
+                EventKind::MergeFinish,
+                "merge:cleanup",
+                TraceOp::Merge,
+            )
+        } else {
+            (
+                "scanmerge:commit",
+                EventKind::ScanMergeFinish,
+                "scanmerge:cleanup",
+                TraceOp::ScanMerge,
+            )
+        };
+        self.sync.hit(commit)?;
         self.commit_meta(core)?;
-        let merged_size = core.partitions[pidx].meta.unsorted[0].size;
-        let fin = scope.finish(
-            EventKind::ScanMergeFinish,
-            vec![table_number],
-            merged_size,
-            "",
-        );
-        self.sync.hit("scanmerge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        let dir = partition_dir(&self.root, p.meta.id);
-        for t in old_tables {
-            p.evict_table(t.number);
+        // META committed: the merge is durable, so the finish event fires
+        // here — a cleanup failure below must not read as an aborted merge.
+        let fin = snap.scope.finish(finish, outputs, bytes, "");
+        self.sync.hit(cleanup)?;
+        let p = &core.partitions[pidx];
+        for &number in &snap.inputs {
+            p.evict_table(number);
             self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
+                .delete_file(&filenames::table_file(&snap.dir, number))?;
         }
-        let pid = core.partitions[pidx].meta.id;
-        self.record_maint(TraceOp::ScanMerge, t0, pid, merged_size);
-        Ok(Some(fin))
+        self.maint.notify_progress();
+        self.record_maint(op, snap.t0, snap.pid, bytes);
+        Ok(fin)
     }
 
     /// The GC trigger condition for one partition.
@@ -1890,27 +2017,13 @@ impl DbInner {
         garbage as f64 / total.max(1) as f64 >= self.opts.gc_garbage_ratio
     }
 
-    fn maybe_gc(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        if self.gc_due(&core.partitions[pidx]) {
-            self.gc_partition(core, pidx, cause)?;
-        }
-        Ok(())
-    }
-
     /// Garbage-collect the partition's value logs: rewrite every live
     /// value (identified by scanning the SortedStore keys+pointers — no
     /// index queries, unlike WiscKey) into fresh logs, rewrite the
     /// SortedStore with the new pointers, drop old and inherited logs.
     /// Also performs the lazy value split after a partition split.
     fn gc_partition(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        let start_file = core.next_file;
-        let mut used = 0u64;
-        let DbCore {
-            partitions,
-            next_file,
-            ..
-        } = core;
-        let p = &mut partitions[pidx];
+        let p = &mut core.partitions[pidx];
         if p.meta.sorted.is_empty() && p.meta.inherited_logs.is_empty() {
             // No pointers can exist; every own log is garbage.
             let dead: Vec<u64> = p.vlog.lock().log_numbers();
@@ -1946,63 +2059,31 @@ impl DbInner {
         for tmeta in &p.meta.sorted {
             run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
         }
+        let vlog = p.vlog.clone();
         let mut iter = ConcatSource::new(run);
         iter.seek_to_first()?;
 
-        let mut builder: Option<TableBuilder> = None;
-        let mut new_tables: Vec<TableMeta> = Vec::new();
+        let mut out = TableRoller::new(self, dir);
         let mut written = 0u64;
         let mut live_value_bytes = 0u64;
         while iter.valid() {
-            let ikey = iter.ikey().to_vec();
             let slot = match SeparatedValue::decode(iter.value())? {
                 SeparatedValue::Pointer(ptr) => {
                     let value = self.resolver.read(&ptr)?;
-                    let new_ptr = p.vlog.lock().append(&value)?;
+                    let new_ptr = vlog.lock().append(&value)?;
                     written += value.len() as u64;
                     live_value_bytes += new_ptr.length as u64;
                     SeparatedValue::Pointer(new_ptr)
                 }
                 inline => inline,
             };
-            if builder.is_none() {
-                let number = start_file + used;
-                used += 1;
-                builder = Some(TableBuilder::new(
-                    self.env
-                        .new_writable(&filenames::table_file(&dir, number))?,
-                    self.table_builder_opts(),
-                ));
-                new_tables.push(TableMeta {
-                    number,
-                    size: 0,
-                    smallest: Vec::new(),
-                    largest: Vec::new(),
-                });
-            }
-            let b = builder.as_mut().expect("created above");
             // Step 3: write keys with their new pointers back to SSTables.
-            b.add(&ikey, &slot.encode())?;
-            if b.estimated_size() >= self.opts.table_size as u64 {
-                let props = builder.take().expect("present").finish()?;
-                written += props.file_size;
-                let t = new_tables.last_mut().expect("pushed");
-                t.size = props.file_size;
-                t.smallest = props.smallest;
-                t.largest = props.largest;
-            }
+            out.add(iter.ikey(), &slot.encode(), &mut || core.alloc_file())?;
             iter.next()?;
         }
-        if let Some(b) = builder.take() {
-            let props = b.finish()?;
-            written += props.file_size;
-            let t = new_tables.last_mut().expect("pushed");
-            t.size = props.file_size;
-            t.smallest = props.smallest;
-            t.largest = props.largest;
-        }
-        *next_file = start_file + used;
-        p.vlog.lock().sync()?;
+        out.finish()?;
+        written += out.bytes;
+        vlog.lock().sync()?;
         self.sync.hit("gc:build")?;
 
         UniKvStats::add(&self.stats.gc_bytes_written, written);
@@ -2014,7 +2095,8 @@ impl DbInner {
         // later successful commit would persist a half-applied GC — e.g.
         // dropping `inherited_logs` that rewritten pointers still need,
         // turning those logs into orphans deleted on the next open.
-        let old_tables = std::mem::replace(&mut p.meta.sorted, new_tables);
+        let p = &mut core.partitions[pidx];
+        let old_tables = std::mem::replace(&mut p.meta.sorted, out.tables);
         let old_inherited = std::mem::take(&mut p.meta.inherited_logs);
         let new_logs: Vec<u64> = p
             .vlog
@@ -2070,16 +2152,6 @@ impl DbInner {
         Ok(())
     }
 
-    fn maybe_split(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        if !self.opts.enable_partitioning {
-            return Ok(());
-        }
-        if core.partitions[pidx].logical_size() <= self.opts.partition_size_limit {
-            return Ok(());
-        }
-        self.split_partition(core, pidx, cause).map(|_| ())
-    }
-
     /// Dynamic range partitioning: split partition `pidx` at its median
     /// key into two partitions with disjoint ranges. Keys are split
     /// eagerly (full merge-sort); values already in logs are shared with
@@ -2100,8 +2172,7 @@ impl DbInner {
 
         // Pass 1: count live entries to find the median split point.
         let total = {
-            let p = &core.partitions[pidx];
-            let mut iter = self.merged_partition_tables_iter(p)?;
+            let mut iter = self.tables_iter(&core.partitions[pidx], true, Vec::new())?;
             iter.seek_to_first()?;
             let mut count = 0u64;
             let mut last_user_key: Option<Vec<u8>> = None;
@@ -2125,16 +2196,12 @@ impl DbInner {
         self.sync.hit("split:begin")?;
         let half = total / 2;
 
-        // Allocate children. Table numbers for the split outputs come from
-        // a local bump allocator reconciled into `core.next_file` after the
-        // pass (the pass holds an immutable borrow of the parent).
+        // Allocate children.
         let left_id = core.next_partition;
         let right_id = core.next_partition + 1;
         core.next_partition += 2;
         let left_wal = core.alloc_file();
         let right_wal = core.alloc_file();
-        let split_file_start = core.next_file;
-        let mut split_files_used = 0u64;
 
         let parent_lo = core.partitions[pidx].meta.lo.clone();
         let parent_hi = core.partitions[pidx].meta.hi.clone();
@@ -2171,12 +2238,11 @@ impl DbInner {
         );
 
         // Pass 2: stream entries into the two children.
-        struct ChildBuild {
+        struct ChildBuild<'a> {
             id: u32,
             dir: PathBuf,
             vlog: ValueLog,
-            tables: Vec<TableMeta>,
-            builder: Option<TableBuilder>,
+            out: TableRoller<'a>,
             live_value_bytes: u64,
             inherited: HashSet<LogRef>,
             written: u64,
@@ -2189,10 +2255,9 @@ impl DbInner {
             vlog.set_metrics(self.metrics.vlog.clone());
             Ok(ChildBuild {
                 id,
+                out: TableRoller::new(self, dir.clone()),
                 dir,
                 vlog,
-                tables: Vec::new(),
-                builder: None,
                 live_value_bytes: 0,
                 inherited: HashSet::new(),
                 written: 0,
@@ -2203,8 +2268,7 @@ impl DbInner {
         let mut boundary: Option<Vec<u8>> = None;
 
         {
-            let p = &core.partitions[pidx];
-            let mut iter = self.merged_partition_tables_iter(p)?;
+            let mut iter = self.tables_iter(&core.partitions[pidx], true, Vec::new())?;
             iter.seek_to_first()?;
             let mut last_user_key: Option<Vec<u8>> = None;
             let mut kept = 0u64;
@@ -2246,45 +2310,17 @@ impl DbInner {
                                 SeparatedValue::Pointer(ptr)
                             }
                         };
-                        if child.builder.is_none() {
-                            let number = split_file_start + split_files_used;
-                            split_files_used += 1;
-                            child.builder = Some(TableBuilder::new(
-                                self.env
-                                    .new_writable(&filenames::table_file(&child.dir, number))?,
-                                self.table_builder_opts(),
-                            ));
-                            child.tables.push(TableMeta {
-                                number,
-                                size: 0,
-                                smallest: Vec::new(),
-                                largest: Vec::new(),
-                            });
-                        }
-                        let b = child.builder.as_mut().expect("created above");
-                        b.add(&ikey, &slot.encode())?;
-                        if b.estimated_size() >= self.opts.table_size as u64 {
-                            let props = child.builder.take().expect("present").finish()?;
-                            child.written += props.file_size;
-                            let t = child.tables.last_mut().expect("pushed");
-                            t.size = props.file_size;
-                            t.smallest = props.smallest;
-                            t.largest = props.largest;
-                        }
+                        child
+                            .out
+                            .add(&ikey, &slot.encode(), &mut || core.alloc_file())?;
                     }
                 }
                 iter.next()?;
             }
         }
         for child in [&mut left, &mut right] {
-            if let Some(b) = child.builder.take() {
-                let props = b.finish()?;
-                child.written += props.file_size;
-                let t = child.tables.last_mut().expect("pushed");
-                t.size = props.file_size;
-                t.smallest = props.smallest;
-                t.largest = props.largest;
-            }
+            child.out.finish()?;
+            child.written += child.out.bytes;
             child.vlog.sync()?;
         }
         let boundary = boundary.expect("total >= 2 guarantees a right half");
@@ -2313,7 +2349,7 @@ impl DbInner {
                     hi,
                     wal_number,
                     unsorted: Vec::new(),
-                    sorted: child.tables,
+                    sorted: child.out.tables,
                     own_logs,
                     inherited_logs: child.inherited.into_iter().collect(),
                     ckpt_tables: Vec::new(),
@@ -2337,7 +2373,6 @@ impl DbInner {
 
         let parent = std::mem::replace(&mut core.partitions[pidx], left_p);
         core.partitions.insert(pidx + 1, right_p);
-        core.next_file = split_file_start + split_files_used;
 
         self.sync.hit("split:commit")?;
         self.commit_meta(core)?;
@@ -2441,339 +2476,62 @@ impl DbInner {
         }
     }
 
-    /// Background full merge. Phase 1 snapshots the input tables and the
-    /// vlog handle under a read lock; phase 2 does the heavy merge with no
-    /// core lock held (value appends take the partition's vlog mutex
-    /// per-call, table numbers come from brief write locks); phase 3
-    /// installs and commits under the write lock. Only one job runs per
-    /// partition and foreground structural operations quiesce the
-    /// workers, so the snapshotted inputs cannot change underneath.
+    /// Background full merge: snapshot under a read lock, build with the
+    /// core lock released (value appends take the partition's vlog mutex
+    /// per call, table numbers come from brief write locks), install under
+    /// the write lock.
     fn run_merge_job(&self, pid: u32) -> Result<()> {
-        // Phase 1: snapshot.
-        let (dir, consumed, sorted_metas, handles, sorted_handles, vlog) = {
+        let snap = {
             let core = self.core.read();
             let Some(pidx) = core.partition_index(pid) else {
                 return Ok(());
             };
-            let p = &core.partitions[pidx];
-            if p.meta.unsorted.is_empty() && p.meta.sorted.is_empty() {
-                return Ok(());
-            }
-            let consumed = p.meta.unsorted.clone();
-            let sorted_metas = p.meta.sorted.clone();
-            let mut handles = Vec::with_capacity(consumed.len());
-            for t in &consumed {
-                handles.push(self.open_table(p, t.number)?);
-            }
-            let mut sorted_handles = Vec::with_capacity(sorted_metas.len());
-            for t in &sorted_metas {
-                sorted_handles.push((t.largest.clone(), self.open_table(p, t.number)?));
-            }
-            (
-                partition_dir(&self.root, pid),
-                consumed,
-                sorted_metas,
-                handles,
-                sorted_handles,
-                p.vlog.clone(),
-            )
+            self.snapshot_merge(&core, pidx, true, || {
+                self.take_job_cause(JobKind::Merge, pid)
+            })?
         };
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("merge:begin")?;
-        let input_bytes = consumed.iter().map(|t| t.size).sum::<u64>()
-            + sorted_metas.iter().map(|t| t.size).sum::<u64>();
-        let input_tables: Vec<u64> = consumed
-            .iter()
-            .chain(sorted_metas.iter())
-            .map(|t| t.number)
-            .collect();
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::MergeStart,
-            EventKind::MergeAbort,
-            pid,
-            self.take_job_cause(JobKind::Merge, pid),
-            input_tables,
-            input_bytes,
-        );
-
-        // Phase 2: heavy merge, core lock released.
-        let mut children: Vec<Box<dyn InternalIterator>> = handles
-            .iter()
-            .map(|t| Box::new(TableSource::new(t)) as Box<dyn InternalIterator>)
-            .collect();
-        children.push(Box::new(ConcatSource::new(sorted_handles)));
-        let mut iter = MergingIterator::new(children);
-        iter.seek_to_first()?;
-
-        if self.opts.enable_kv_separation {
-            vlog.lock().rotate()?;
-        }
-        let mut new_tables: Vec<TableMeta> = Vec::new();
-        let mut builder: Option<TableBuilder> = None;
-        let mut written = 0u64;
-        let mut live_value_bytes = 0u64;
-        let mut last_user_key: Option<Vec<u8>> = None;
-        while iter.valid() {
-            let ikey = iter.ikey().to_vec();
-            let user_key = extract_user_key(&ikey);
-            let (_, vt) = extract_seq_type(&ikey)?;
-            let is_newest = last_user_key.as_deref() != Some(user_key);
-            if is_newest {
-                last_user_key = Some(user_key.to_vec());
-                if vt == ValueType::Value {
-                    let slot = match SeparatedValue::decode(iter.value())? {
-                        SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                            let ptr = vlog.lock().append(&v)?;
-                            written += v.len() as u64;
-                            live_value_bytes += ptr.length as u64;
-                            SeparatedValue::Pointer(ptr)
-                        }
-                        inline @ SeparatedValue::Inline(_) => inline,
-                        SeparatedValue::Pointer(ptr) => {
-                            live_value_bytes += ptr.length as u64;
-                            SeparatedValue::Pointer(ptr)
-                        }
-                    };
-                    if builder.is_none() {
-                        let number = self.core.write().alloc_file();
-                        builder = Some(TableBuilder::new(
-                            self.env
-                                .new_writable(&filenames::table_file(&dir, number))?,
-                            self.table_builder_opts(),
-                        ));
-                        new_tables.push(TableMeta {
-                            number,
-                            size: 0,
-                            smallest: Vec::new(),
-                            largest: Vec::new(),
-                        });
-                    }
-                    let b = builder.as_mut().expect("created above");
-                    b.add(&ikey, &slot.encode())?;
-                    if b.estimated_size() >= self.opts.table_size as u64 {
-                        let props = builder.take().expect("present").finish()?;
-                        written += props.file_size;
-                        let t = new_tables.last_mut().expect("pushed");
-                        t.size = props.file_size;
-                        t.smallest = props.smallest;
-                        t.largest = props.largest;
-                    }
-                }
-            }
-            iter.next()?;
-        }
-        if let Some(b) = builder.take() {
-            let props = b.finish()?;
-            written += props.file_size;
-            let t = new_tables.last_mut().expect("pushed");
-            t.size = props.file_size;
-            t.smallest = props.smallest;
-            t.largest = props.largest;
-        }
-        vlog.lock().sync()?;
-        self.sync.hit("merge:build")?;
-
-        // Phase 3: install.
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
+        let Some(mut snap) = snap else {
             return Ok(());
         };
-        UniKvStats::add(&self.stats.merge_bytes_read, input_bytes);
-        UniKvStats::add(&self.stats.merge_bytes_written, written);
-        UniKvStats::add(&self.stats.merges, 1);
-
-        let consumed_ids: HashSet<u64> = consumed.iter().map(|t| t.number).collect();
-        let p = &mut core.partitions[pidx];
-        let mut old_tables: Vec<TableMeta> = Vec::new();
-        p.meta.unsorted.retain(|t| {
-            if consumed_ids.contains(&t.number) {
-                old_tables.push(t.clone());
-                false
-            } else {
-                true
-            }
-        });
-        old_tables.append(&mut p.meta.sorted);
-        p.meta.sorted = new_tables;
-        p.meta.own_logs = vlog.lock().log_numbers();
-        p.meta.live_value_bytes = live_value_bytes;
-        if p.meta.unsorted.is_empty() {
-            p.index.clear();
-        } else {
-            // Defensive: tables flushed after the snapshot keep their
-            // index entries.
-            let stale: HashSet<u32> = consumed_ids.iter().map(|&n| n as u32).collect();
-            p.index.remove_tables(&stale);
-        }
-        p.meta.ckpt_tables.retain(|n| !consumed_ids.contains(n));
-        p.flushes_since_ckpt = 0;
-        if self.opts.enable_hash_index {
-            let covered: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-            self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&covered, &p.index),
-            )?;
-            p.meta.ckpt_tables = covered;
-        }
-
-        self.sync.hit("merge:commit")?;
-        self.commit_meta(&core)?;
-        let output_tables: Vec<u64> = core.partitions[pidx]
-            .meta
-            .sorted
-            .iter()
-            .map(|t| t.number)
-            .collect();
-        let fin = scope.finish(EventKind::MergeFinish, output_tables, written, "");
-        self.sync.hit("merge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        self.maint.notify_progress();
+        let out = self.build_merge(&mut snap, &mut || self.core.write().alloc_file())?;
+        let mut core = self.core.write();
+        let Some(pidx) = core.partition_index(pid) else {
+            return Ok(()); // partition vanished (split); scope aborts
+        };
+        let fin = self.install_merge(&mut core, pidx, snap, out)?;
         self.schedule_triggers(&core, pidx, Some(fin));
-        self.record_maint(TraceOp::Merge, t0, pid, written);
         Ok(())
     }
 
-    /// Background size-based merge (scan optimization): collapse the
-    /// snapshotted UnsortedStore tables into one, with the heavy merge
-    /// running off-lock like [`Self::run_merge_job`].
+    /// Background size-based merge (scan optimization): the three phases
+    /// of [`Self::run_merge_job`].
     fn run_scan_merge_job(&self, pid: u32) -> Result<()> {
-        // Phase 1: snapshot.
-        let (dir, table_number, consumed, handles) = {
-            let mut core = self.core.write();
+        let snap = {
+            let core = self.core.read();
             let Some(pidx) = core.partition_index(pid) else {
                 return Ok(());
             };
-            if core.partitions[pidx].meta.unsorted.len() < 2 {
-                return Ok(());
-            }
-            let table_number = core.alloc_file();
-            let p = &core.partitions[pidx];
-            let consumed = p.meta.unsorted.clone();
-            let mut handles = Vec::with_capacity(consumed.len());
-            for t in &consumed {
-                handles.push(self.open_table(p, t.number)?);
-            }
-            (
-                partition_dir(&self.root, pid),
-                table_number,
-                consumed,
-                handles,
-            )
+            self.snapshot_merge(&core, pidx, false, || {
+                self.take_job_cause(JobKind::ScanMerge, pid)
+            })?
         };
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("scanmerge:begin")?;
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::ScanMergeStart,
-            EventKind::ScanMergeAbort,
-            pid,
-            self.take_job_cause(JobKind::ScanMerge, pid),
-            consumed.iter().map(|t| t.number).collect(),
-            consumed.iter().map(|t| t.size).sum(),
-        );
-
-        // Phase 2: merge into one table, collecting kept keys.
-        let children: Vec<Box<dyn InternalIterator>> = handles
-            .iter()
-            .map(|t| Box::new(TableSource::new(t)) as Box<dyn InternalIterator>)
-            .collect();
-        let mut iter = MergingIterator::new(children);
-        iter.seek_to_first()?;
-        let mut builder = TableBuilder::new(
-            self.env
-                .new_writable(&filenames::table_file(&dir, table_number))?,
-            self.table_builder_opts(),
-        );
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut last_user_key: Option<Vec<u8>> = None;
-        while iter.valid() {
-            let user_key = extract_user_key(iter.ikey());
-            if last_user_key.as_deref() != Some(user_key) {
-                last_user_key = Some(user_key.to_vec());
-                // Tombstones stay: the SortedStore below still holds older
-                // versions they must shadow.
-                builder.add(iter.ikey(), iter.value())?;
-                if self.opts.enable_hash_index {
-                    keys.push(user_key.to_vec());
-                }
-            }
-            iter.next()?;
-        }
-        let props = builder.finish()?;
-        self.sync.hit("scanmerge:build")?;
-        let tmeta = TableMeta {
-            number: table_number,
-            size: props.file_size,
-            smallest: props.smallest,
-            largest: props.largest,
-        };
-
-        // Phase 3: install.
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
+        let Some(mut snap) = snap else {
             return Ok(());
         };
-        UniKvStats::add(&self.stats.merge_bytes_written, tmeta.size);
-        UniKvStats::add(&self.stats.scan_merges, 1);
-        let consumed_ids: HashSet<u64> = consumed.iter().map(|t| t.number).collect();
-        let p = &mut core.partitions[pidx];
-        let mut old_tables: Vec<TableMeta> = Vec::new();
-        p.meta.unsorted.retain(|t| {
-            if consumed_ids.contains(&t.number) {
-                old_tables.push(t.clone());
-                false
-            } else {
-                true
-            }
-        });
-        // The merged table is older than anything flushed after the
-        // snapshot, so it goes to the front of the flush-ordered tier.
-        p.meta.unsorted.insert(0, tmeta);
-        if self.opts.enable_hash_index {
-            let stale: HashSet<u32> = consumed_ids.iter().map(|&n| n as u32).collect();
-            p.index.remove_tables(&stale);
-            for key in &keys {
-                p.index.insert(key, table_number as u32);
-            }
-            let covered: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-            self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&covered, &p.index),
-            )?;
-            p.meta.ckpt_tables = covered;
-            p.flushes_since_ckpt = 0;
-        }
-
-        self.sync.hit("scanmerge:commit")?;
-        self.commit_meta(&core)?;
-        let fin = scope.finish(
-            EventKind::ScanMergeFinish,
-            vec![table_number],
-            props.file_size,
-            "",
-        );
-        self.sync.hit("scanmerge:cleanup")?;
-        let p = &mut core.partitions[pidx];
-        for t in old_tables {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
-        self.maint.notify_progress();
+        let out = self.build_scan_merge(&mut snap, &mut || self.core.write().alloc_file())?;
+        let mut core = self.core.write();
+        let Some(pidx) = core.partition_index(pid) else {
+            return Ok(()); // partition vanished (split); scope aborts
+        };
+        let fin = self.install_scan_merge(&mut core, pidx, snap, out)?;
         self.schedule_triggers(&core, pidx, Some(fin));
-        self.record_maint(TraceOp::ScanMerge, t0, pid, props.file_size);
         Ok(())
     }
 
-    /// Background GC: re-checks the garbage ratio, then runs the inline
-    /// GC under the write lock (GC rewrites the SortedStore in place, so
-    /// it does not overlap foreground work).
+    /// Background GC: re-checks the garbage ratio, then runs
+    /// [`Self::gc_partition`] with the write lock held throughout (GC
+    /// rewrites the SortedStore in place, so it does not overlap
+    /// foreground work).
     fn run_gc_job(&self, pid: u32) -> Result<()> {
         let mut core = self.core.write();
         let Some(pidx) = core.partition_index(pid) else {
@@ -2786,16 +2544,14 @@ impl DbInner {
         Ok(())
     }
 
-    /// Background split: re-checks the size trigger, then runs the inline
-    /// median split under the write lock.
+    /// Background split: re-checks the size trigger, then runs
+    /// [`Self::split_partition`] with the write lock held throughout.
     fn run_split_job(&self, pid: u32) -> Result<()> {
         let mut core = self.core.write();
         let Some(pidx) = core.partition_index(pid) else {
             return Ok(());
         };
-        if !self.opts.enable_partitioning
-            || core.partitions[pidx].logical_size() <= self.opts.partition_size_limit
-        {
+        if !self.split_due(&core.partitions[pidx]) {
             return Ok(());
         }
         let cause = self.take_job_cause(JobKind::Split, pid);
@@ -2806,22 +2562,6 @@ impl DbInner {
             self.schedule_triggers(&core, pidx + 1, fin);
         }
         Ok(())
-    }
-
-    /// Merging iterator over a partition's tables only (no memtable) —
-    /// split passes run after an explicit flush.
-    fn merged_partition_tables_iter(&self, p: &Partition) -> Result<MergingIterator> {
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for tmeta in &p.meta.unsorted {
-            let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
-        }
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-        }
-        children.push(Box::new(ConcatSource::new(run)));
-        Ok(MergingIterator::new(children))
     }
 }
 
@@ -3111,6 +2851,22 @@ enum Probe {
 
 /// Expected hash-index key capacity derived from the UnsortedStore budget
 /// (assume ≥ 64 B per KV; overflow chains absorb denser data gracefully).
+/// Check that the tiers a merge replaces still name the tables it read.
+/// One job runs per partition and foreground structural operations pause
+/// the workers, so nothing may change them between snapshot and install.
+fn check_merge_inputs<'t>(
+    tables: impl Iterator<Item = &'t TableMeta>,
+    inputs: &[u64],
+) -> Result<()> {
+    if tables.map(|t| t.number).eq(inputs.iter().copied()) {
+        Ok(())
+    } else {
+        Err(Error::internal(
+            "merge inputs changed between snapshot and install",
+        ))
+    }
+}
+
 fn index_capacity(opts: &UniKvOptions) -> usize {
     (opts.unsorted_limit_bytes as usize / 64).max(256)
 }

@@ -4,8 +4,9 @@
 //! on the first background failure.
 //!
 //! With `background_jobs = 0` (the default) none of this runs: every
-//! structural operation executes inline under the write that triggered it
-//! and the on-disk layout is byte-identical to previous versions. With
+//! structural operation executes inline under the write that triggered
+//! it, and a seeded workload leaves the same files on every build
+//! (`crates/core/tests/layout_oracle_tests.rs` checks this). With
 //! `background_jobs >= 1`, a write that fills the memtable *seals* it
 //! (records its WAL in `PartitionMeta::sealed_wals` and continues on a
 //! fresh memtable + WAL) and enqueues a flush; merges, scan-merges, GC,

@@ -17,7 +17,8 @@ pub struct UniKvOptions {
     /// SortedStore (`UnsortedLimit`).
     pub unsorted_limit_bytes: u64,
     /// Number of UnsortedStore tables that triggers the size-based merge
-    /// keeping scans cheap (`scanMergeLimit`).
+    /// keeping scans cheap (`scanMergeLimit`). At least 2: a lone table
+    /// has nothing to merge with.
     pub scan_merge_limit: usize,
     /// Partition size (SortedStore keys + live values) that triggers a
     /// range split (`partitionSizeLimit`).
@@ -52,7 +53,7 @@ pub struct UniKvOptions {
     /// Worker threads for background flush/merge/GC/split. `0` (the
     /// default) keeps the paper-faithful deterministic mode: every
     /// structural operation runs inline under the write that triggered
-    /// it, and the on-disk layout is byte-identical to previous versions.
+    /// it, and a seeded workload leaves the same files on every build.
     pub background_jobs: usize,
     /// Sealed-memtable count at which writes are briefly slowed
     /// (backpressure lets flushes catch up).
@@ -203,6 +204,11 @@ impl UniKvOptions {
                 "unsorted_limit_bytes must cover at least one flush",
             ));
         }
+        if self.scan_merge_limit < 2 {
+            return Err(unikv_common::Error::invalid_argument(
+                "scan_merge_limit must be at least 2",
+            ));
+        }
         if self.num_hashes == 0 || self.num_hashes > unikv_common::hash::FAMILY.len() {
             return Err(unikv_common::Error::invalid_argument(
                 "num_hashes out of range",
@@ -256,6 +262,10 @@ mod tests {
         let bad = [
             UniKvOptions {
                 unsorted_limit_bytes: 1,
+                ..Default::default()
+            },
+            UniKvOptions {
+                scan_merge_limit: 1,
                 ..Default::default()
             },
             UniKvOptions {
