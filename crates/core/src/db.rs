@@ -55,7 +55,7 @@ use unikv_hashindex::TwoLevelHashIndex;
 use unikv_lsm::db::ScanItem;
 use unikv_lsm::filenames;
 use unikv_lsm::iter::{
-    ConcatSource, InternalIterator, MemTableSource, MergingIterator, TableSource,
+    ConcatSource, InternalIterator, LiveIter, MemTableSource, MergingIterator, TableSource,
 };
 use unikv_memtable::{LookupResult, MemTable};
 use unikv_sstable::{BlockCache, Table, TableBuilder, TableBuilderOptions, TableOptions};
@@ -1255,59 +1255,32 @@ impl DbInner {
         let reserve = limit.min(SCAN_RESERVE_ITEMS);
         let mut items: Vec<ScanItem> = Vec::with_capacity(reserve);
         let mut jobs = Vec::with_capacity(reserve);
-        let mut current_key = Vec::new();
-        'partitions: for p in &core.partitions[start_idx..] {
-            if items.len() >= limit {
+        for p in &core.partitions[start_idx..] {
+            if items.len() >= limit || end.is_some_and(|end| p.meta.lo.as_slice() >= end) {
                 break;
             }
-            if let Some(end) = end {
-                if p.meta.lo.as_slice() >= end {
-                    break;
-                }
-            }
-            let seek_from = if from > p.meta.lo.as_slice() {
-                from
-            } else {
-                p.meta.lo.as_slice()
+            // The partition's own bound keeps the memtable from leaking
+            // keys past `hi`; partitions are contiguous, so stopping at
+            // `end` here leaves the next partition's `lo >= end`.
+            let bound = match (p.meta.hi.as_deref(), end) {
+                (Some(hi), Some(end)) => Some(hi.min(end)),
+                (hi, end) => hi.or(end),
             };
-            let mut iter = self.partition_iter(p)?;
-            iter.seek(&make_internal_key(seek_from, snapshot, ValueType::Value))?;
-            let mut have_current = false;
-            while iter.valid() && items.len() < limit {
-                let ikey = iter.ikey();
-                let user_key = extract_user_key(ikey);
-                if let Some(end) = end {
-                    if user_key >= end {
-                        break 'partitions;
+            let mut live = LiveIter::new(self.partition_iter(p)?, snapshot);
+            live.seek(from.max(p.meta.lo.as_slice()), bound)?;
+            while live.valid() && items.len() < limit {
+                let value = match SeparatedValue::decode(live.value())? {
+                    SeparatedValue::Inline(v) => v,
+                    SeparatedValue::Pointer(ptr) => {
+                        jobs.push((items.len(), ptr));
+                        Vec::new()
                     }
-                }
-                // Stay within the partition's range (lazy-split tables
-                // cannot leak keys, but the memtable could in theory).
-                if let Some(hi) = &p.meta.hi {
-                    if user_key >= hi.as_slice() {
-                        break;
-                    }
-                }
-                let (seq, t) = extract_seq_type(ikey)?;
-                if (!have_current || current_key != user_key) && seq <= snapshot {
-                    have_current = true;
-                    current_key.clear();
-                    current_key.extend_from_slice(user_key);
-                    if t == ValueType::Value {
-                        let value = match SeparatedValue::decode(iter.value())? {
-                            SeparatedValue::Inline(v) => v,
-                            SeparatedValue::Pointer(ptr) => {
-                                jobs.push((items.len(), ptr));
-                                Vec::new()
-                            }
-                        };
-                        items.push(ScanItem {
-                            key: user_key.to_vec(),
-                            value,
-                        });
-                    }
-                }
-                iter.next()?;
+                };
+                items.push(ScanItem {
+                    key: live.key().to_vec(),
+                    value,
+                });
+                live.next(bound)?;
             }
         }
         // The read lock stays held through value resolution: dropping it
@@ -1334,12 +1307,11 @@ impl DbInner {
     /// splits proceed.
     pub fn iter(&self) -> Result<crate::iter::UniKvIterator> {
         let core = self.core.read();
-        let snapshot = core.last_seq;
         let mut parts = Vec::with_capacity(core.partitions.len());
-        let mut pinned = std::collections::HashMap::new();
+        let mut pinned = HashMap::new();
         for p in &core.partitions {
             parts.push(crate::iter::PartitionCursor {
-                iter: self.partition_iter(p)?,
+                live: LiveIter::new(self.partition_iter(p)?, core.last_seq),
                 lo: p.meta.lo.clone(),
                 hi: p.meta.hi.clone(),
             });
@@ -1352,15 +1324,11 @@ impl DbInner {
                     .map(|r| (r.partition, r.log_number)),
             );
             for (pid, log) in refs {
-                if let std::collections::hash_map::Entry::Vacant(e) = pinned.entry((pid, log)) {
-                    let path = partition_dir(&self.root, pid).join(vlog_file_name(log));
-                    e.insert(self.env.new_random_access(&path)?);
-                }
+                pinned.insert((pid, log), self.resolver.reader(pid, log)?);
             }
         }
         Ok(crate::iter::UniKvIterator::new(
             parts,
-            snapshot,
             self.resolver.clone(),
             pinned,
         ))

@@ -2,27 +2,27 @@
 //!
 //! The paper describes scans exactly this way (§Scan Optimization): a
 //! `seek()` positions at the start key, `next()` returns successive
-//! smallest keys, without any global in-memory sort-merge. The iterator
-//! owns `Arc` handles to every table it may touch, so it remains valid (a
-//! consistent snapshot) while merges, GC, and splits replace files
-//! underneath it.
+//! smallest keys, without any global in-memory sort-merge. Each partition
+//! is read through one [`LiveIter`], the visibility cursor every scan of
+//! both engines shares, bounded by the partition's upper boundary; this
+//! iterator only steps from one partition to the next and resolves the
+//! value under the cursor. It owns `Arc` handles to every table and log it
+//! may touch, so it remains valid (a consistent snapshot) while merges,
+//! GC, and splits replace files underneath it.
 
 use crate::resolver::ValueResolver;
 use std::collections::HashMap;
 use std::sync::Arc;
-use unikv_common::ikey::{
-    extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
-};
 use unikv_common::pointer::SeparatedValue;
 use unikv_common::Result;
 use unikv_env::RandomAccessFile;
-use unikv_lsm::iter::{InternalIterator, MergingIterator};
+use unikv_lsm::iter::LiveIter;
 use unikv_vlog::read_value_record;
 
 /// One partition's slice of the snapshot.
 pub(crate) struct PartitionCursor {
-    /// Merging iterator over the partition's memtable + tiers.
-    pub iter: MergingIterator,
+    /// Live entries of the partition's memtables + tiers.
+    pub live: LiveIter,
     /// Inclusive lower boundary of the partition.
     pub lo: Vec<u8>,
     /// Exclusive upper boundary (`None` = +∞).
@@ -31,106 +31,66 @@ pub(crate) struct PartitionCursor {
 
 /// Streaming cursor over live entries of the whole database.
 pub struct UniKvIterator {
-    pub(crate) parts: Vec<PartitionCursor>,
-    pub(crate) idx: usize,
-    pub(crate) snapshot: SequenceNumber,
-    pub(crate) resolver: Arc<ValueResolver>,
+    parts: Vec<PartitionCursor>,
+    /// The partition under the cursor.
+    idx: usize,
+    resolver: Arc<ValueResolver>,
     /// Log readers pinned at creation: GC may delete log files while the
     /// iterator lives, but pinned handles keep the snapshot readable.
-    pub(crate) pinned_logs: HashMap<(u32, u64), Arc<dyn RandomAccessFile>>,
-    /// `(user_key, resolved_value)` under the cursor.
-    current: Option<(Vec<u8>, Vec<u8>)>,
+    pinned_logs: HashMap<(u32, u64), Arc<dyn RandomAccessFile>>,
+    /// Resolved value under the cursor; `None` when not positioned.
+    value: Option<Vec<u8>>,
 }
 
 impl UniKvIterator {
     pub(crate) fn new(
         parts: Vec<PartitionCursor>,
-        snapshot: SequenceNumber,
         resolver: Arc<ValueResolver>,
         pinned_logs: HashMap<(u32, u64), Arc<dyn RandomAccessFile>>,
     ) -> Self {
         UniKvIterator {
             parts,
             idx: 0,
-            snapshot,
             resolver,
             pinned_logs,
-            current: None,
+            value: None,
         }
     }
 
     /// Position at the first live entry with `key >= from`.
     pub fn seek(&mut self, from: &[u8]) -> Result<()> {
-        self.current = None;
-        if self.parts.is_empty() {
-            return Ok(());
-        }
         // Last partition with lo <= from (the first partition's lo is the
         // empty key, so the count is always >= 1).
         self.idx = self
             .parts
             .partition_point(|p| p.lo.as_slice() <= from)
             .saturating_sub(1);
-        let seek_from = if from > self.parts[self.idx].lo.as_slice() {
-            from.to_vec()
-        } else {
-            self.parts[self.idx].lo.clone()
-        };
-        let snapshot = self.snapshot;
-        self.parts[self.idx].iter.seek(&make_internal_key(
-            &seek_from,
-            snapshot,
-            ValueType::Value,
-        ))?;
-        self.advance_to_visible(None)
+        if let Some(p) = self.parts.get_mut(self.idx) {
+            p.live.seek(from.max(p.lo.as_slice()), p.hi.as_deref())?;
+        }
+        self.settle()
     }
 
-    fn advance_to_visible(&mut self, mut last_key: Option<Vec<u8>>) -> Result<()> {
-        self.current = None;
-        while self.idx < self.parts.len() {
-            let snapshot = self.snapshot;
-            let part = &mut self.parts[self.idx];
-            while part.iter.valid() {
-                let ikey = part.iter.ikey();
-                let user_key = extract_user_key(ikey);
-                if let Some(hi) = &part.hi {
-                    if user_key >= hi.as_slice() {
-                        break; // beyond this partition's range
+    /// Step past exhausted partitions, seeking each next one at its start,
+    /// then resolve the value under the cursor.
+    fn settle(&mut self) -> Result<()> {
+        self.value = None;
+        while let Some(p) = self.parts.get(self.idx) {
+            if p.live.valid() {
+                self.value = Some(match SeparatedValue::decode(p.live.value())? {
+                    SeparatedValue::Inline(v) => v,
+                    SeparatedValue::Pointer(ptr) => {
+                        match self.pinned_logs.get(&(ptr.partition, ptr.log_number)) {
+                            Some(r) => read_value_record(r.as_ref(), ptr.offset, ptr.length)?,
+                            None => self.resolver.read(&ptr)?,
+                        }
                     }
-                }
-                let (seq, t) = extract_seq_type(ikey)?;
-                if last_key.as_deref() != Some(user_key) && seq <= snapshot {
-                    last_key = Some(user_key.to_vec());
-                    if t == ValueType::Value {
-                        let key = user_key.to_vec();
-                        let slot = SeparatedValue::decode(part.iter.value())?;
-                        let value = match slot {
-                            SeparatedValue::Inline(v) => v,
-                            SeparatedValue::Pointer(ptr) => {
-                                if let Some(r) =
-                                    self.pinned_logs.get(&(ptr.partition, ptr.log_number))
-                                {
-                                    read_value_record(r.as_ref(), ptr.offset, ptr.length)?
-                                } else {
-                                    self.resolver.read(&ptr)?
-                                }
-                            }
-                        };
-                        self.current = Some((key, value));
-                        return Ok(());
-                    }
-                }
-                part.iter.next()?;
+                });
+                return Ok(());
             }
-            // Partition exhausted: move to the next one from its start.
             self.idx += 1;
-            if self.idx < self.parts.len() {
-                let lo = self.parts[self.idx].lo.clone();
-                self.parts[self.idx].iter.seek(&make_internal_key(
-                    &lo,
-                    snapshot,
-                    ValueType::Value,
-                ))?;
+            if let Some(p) = self.parts.get_mut(self.idx) {
+                p.live.seek(&p.lo, p.hi.as_deref())?;
             }
         }
         Ok(())
@@ -138,26 +98,26 @@ impl UniKvIterator {
 
     /// True if positioned on an entry.
     pub fn valid(&self) -> bool {
-        self.current.is_some()
+        self.value.is_some()
     }
 
     /// Current user key. Panics if not [`valid`](Self::valid).
     pub fn key(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid iterator").0
+        assert!(self.valid(), "valid iterator");
+        self.parts[self.idx].live.key()
     }
 
     /// Current value (pointers already resolved). Panics if not valid.
     pub fn value(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid iterator").1
+        self.value.as_deref().expect("valid iterator")
     }
 
     /// Advance to the next live key (possibly crossing partitions).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<()> {
-        let last = self.current.take().expect("valid iterator").0;
-        if self.idx < self.parts.len() {
-            self.parts[self.idx].iter.next()?;
-        }
-        self.advance_to_visible(Some(last))
+        assert!(self.valid(), "valid iterator");
+        let p = &mut self.parts[self.idx];
+        p.live.next(p.hi.as_deref())?;
+        self.settle()
     }
 }

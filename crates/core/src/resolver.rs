@@ -35,10 +35,11 @@ impl ValueResolver {
         }
     }
 
-    fn reader(&self, partition: u32, log: u64) -> Result<Arc<dyn RandomAccessFile>> {
+    /// The cached handle of one log, opened on first use.
+    pub(crate) fn reader(&self, partition: u32, log: u64) -> Result<Arc<dyn RandomAccessFile>> {
         let key = (partition, log);
-        // Fast path: shared lock — parallel fetch workers hit this once
-        // per value, so it must not serialize them.
+        // Fast path: shared lock, so concurrent scans and gets resolving
+        // values do not serialize on the cache.
         if let Some(r) = self.readers.read().get(&key) {
             return Ok(r.clone());
         }

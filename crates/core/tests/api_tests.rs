@@ -128,6 +128,14 @@ fn scan_range_across_partition_boundaries() {
         .unwrap();
     assert_eq!(items.len(), 3_000);
     assert!(items.windows(2).all(|w| w[0].key < w[1].key));
+    // The upper bound ends the scan inside whichever partition holds it,
+    // inner partitions included.
+    for end in [50u64, 1_000, 2_000, 3_000] {
+        let items = db
+            .scan_range(&format_key(0), Some(&format_key(end)), 100_000)
+            .unwrap();
+        assert_eq!(items.len() as u64, end);
+    }
 }
 
 #[test]

@@ -147,7 +147,7 @@ fn partial_kv_separation_stores_pointers() {
     for i in (0..400).step_by(37) {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i, 128)));
     }
-    // Scans resolve pointers (parallel fetch path).
+    // Scans resolve pointers (run fetch from the value logs).
     let items = db.scan(&key(0), 50).unwrap();
     assert_eq!(items.len(), 50);
     for (j, item) in items.iter().enumerate() {

@@ -84,17 +84,28 @@ fn iterator_crosses_partitions() {
 
 #[test]
 fn iterator_is_a_stable_snapshot() {
-    let (db, model) = loaded(1_000, 60);
+    let (db, mut model) = loaded(1_000, 60);
+    // Empty the memtables, then put one entry for the iterator to start
+    // on: a memtable cursor that starts past its memtable's end never moves
+    // again, so only then do the writes below, newer than the snapshot,
+    // reach the iterator.
+    db.flush().unwrap();
+    db.put(&format_key(0), b"zero").unwrap();
+    model.insert(format_key(0), b"zero".to_vec());
     let mut it = db.iter().unwrap();
     it.seek(b"").unwrap();
-    // Mutate heavily after iterator creation: overwrite everything and
-    // force merges/GC/splits.
+    // Mutate heavily after iterator creation: delete every fifth key,
+    // overwrite the rest, and force merges/GC/splits.
     for i in 0..1_000u64 {
-        db.put(&format_key(i), b"MUTATED-AFTER-SNAPSHOT").unwrap();
+        if i % 5 == 2 {
+            db.delete(&format_key(i)).unwrap();
+        } else {
+            db.put(&format_key(i), b"MUTATED-AFTER-SNAPSHOT").unwrap();
+        }
     }
     db.compact_all().unwrap();
     db.force_gc().unwrap();
-    // The iterator still sees the pre-mutation state.
+    // The iterator still sees the pre-mutation state, deleted keys too.
     for (k, v) in &model {
         assert!(it.valid());
         assert_eq!(it.key(), &k[..]);
@@ -106,6 +117,8 @@ fn iterator_is_a_stable_snapshot() {
     let mut it = db.iter().unwrap();
     it.seek(&format_key(0)).unwrap();
     assert_eq!(it.value(), b"MUTATED-AFTER-SNAPSHOT");
+    it.seek(&format_key(2)).unwrap();
+    assert_eq!(it.key(), &format_key(3)[..]);
 }
 
 #[test]
@@ -144,15 +157,19 @@ fn lsm_iterator_basics() {
         db.put(&format_key(i), &make_value(i, 0, 50)).unwrap();
     }
     db.delete(&format_key(7)).unwrap();
-    let mut it = db.iter().unwrap();
-    it.seek(&format_key(5)).unwrap();
-    let mut seen = Vec::new();
-    while it.valid() && seen.len() < 5 {
-        seen.push(it.key().to_vec());
-        it.next().unwrap();
-    }
+    let walk = |db: &LsmDb| {
+        let mut it = db.iter().unwrap();
+        it.seek(&format_key(5), None).unwrap();
+        let mut seen = Vec::new();
+        while it.valid() && seen.len() < 5 {
+            seen.push(it.key().to_vec());
+            it.next(None).unwrap();
+        }
+        seen
+    };
+    let before = walk(&db);
     assert_eq!(
-        seen,
+        before,
         vec![
             format_key(5),
             format_key(6),
@@ -161,9 +178,22 @@ fn lsm_iterator_basics() {
             format_key(10)
         ]
     );
-    // Snapshot semantics: writes after iter() are invisible.
+    // Snapshot semantics: writes after iter() are invisible, deletes
+    // (tombstones newer than the snapshot) included.
     let mut it = db.iter().unwrap();
     db.put(&format_key(9_999), b"new").unwrap();
-    it.seek(&format_key(9_000)).unwrap();
+    db.delete(&format_key(6)).unwrap();
+    db.delete(&format_key(9)).unwrap();
+    it.seek(&format_key(9_000), None).unwrap();
     assert!(!it.valid());
+    it.seek(&format_key(5), None).unwrap();
+    for k in &before {
+        assert_eq!(it.key(), &k[..]);
+        it.next(None).unwrap();
+    }
+    // A fresh iterator sees the deletes.
+    assert_eq!(
+        walk(&db)[..3],
+        [format_key(5), format_key(8), format_key(10)]
+    );
 }

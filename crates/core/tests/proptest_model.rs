@@ -59,18 +59,35 @@ fn check(ops: &[ModelOp], opts: UniKvOptions) {
             ModelOp::Compact => db.compact_all().unwrap(),
             ModelOp::Gc => db.force_gc().unwrap(),
             ModelOp::Scan(k, n) => {
-                scans += 1;
-                let got = db.scan(&key(*k), *n as usize).unwrap();
-                let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-                    .range(key(*k)..)
-                    .take(*n as usize)
-                    .map(|(a, b)| (a.clone(), b.clone()))
-                    .collect();
-                assert_eq!(got.len(), expect.len());
-                for (g, (ek, ev)) in got.iter().zip(&expect) {
-                    assert_eq!(&g.key, ek);
-                    assert_eq!(&g.value, ev);
+                // The same range three ways: an unbounded scan, a walk of
+                // the streaming iterator, and a scan bounded above. The
+                // bound swaps the count's nibbles, so small counts get far
+                // bounds and large counts near ones: either can end it.
+                let end = key(*k + u16::from(n.rotate_left(4)));
+                let (from, n) = (key(*k), *n as usize);
+                scans += 2;
+                let expect = |upto: Option<&Vec<u8>>| -> Vec<(Vec<u8>, Vec<u8>)> {
+                    model
+                        .range(from.clone()..)
+                        .take_while(|(a, _)| upto.is_none_or(|e| *a < e))
+                        .take(n)
+                        .map(|(a, b)| (a.clone(), b.clone()))
+                        .collect()
+                };
+                let pairs = |items: Vec<unikv::ScanItem>| -> Vec<(Vec<u8>, Vec<u8>)> {
+                    items.into_iter().map(|i| (i.key, i.value)).collect()
+                };
+                assert_eq!(pairs(db.scan(&from, n).unwrap()), expect(None));
+                let mut walked = Vec::new();
+                let mut it = db.iter().unwrap();
+                it.seek(&from).unwrap();
+                while it.valid() && walked.len() < n {
+                    walked.push((it.key().to_vec(), it.value().to_vec()));
+                    it.next().unwrap();
                 }
+                assert_eq!(walked, expect(None));
+                let bounded = db.scan_range(&from, Some(&end), n).unwrap();
+                assert_eq!(pairs(bounded), expect(Some(&end)));
             }
         }
     }

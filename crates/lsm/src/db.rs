@@ -9,7 +9,9 @@
 
 use crate::compaction::{pick_compaction, range_is_bottommost, write_tables, DropPolicy};
 use crate::filenames::{self, FileKind};
-use crate::iter::{ConcatSource, InternalIterator, MemTableSource, MergingIterator, TableSource};
+use crate::iter::{
+    ConcatSource, InternalIterator, LiveIter, MemTableSource, MergingIterator, TableSource,
+};
 use crate::options::{CompactionPolicy, LsmOptions};
 use crate::stats::EngineStats;
 use crate::version::{apply_edit, FileMetaData, Version, VersionEdit};
@@ -778,11 +780,16 @@ impl LsmDb {
             }
         }
         let t0 = self.metrics.now_micros();
-        let mut iter = self.internal_scan_iter()?;
-        let snapshot = self.state.lock().last_seq;
-        let seek = make_internal_key(from, snapshot, ValueType::Value);
-        iter.seek(&seek)?;
-        let items = collect_scan_bounded(&mut iter, snapshot, limit, end)?;
+        let mut iter = self.iter()?;
+        iter.seek(from, end)?;
+        let mut items = Vec::with_capacity(limit.min(1024));
+        while iter.valid() && items.len() < limit {
+            items.push(ScanItem {
+                key: iter.key().to_vec(),
+                value: iter.value().to_vec(),
+            });
+            iter.next(end)?;
+        }
         self.eng.scans.inc();
         self.eng.scan_items.add(items.len() as u64);
         self.eng
@@ -791,12 +798,19 @@ impl LsmDb {
         Ok(items)
     }
 
-    /// Build a merging iterator over the entire store (memtable + all
-    /// tables). Exposed for compaction-style consumers and tests.
-    pub(crate) fn internal_scan_iter(&self) -> Result<MergingIterator> {
-        let (mem, version) = {
+    /// Total SSTable bytes (space usage reporting).
+    pub fn table_bytes(&self) -> u64 {
+        self.state.lock().version.total_bytes()
+    }
+
+    /// A streaming iterator over the store (memtable + all tables) at the
+    /// current sequence number. The iterator sees a consistent snapshot:
+    /// tables it holds open stay readable even if compactions replace them
+    /// afterwards.
+    pub fn iter(&self) -> Result<LiveIter> {
+        let (mem, version, snapshot) = {
             let st = self.state.lock();
-            (st.mem.clone(), st.version.clone())
+            (st.mem.clone(), st.version.clone(), st.last_seq)
         };
         let leveled = self.opts.policy == CompactionPolicy::Leveled;
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
@@ -821,133 +835,8 @@ impl LsmDb {
                 children.push(Box::new(ConcatSource::new(run)));
             }
         }
-        Ok(MergingIterator::new(children))
+        Ok(LiveIter::new(MergingIterator::new(children), snapshot))
     }
-
-    /// Total SSTable bytes (space usage reporting).
-    pub fn table_bytes(&self) -> u64 {
-        self.state.lock().version.total_bytes()
-    }
-
-    /// A streaming iterator over the store at the current sequence number.
-    /// The iterator sees a consistent snapshot: tables it holds open stay
-    /// readable even if compactions replace them afterwards.
-    pub fn iter(&self) -> Result<LsmIterator> {
-        let inner = self.internal_scan_iter()?;
-        let snapshot = self.state.lock().last_seq;
-        Ok(LsmIterator {
-            inner,
-            snapshot,
-            current: None,
-        })
-    }
-}
-
-/// A streaming cursor over live entries (newest visible version per key,
-/// tombstones suppressed) — LevelDB-style seek/next iteration without
-/// materializing the whole result set.
-pub struct LsmIterator {
-    inner: MergingIterator,
-    snapshot: SequenceNumber,
-    current: Option<(Vec<u8>, Vec<u8>)>,
-}
-
-impl LsmIterator {
-    fn advance_to_visible(&mut self, mut last_key: Option<Vec<u8>>) -> Result<()> {
-        self.current = None;
-        while self.inner.valid() {
-            let ikey = self.inner.ikey();
-            let (seq, t) = extract_seq_type(ikey)?;
-            let user_key = extract_user_key(ikey);
-            if last_key.as_deref() != Some(user_key) && seq <= self.snapshot {
-                last_key = Some(user_key.to_vec());
-                if t == ValueType::Value {
-                    self.current = Some((user_key.to_vec(), self.inner.value().to_vec()));
-                    return Ok(());
-                }
-                // Tombstone: key is dead; keep scanning.
-            }
-            self.inner.next()?;
-        }
-        Ok(())
-    }
-
-    /// Position at the first live entry with `key >= from`.
-    pub fn seek(&mut self, from: &[u8]) -> Result<()> {
-        self.inner
-            .seek(&make_internal_key(from, self.snapshot, ValueType::Value))?;
-        self.advance_to_visible(None)
-    }
-
-    /// True if positioned on an entry.
-    pub fn valid(&self) -> bool {
-        self.current.is_some()
-    }
-
-    /// Current user key. Panics if not [`valid`](Self::valid).
-    pub fn key(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid iterator").0
-    }
-
-    /// Current value. Panics if not [`valid`](Self::valid).
-    pub fn value(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid iterator").1
-    }
-
-    /// Advance to the next live key.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<()> {
-        let last = self.current.take().expect("valid iterator").0;
-        self.inner.next()?;
-        self.advance_to_visible(Some(last))
-    }
-}
-
-/// Fold a positioned internal iterator into user-visible scan items:
-/// newest visible version per user key, tombstones suppressing the key.
-/// Values are taken verbatim from the iterator (engines with separated
-/// values post-process the slots).
-pub fn collect_scan(
-    iter: &mut dyn InternalIterator,
-    snapshot: SequenceNumber,
-    limit: usize,
-) -> Result<Vec<ScanItem>> {
-    collect_scan_bounded(iter, snapshot, limit, None)
-}
-
-/// [`collect_scan`] with an optional exclusive upper bound on user keys.
-pub fn collect_scan_bounded(
-    iter: &mut dyn InternalIterator,
-    snapshot: SequenceNumber,
-    limit: usize,
-    end: Option<&[u8]>,
-) -> Result<Vec<ScanItem>> {
-    let mut out = Vec::with_capacity(limit.min(1024));
-    let mut current_key: Option<Vec<u8>> = None;
-    while iter.valid() && out.len() < limit {
-        let ikey = iter.ikey();
-        let (seq, t) = extract_seq_type(ikey)?;
-        let user_key = extract_user_key(ikey);
-        if let Some(end) = end {
-            if user_key >= end {
-                break;
-            }
-        }
-        let is_new_key = current_key.as_deref() != Some(user_key);
-        if is_new_key && seq <= snapshot {
-            current_key = Some(user_key.to_vec());
-            if t == ValueType::Value {
-                out.push(ScanItem {
-                    key: user_key.to_vec(),
-                    value: iter.value().to_vec(),
-                });
-            }
-            // Tombstone: the key is dead; skip older versions via
-            // current_key matching below.
-        }
-        iter.next()?;
-    }
-    Ok(out)
 }
 
 /// Encode one write as a WAL record (shared with the UniKV engine).

@@ -1,9 +1,14 @@
-//! Internal iterators: a uniform cursor over memtables and SSTables, and
-//! the k-way merging iterator both engines use for scans and compactions.
+//! Internal iterators: a uniform cursor over memtables and SSTables, the
+//! k-way merging iterator both engines use for scans and compactions, and
+//! [`LiveIter`], the one cursor that turns a merge into the live user
+//! entries at a snapshot for every scan and iterator of both engines.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
-use unikv_common::ikey::compare_internal_keys;
+use unikv_common::ikey::{
+    compare_internal_keys, extract_seq_type, extract_user_key, make_internal_key, SequenceNumber,
+    ValueType,
+};
 use unikv_common::Result;
 use unikv_memtable::{MemTable, OwnedMemTableIterator};
 use unikv_sstable::{Table, TableIterator};
@@ -261,6 +266,94 @@ impl InternalIterator for MergingIterator {
 
     fn value(&self) -> &[u8] {
         self.children[self.current.expect("valid")].value()
+    }
+}
+
+/// The live user entries of a merge at a snapshot, in key order: the
+/// paper's `seek()`/`next()` scan (PAPER.md §Scan Optimization). Versions
+/// newer than the snapshot are skipped, so are older versions of a key
+/// already taken, and a key whose newest visible version is a tombstone is
+/// hidden. Every call takes the exclusive user-key bound `end` (`None` =
+/// unbounded) and stops before it. `key` and `value` borrow the merge's
+/// current entry; the only per-cursor buffer is the last taken key.
+pub struct LiveIter {
+    inner: MergingIterator,
+    snapshot: SequenceNumber,
+    /// User key of the last version taken; meaningful once `taken` is set.
+    last_key: Vec<u8>,
+    taken: bool,
+    valid: bool,
+}
+
+impl LiveIter {
+    /// Read `inner` at `snapshot`. Unpositioned until [`seek`](Self::seek).
+    pub fn new(inner: MergingIterator, snapshot: SequenceNumber) -> Self {
+        LiveIter {
+            inner,
+            snapshot,
+            last_key: Vec::new(),
+            taken: false,
+            valid: false,
+        }
+    }
+
+    /// Position at the first live entry with `from <= key < end`.
+    pub fn seek(&mut self, from: &[u8], end: Option<&[u8]>) -> Result<()> {
+        self.inner
+            .seek(&make_internal_key(from, self.snapshot, ValueType::Value))?;
+        self.taken = false;
+        self.skip_to_live(end)
+    }
+
+    /// Advance to the next live entry below `end`. Panics if not
+    /// [`valid`](Self::valid).
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self, end: Option<&[u8]>) -> Result<()> {
+        assert!(self.valid, "iterator not positioned");
+        self.inner.next()?;
+        self.skip_to_live(end)
+    }
+
+    /// The visibility loop: stop on the newest version inside the snapshot
+    /// of a key not yet taken, unless it is a tombstone.
+    fn skip_to_live(&mut self, end: Option<&[u8]>) -> Result<()> {
+        self.valid = false;
+        while self.inner.valid() {
+            let ikey = self.inner.ikey();
+            let user_key = extract_user_key(ikey);
+            if end.is_some_and(|end| user_key >= end) {
+                return Ok(());
+            }
+            let (seq, t) = extract_seq_type(ikey)?;
+            if (!self.taken || self.last_key != user_key) && seq <= self.snapshot {
+                self.taken = true;
+                self.last_key.clear();
+                self.last_key.extend_from_slice(user_key);
+                if t == ValueType::Value {
+                    self.valid = true;
+                    return Ok(());
+                }
+            }
+            self.inner.next()?;
+        }
+        Ok(())
+    }
+
+    /// True if positioned on a live entry.
+    pub fn valid(&self) -> bool {
+        self.valid
+    }
+
+    /// User key under the cursor. Panics if not [`valid`](Self::valid).
+    pub fn key(&self) -> &[u8] {
+        assert!(self.valid, "iterator not positioned");
+        extract_user_key(self.inner.ikey())
+    }
+
+    /// Value (slot) under the cursor. Panics if not [`valid`](Self::valid).
+    pub fn value(&self) -> &[u8] {
+        assert!(self.valid, "iterator not positioned");
+        self.inner.value()
     }
 }
 
