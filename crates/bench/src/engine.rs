@@ -108,9 +108,10 @@ pub fn bench_unikv_options() -> UniKvOptions {
         write_buffer_size: 256 << 10,
         table_size: 256 << 10,
         unsorted_limit_bytes: 2 << 20,
-        // One size-based merge between full merges at most: the paper runs
-        // this in a background thread; inline, a lower threshold would
-        // charge quadratic rewriting to the writer.
+        // Scans trigger the size-based merge on the partitions they read,
+        // inline, and pay for it; with 2 MiB / 256 KiB = 8 flushes per
+        // full merge, a partition is scan-merged at most about once
+        // between full merges.
         scan_merge_limit: 6,
         partition_size_limit: 8 << 20,
         max_log_size: 1 << 20,

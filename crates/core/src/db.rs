@@ -1216,7 +1216,10 @@ impl DbInner {
         limit: usize,
     ) -> Result<Vec<ScanItem>> {
         let t0 = self.metrics.registry.now_micros();
-        let r = self.track_read(self.scan_range_impl(from, end, limit));
+        let mut due = Vec::new();
+        let r = self
+            .track_read(self.scan_range_impl(from, end, limit, &mut due))
+            .and_then(|items| self.merge_scanned(&due).map(|()| items));
         let t1 = self.metrics.registry.now_micros();
         self.metrics.eng.scans.inc();
         self.metrics.eng.scan_latency.record(t1.saturating_sub(t0));
@@ -1234,11 +1237,14 @@ impl DbInner {
         r
     }
 
+    /// The scan itself, under the read lock. Pushes onto `due` the id of
+    /// every partition it reads that is due a size-based merge.
     fn scan_range_impl(
         &self,
         from: &[u8],
         end: Option<&[u8]>,
         limit: usize,
+        due: &mut Vec<u32>,
     ) -> Result<Vec<ScanItem>> {
         if let Some(end) = end {
             if end <= from {
@@ -1266,6 +1272,9 @@ impl DbInner {
                 (Some(hi), Some(end)) => Some(hi.min(end)),
                 (hi, end) => hi.or(end),
             };
+            if self.scan_merge_due(p) {
+                due.push(p.meta.id);
+            }
             let mut live = LiveIter::new(self.partition_iter(p)?, snapshot);
             live.seek(from.max(p.meta.lo.as_slice()), bound)?;
             while live.valid() && items.len() < limit {
@@ -1304,8 +1313,18 @@ impl DbInner {
     /// sequence number — the paper's seek()/next() scan interface. The
     /// iterator holds table and memtable handles for every partition, so
     /// it keeps reading a consistent snapshot while merges, GC, and
-    /// splits proceed.
+    /// splits proceed. Every partition counts as read, so any that is due
+    /// a size-based merge gets it before the cursors are built.
     pub fn iter(&self) -> Result<crate::iter::UniKvIterator> {
+        let due: Vec<u32> = self
+            .core
+            .read()
+            .partitions
+            .iter()
+            .filter(|p| self.scan_merge_due(p))
+            .map(|p| p.meta.id)
+            .collect();
+        self.merge_scanned(&due)?;
         let core = self.core.read();
         let mut parts = Vec::with_capacity(core.partitions.len());
         let mut pinned = HashMap::new();
@@ -1332,6 +1351,36 @@ impl DbInner {
             self.resolver.clone(),
             pinned,
         ))
+    }
+
+    /// The size-based merge (scan optimization) is demand-driven: a scan
+    /// pays for it only on the partitions it reads. Given the ids of the
+    /// partitions a scan or iterator just read while they were due, run
+    /// the merge on each under the write lock (inline mode) or schedule it
+    /// (background mode). Called with the core lock released. A closed
+    /// write gate (ReadOnly, Poisoned) starts no merge: the scan is still
+    /// served.
+    fn merge_scanned(&self, pids: &[u32]) -> Result<()> {
+        if pids.is_empty() || self.maint.write_gate_error().is_some() {
+            return Ok(());
+        }
+        if self.opts.background_jobs > 0 {
+            for &pid in pids {
+                self.schedule(JobKind::ScanMerge, pid);
+            }
+            return Ok(());
+        }
+        let mut core = self.core.write();
+        for &pid in pids {
+            // Re-check: another scan may have merged the partition, or a
+            // split replaced it, while no lock was held.
+            if let Some(pidx) = core.partition_index(pid) {
+                if self.scan_merge_due(&core.partitions[pidx]) {
+                    self.scan_merge_partition(&mut core, pidx)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Merging iterator over one partition (memtable + UnsortedStore
@@ -1383,16 +1432,15 @@ impl DbInner {
         r
     }
 
-    /// Run post-flush triggers on partition `pidx`: size-based merge, full
-    /// merge, GC, split. `cause` is the event seq of whatever ran last
-    /// (usually the triggering flush's finish); each completed step becomes
-    /// the cause of the next, chaining seal→flush→merge→GC causally.
+    /// Run post-flush triggers on partition `pidx`: full merge, GC, split.
+    /// The size-based merge is not among them: scans trigger it (see
+    /// [`Self::merge_scanned`]). `cause` is the event seq of whatever ran
+    /// last (usually the triggering flush's finish); each completed step
+    /// becomes the cause of the next, chaining seal→flush→merge→GC
+    /// causally.
     fn run_triggers(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        let p = &core.partitions[pidx];
-        let fin = if self.merge_due(p) {
+        let fin = if self.merge_due(&core.partitions[pidx]) {
             self.merge_partition(core, pidx, cause)?
-        } else if self.scan_merge_due(p) {
-            self.scan_merge_partition(core, pidx, cause)?
         } else {
             None
         };
@@ -1411,8 +1459,9 @@ impl DbInner {
         p.unsorted_bytes() >= self.opts.unsorted_limit_bytes
     }
 
-    /// The size-based merge trigger (scan optimization): the UnsortedStore
-    /// holds `scan_merge_limit` tables.
+    /// The size-based merge trigger (scan optimization), checked on every
+    /// partition a scan or iterator reads: the UnsortedStore holds
+    /// `scan_merge_limit` tables.
     fn scan_merge_due(&self, p: &Partition) -> bool {
         self.opts.enable_scan_optimization && p.meta.unsorted.len() >= self.opts.scan_merge_limit
     }
@@ -1436,7 +1485,12 @@ impl DbInner {
         if self.merge_due(p) {
             self.note_job_cause(JobKind::Merge, pid, cause);
             self.schedule(JobKind::Merge, pid);
-        } else if self.scan_merge_due(p) {
+        } else if self.opts.enable_scan_optimization
+            && p.meta.unsorted.len() >= self.opts.slowdown_unsorted_tables
+        {
+            // Backstop for workloads that never scan: writers brake at
+            // this table count, so collapse the tables before the byte
+            // limit brings the full merge.
             self.note_job_cause(JobKind::ScanMerge, pid, cause);
             self.schedule(JobKind::ScanMerge, pid);
         }
@@ -1554,9 +1608,7 @@ impl DbInner {
         flush_start: Option<u64>,
     ) -> Result<()> {
         self.sync.hit("flush:install")?;
-        let table_number = tmeta.number;
-        UniKvStats::add(&self.stats.bytes_flushed, tmeta.size);
-        UniKvStats::add(&self.stats.flushes, 1);
+        let (table_number, table_size) = (tmeta.number, tmeta.size);
         let p = &mut core.partitions[pidx];
         p.meta.unsorted.push(tmeta);
         if self.opts.enable_hash_index {
@@ -1583,6 +1635,8 @@ impl DbInner {
 
         self.sync.hit("flush:commit")?;
         self.commit_meta(core)?;
+        UniKvStats::add(&self.stats.bytes_flushed, table_size);
+        UniKvStats::add(&self.stats.flushes, 1);
         self.sync.hit("flush:cleanup")?;
         // Old WAL is obsolete once META no longer names it.
         let p = &core.partitions[pidx];
@@ -1691,18 +1745,14 @@ impl DbInner {
     }
 
     /// Size-based merge (scan optimization), all three phases under the
-    /// held write lock.
-    fn scan_merge_partition(
-        &self,
-        core: &mut DbCore,
-        pidx: usize,
-        cause: Option<u64>,
-    ) -> Result<Option<u64>> {
-        let Some(mut snap) = self.snapshot_merge(core, pidx, false, || cause)? else {
-            return Ok(None);
+    /// held write lock. A scan triggers it, so no event causes it.
+    fn scan_merge_partition(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
+        let Some(mut snap) = self.snapshot_merge(core, pidx, false, || None)? else {
+            return Ok(());
         };
         let out = self.build_scan_merge(&mut snap, &mut || core.alloc_file())?;
-        self.install_scan_merge(core, pidx, snap, out).map(Some)
+        self.install_scan_merge(core, pidx, snap, out)?;
+        Ok(())
     }
 
     /// Phase 1 of a full merge (`full`) or a scan-merge: if the partition
@@ -1833,9 +1883,6 @@ impl DbInner {
     ) -> Result<u64> {
         let p = &mut core.partitions[pidx];
         check_merge_inputs(p.meta.unsorted.iter().chain(&p.meta.sorted), &snap.inputs)?;
-        UniKvStats::add(&self.stats.merge_bytes_read, snap.input_bytes);
-        UniKvStats::add(&self.stats.merge_bytes_written, out.written);
-        UniKvStats::add(&self.stats.merges, 1);
         let outputs: Vec<u64> = out.tables.iter().map(|t| t.number).collect();
         p.meta.unsorted.clear();
         p.meta.sorted = out.tables;
@@ -1909,8 +1956,6 @@ impl DbInner {
         let p = &mut core.partitions[pidx];
         check_merge_inputs(p.meta.unsorted.iter(), &snap.inputs)?;
         let (number, size) = (tmeta.number, tmeta.size);
-        UniKvStats::add(&self.stats.merge_bytes_written, size);
-        UniKvStats::add(&self.stats.scan_merges, 1);
         p.meta.unsorted = vec![tmeta];
         p.index = index;
         if self.opts.enable_hash_index {
@@ -1924,8 +1969,9 @@ impl DbInner {
         self.commit_merge(core, pidx, snap, vec![number], size)
     }
 
-    /// The end of both merges' install: commit META, publish the finish
-    /// event, delete the input tables and record the op.
+    /// The end of both merges' install: commit META, count the merge,
+    /// publish the finish event, delete the input tables and record the
+    /// op.
     fn commit_merge(
         &self,
         core: &mut DbCore,
@@ -1951,6 +1997,13 @@ impl DbInner {
         };
         self.sync.hit(commit)?;
         self.commit_meta(core)?;
+        if snap.full {
+            UniKvStats::add(&self.stats.merge_bytes_read, snap.input_bytes);
+            UniKvStats::add(&self.stats.merges, 1);
+        } else {
+            UniKvStats::add(&self.stats.scan_merges, 1);
+        }
+        UniKvStats::add(&self.stats.merge_bytes_written, bytes);
         // META committed: the merge is durable, so the finish event fires
         // here — a cleanup failure below must not read as an aborted merge.
         let fin = snap.scope.finish(finish, outputs, bytes, "");
@@ -2054,9 +2107,6 @@ impl DbInner {
         vlog.lock().sync()?;
         self.sync.hit("gc:build")?;
 
-        UniKvStats::add(&self.stats.gc_bytes_written, written);
-        UniKvStats::add(&self.stats.gcs, 1);
-
         // All in-memory meta mutations happen together, only after every
         // fallible build step succeeded: an abort above (injected fault or
         // real I/O error) must leave `p.meta` exactly as committed, or a
@@ -2080,6 +2130,8 @@ impl DbInner {
         // and tables may be deleted.
         self.sync.hit("gc:commit")?;
         self.commit_meta(core)?;
+        UniKvStats::add(&self.stats.gc_bytes_written, written);
+        UniKvStats::add(&self.stats.gcs, 1);
         let new_log_numbers = core.partitions[pidx].meta.own_logs.clone();
         scope.finish(EventKind::GcFinish, new_log_numbers, written, "");
         self.sync.hit("gc:cleanup")?;
@@ -2295,8 +2347,6 @@ impl DbInner {
         self.sync.hit("split:build")?;
 
         let split_bytes = left.written + right.written;
-        UniKvStats::add(&self.stats.split_bytes_written, split_bytes);
-        UniKvStats::add(&self.stats.splits, 1);
 
         // Build the child partitions and swap them in.
         let build_partition = |child: ChildBuild,
@@ -2344,6 +2394,8 @@ impl DbInner {
 
         self.sync.hit("split:commit")?;
         self.commit_meta(core)?;
+        UniKvStats::add(&self.stats.split_bytes_written, split_bytes);
+        UniKvStats::add(&self.stats.splits, 1);
         // Outputs name the two child *partitions* (the interesting unit
         // here), not files; the detail spells out which is which.
         let fin = scope.finish(

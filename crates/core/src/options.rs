@@ -16,8 +16,12 @@ pub struct UniKvOptions {
     /// UnsortedStore byte budget; reaching it triggers a merge into the
     /// SortedStore (`UnsortedLimit`).
     pub unsorted_limit_bytes: u64,
-    /// Number of UnsortedStore tables that triggers the size-based merge
-    /// keeping scans cheap (`scanMergeLimit`). At least 2: a lone table
+    /// Number of UnsortedStore tables at which a scan or iterator that
+    /// reads the partition triggers the size-based merge
+    /// (`scanMergeLimit`), which collapses them into one table so later
+    /// scans merge fewer runs. A flush never triggers it: a partition no
+    /// scan reads is left to the full merge (in background mode, also to
+    /// the `slowdown_unsorted_tables` backstop). At least 2: a lone table
     /// has nothing to merge with.
     pub scan_merge_limit: usize,
     /// Partition size (SortedStore keys + live values) that triggers a
@@ -122,7 +126,8 @@ pub struct UniKvOptions {
     /// E9: disable dynamic range partitioning; the single partition's
     /// SortedStore grows without bound.
     pub enable_partitioning: bool,
-    /// E10: disable scan optimizations (size-based merge, value fetch by
+    /// E10: disable scan optimizations (the size-based merge, whichever
+    /// scan, iterator or backstop would trigger it, and value fetch by
     /// runs of back-to-back records).
     pub enable_scan_optimization: bool,
 }

@@ -22,9 +22,16 @@ use unikv_workload::{format_key, make_value};
 const OPS: u64 = 2600;
 const KEY_SPACE: u64 = 1500;
 const VALUE_LEN: usize = 120;
+/// Every this many ops the workload runs a short scan: scans are what
+/// trigger the size-based merge.
+const SCAN_EVERY: u64 = 25;
 
 /// The effects every scenario must preserve across a crash.
 type Model = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
+
+/// A workload stopped by a failed op: the acked model and the key of the
+/// write that was in flight (`None` when the failed op was a scan).
+type Stopped = (Model, Option<Vec<u8>>);
 
 fn opts(background_jobs: usize) -> UniKvOptions {
     UniKvOptions {
@@ -66,14 +73,39 @@ fn fail_with_plan(scenario: &str, seed: u64, fault: &FaultInjectionEnv, msg: Str
     panic!("{msg} (fault plan saved to {})", path.display());
 }
 
+/// The live entries of `model` a scan of up to `limit` items from `from`
+/// must return.
+fn model_scan(model: &Model, from: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    model
+        .range(from.to_vec()..)
+        .filter_map(|(k, v)| v.as_ref().map(|v| (k.clone(), v.clone())))
+        .take(limit)
+        .collect()
+}
+
 /// Run the fixed workload until the first error (the injected crash) or
-/// completion. Returns the acked model and the key of the op that was in
-/// flight when the crash hit (its state after recovery may be either).
-fn run_workload(db: &UniKv, seed: u64) -> (Model, Option<Vec<u8>>) {
+/// completion. Every scan must match the acked model. Returns the acked
+/// model, or where it stopped: after recovery the in-flight write's key
+/// may hold either its old or its new state.
+fn run_workload(db: &UniKv, seed: u64) -> Result<Model, Stopped> {
     let mut model = Model::new();
     let mut s = seed;
     for i in 0..OPS {
         s = lcg(s);
+        if i % SCAN_EVERY == SCAN_EVERY - 1 {
+            let from = format_key(s % KEY_SPACE);
+            let limit = 1 + (s >> 32) as usize % 20;
+            let Ok(items) = db.scan(&from, limit) else {
+                return Err((model, None));
+            };
+            let got: Vec<_> = items.into_iter().map(|it| (it.key, it.value)).collect();
+            assert!(
+                got == model_scan(&model, &from, limit),
+                "scan from {} diverged from the model at op {i}",
+                String::from_utf8_lossy(&from)
+            );
+            continue;
+        }
         let k = format_key(s % KEY_SPACE);
         let delete = s.is_multiple_of(11);
         let outcome = if delete {
@@ -90,10 +122,10 @@ fn run_workload(db: &UniKv, seed: u64) -> (Model, Option<Vec<u8>>) {
                 };
                 model.insert(k, v);
             }
-            Err(_) => return (model, Some(k)),
+            Err(_) => return Err((model, Some(k))),
         }
     }
-    (model, None)
+    Ok(model)
 }
 
 /// Reopen after the crash and check the model. Returns a description of
@@ -143,7 +175,9 @@ fn crash_at_point(point: &'static str, background_jobs: usize) {
             }
             Ok(())
         }));
-        let (mut model, in_flight) = run_workload(&db, seed);
+        let (mut model, in_flight) = run_workload(&db, seed)
+            .map(|model| (model, None))
+            .unwrap_or_else(|stop| stop);
         if !fired.load(Ordering::SeqCst) {
             // The workload alone did not reach this operation: drive the
             // remaining structural ops explicitly (errors are the crash).
@@ -216,7 +250,7 @@ fn crash_at_random_seeded_points_under_background_jobs() {
             let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts(2)).unwrap();
             let r = run_workload(&db, seed);
             db.wait_for_background();
-            r
+            r.map(|model| (model, None)).unwrap_or_else(|stop| stop)
         };
         fault.clear_plan();
         fault.crash().unwrap();
@@ -243,8 +277,9 @@ fn crash_with_torn_event_journal_recovers_and_journal_resumes() {
     };
     let model = {
         let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", journal_opts()).unwrap();
-        let (model, in_flight) = run_workload(&db, seed);
-        assert!(in_flight.is_none(), "no faults armed, no op may fail");
+        let Ok(model) = run_workload(&db, seed) else {
+            panic!("no faults armed, no op may fail");
+        };
         db.flush().unwrap();
         model
     };
@@ -291,26 +326,32 @@ fn crash_with_torn_event_journal_recovers_and_journal_resumes() {
 }
 
 /// The matrix must exercise real structural work: with the workload above
-/// every job kind runs at least once when no fault is armed.
+/// every job kind runs at least once when no fault is armed, in both
+/// modes.
 #[test]
 fn workload_reaches_all_structural_operations() {
-    let fault = FaultInjectionEnv::new(MemEnv::shared());
-    let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts(0)).unwrap();
-    let (_, in_flight) = run_workload(&db, 0xC0FFEE);
-    assert!(in_flight.is_none(), "no faults armed, no op may fail");
-    db.flush().unwrap();
-    db.compact_all().unwrap();
-    db.force_gc().unwrap();
-    let stats: BTreeMap<String, u64> = db
-        .stats()
-        .snapshot()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    for counter in ["flushes", "merges", "scan_merges", "gcs", "splits"] {
+    for background_jobs in [0, 2] {
+        let fault = FaultInjectionEnv::new(MemEnv::shared());
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts(background_jobs)).unwrap();
         assert!(
-            stats.get(counter).copied().unwrap_or(0) > 0,
-            "workload never triggered {counter}: {stats:?}"
+            run_workload(&db, 0xC0FFEE).is_ok(),
+            "no faults armed, no op may fail"
         );
+        db.flush().unwrap();
+        db.compact_all().unwrap();
+        db.force_gc().unwrap();
+        db.wait_for_background();
+        let stats: BTreeMap<String, u64> = db
+            .stats()
+            .snapshot()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        for counter in ["flushes", "merges", "scan_merges", "gcs", "splits"] {
+            assert!(
+                stats.get(counter).copied().unwrap_or(0) > 0,
+                "workload never triggered {counter} with background_jobs={background_jobs}: {stats:?}"
+            );
+        }
     }
 }

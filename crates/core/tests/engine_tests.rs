@@ -344,16 +344,32 @@ fn ablation_no_partitioning_stays_single() {
 
 #[test]
 fn ablation_no_scan_optimization_still_correct() {
-    let mut opts = UniKvOptions::small_for_tests();
-    opts.enable_scan_optimization = false;
-    let db = open(MemEnv::shared(), opts);
-    for i in 0..900u32 {
-        db.put(&key(i), &value(i, 50)).unwrap();
+    // The scan reads a partition holding `scan_merge_limit` UnsortedStore
+    // tables: with the optimization on it merges them, off it must not.
+    for enabled in [true, false] {
+        let mut opts = UniKvOptions::small_for_tests();
+        opts.enable_scan_optimization = enabled;
+        let limit = opts.scan_merge_limit;
+        let db = open(MemEnv::shared(), opts);
+        for i in 0..900u32 {
+            db.put(&key(i), &value(i, 50)).unwrap();
+        }
+        db.compact_all().unwrap();
+        for round in 0..limit {
+            for i in (0..100u32).step_by(7) {
+                db.put(&key(i), &value(i + round as u32, 50)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let items = db.scan(&key(50), 40).unwrap();
+        assert_eq!(items.len(), 40);
+        assert_eq!(items[0].key, key(50));
+        assert_eq!(items[6].value, value(56 + limit as u32 - 1, 50));
+        assert_eq!(
+            db.stats().scan_merges.load(Ordering::Relaxed),
+            u64::from(enabled)
+        );
     }
-    assert_eq!(db.stats().scan_merges.load(Ordering::Relaxed), 0);
-    let items = db.scan(&key(50), 40).unwrap();
-    assert_eq!(items.len(), 40);
-    assert_eq!(items[0].key, key(50));
 }
 
 #[test]

@@ -25,20 +25,21 @@ use unikv_env::Env;
 
 /// Digest of the files [`run_workload`] leaves behind, recorded with the
 /// slicing-by-4 CRC32C kernel.
-const LAYOUT_DIGEST: u64 = 0x7697_6d09_11e5_ff1c;
+const LAYOUT_DIGEST: u64 = 0xa404_c56a_fc72_8ba0;
 
 /// Digest of `metrics_report_machine()` plus `stats().snapshot()` after
 /// [`run_workload`].
-const REPORT_DIGEST: u64 = 0x5c3e_290f_5714_3ef1;
+const REPORT_DIGEST: u64 = 0x4eca_074e_f4ce_9b05;
 
 /// Partition directories are `p<id>`; ids stay far below this bound for
 /// the workload below (the byte-count check catches a miss).
 const MAX_PARTITION_DIRS: u32 = 256;
 
-/// Puts, overwrites and deletes over a seeded key stream, with explicit
-/// flushes, full merges and GC passes between rounds, on the default
-/// inline mode (no worker threads) with the event journal off. The
-/// metrics clock is the manual step clock from right after open.
+/// Puts, overwrites, deletes and short scans (which trigger the size-based
+/// merge) over a seeded key stream, with explicit flushes, full merges and
+/// GC passes between rounds, on the default inline mode (no worker
+/// threads) with the event journal off. The metrics clock is the manual
+/// step clock from right after open.
 fn run_workload(env: Arc<MemEnv>) -> UniKv {
     let opts = UniKvOptions::small_for_tests();
     assert_eq!(opts.background_jobs, 0, "the oracle runs inline");
@@ -50,9 +51,11 @@ fn run_workload(env: Arc<MemEnv>) -> UniKv {
     db.set_metrics_clock(Some(manual_step_clock(1)));
     let mut rng = DetRng::seed_from_u64(0x1a70_u64);
     for round in 0..6u64 {
-        for _ in 0..1500 {
+        for i in 0..1500 {
             let key = format!("user{:08}", rng.u64_in(0..2500)).into_bytes();
-            if rng.u64_in(0..10) == 0 {
+            if i % 50 == 49 {
+                db.scan(&key, rng.usize_in_incl(1..=30)).unwrap();
+            } else if rng.u64_in(0..10) == 0 {
                 db.delete(&key).unwrap();
             } else {
                 let len = rng.usize_in_incl(16..=160);

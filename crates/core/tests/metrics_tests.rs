@@ -447,3 +447,65 @@ fn reopen_starts_clean_and_counts_recovery_io_only_in_io_families() {
     assert_eq!(db.get(&key(5)).unwrap(), Some(value(5, 64)));
     assert_eq!(db.metrics_snapshot().counters["reads"], 1);
 }
+
+/// A work counter never runs ahead of the state it describes: when a
+/// structural operation fails at its commit point, before META commits,
+/// none of its counters moves.
+#[test]
+fn failed_commits_leave_work_counters_unmoved() {
+    type Op = fn(&UniKv) -> unikv_common::Result<()>;
+    fn fill(db: &UniKv, round: u32) {
+        for i in 0..12u32 {
+            db.put(&key(i), &value(i + round, 40)).unwrap();
+        }
+    }
+    let cases: [(&str, &[&str], Op); 5] = [
+        ("flush:commit", &["flushes", "bytes_flushed"], |db| {
+            fill(db, 99);
+            db.flush()
+        }),
+        (
+            "merge:commit",
+            &["merges", "merge_bytes_read", "merge_bytes_written"],
+            |db| db.compact_all(),
+        ),
+        (
+            "scanmerge:commit",
+            &["scan_merges", "merge_bytes_written"],
+            |db| db.scan(b"", 100).map(|_| ()),
+        ),
+        ("gc:commit", &["gcs", "gc_bytes_written"], |db| {
+            db.force_gc()
+        }),
+        ("split:commit", &["splits", "split_bytes_written"], |db| {
+            for i in 0..3000u32 {
+                db.put(&key(i), &value(i, 64))?;
+            }
+            Ok(())
+        }),
+    ];
+    for (point, counters, op) in cases {
+        let db = UniKv::open(MemEnv::shared(), "/db", UniKvOptions::small_for_tests()).unwrap();
+        // A SortedStore for GC to rewrite, then `scan_merge_limit`
+        // UnsortedStore tables for the merges.
+        fill(&db, 0);
+        db.compact_all().unwrap();
+        for round in 1..=db.options().scan_merge_limit as u32 {
+            fill(&db, round);
+            db.flush().unwrap();
+        }
+        let before: std::collections::HashMap<_, _> = db.stats().snapshot().into_iter().collect();
+        let target = point;
+        db.sync_points().arm(Arc::new(move |name| {
+            if name == target {
+                return Err(unikv_common::Error::internal(format!("injected at {name}")));
+            }
+            Ok(())
+        }));
+        assert!(op(&db).is_err(), "{point} never fired");
+        let after: std::collections::HashMap<_, _> = db.stats().snapshot().into_iter().collect();
+        for c in counters {
+            assert_eq!(after[c], before[c], "{c} moved on a failed {point}");
+        }
+    }
+}
