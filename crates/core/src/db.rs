@@ -161,6 +161,15 @@ struct MergeSnapshot<'a> {
     vlog: Arc<parking_lot::Mutex<ValueLog>>,
 }
 
+/// What a flush built: the table's metadata, the kept user keys (for the
+/// hash index at install) and the open table, its blocks already on the
+/// block cache's probation segment.
+struct FlushedTable {
+    meta: TableMeta,
+    keys: Vec<Vec<u8>>,
+    table: Arc<Table>,
+}
+
 /// What a full merge built: the new SortedStore run, the bytes written
 /// (tables plus newly separated values) and the live separated bytes.
 struct MergeOutput {
@@ -594,6 +603,11 @@ impl DbInner {
             .iter()
             .map(|p| p.index.memory_bytes())
             .sum()
+    }
+
+    /// Bytes of block payload the shared block cache holds.
+    pub fn block_cache_bytes(&self) -> usize {
+        self.topts.cache.as_ref().map_or(0, |c| c.bytes())
     }
 
     /// Total logical bytes stored (tables + live values).
@@ -1392,28 +1406,30 @@ impl DbInner {
         for sealed in &p.imms {
             children.push(Box::new(MemTableSource::new(sealed.mem.clone())));
         }
-        self.tables_iter(p, true, children)
+        self.tables_iter(p, true, true, children)
     }
 
     /// Merging iterator over `children` (newer sources, such as
     /// memtables), then the partition's UnsortedStore tables and, with
-    /// `with_sorted`, its SortedStore run.
+    /// `with_sorted`, its SortedStore run. Maintenance passes
+    /// `fill_cache: false`: its block misses are not cached.
     fn tables_iter(
         &self,
         p: &Partition,
         with_sorted: bool,
+        fill_cache: bool,
         mut children: Vec<Box<dyn InternalIterator>>,
     ) -> Result<MergingIterator> {
         for tmeta in &p.meta.unsorted {
             let table = self.open_table(p, tmeta.number)?;
-            children.push(Box::new(TableSource::new(&table)));
+            children.push(Box::new(TableSource::new(&table, fill_cache)));
         }
         if with_sorted {
             let mut run = Vec::with_capacity(p.meta.sorted.len());
             for tmeta in &p.meta.sorted {
                 run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
             }
-            children.push(Box::new(ConcatSource::new(run)));
+            children.push(Box::new(ConcatSource::new(run, fill_cache)));
         }
         Ok(MergingIterator::new(children))
     }
@@ -1553,20 +1569,22 @@ impl DbInner {
 
     /// Write a memtable out as one UnsortedStore table, deduping to the
     /// newest version per user key. Takes no locks: background flushes
-    /// call it with the core lock released. Returns the table metadata
-    /// and the kept user keys (for hash-index insertion at install time).
+    /// call it with the core lock released. Once the file is synced, the
+    /// data blocks the builder wrote are admitted to the block cache, so
+    /// the first reads of the new table cost no block read.
     fn build_flush_table(
         &self,
         dir: &Path,
         table_number: u64,
         mem: Arc<MemTable>,
-    ) -> Result<(TableMeta, Vec<Vec<u8>>)> {
+    ) -> Result<FlushedTable> {
         self.sync.hit("flush:build")?;
-        let mut builder = TableBuilder::new(
-            self.env
-                .new_writable(&filenames::table_file(dir, table_number))?,
-            self.table_builder_opts(),
-        );
+        let path = filenames::table_file(dir, table_number);
+        let mut builder =
+            TableBuilder::new(self.env.new_writable(&path)?, self.table_builder_opts());
+        if self.topts.cache.is_some() {
+            builder.keep_data_blocks();
+        }
         let mut keys = Vec::new();
         let mut iter = MemTableSource::new(mem);
         iter.seek_to_first()?;
@@ -1583,32 +1601,83 @@ impl DbInner {
             iter.next()?;
         }
         let props = builder.finish()?;
-        Ok((
-            TableMeta {
+        let table = Table::open(
+            self.env.new_random_access(&path)?,
+            props.file_size,
+            self.topts.clone(),
+        )?;
+        table.admit(props.data_blocks)?;
+        Ok(FlushedTable {
+            meta: TableMeta {
                 number: table_number,
                 size: props.file_size,
                 smallest: props.smallest,
                 largest: props.largest,
             },
             keys,
-        ))
+            table,
+        })
     }
 
     /// Install a flushed table under the write lock: append it to the
     /// UnsortedStore, feed the hash index, retire the flushed WAL and pop
     /// the matching sealed memtable, checkpoint the index on cadence, and
-    /// commit META.
+    /// commit META. The open table joins the partition's table handles;
+    /// if the install aborts before META commits, its admitted blocks are
+    /// evicted.
     fn install_flush(
+        &self,
+        core: &mut DbCore,
+        pidx: usize,
+        flushed: FlushedTable,
+        old_wal: u64,
+        flush_start: Option<u64>,
+    ) -> Result<()> {
+        let FlushedTable { meta, keys, table } = flushed;
+        let (table_number, table_size) = (meta.number, meta.size);
+        if let Err(e) = self.commit_flush(core, pidx, meta, &keys, old_wal) {
+            table.evict_from_cache();
+            return Err(e);
+        }
+        core.partitions[pidx]
+            .tables_guard()
+            .insert(table_number, table);
+        UniKvStats::add(&self.stats.bytes_flushed, table_size);
+        UniKvStats::add(&self.stats.flushes, 1);
+        self.sync.hit("flush:cleanup")?;
+        // Old WAL is obsolete once META no longer names it.
+        let p = &core.partitions[pidx];
+        let pid = p.meta.id;
+        let dir = partition_dir(&self.root, pid);
+        let old = filenames::wal_file(&dir, old_wal);
+        if self.env.file_exists(&old) {
+            self.env.delete_file(&old)?;
+            self.events.publish(
+                EventKind::WalRetired,
+                pid,
+                flush_start,
+                vec![old_wal],
+                vec![],
+                0,
+                "",
+            );
+        }
+        self.maint.notify_progress();
+        Ok(())
+    }
+
+    /// The state change of [`Self::install_flush`], up to and including
+    /// the META commit.
+    fn commit_flush(
         &self,
         core: &mut DbCore,
         pidx: usize,
         tmeta: TableMeta,
         keys: &[Vec<u8>],
         old_wal: u64,
-        flush_start: Option<u64>,
     ) -> Result<()> {
         self.sync.hit("flush:install")?;
-        let (table_number, table_size) = (tmeta.number, tmeta.size);
+        let table_number = tmeta.number;
         let p = &mut core.partitions[pidx];
         p.meta.unsorted.push(tmeta);
         if self.opts.enable_hash_index {
@@ -1634,29 +1703,7 @@ impl DbInner {
         }
 
         self.sync.hit("flush:commit")?;
-        self.commit_meta(core)?;
-        UniKvStats::add(&self.stats.bytes_flushed, table_size);
-        UniKvStats::add(&self.stats.flushes, 1);
-        self.sync.hit("flush:cleanup")?;
-        // Old WAL is obsolete once META no longer names it.
-        let p = &core.partitions[pidx];
-        let pid = p.meta.id;
-        let dir = partition_dir(&self.root, pid);
-        let old = filenames::wal_file(&dir, old_wal);
-        if self.env.file_exists(&old) {
-            self.env.delete_file(&old)?;
-            self.events.publish(
-                EventKind::WalRetired,
-                pid,
-                flush_start,
-                vec![old_wal],
-                vec![],
-                0,
-                "",
-            );
-        }
-        self.maint.notify_progress();
-        Ok(())
+        self.commit_meta(core)
     }
 
     /// Flush the partition's memtable into a new UnsortedStore table.
@@ -1687,13 +1734,12 @@ impl DbInner {
                 vec![sealed.wal_number],
                 0,
             );
-            let (tmeta, keys) = self.build_flush_table(&dir, table_number, sealed.mem)?;
-            let bytes = tmeta.size;
+            let flushed = self.build_flush_table(&dir, table_number, sealed.mem)?;
+            let bytes = flushed.meta.size;
             self.install_flush(
                 core,
                 pidx,
-                tmeta,
-                &keys,
+                flushed,
                 sealed.wal_number,
                 Some(scope.start_seq),
             )?;
@@ -1812,7 +1858,7 @@ impl DbInner {
             dir: partition_dir(&self.root, p.meta.id),
             inputs,
             input_bytes,
-            iter: self.tables_iter(p, full, Vec::new())?,
+            iter: self.tables_iter(p, full, false, Vec::new())?,
             vlog: p.vlog.clone(),
         }))
     }
@@ -2081,7 +2127,7 @@ impl DbInner {
             run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
         }
         let vlog = p.vlog.clone();
-        let mut iter = ConcatSource::new(run);
+        let mut iter = ConcatSource::new(run, false);
         iter.seek_to_first()?;
 
         let mut out = TableRoller::new(self, dir);
@@ -2192,7 +2238,7 @@ impl DbInner {
 
         // Pass 1: count live entries to find the median split point.
         let total = {
-            let mut iter = self.tables_iter(&core.partitions[pidx], true, Vec::new())?;
+            let mut iter = self.tables_iter(&core.partitions[pidx], true, false, Vec::new())?;
             iter.seek_to_first()?;
             let mut count = 0u64;
             let mut last_user_key: Option<Vec<u8>> = None;
@@ -2288,7 +2334,7 @@ impl DbInner {
         let mut boundary: Option<Vec<u8>> = None;
 
         {
-            let mut iter = self.tables_iter(&core.partitions[pidx], true, Vec::new())?;
+            let mut iter = self.tables_iter(&core.partitions[pidx], true, false, Vec::new())?;
             iter.seek_to_first()?;
             let mut last_user_key: Option<Vec<u8>> = None;
             let mut kept = 0u64;
@@ -2476,17 +2522,18 @@ impl DbInner {
                 vec![sealed.wal_number],
                 0,
             );
-            let (tmeta, keys) = self.build_flush_table(&dir, table_number, sealed.mem)?;
-            let bytes = tmeta.size;
+            let flushed = self.build_flush_table(&dir, table_number, sealed.mem)?;
+            let bytes = flushed.meta.size;
             let mut core = self.core.write();
             let Some(pidx) = core.partition_index(pid) else {
-                return Ok(()); // partition vanished (split); scope aborts
+                // Partition vanished (split); scope aborts.
+                flushed.table.evict_from_cache();
+                return Ok(());
             };
             self.install_flush(
                 &mut core,
                 pidx,
-                tmeta,
-                &keys,
+                flushed,
                 sealed.wal_number,
                 Some(scope.start_seq),
             )?;
@@ -2648,6 +2695,12 @@ impl UniKv {
     /// (experiment E12).
     pub fn index_memory_bytes(&self) -> usize {
         self.inner.index_memory_bytes()
+    }
+
+    /// Bytes of block payload the shared block cache holds (0 without a
+    /// cache).
+    pub fn block_cache_bytes(&self) -> usize {
+        self.inner.block_cache_bytes()
     }
 
     /// Total logical bytes stored (tables + live values).
@@ -3045,7 +3098,8 @@ fn open_partition(
             let path = filenames::table_file(&dir, tmeta.number);
             let size = env.file_size(&path)?;
             let table = Table::open(env.new_random_access(&path)?, size, topts.clone())?;
-            let mut it = table.iter();
+            // A throwaway handle: blocks cached under its id would never hit.
+            let mut it = table.iter(false);
             it.seek_to_first()?;
             while it.valid() {
                 index.insert(extract_user_key(it.key()), tmeta.number as u32);

@@ -80,7 +80,7 @@ fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u
         )));
     }
     let table = Table::open(env.new_random_access(path)?, size, table_options(None))?;
-    let mut it = table.iter();
+    let mut it = table.iter(true);
     it.seek_to_first()?;
     let mut entries = 0u64;
     while it.valid() {

@@ -29,7 +29,7 @@ const LAYOUT_DIGEST: u64 = 0xa404_c56a_fc72_8ba0;
 
 /// Digest of `metrics_report_machine()` plus `stats().snapshot()` after
 /// [`run_workload`].
-const REPORT_DIGEST: u64 = 0x4eca_074e_f4ce_9b05;
+const REPORT_DIGEST: u64 = 0x89a2_1c70_0b97_dfe3;
 
 /// Partition directories are `p<id>`; ids stay far below this bound for
 /// the workload below (the byte-count check catches a miss).

@@ -591,7 +591,8 @@ impl LsmDb {
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::with_capacity(all_inputs.len());
         for f in &all_inputs {
             let table = self.tables.get(f.number)?;
-            children.push(Box::new(TableSource::new(&table)));
+            // Compaction reads do not fill the block cache (LevelDB's rule).
+            children.push(Box::new(TableSource::new(&table, false)));
         }
         let mut merged = MergingIterator::new(children);
         merged.seek_to_first()?;
@@ -823,7 +824,7 @@ impl LsmDb {
                 // Overlapping runs: one child per table.
                 for f in files {
                     let table = self.tables.get(f.number)?;
-                    children.push(Box::new(TableSource::new(&table)));
+                    children.push(Box::new(TableSource::new(&table, true)));
                 }
             } else {
                 // One sorted run: a concatenating child keeps seek cost at
@@ -832,7 +833,7 @@ impl LsmDb {
                 for f in files {
                     run.push((f.largest.clone(), self.tables.get(f.number)?));
                 }
-                children.push(Box::new(ConcatSource::new(run)));
+                children.push(Box::new(ConcatSource::new(run, true)));
             }
         }
         Ok(LiveIter::new(MergingIterator::new(children), snapshot))

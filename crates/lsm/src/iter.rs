@@ -67,9 +67,10 @@ impl InternalIterator for MemTableSource {
 pub struct TableSource(TableIterator);
 
 impl TableSource {
-    /// Wrap an open table.
-    pub fn new(table: &Arc<Table>) -> Self {
-        TableSource(table.iter())
+    /// Wrap an open table. `fill_cache` is `false` for maintenance reads
+    /// (see [`Table::iter`]).
+    pub fn new(table: &Arc<Table>, fill_cache: bool) -> Self {
+        TableSource(table.iter(fill_cache))
     }
 }
 
@@ -103,20 +104,26 @@ pub struct ConcatSource {
     tables: Vec<(Vec<u8>, Arc<Table>)>,
     current: usize,
     iter: Option<TableIterator>,
+    fill_cache: bool,
 }
 
 impl ConcatSource {
     /// Build over `(largest_internal_key, handle)` pairs already ordered.
-    pub fn new(tables: Vec<(Vec<u8>, Arc<Table>)>) -> Self {
+    /// `fill_cache` is `false` for maintenance reads (see [`Table::iter`]).
+    pub fn new(tables: Vec<(Vec<u8>, Arc<Table>)>, fill_cache: bool) -> Self {
         ConcatSource {
             tables,
             current: 0,
             iter: None,
+            fill_cache,
         }
     }
 
     fn open_current(&mut self) {
-        self.iter = self.tables.get(self.current).map(|(_, table)| table.iter());
+        self.iter = self
+            .tables
+            .get(self.current)
+            .map(|(_, table)| table.iter(self.fill_cache));
     }
 
     fn advance_past_exhausted(&mut self) -> Result<()> {
@@ -457,7 +464,7 @@ mod tests {
         let env = unikv_env::mem::MemEnv::new();
         let t1 = table_with(&env, "/a.sst", &[b"a", b"c"]);
         let t2 = table_with(&env, "/b.sst", &[b"f", b"j"]);
-        let mut src = ConcatSource::new(vec![t1, t2]);
+        let mut src = ConcatSource::new(vec![t1, t2], true);
         src.seek_to_first().unwrap();
         let mut keys = Vec::new();
         while src.valid() {
@@ -488,7 +495,7 @@ mod tests {
 
     #[test]
     fn concat_source_empty() {
-        let mut src = ConcatSource::new(vec![]);
+        let mut src = ConcatSource::new(vec![], true);
         src.seek_to_first().unwrap();
         assert!(!src.valid());
         src.seek(&make_internal_key(b"x", 1, ValueType::Value))

@@ -50,6 +50,9 @@ pub struct TableProperties {
     pub smallest: Vec<u8>,
     /// Last key added.
     pub largest: Vec<u8>,
+    /// `(offset, payload)` of every data block written, in file order;
+    /// empty unless [`TableBuilder::keep_data_blocks`] was called.
+    pub data_blocks: Vec<(u64, Vec<u8>)>,
 }
 
 /// Builds an SSTable by streaming sorted entries to a writable file.
@@ -64,6 +67,8 @@ pub struct TableBuilder {
     smallest: Vec<u8>,
     largest: Vec<u8>,
     last_key: Vec<u8>,
+    /// Data-block payloads kept for the caller; `None` unless asked for.
+    data_blocks: Option<Vec<(u64, Vec<u8>)>>,
 }
 
 impl TableBuilder {
@@ -81,7 +86,15 @@ impl TableBuilder {
             smallest: Vec::new(),
             largest: Vec::new(),
             last_key: Vec::new(),
+            data_blocks: None,
         }
+    }
+
+    /// Keep each data block's payload once it is written and hand them
+    /// back in [`TableProperties::data_blocks`], so a caller can put the
+    /// new table's blocks in a cache without reading them back.
+    pub fn keep_data_blocks(&mut self) {
+        self.data_blocks.get_or_insert_with(Vec::new);
     }
 
     /// Append an entry. Keys must be strictly increasing under the table's
@@ -130,6 +143,13 @@ impl TableBuilder {
         let payload = block.finish();
         let handle = self.write_raw_block(&payload)?;
         self.index_entries.push((self.last_key.clone(), handle));
+        if let Some(kept) = &mut self.data_blocks {
+            // An exact-size copy, so a cached block costs what it holds,
+            // as one read from the file does: the builder's buffer grew
+            // by doubling. Shrinking that buffer in place instead showed
+            // about 1 MiB more peak RSS in `perfbench`.
+            kept.push((handle.offset, payload.as_slice().to_vec()));
+        }
         Ok(())
     }
 
@@ -183,6 +203,7 @@ impl TableBuilder {
             file_size: self.offset,
             smallest: self.smallest,
             largest: self.largest,
+            data_blocks: self.data_blocks.unwrap_or_default(),
         })
     }
 }

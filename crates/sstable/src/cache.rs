@@ -1,8 +1,17 @@
-//! Sharded LRU block cache.
+//! Sharded segmented-LRU block cache.
 //!
 //! Keys are `(cache_id, block_offset)` pairs — each open table reserves a
 //! distinct `cache_id`, so cached blocks survive across reader handles and
 //! never alias between files. Capacity is counted in payload bytes.
+//!
+//! Each shard keeps two recency lists. A new block enters *probation*; a
+//! hit there promotes it to *protected*, which holds at most 80% of the
+//! shard's bytes. Eviction takes
+//! probation's least recently used block first, so a one-touch stream
+//! (a sweep of cold blocks, a flush's admitted blocks) cycles through
+//! probation and cannot push out blocks that were read twice.
+//! Maintenance looks blocks up with [`BlockCache::peek`], which moves
+//! nothing: a merge reading a table once is not a second touch.
 
 use crate::block::Block;
 use parking_lot::Mutex;
@@ -12,29 +21,37 @@ use std::sync::Arc;
 
 const SHARDS: usize = 16;
 
+/// Share of a shard's bytes the protected segment may hold; overflow
+/// demotes protected's least recently used block to probation.
+const PROTECTED_SHARE_PERCENT: usize = 80;
+
 /// End-of-list marker for slot links.
 const NIL: usize = usize::MAX;
 
 type Key = (u64, u64);
 
-/// One cached block, linked into its shard's recency list.
+/// The two segments of a shard.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Segment {
+    Probation = 0,
+    Protected = 1,
+}
+
+/// One cached block, linked into its segment's recency list.
 struct Slot {
     key: Key,
     /// `None` while the slot sits on the free list.
     block: Option<Arc<Block>>,
+    segment: Segment,
     /// Towards the least recently used end.
     prev: usize,
     /// Towards the most recently used end.
     next: usize,
 }
 
-/// An exact LRU: a hash map from key to slot index, and a doubly linked
-/// recency list threaded through a slab of slots, so a hit, an insert and
-/// an eviction each cost O(1).
-struct Shard {
-    map: HashMap<Key, usize>,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
+/// A recency list threaded through the shard's slab.
+#[derive(Clone, Copy)]
+struct List {
     /// Least recently used slot.
     head: usize,
     /// Most recently used slot.
@@ -42,109 +59,174 @@ struct Shard {
     bytes: usize,
 }
 
+/// A segmented LRU: a hash map from key to slot index, and one doubly
+/// linked recency list per segment threaded through a slab of slots, so
+/// a hit, an insert and a removal each cost O(1), plus one step per block
+/// the bytes they add push down to probation or out of the shard.
+struct Shard {
+    map: HashMap<Key, usize>,
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    lists: [List; 2],
+    capacity: usize,
+    protected_capacity: usize,
+}
+
 impl Shard {
-    fn new() -> Shard {
+    fn new(capacity: usize) -> Shard {
+        let empty = List {
+            head: NIL,
+            tail: NIL,
+            bytes: 0,
+        };
         Shard {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            bytes: 0,
+            lists: [empty; 2],
+            capacity,
+            protected_capacity: capacity * PROTECTED_SHARE_PERCENT / 100,
         }
+    }
+
+    fn bytes(&self) -> usize {
+        self.lists[0].bytes + self.lists[1].bytes
+    }
+
+    fn size_of(&self, i: usize) -> usize {
+        self.slots[i].block.as_ref().map_or(0, |b| b.size())
     }
 
     fn unlink(&mut self, i: usize) {
         let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        let size = self.size_of(i);
+        let list = &mut self.lists[self.slots[i].segment as usize];
+        list.bytes -= size;
         match prev {
-            NIL => self.head = next,
+            NIL => list.head = next,
             p => self.slots[p].next = next,
         }
         match next {
-            NIL => self.tail = prev,
+            NIL => list.tail = prev,
             n => self.slots[n].prev = prev,
         }
     }
 
-    /// Link slot `i` in as the most recently used.
-    fn push_back(&mut self, i: usize) {
-        self.slots[i].prev = self.tail;
-        self.slots[i].next = NIL;
-        match self.tail {
-            NIL => self.head = i,
-            t => self.slots[t].next = i,
+    /// Link slot `i` in as `segment`'s most recently used.
+    fn push_back(&mut self, i: usize, segment: Segment) {
+        let size = self.size_of(i);
+        let list = &mut self.lists[segment as usize];
+        let tail = list.tail;
+        list.bytes += size;
+        list.tail = i;
+        if tail == NIL {
+            list.head = i;
+        } else {
+            self.slots[tail].next = i;
         }
-        self.tail = i;
+        let slot = &mut self.slots[i];
+        slot.segment = segment;
+        slot.prev = tail;
+        slot.next = NIL;
+    }
+
+    /// Demote protected's least recently used blocks to probation's most
+    /// recently used end until protected fits its share.
+    fn demote_overflow(&mut self) {
+        while self.lists[Segment::Protected as usize].bytes > self.protected_capacity {
+            let i = self.lists[Segment::Protected as usize].head;
+            self.unlink(i);
+            self.push_back(i, Segment::Probation);
+        }
     }
 
     fn get(&mut self, key: Key) -> Option<Arc<Block>> {
         let i = *self.map.get(&key)?;
-        if self.tail != i {
-            self.unlink(i);
-            self.push_back(i);
-        }
+        self.unlink(i);
+        self.push_back(i, Segment::Protected);
+        self.demote_overflow();
         self.slots[i].block.clone()
     }
 
+    fn peek(&self, key: Key) -> Option<Arc<Block>> {
+        let i = *self.map.get(&key)?;
+        self.slots[i].block.clone()
+    }
+
+    /// Insert a new block on probation; a block already cached under
+    /// `key` is replaced in place and refreshed in its own segment.
     fn insert(&mut self, key: Key, block: Arc<Block>) {
-        self.bytes += block.size();
         if let Some(&i) = self.map.get(&key) {
-            let old = self.slots[i].block.replace(block);
-            self.bytes -= old.map_or(0, |b| b.size());
+            let segment = self.slots[i].segment;
             self.unlink(i);
-            self.push_back(i);
-            return;
+            self.slots[i].block = Some(block);
+            self.push_back(i, segment);
+            self.demote_overflow();
+        } else {
+            let slot = Slot {
+                key,
+                block: Some(block),
+                segment: Segment::Probation,
+                prev: NIL,
+                next: NIL,
+            };
+            let i = match self.free.pop() {
+                Some(i) => {
+                    self.slots[i] = slot;
+                    i
+                }
+                None => {
+                    self.slots.push(slot);
+                    self.slots.len() - 1
+                }
+            };
+            self.map.insert(key, i);
+            self.push_back(i, Segment::Probation);
         }
-        let slot = Slot {
-            key,
-            block: Some(block),
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, i);
-        self.push_back(i);
+        self.evict_overflow();
     }
 
     /// Drop the entry in slot `i`, returning the slot to the free list.
     fn remove_slot(&mut self, i: usize) {
         self.unlink(i);
         self.map.remove(&self.slots[i].key);
-        if let Some(block) = self.slots[i].block.take() {
-            self.bytes -= block.size();
-        }
+        self.slots[i].block = None;
         self.free.push(i);
     }
 
-    fn evict_to(&mut self, capacity: usize) {
-        while self.bytes > capacity && self.head != NIL {
-            self.remove_slot(self.head);
+    fn remove(&mut self, key: Key) {
+        if let Some(&i) = self.map.get(&key) {
+            self.remove_slot(i);
+        }
+    }
+
+    /// Evict probation's least recently used blocks, then protected's,
+    /// until the shard fits its capacity.
+    fn evict_overflow(&mut self) {
+        while self.bytes() > self.capacity {
+            let victim = match self.lists[Segment::Probation as usize].head {
+                NIL => self.lists[Segment::Protected as usize].head,
+                i => i,
+            };
+            self.remove_slot(victim);
         }
     }
 }
 
-/// A sharded LRU cache of parsed blocks.
+/// A sharded segmented-LRU cache of parsed blocks.
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
     next_id: AtomicU64,
 }
 
 impl BlockCache {
     /// Create a cache holding roughly `capacity_bytes` of block payloads.
     pub fn new(capacity_bytes: usize) -> Arc<Self> {
+        let per_shard = capacity_bytes.div_ceil(SHARDS).max(1);
         Arc::new(BlockCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            capacity_per_shard: capacity_bytes.div_ceil(SHARDS).max(1),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .collect(),
             next_id: AtomicU64::new(1),
         })
     }
@@ -163,39 +245,35 @@ impl BlockCache {
         &self.shards[Self::shard_index(key)]
     }
 
-    /// Look up a block, making it the most recently used on a hit.
+    /// Look up a block. A hit promotes it to (or refreshes it in) the
+    /// protected segment.
     pub fn get(&self, cache_id: u64, offset: u64) -> Option<Arc<Block>> {
         let key = (cache_id, offset);
         self.shard(key).lock().get(key)
     }
 
-    /// Insert a block, evicting least-recently-used blocks if over capacity.
-    pub fn insert(&self, cache_id: u64, offset: u64, block: Arc<Block>) {
+    /// Look up a block without changing its segment or recency.
+    pub fn peek(&self, cache_id: u64, offset: u64) -> Option<Arc<Block>> {
         let key = (cache_id, offset);
-        let mut shard = self.shard(key).lock();
-        shard.insert(key, block);
-        shard.evict_to(self.capacity_per_shard);
+        self.shard(key).lock().peek(key)
     }
 
-    /// Drop every block belonging to `cache_id` (table deleted).
-    pub fn evict_table(&self, cache_id: u64) {
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            let victims: Vec<usize> = s
-                .map
-                .iter()
-                .filter(|((id, _), _)| *id == cache_id)
-                .map(|(_, &i)| i)
-                .collect();
-            for i in victims {
-                s.remove_slot(i);
-            }
-        }
+    /// Insert a block on probation, evicting probation's least recently
+    /// used blocks first if the shard is over capacity.
+    pub fn insert(&self, cache_id: u64, offset: u64, block: Arc<Block>) {
+        let key = (cache_id, offset);
+        self.shard(key).lock().insert(key, block);
+    }
+
+    /// Drop the block cached under `(cache_id, offset)`, if any.
+    pub fn remove(&self, cache_id: u64, offset: u64) {
+        let key = (cache_id, offset);
+        self.shard(key).lock().remove(key);
     }
 
     /// Total bytes currently cached.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.shards.iter().map(|s| s.lock().bytes()).sum()
     }
 }
 
@@ -253,99 +331,185 @@ mod tests {
     }
 
     impl BlockCache {
-        /// Shard `s`'s keys from least to most recently used, after checking
-        /// that its list, map, slab and byte count agree.
-        fn lru_order(&self, s: usize) -> Vec<Key> {
+        /// Shard `s`'s probation and protected keys, each from least to
+        /// most recently used, after checking that the lists, map, slab
+        /// and byte counts agree.
+        fn segments(&self, s: usize) -> [Vec<Key>; 2] {
             let shard = self.shards[s].lock();
-            let mut keys = Vec::new();
-            let mut bytes = 0;
-            let mut i = shard.head;
-            while i != NIL {
-                let slot = &shard.slots[i];
-                assert_eq!(shard.map.get(&slot.key), Some(&i));
-                bytes += slot
-                    .block
-                    .as_ref()
-                    .expect("linked slot holds a block")
-                    .size();
-                keys.push(slot.key);
-                i = slot.next;
+            let mut out = [Vec::new(), Vec::new()];
+            for (seg, keys) in [Segment::Probation, Segment::Protected]
+                .into_iter()
+                .zip(out.iter_mut())
+            {
+                let list = shard.lists[seg as usize];
+                let (mut bytes, mut prev, mut i) = (0, NIL, list.head);
+                while i != NIL {
+                    let slot = &shard.slots[i];
+                    assert_eq!(shard.map.get(&slot.key), Some(&i));
+                    assert_eq!((slot.segment, slot.prev), (seg, prev));
+                    bytes += slot
+                        .block
+                        .as_ref()
+                        .expect("linked slot holds a block")
+                        .size();
+                    keys.push(slot.key);
+                    (prev, i) = (i, slot.next);
+                }
+                assert_eq!(list.tail, prev);
+                assert_eq!(bytes, list.bytes);
             }
-            assert_eq!(keys.len(), shard.map.len());
+            assert_eq!(out[0].len() + out[1].len(), shard.map.len());
             assert_eq!(shard.slots.len(), shard.map.len() + shard.free.len());
-            assert_eq!(bytes, shard.bytes);
-            keys
+            assert!(shard.bytes() <= shard.capacity);
+            assert!(shard.lists[1].bytes <= shard.protected_capacity);
+            out
         }
     }
 
-    /// Exact LRU per shard, kept as a plain recency-ordered list.
-    struct ModelLru {
-        shards: Vec<Vec<(Key, usize)>>,
-        capacity_per_shard: usize,
+    /// Segmented LRU per shard, kept as two plain recency-ordered lists
+    /// (least recently used first).
+    struct ModelSlru {
+        shards: Vec<[Vec<(Key, usize)>; 2]>,
+        capacity: usize,
+        protected_capacity: usize,
     }
 
-    impl ModelLru {
+    fn list_bytes(list: &[(Key, usize)]) -> usize {
+        list.iter().map(|(_, s)| s).sum()
+    }
+
+    impl ModelSlru {
+        fn new(cache: &BlockCache) -> ModelSlru {
+            let shard = cache.shards[0].lock();
+            ModelSlru {
+                shards: vec![[Vec::new(), Vec::new()]; SHARDS],
+                capacity: shard.capacity,
+                protected_capacity: shard.protected_capacity,
+            }
+        }
+
+        /// Take `key` out of its list: `(segment, size)`.
+        fn take(lists: &mut [Vec<(Key, usize)>; 2], key: Key) -> Option<(usize, usize)> {
+            (0..2).find_map(|seg| {
+                let pos = lists[seg].iter().position(|(k, _)| *k == key)?;
+                Some((seg, lists[seg].remove(pos).1))
+            })
+        }
+
+        fn demote(&mut self, s: usize) {
+            let [probation, protected] = &mut self.shards[s];
+            while list_bytes(protected) > self.protected_capacity {
+                probation.push(protected.remove(0));
+            }
+        }
+
         fn get(&mut self, key: Key) -> Option<usize> {
-            let list = &mut self.shards[BlockCache::shard_index(key)];
-            let pos = list.iter().position(|(k, _)| *k == key)?;
-            let entry = list.remove(pos);
-            list.push(entry);
-            Some(entry.1)
+            let s = BlockCache::shard_index(key);
+            let (_, size) = Self::take(&mut self.shards[s], key)?;
+            self.shards[s][1].push((key, size));
+            self.demote(s);
+            Some(size)
+        }
+
+        fn peek(&self, key: Key) -> Option<usize> {
+            let lists = &self.shards[BlockCache::shard_index(key)];
+            lists
+                .iter()
+                .flatten()
+                .find(|(k, _)| *k == key)
+                .map(|(_, s)| *s)
         }
 
         fn insert(&mut self, key: Key, size: usize) {
-            let list = &mut self.shards[BlockCache::shard_index(key)];
-            list.retain(|(k, _)| *k != key);
-            list.push((key, size));
-            while list.iter().map(|(_, s)| s).sum::<usize>() > self.capacity_per_shard {
-                list.remove(0);
+            let s = BlockCache::shard_index(key);
+            let seg = Self::take(&mut self.shards[s], key).map_or(0, |(seg, _)| seg);
+            self.shards[s][seg].push((key, size));
+            self.demote(s);
+            let lists = &mut self.shards[s];
+            while list_bytes(&lists[0]) + list_bytes(&lists[1]) > self.capacity {
+                let victim = if lists[0].is_empty() { 1 } else { 0 };
+                lists[victim].remove(0);
             }
         }
 
-        fn evict_table(&mut self, id: u64) {
-            for list in &mut self.shards {
-                list.retain(|((i, _), _)| *i != id);
-            }
+        fn remove(&mut self, key: Key) {
+            Self::take(&mut self.shards[BlockCache::shard_index(key)], key);
         }
     }
 
     #[test]
-    fn evicts_in_exact_lru_order() {
-        let capacity = 16 * 1500;
-        let cache = BlockCache::new(capacity);
-        let mut model = ModelLru {
-            shards: vec![Vec::new(); SHARDS],
-            capacity_per_shard: cache.capacity_per_shard,
-        };
+    fn evicts_in_segmented_lru_order() {
+        let cache = BlockCache::new(16 * 1500);
+        let mut model = ModelSlru::new(&cache);
         let ids: Vec<u64> = (0..4).map(|_| cache.new_id()).collect();
         let mut rng = unikv_common::rng::DetRng::seed_from_u64(0x1ce);
         for step in 0..20_000 {
             let key = (ids[rng.u64_in(0..4) as usize], rng.u64_in(0..48) * 4096);
             match rng.u64_in(0..100) {
-                0..=54 => {
+                0..=49 => {
                     let hit = cache.get(key.0, key.1).map(|b| b.size());
                     assert_eq!(hit, model.get(key), "step {step}: get {key:?}");
                 }
-                55..=98 => {
+                50..=54 => {
+                    let hit = cache.peek(key.0, key.1).map(|b| b.size());
+                    assert_eq!(hit, model.peek(key), "step {step}: peek {key:?}");
+                }
+                55..=97 => {
                     // Sizes up to above a shard's capacity, so a lone
                     // oversized block is evicted by its own insert.
                     let block = block_of(rng.u64_in(1..1600) as usize);
                     model.insert(key, block.size());
                     cache.insert(key.0, key.1, block);
                 }
+                98 => {
+                    cache.remove(key.0, key.1);
+                    model.remove(key);
+                }
                 _ => {
-                    cache.evict_table(key.0);
-                    model.evict_table(key.0);
+                    // A whole table, as `Table::evict_from_cache` drops it.
+                    for offset in (0..48).map(|b| b * 4096) {
+                        cache.remove(key.0, offset);
+                        model.remove((key.0, offset));
+                    }
                 }
             }
-            for (s, list) in model.shards.iter().enumerate() {
-                let want: Vec<Key> = list.iter().map(|(k, _)| *k).collect();
-                assert_eq!(cache.lru_order(s), want, "step {step}: shard {s}");
+            for (s, lists) in model.shards.iter().enumerate() {
+                let want: [Vec<Key>; 2] = lists
+                    .clone()
+                    .map(|l| l.into_iter().map(|(k, _)| k).collect());
+                assert_eq!(cache.segments(s), want, "step {step}: shard {s}");
             }
-            let model_bytes: usize = model.shards.iter().flatten().map(|(_, s)| s).sum();
+            let model_bytes: usize = model.shards.iter().flatten().map(|l| list_bytes(l)).sum();
             assert_eq!(cache.bytes(), model_bytes, "step {step}");
-            assert!(cache.bytes() <= SHARDS * cache.capacity_per_shard);
         }
+    }
+
+    #[test]
+    fn one_pass_sweep_keeps_hot_blocks() {
+        let capacity = 16 * 16 * 1024;
+        let cache = BlockCache::new(capacity);
+        let hot = cache.new_id();
+        let cold = cache.new_id();
+        let block_bytes = block_of(1000).size();
+        for offset in 0..32 {
+            cache.insert(hot, offset, block_of(1000));
+            for _ in 0..2 {
+                assert!(cache.get(hot, offset).is_some(), "hot block {offset}");
+            }
+        }
+        // One pass over 4x the capacity: every cold block is read once,
+        // missed and inserted.
+        for offset in 0..(4 * capacity / block_bytes) as u64 {
+            assert!(cache.get(cold, offset).is_none());
+            cache.insert(cold, offset, block_of(1000));
+        }
+        for offset in 0..32 {
+            assert!(
+                cache.get(hot, offset).is_some(),
+                "hot block {offset} evicted"
+            );
+        }
+        assert!(cache.bytes() <= capacity);
     }
 
     #[test]
@@ -356,22 +520,12 @@ mod tests {
             cache.insert(id, 0, block_of(n));
             assert_eq!(cache.bytes(), block_of(n).size(), "after a {n}-byte value");
         }
-        cache.evict_table(id);
+        // Replacing a protected block keeps its bytes in that segment.
+        cache.get(id, 0);
+        cache.insert(id, 0, block_of(10));
+        assert_eq!(cache.bytes(), block_of(10).size());
+        cache.remove(id, 0);
         assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn evict_table_removes_all() {
-        let cache = BlockCache::new(1 << 20);
-        let id = cache.new_id();
-        for i in 0..10u64 {
-            cache.insert(id, i, block_of(16));
-        }
-        cache.evict_table(id);
-        assert_eq!(cache.bytes(), 0);
-        for i in 0..10u64 {
-            assert!(cache.get(id, i).is_none());
-        }
     }
 }
 

@@ -24,6 +24,12 @@ pub struct TableIoMetrics {
     pub cache_hits: Counter,
     /// Data-block lookups that missed the block cache.
     pub cache_misses: Counter,
+    /// The part of `block_reads` taken by table iterators that do not
+    /// fill the cache: merges, GC, splits, compactions and the hash-index
+    /// rebuild at open.
+    pub maint_block_reads: Counter,
+    /// The part of `block_read_bytes` taken by maintenance.
+    pub maint_block_read_bytes: Counter,
 }
 
 impl TableIoMetrics {
@@ -34,6 +40,8 @@ impl TableIoMetrics {
             block_read_bytes: registry.counter("sst_block_read_bytes"),
             cache_hits: registry.counter("sst_cache_hits"),
             cache_misses: registry.counter("sst_cache_misses"),
+            maint_block_reads: registry.counter("sst_maint_block_reads"),
+            maint_block_read_bytes: registry.counter("sst_maint_block_read_bytes"),
         }
     }
 }
@@ -111,33 +119,43 @@ impl Table {
         self.filter.is_some()
     }
 
-    fn read_data_block(&self, handle: &BlockHandle) -> Result<Arc<Block>> {
-        let block = if let Some(cache) = &self.opts.cache {
-            if let Some(block) = cache.get(self.cache_id, handle.offset) {
-                if let Some(io) = &self.opts.io {
-                    io.cache_hits.inc();
-                }
-                perf::count_cache_hit();
-                perf::mark(PerfStage::BlockRead);
-                return Ok(block);
+    /// Read the data block at `handle`, from the cache when it holds
+    /// it. With `fill_cache: false` (maintenance reads) a hit leaves the
+    /// block's segment and recency as they were, and a miss is read
+    /// without inserting it and is also counted as a maintenance read.
+    fn read_data_block(&self, handle: &BlockHandle, fill_cache: bool) -> Result<Arc<Block>> {
+        let cache = self.opts.cache.as_ref();
+        let cached = cache.and_then(|c| {
+            if fill_cache {
+                c.get(self.cache_id, handle.offset)
+            } else {
+                c.peek(self.cache_id, handle.offset)
             }
+        });
+        if let Some(block) = cached {
             if let Some(io) = &self.opts.io {
+                io.cache_hits.inc();
+            }
+            perf::count_cache_hit();
+            perf::mark(PerfStage::BlockRead);
+            return Ok(block);
+        }
+        if let Some(io) = &self.opts.io {
+            if cache.is_some() {
                 io.cache_misses.inc();
-                io.block_reads.inc();
-                io.block_read_bytes.add(handle.size);
             }
-            perf::count_cache_miss();
-            let block = Arc::new(Block::new(read_block_payload(self.file.as_ref(), handle)?)?);
+            io.block_reads.inc();
+            io.block_read_bytes.add(handle.size);
+            if !fill_cache {
+                io.maint_block_reads.inc();
+                io.maint_block_read_bytes.add(handle.size);
+            }
+        }
+        perf::count_cache_miss();
+        let block = Arc::new(Block::new(read_block_payload(self.file.as_ref(), handle)?)?);
+        if let Some(cache) = cache.filter(|_| fill_cache) {
             cache.insert(self.cache_id, handle.offset, block.clone());
-            block
-        } else {
-            if let Some(io) = &self.opts.io {
-                io.block_reads.inc();
-                io.block_read_bytes.add(handle.size);
-            }
-            perf::count_cache_miss();
-            Arc::new(Block::new(read_block_payload(self.file.as_ref(), handle)?)?)
-        };
+        }
         perf::mark(PerfStage::BlockRead);
         Ok(block)
     }
@@ -159,7 +177,7 @@ impl Table {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
-        let block = self.read_data_block(&handle)?;
+        let block = self.read_data_block(&handle, true)?;
         let mut it = block.iter(self.opts.cmp);
         it.seek(key)?;
         if it.valid() {
@@ -173,7 +191,7 @@ impl Table {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
-        let block = self.read_data_block(&handle)?;
+        let block = self.read_data_block(&handle, true)?;
         let mut it = block.iter(self.opts.cmp);
         it.seek_to_first()?;
         if it.valid() {
@@ -183,19 +201,46 @@ impl Table {
         }
     }
 
-    /// Iterator over the whole table.
-    pub fn iter(self: &Arc<Self>) -> TableIterator {
+    /// Iterator over the whole table. Scans and iterators pass
+    /// `fill_cache: true`; maintenance (merges, GC, splits, compactions)
+    /// passes `false`, so one pass over the tables neither evicts nor
+    /// promotes the blocks that foreground reads keep hitting.
+    pub fn iter(self: &Arc<Self>, fill_cache: bool) -> TableIterator {
         TableIterator {
             table: self.clone(),
             index_iter: self.index.iter(self.opts.cmp),
             data_iter: None,
+            fill_cache,
         }
     }
 
-    /// Evict this table's blocks from the shared cache (call on delete).
-    pub fn evict_from_cache(&self) {
+    /// Put data blocks this table's builder wrote — `(offset, payload)`
+    /// pairs from [`crate::builder::TableProperties::data_blocks`] — on the
+    /// cache's probation segment, so the first reads of a just-flushed
+    /// table do not go to the file. A no-op without a cache.
+    pub fn admit(&self, blocks: Vec<(u64, Vec<u8>)>) -> Result<()> {
         if let Some(cache) = &self.opts.cache {
-            cache.evict_table(self.cache_id);
+            for (offset, payload) in blocks {
+                cache.insert(self.cache_id, offset, Arc::new(Block::new(payload)?));
+            }
+        }
+        Ok(())
+    }
+
+    /// Evict this table's blocks from the shared cache (call on delete).
+    /// Walks the index block and removes exactly the table's keys, so
+    /// the cost is the table's block count, not the cache's size.
+    pub fn evict_from_cache(&self) {
+        let Some(cache) = &self.opts.cache else {
+            return;
+        };
+        let mut it = self.index.iter(self.opts.cmp);
+        let mut step = it.seek_to_first();
+        while step.is_ok() && it.valid() {
+            if let Ok((handle, _)) = BlockHandle::decode_from(it.value()) {
+                cache.remove(self.cache_id, handle.offset);
+            }
+            step = it.next();
         }
     }
 }
@@ -205,6 +250,7 @@ pub struct TableIterator {
     table: Arc<Table>,
     index_iter: BlockIterator,
     data_iter: Option<BlockIterator>,
+    fill_cache: bool,
 }
 
 impl TableIterator {
@@ -232,7 +278,7 @@ impl TableIterator {
             return Ok(());
         }
         let (handle, _) = BlockHandle::decode_from(self.index_iter.value())?;
-        let block = self.table.read_data_block(&handle)?;
+        let block = self.table.read_data_block(&handle, self.fill_cache)?;
         match &mut self.data_iter {
             Some(d) => d.reset(&block),
             None => self.data_iter = Some(block.iter(self.table.opts.cmp)),
@@ -355,7 +401,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut it = table.iter();
+        let mut it = table.iter(true);
         it.seek_to_first().unwrap();
         for (k, v) in &entries {
             assert!(it.valid());
@@ -379,7 +425,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut it = table.iter();
+        let mut it = table.iter(true);
         it.seek(b"key000123").unwrap();
         assert_eq!(it.key(), b"key000123");
         it.seek(b"key0001230").unwrap();
@@ -457,6 +503,136 @@ mod tests {
         assert_eq!(cache.bytes(), 0);
     }
 
+    /// Build `entries` into `path` in small blocks and open it on `cache`.
+    fn cached_table(
+        env: &MemEnv,
+        path: &Path,
+        entries: &[(Vec<u8>, Vec<u8>)],
+        cache: &Arc<BlockCache>,
+        io: &TableIoMetrics,
+        keep_blocks: bool,
+    ) -> (Arc<Table>, Vec<(u64, Vec<u8>)>) {
+        let mut b = TableBuilder::new(
+            env.new_writable(path).unwrap(),
+            TableBuilderOptions {
+                block_size: 256,
+                ..Default::default()
+            },
+        );
+        if keep_blocks {
+            b.keep_data_blocks();
+        }
+        for (k, v) in entries {
+            b.add(k, v).unwrap();
+        }
+        let props = b.finish().unwrap();
+        let opts = TableOptions {
+            cmp: crate::raw_cmp,
+            cache: Some(cache.clone()),
+            io: Some(io.clone()),
+        };
+        let file = env.new_random_access(path).unwrap();
+        (
+            Table::open(file, props.file_size, opts).unwrap(),
+            props.data_blocks,
+        )
+    }
+
+    fn test_io() -> TableIoMetrics {
+        TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true, 0))
+    }
+
+    #[test]
+    fn evict_from_cache_removes_only_own_blocks() {
+        let env = MemEnv::new();
+        let cache = BlockCache::new(1 << 20);
+        let io = test_io();
+        let entries = sample_entries(300);
+        let (a, _) = cached_table(&env, Path::new("/a.sst"), &entries, &cache, &io, false);
+        let (b, _) = cached_table(&env, Path::new("/b.sst"), &entries, &cache, &io, false);
+        for table in [&a, &b] {
+            let mut it = table.iter(true);
+            it.seek_to_first().unwrap();
+            while it.valid() {
+                it.next().unwrap();
+            }
+        }
+        let reads = io.block_reads.value();
+        assert!(reads > 20, "{reads} blocks: the table must span many");
+        assert_eq!(reads % 2, 0);
+        let b_bytes = cache.bytes() / 2;
+        a.evict_from_cache();
+        assert_eq!(cache.bytes(), b_bytes, "exactly a's blocks are gone");
+        // Every block of `b` is still cached: a full pass reads nothing.
+        let mut it = b.iter(true);
+        it.seek_to_first().unwrap();
+        while it.valid() {
+            it.next().unwrap();
+        }
+        assert_eq!(io.block_reads.value(), reads);
+        b.evict_from_cache();
+        assert_eq!(cache.bytes(), 0);
+    }
+
+    #[test]
+    fn maintenance_reads_do_not_fill_the_cache() {
+        let env = MemEnv::new();
+        let cache = BlockCache::new(1 << 20);
+        let io = test_io();
+        let (table, _) = cached_table(
+            &env,
+            Path::new("/t.sst"),
+            &sample_entries(300),
+            &cache,
+            &io,
+            false,
+        );
+        table.get(b"key000000", None).unwrap();
+        let cached = cache.bytes();
+        let mut it = table.iter(false);
+        it.seek_to_first().unwrap();
+        let mut n = 0;
+        while it.valid() {
+            n += 1;
+            it.next().unwrap();
+        }
+        assert_eq!(n, 300);
+        assert_eq!(cache.bytes(), cached, "a maintenance pass inserted blocks");
+        // The one cached block was a hit; every other block a maintenance
+        // read, counted in both the total and the maintenance counters.
+        assert_eq!(io.cache_hits.value(), 1);
+        assert_eq!(io.maint_block_reads.value(), io.block_reads.value() - 1);
+        assert_eq!(
+            io.maint_block_read_bytes.value() + cached as u64,
+            io.block_read_bytes.value()
+        );
+    }
+
+    #[test]
+    fn admitted_blocks_are_the_blocks_on_disk() {
+        let env = MemEnv::new();
+        let cache = BlockCache::new(1 << 20);
+        let io = test_io();
+        let entries = sample_entries(300);
+        let (table, blocks) = cached_table(&env, Path::new("/t.sst"), &entries, &cache, &io, true);
+        assert!(blocks.len() > 10);
+        let on_disk = env.read_to_vec(Path::new("/t.sst")).unwrap();
+        for (offset, payload) in &blocks {
+            assert_eq!(&on_disk[*offset as usize..][..payload.len()], &payload[..]);
+        }
+        table.admit(blocks).unwrap();
+        let mut it = table.iter(true);
+        it.seek_to_first().unwrap();
+        for (k, v) in &entries {
+            assert_eq!((it.key(), it.value()), (&k[..], &v[..]));
+            it.next().unwrap();
+        }
+        assert!(!it.valid());
+        assert_eq!(io.block_reads.value(), 0, "every block was admitted");
+        table.evict_from_cache();
+        assert_eq!(cache.bytes(), 0);
+    }
+
     #[test]
     fn duplicate_key_rejected() {
         let env = MemEnv::new();
@@ -500,7 +676,7 @@ mod tests {
             TableBuilderOptions::default(),
         );
         assert!(table.get(b"x", None).unwrap().is_none());
-        let mut it = table.iter();
+        let mut it = table.iter(true);
         it.seek_to_first().unwrap();
         assert!(!it.valid());
     }

@@ -79,7 +79,7 @@ proptest! {
         ).unwrap();
 
         // Full iteration preserves order and contents.
-        let mut it = table.iter();
+        let mut it = table.iter(true);
         it.seek_to_first().unwrap();
         for ik in &sorted {
             prop_assert!(it.valid());
