@@ -41,12 +41,18 @@ fn bench_hashindex(c: &mut Criterion) {
     g.bench_function("candidates_miss", |b| {
         b.iter(|| std::hint::black_box(idx.candidates(b"missing!").count()));
     });
-    g.bench_function("checkpoint_100k", |b| {
-        b.iter(|| std::hint::black_box(idx.checkpoint().len()));
+    g.bench_function("entries_100k", |b| {
+        b.iter(|| std::hint::black_box(idx.entries().len()));
     });
-    let snap = idx.checkpoint();
-    g.bench_function("restore_100k", |b| {
-        b.iter(|| std::hint::black_box(TwoLevelHashIndex::restore(&snap).unwrap().len()));
+    let entries = idx.entries();
+    g.bench_function("replay_100k", |b| {
+        b.iter(|| {
+            let mut r = TwoLevelHashIndex::with_capacity(100_000, 2);
+            for &(bucket, tag, table) in &entries {
+                r.replay(bucket, tag, table).unwrap();
+            }
+            std::hint::black_box(r.len())
+        });
     });
     g.finish();
 }

@@ -4,7 +4,7 @@
 //! ## Structure
 //!
 //! A database is a list of range partitions ordered by boundary key
-//! (the in-memory *partition index*; persisted in `META`). Each partition
+//! (the in-memory *partition index*; persisted in `MANIFEST`). Each partition
 //! has its own memtable + WAL, an UnsortedStore (appended SSTables + hash
 //! index), a SortedStore (one sorted run with value pointers), and a value
 //! log. One `RwLock` guards the partition list: reads/scans share it,
@@ -16,10 +16,12 @@
 //!
 //! ## Crash consistency
 //!
-//! Every structural change follows *write files → sync → commit `META`
-//! atomically → delete old files*. The `META` rename is the commit point
-//! (the paper's `GC_done` marker generalized); files written before a
-//! crash that never got committed are orphans removed during recovery.
+//! Every structural change follows *write files → sync → append one
+//! record to `MANIFEST` and sync → delete old files*. The synced append
+//! is the commit point (the paper's `GC_done` marker generalized); files
+//! written before a crash that never got committed are orphans removed
+//! during recovery. The record also carries the hash-index entries of the
+//! tables it adds, so recovery never reads a table to rebuild the index.
 
 use crate::batch::{decode_batch_record, encode_batch_record, WriteBatch};
 use crate::fetch::fetch_values;
@@ -28,13 +30,13 @@ use crate::maintenance::{
     stall_level, worker_loop, HealthReport, HealthState, Job, JobKind, MaintClock, MaintState,
     RetryConfig, StallLevel, SyncPoints,
 };
-use crate::meta::{DbMeta, LogRef, PartitionMeta, TableMeta};
+use crate::meta::{
+    read_manifest, Header, IndexEntry, LogRef, ManifestWriter, PartitionMeta, PartitionView,
+    Recovered, TableMeta,
+};
 use crate::metrics::DbMetrics;
 use crate::options::UniKvOptions;
-use crate::partition::{
-    checkpoint_due, decode_index_ckpt, encode_index_ckpt, table_options_with_io, Partition,
-    SealedMem, INDEX_CKPT,
-};
+use crate::partition::{table_options_with_io, Partition, SealedMem};
 use crate::resolver::{partition_dir, ValueResolver};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -280,7 +282,7 @@ pub struct UniKvStats {
     /// Background maintenance jobs completed successfully.
     pub maint_jobs_completed: AtomicU64,
     /// Background maintenance jobs that failed *fatally* (poisoning the
-    /// database): a permanent META-commit failure or a worker panic.
+    /// database): a permanent manifest-commit failure or a worker panic.
     /// Transient failures retry (`maint_job_retries`) or quarantine
     /// (`maint_jobs_quarantined`) without touching this counter.
     pub maint_jobs_failed: AtomicU64,
@@ -365,6 +367,8 @@ struct DbCore {
     next_partition: u32,
     next_file: u64,
     last_seq: SequenceNumber,
+    /// The metadata log every structural change commits to.
+    manifest: ManifestWriter,
 }
 
 impl DbCore {
@@ -387,15 +391,6 @@ impl DbCore {
     /// whenever another partition splits.
     fn partition_index(&self, pid: u32) -> Option<usize> {
         self.partitions.iter().position(|p| p.meta.id == pid)
-    }
-
-    fn to_meta(&self) -> DbMeta {
-        DbMeta {
-            partitions: self.partitions.iter().map(|p| p.meta.clone()).collect(),
-            next_partition: self.next_partition,
-            next_file: self.next_file,
-            last_sequence: self.last_seq,
-        }
     }
 }
 
@@ -435,12 +430,17 @@ impl DbInner {
         let metrics = DbMetrics::new(&opts);
         let topts = table_options_with_io(cache, Some(metrics.table_io.clone()));
 
-        let meta_path = root.join("META");
-        let meta = if env.file_exists(&meta_path) {
-            DbMeta::decode(&env.read_to_vec(&meta_path)?)?
-        } else {
-            DbMeta::default()
-        };
+        let Recovered {
+            meta,
+            index_entries,
+            index_geometry,
+        } = read_manifest(env.as_ref(), &root)?.unwrap_or_default();
+        // Logged index entries only fit an index of the same geometry.
+        let geometry = opts.enable_hash_index.then(|| {
+            let index = TwoLevelHashIndex::with_capacity(index_capacity(&opts), opts.num_hashes);
+            (index.num_buckets() as u32, opts.num_hashes as u32)
+        });
+        let replay_index = geometry.is_some() && geometry == index_geometry;
 
         // Inherited-log references across all partitions, used both for
         // orphan sweeping and for keeping parent logs alive.
@@ -456,6 +456,7 @@ impl DbInner {
             next_partition: meta.next_partition,
             next_file: meta.next_file,
             last_seq: meta.last_sequence,
+            manifest: ManifestWriter::new(&root, geometry),
         };
 
         // Sweep orphans in every partition directory before opening logs
@@ -481,6 +482,7 @@ impl DbInner {
                 &opts,
                 &topts,
                 pmeta,
+                replay_index.then(|| index_entries.get(&pmeta.id).map_or(&[][..], Vec::as_slice)),
                 &mut last_seq,
                 &mut next_file,
                 &stats,
@@ -548,9 +550,10 @@ impl DbInner {
         };
 
         // Flush any memtable rebuilt from a WAL so the on-disk state is
-        // self-describing, then persist a fresh META (also covers the
-        // fresh-database case). Replayed WAL files can go once their
-        // contents are in flushed tables.
+        // self-describing, then commit. The first commit of every open
+        // writes a fresh manifest snapshot (also covering the fresh-database
+        // case), so no record ever follows a torn tail. Replayed WAL files
+        // can go once their contents are in flushed tables.
         {
             let mut core = db.core.write();
             for i in 0..core.partitions.len() {
@@ -558,7 +561,7 @@ impl DbInner {
                     db.flush_partition(&mut core, i)?;
                 }
             }
-            db.commit_meta(&core)?;
+            db.commit_meta(&mut core)?;
             for path in stale_wals {
                 if db.env.file_exists(&path) {
                     db.env.delete_file(&path)?;
@@ -608,6 +611,15 @@ impl DbInner {
     /// Bytes of block payload the shared block cache holds.
     pub fn block_cache_bytes(&self) -> usize {
         self.topts.cache.as_ref().map_or(0, |c| c.bytes())
+    }
+
+    /// The table ids the hash index of `key`'s partition names for it.
+    pub fn index_candidates(&self, key: &[u8]) -> Vec<u32> {
+        let core = self.core.read();
+        core.partitions[core.route(key)]
+            .index
+            .candidates(key)
+            .collect()
     }
 
     /// Total logical bytes stored (tables + live values).
@@ -877,11 +889,16 @@ impl DbInner {
         }
         if let Some(depth) = self.maint.schedule(Job { kind, partition }) {
             UniKvStats::add(&self.stats.maint_jobs_scheduled, 1);
-            self.stats
-                .maint_queue_depth
-                .store(depth as u64, Ordering::Relaxed);
-            self.metrics.maint_queue_depth.set(depth as u64);
+            self.set_queue_depth(depth);
         }
+    }
+
+    /// Record the maintenance queue depth in the stat and the gauge.
+    pub(crate) fn set_queue_depth(&self, depth: usize) {
+        self.stats
+            .maint_queue_depth
+            .store(depth as u64, Ordering::Relaxed);
+        self.metrics.maint_queue_depth.set(depth as u64);
     }
 
     /// Remember the event seq that caused `kind` to be scheduled on
@@ -1438,12 +1455,30 @@ impl DbInner {
     // Structural operations
     // ---------------------------------------------------------------
 
-    fn commit_meta(&self, core: &DbCore) -> Result<()> {
-        let r = self
-            .env
-            .write_atomic(&self.root.join("META"), &core.to_meta().encode());
-        if r.is_err() {
-            COMMIT_FAILED.with(|c| c.set(true));
+    /// Commit the current state to the manifest: what changed since the
+    /// last commit, plus the index entries added since, in one synced
+    /// record.
+    fn commit_meta(&self, core: &mut DbCore) -> Result<()> {
+        let views: Vec<PartitionView> = core
+            .partitions
+            .iter()
+            .map(|p| PartitionView {
+                meta: &p.meta,
+                index: &p.index,
+                new_entries: &p.unlogged,
+            })
+            .collect();
+        let header = Header {
+            last_sequence: core.last_seq,
+            next_file: core.next_file,
+            next_partition: core.next_partition,
+        };
+        let r = core
+            .manifest
+            .commit(self.env.as_ref(), &self.sync, header, &views);
+        match r {
+            Ok(()) => core.partitions.iter_mut().for_each(|p| p.unlogged.clear()),
+            Err(_) => COMMIT_FAILED.with(|c| c.set(true)),
         }
         r
     }
@@ -1522,7 +1557,7 @@ impl DbInner {
 
     /// Seal the active memtable for background flushing: the frozen
     /// memtable stays visible to reads via `imms`, its WAL is recorded in
-    /// `sealed_wals` and committed to META (so recovery replays it until
+    /// `sealed_wals` and committed to the manifest (so recovery replays it until
     /// the flush lands), and writes continue on a fresh memtable + WAL.
     fn seal_memtable(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
         let new_wal = core.alloc_file();
@@ -1621,10 +1656,9 @@ impl DbInner {
 
     /// Install a flushed table under the write lock: append it to the
     /// UnsortedStore, feed the hash index, retire the flushed WAL and pop
-    /// the matching sealed memtable, checkpoint the index on cadence, and
-    /// commit META. The open table joins the partition's table handles;
-    /// if the install aborts before META commits, its admitted blocks are
-    /// evicted.
+    /// the matching sealed memtable, and commit to the manifest. The open
+    /// table joins the partition's table handles; if the install aborts
+    /// before the commit, its admitted blocks are evicted.
     fn install_flush(
         &self,
         core: &mut DbCore,
@@ -1645,7 +1679,7 @@ impl DbInner {
         UniKvStats::add(&self.stats.bytes_flushed, table_size);
         UniKvStats::add(&self.stats.flushes, 1);
         self.sync.hit("flush:cleanup")?;
-        // Old WAL is obsolete once META no longer names it.
+        // Old WAL is obsolete once the manifest no longer names it.
         let p = &core.partitions[pidx];
         let pid = p.meta.id;
         let dir = partition_dir(&self.root, pid);
@@ -1667,7 +1701,7 @@ impl DbInner {
     }
 
     /// The state change of [`Self::install_flush`], up to and including
-    /// the META commit.
+    /// the manifest commit.
     fn commit_flush(
         &self,
         core: &mut DbCore,
@@ -1681,27 +1715,14 @@ impl DbInner {
         let p = &mut core.partitions[pidx];
         p.meta.unsorted.push(tmeta);
         if self.opts.enable_hash_index {
+            let table = table_number as u32;
             for key in keys {
-                p.index.insert(key, table_number as u32);
+                let (bucket, tag) = p.index.insert(key, table);
+                p.unlogged.push((bucket, tag, table));
             }
         }
         p.imms.retain(|s| s.wal_number != old_wal);
         p.meta.sealed_wals.retain(|w| *w != old_wal);
-
-        // Periodic hash-index checkpoint (paper: every unsorted_limit/2
-        // flushes).
-        let dir = partition_dir(&self.root, p.meta.id);
-        p.flushes_since_ckpt += 1;
-        if self.opts.enable_hash_index && checkpoint_due(&self.opts, p.flushes_since_ckpt) {
-            let covered: Vec<u64> = p.meta.unsorted.iter().map(|t| t.number).collect();
-            self.env.write_atomic(
-                &dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&covered, &p.index),
-            )?;
-            p.meta.ckpt_tables = covered;
-            p.flushes_since_ckpt = 0;
-        }
-
         self.sync.hit("flush:commit")?;
         self.commit_meta(core)
     }
@@ -1709,7 +1730,7 @@ impl DbInner {
     /// Flush the partition's memtable into a new UnsortedStore table.
     /// Inline flushes go through the same seal-then-drain protocol as
     /// background mode: the active memtable is sealed (its WAL enters
-    /// `sealed_wals` and META commits) *before* the fallible table build,
+    /// `sealed_wals` and the manifest commits) *before* the fallible table build,
     /// so an aborted build — transient I/O error or injected fault — leaves
     /// both the in-memory and the committed state referencing every acked
     /// byte. Sealed memtables drain oldest first, so newer data keeps
@@ -1918,8 +1939,8 @@ impl DbInner {
     }
 
     /// Phase 3 of a full merge, under the write lock: the new run replaces
-    /// both tiers, the UnsortedStore and its hash index empty, and META
-    /// commits. Returns the finish event's seq.
+    /// both tiers, the UnsortedStore and its hash index empty, and the
+    /// manifest commits. Returns the finish event's seq.
     fn install_merge(
         &self,
         core: &mut DbCore,
@@ -1935,14 +1956,7 @@ impl DbInner {
         p.meta.own_logs = snap.vlog.lock().log_numbers();
         p.meta.live_value_bytes = out.live_value_bytes;
         p.index.clear();
-        p.meta.ckpt_tables.clear();
-        p.flushes_since_ckpt = 0;
-        if self.opts.enable_hash_index {
-            self.env.write_atomic(
-                &snap.dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&[], &p.index),
-            )?;
-        }
+        p.unlogged.clear();
         self.commit_merge(core, pidx, snap, outputs, out.written)
     }
 
@@ -1990,8 +2004,9 @@ impl DbInner {
     }
 
     /// Phase 3 of a scan-merge, under the write lock: the merged table and
-    /// its index replace the UnsortedStore and its index, then META
-    /// commits. Returns the finish event's seq.
+    /// its index replace the UnsortedStore and its index, then the
+    /// manifest commits with the new index's entries. Returns the finish
+    /// event's seq.
     fn install_scan_merge(
         &self,
         core: &mut DbCore,
@@ -2004,18 +2019,14 @@ impl DbInner {
         let (number, size) = (tmeta.number, tmeta.size);
         p.meta.unsorted = vec![tmeta];
         p.index = index;
-        if self.opts.enable_hash_index {
-            self.env.write_atomic(
-                &snap.dir.join(INDEX_CKPT),
-                &encode_index_ckpt(&[number], &p.index),
-            )?;
-            p.meta.ckpt_tables = vec![number];
-            p.flushes_since_ckpt = 0;
-        }
+        // The fresh index holds only the new table: log all of it. Entries
+        // of merged-away tables still unlogged (after a failed commit)
+        // would only be dropped at recovery.
+        p.unlogged = p.index.entries();
         self.commit_merge(core, pidx, snap, vec![number], size)
     }
 
-    /// The end of both merges' install: commit META, count the merge,
+    /// The end of both merges' install: commit the manifest, count the merge,
     /// publish the finish event, delete the input tables and record the
     /// op.
     fn commit_merge(
@@ -2050,7 +2061,7 @@ impl DbInner {
             UniKvStats::add(&self.stats.scan_merges, 1);
         }
         UniKvStats::add(&self.stats.merge_bytes_written, bytes);
-        // META committed: the merge is durable, so the finish event fires
+        // Manifest committed: the merge is durable, so the finish event fires
         // here — a cleanup failure below must not read as an aborted merge.
         let fin = snap.scope.finish(finish, outputs, bytes, "");
         self.sync.hit(cleanup)?;
@@ -2172,7 +2183,7 @@ impl DbInner {
         p.meta.own_logs = new_logs;
         p.meta.live_value_bytes = live_value_bytes;
 
-        // Step 4: the META commit is the GC_done mark; afterwards old logs
+        // Step 4: the manifest commit is the GC_done mark; afterwards old logs
         // and tables may be deleted.
         self.sync.hit("gc:commit")?;
         self.commit_meta(core)?;
@@ -2416,7 +2427,6 @@ impl DbInner {
                     sorted: child.out.tables,
                     own_logs,
                     inherited_logs: child.inherited.into_iter().collect(),
-                    ckpt_tables: Vec::new(),
                     live_value_bytes: child.live_value_bytes,
                     sealed_wals: Vec::new(),
                 },
@@ -2429,7 +2439,7 @@ impl DbInner {
                 ),
                 vlog: Arc::new(parking_lot::Mutex::new(child.vlog)),
                 tables: parking_lot::Mutex::new(std::collections::HashMap::new()),
-                flushes_since_ckpt: 0,
+                unlogged: Vec::new(),
             })
         };
         let left_p = build_partition(left, parent_lo, Some(boundary.clone()), left_wal)?;
@@ -2452,8 +2462,8 @@ impl DbInner {
         );
         self.sync.hit("split:cleanup")?;
 
-        // Delete the parent's table files, WAL, and index checkpoint; keep
-        // its value logs (now shared with the children, freed by lazy GC).
+        // Delete the parent's table files and WAL; keep its value logs
+        // (now shared with the children, freed by lazy GC).
         let parent_dir = partition_dir(&self.root, parent.meta.id);
         for t in parent.meta.unsorted.iter().chain(&parent.meta.sorted) {
             let path = filenames::table_file(&parent_dir, t.number);
@@ -2464,10 +2474,6 @@ impl DbInner {
         let wal_path = filenames::wal_file(&parent_dir, parent.meta.wal_number);
         if self.env.file_exists(&wal_path) {
             self.env.delete_file(&wal_path)?;
-        }
-        let ckpt = parent_dir.join(INDEX_CKPT);
-        if self.env.file_exists(&ckpt) {
-            self.env.delete_file(&ckpt)?;
         }
         // Parent logs with no surviving references can go immediately.
         self.sweep_shared_logs(core, &parent_logs)?;
@@ -2639,7 +2645,7 @@ impl DbInner {
 /// default) no threads are spawned and every structural operation runs
 /// inline, exactly as in previous versions. Dropping the handle asks the
 /// workers to finish their current job and joins them; jobs still queued
-/// are abandoned — safe, because sealed WALs are committed in META and
+/// are abandoned — safe, because sealed WALs are committed in the manifest and
 /// recovery replays them.
 pub struct UniKv {
     inner: Arc<DbInner>,
@@ -2701,6 +2707,13 @@ impl UniKv {
     /// cache).
     pub fn block_cache_bytes(&self) -> usize {
         self.inner.block_cache_bytes()
+    }
+
+    /// The UnsortedStore table ids the hash index names for `key`, newest
+    /// first, false positives included: the candidates a get of `key`
+    /// would verify.
+    pub fn index_candidates(&self, key: &[u8]) -> Vec<u32> {
+        self.inner.index_candidates(key)
     }
 
     /// Total logical bytes stored (tables + live values).
@@ -2976,12 +2989,6 @@ fn sweep_partition_dir(
         .unwrap_or_default();
     for name in env.list_dir(dir)? {
         let Some(s) = name.to_str() else { continue };
-        if s == INDEX_CKPT {
-            if pmeta.is_none() {
-                env.delete_file(&dir.join(name))?;
-            }
-            continue;
-        }
         if let Some(log) = parse_vlog_file_name(s) {
             let keep = live_logs.contains(&log) || inherited_refs.contains(&(id, log));
             if !keep {
@@ -3009,6 +3016,7 @@ fn open_partition(
     opts: &UniKvOptions,
     topts: &TableOptions,
     pmeta: &PartitionMeta,
+    index_entries: Option<&[IndexEntry]>,
     last_seq: &mut SequenceNumber,
     next_file: &mut u64,
     stats: &UniKvStats,
@@ -3018,7 +3026,7 @@ fn open_partition(
     env.create_dir_all(&dir)?;
 
     if opts.paranoid_checks {
-        // Verify every file META commits to before trusting the partition:
+        // Verify every file the manifest commits to before trusting the partition:
         // tables must exist at their recorded size with a parseable
         // footer + index, and every owned value log must exist. Data-block
         // and value checksums are verified on every read regardless.
@@ -3057,53 +3065,32 @@ fn open_partition(
     let mut vlog = ValueLog::open(env.clone(), dir.clone(), pmeta.id, opts.max_log_size)?;
     vlog.set_metrics(metrics.vlog.clone());
 
-    // Rebuild the hash index: restore the checkpoint if present and valid,
-    // drop entries for tables that no longer exist, then replay the keys
-    // of tables flushed after the checkpoint. The covered-table list comes
-    // from the checkpoint file itself, never from META: the two files are
-    // written at different instants, and after a crash between them the
-    // META list can describe a checkpoint that was never written (or
-    // vice versa) — trusting it would skip re-indexing live tables.
+    // Rebuild the hash index by replaying the logged entries of the live
+    // UnsortedStore tables in log order. Only when the log holds none that
+    // fit this index (another bucket count or hash count, or the index
+    // was off) are the tables' keys read back instead.
     let mut index = TwoLevelHashIndex::with_capacity(index_capacity(opts), opts.num_hashes);
-    let mut covered: HashSet<u64> = HashSet::new();
     if opts.enable_hash_index {
-        let ckpt_path = dir.join(INDEX_CKPT);
-        if env.file_exists(&ckpt_path) {
-            if let Ok((file_tables, restored)) = env
-                .read_to_vec(&ckpt_path)
-                .and_then(|data| decode_index_ckpt(&data))
-            {
-                index = restored;
-                // Remove entries for checkpointed tables that are not in
-                // this META snapshot (merged away, or never committed).
-                let live: HashSet<u32> = pmeta.unsorted.iter().map(|t| t.number as u32).collect();
-                let stale: HashSet<u32> = file_tables
-                    .iter()
-                    .map(|&n| n as u32)
-                    .filter(|n| !live.contains(n))
-                    .collect();
-                if !stale.is_empty() {
-                    index.remove_tables(&stale);
+        let live: HashSet<u32> = pmeta.unsorted.iter().map(|t| t.number as u32).collect();
+        match index_entries {
+            Some(entries) => {
+                for &(bucket, tag, table) in entries.iter().filter(|e| live.contains(&e.2)) {
+                    index.replay(bucket, tag, table)?;
                 }
-                covered = file_tables
-                    .into_iter()
-                    .filter(|&n| live.contains(&(n as u32)))
-                    .collect();
             }
-        }
-        for tmeta in &pmeta.unsorted {
-            if covered.contains(&tmeta.number) {
-                continue;
-            }
-            let path = filenames::table_file(&dir, tmeta.number);
-            let size = env.file_size(&path)?;
-            let table = Table::open(env.new_random_access(&path)?, size, topts.clone())?;
-            // A throwaway handle: blocks cached under its id would never hit.
-            let mut it = table.iter(false);
-            it.seek_to_first()?;
-            while it.valid() {
-                index.insert(extract_user_key(it.key()), tmeta.number as u32);
-                it.next()?;
+            None => {
+                for tmeta in &pmeta.unsorted {
+                    let path = filenames::table_file(&dir, tmeta.number);
+                    let size = env.file_size(&path)?;
+                    let table = Table::open(env.new_random_access(&path)?, size, topts.clone())?;
+                    // A throwaway handle: blocks cached under its id would never hit.
+                    let mut it = table.iter(false);
+                    it.seek_to_first()?;
+                    while it.valid() {
+                        index.insert(extract_user_key(it.key()), tmeta.number as u32);
+                        it.next()?;
+                    }
+                }
             }
         }
     }
@@ -3184,7 +3171,7 @@ fn open_partition(
             index,
             vlog: Arc::new(parking_lot::Mutex::new(vlog)),
             tables: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            flushes_since_ckpt: 0,
+            unlogged: Vec::new(),
         },
         stale_wals,
     ))

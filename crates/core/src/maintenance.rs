@@ -41,7 +41,7 @@
 //!   out of the queue and re-probed every
 //!   [`crate::UniKvOptions::maint_quarantine_probe_ms`] in case the
 //!   condition cleared. The database keeps running.
-//! * **Permanent failure of the META commit step** (or a worker panic):
+//! * **Permanent failure of the manifest commit step** (or a worker panic):
 //!   the database is *poisoned* — queued jobs are dropped and writes and
 //!   structural operations return the original error. This is the only
 //!   fail-stop path; everything else degrades.
@@ -84,9 +84,11 @@ use unikv_common::{Error, Result};
 /// step would, so a crash test can stop the world between any two steps
 /// and exercise recovery. `*:begin` fires before any file is written,
 /// `*:build` after new files are written and synced but before the
-/// in-memory tier swap, `*:commit` immediately before the atomic META
+/// in-memory tier swap, `*:commit` immediately before the manifest
 /// commit, and `*:cleanup` after the commit but before obsolete files are
-/// deleted. The same names fire in inline and background modes.
+/// deleted. `manifest:compact` fires inside a commit that rewrites the
+/// manifest as a fresh snapshot, between syncing the new file and renaming
+/// it over the old one. The same names fire in inline and background modes.
 pub const SYNC_POINTS: &[&str] = &[
     "seal:begin",
     "seal:commit",
@@ -110,6 +112,7 @@ pub const SYNC_POINTS: &[&str] = &[
     "split:build",
     "split:commit",
     "split:cleanup",
+    "manifest:compact",
 ];
 
 /// A test hook invoked at every named sync point; returning an error
@@ -573,7 +576,7 @@ impl MaintState {
 
     /// Apply the failure policy to a job that returned `err` after
     /// `attempts` prior failures. `commit_step` marks errors raised by the
-    /// atomic META commit — the only step whose permanent failure poisons.
+    /// manifest commit — the only step whose permanent failure poisons.
     pub(crate) fn handle_job_failure(
         &self,
         job: Job,
@@ -587,7 +590,7 @@ impl MaintState {
         if commit_step && !err.is_transient() {
             UniKvStats::add(&self.stats.maint_jobs_failed, 1);
             self.poison(format!(
-                "{:?} job on partition {} failed committing META: {err}",
+                "{:?} job on partition {} failed committing the manifest: {err}",
                 job.kind, job.partition
             ));
             return;
@@ -919,11 +922,7 @@ impl Drop for PauseGuard<'_> {
 /// Body of one maintenance worker thread.
 pub(crate) fn worker_loop(inner: Arc<DbInner>) {
     while let Some((job, attempts, depth)) = inner.maint.next_job() {
-        inner
-            .stats
-            .maint_queue_depth
-            .store(depth as u64, Ordering::Relaxed);
-        inner.metrics.maint_queue_depth.set(depth as u64);
+        inner.set_queue_depth(depth);
         // Reset the commit-step marker so a stale flag from a previous
         // job on this thread cannot misclassify this one's failure.
         let _ = crate::db::take_commit_failure();

@@ -36,19 +36,16 @@ pub struct UniKvOptions {
     pub gc_min_bytes: u64,
     /// Candidate hash functions in the two-level index (`n`).
     pub num_hashes: usize,
-    /// Checkpoint the hash index every this many flushes (paper:
-    /// `unsorted_limit / 2` flushes).
-    pub index_checkpoint_interval: u32,
     /// Block-cache capacity in bytes (0 disables).
     pub block_cache_bytes: usize,
     /// fsync the WAL on every write.
     pub sync_writes: bool,
-    /// Verify the database aggressively: at open, every META-committed
+    /// Verify the database aggressively: at open, every manifest-committed
     /// table must exist at its recorded size with a readable footer and
     /// index, every owned/inherited value log must exist, and WAL replay
     /// fails with `Error::Corruption` on mid-log damage (a torn *tail* is
     /// still truncated — that is what a crash legitimately leaves behind).
-    /// Block, value, and META checksums are verified on every read
+    /// Block, value, and manifest checksums are verified on every read
     /// regardless of this flag; corruption found anywhere is surfaced as
     /// a typed `Error::Corruption`, never served.
     pub paranoid_checks: bool,
@@ -146,7 +143,6 @@ impl Default for UniKvOptions {
             gc_garbage_ratio: 0.5,
             gc_min_bytes: 4 << 20,
             num_hashes: 2,
-            index_checkpoint_interval: 4,
             block_cache_bytes: 8 << 20,
             sync_writes: false,
             paranoid_checks: false,
@@ -188,7 +184,6 @@ impl UniKvOptions {
             partition_size_limit: 96 << 10,
             max_log_size: 16 << 10,
             gc_min_bytes: 16 << 10,
-            index_checkpoint_interval: 2,
             block_cache_bytes: 256 << 10,
             maint_retry_base_ms: 2,
             maint_retry_max_ms: 40,

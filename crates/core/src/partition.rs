@@ -1,56 +1,17 @@
 //! Runtime state of one range partition: memtable + WAL, UnsortedStore
 //! tables with their hash index, the SortedStore run, and the value log.
 
-use crate::meta::{PartitionMeta, TableMeta};
-use crate::options::UniKvOptions;
+use crate::meta::{IndexEntry, PartitionMeta, TableMeta};
 use crate::resolver::partition_dir;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use unikv_common::coding::{get_varint64, put_varint64};
 use unikv_common::ikey::{compare_internal_keys, extract_user_key};
-use unikv_common::Result;
 use unikv_hashindex::TwoLevelHashIndex;
 use unikv_memtable::MemTable;
 use unikv_sstable::{BlockCache, Table, TableOptions};
 use unikv_vlog::ValueLog;
 use unikv_wal::LogWriter;
-
-/// Name of the hash-index checkpoint file within a partition directory.
-pub const INDEX_CKPT: &str = "INDEX.ckpt";
-
-/// Encode a *self-describing* hash-index checkpoint: the numbers of the
-/// unsorted tables the snapshot covers travel inside the file, followed
-/// by the index snapshot itself (which carries its own CRC).
-///
-/// The covered list must live in this file, not in `META`: the two are
-/// written at different instants, so a crash between them would otherwise
-/// pair a checkpoint with the other side's table list — recovery would
-/// then skip re-indexing tables the checkpoint never contained, silently
-/// losing keys from the hash index.
-pub(crate) fn encode_index_ckpt(tables: &[u64], index: &TwoLevelHashIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint64(&mut out, tables.len() as u64);
-    for t in tables {
-        put_varint64(&mut out, *t);
-    }
-    out.extend_from_slice(&index.checkpoint());
-    out
-}
-
-/// Decode a checkpoint written by [`encode_index_ckpt`]. Any framing or
-/// CRC problem is an error; callers fall back to rebuilding the index
-/// from the tables themselves.
-pub(crate) fn decode_index_ckpt(data: &[u8]) -> Result<(Vec<u64>, TwoLevelHashIndex)> {
-    let (count, mut pos) = get_varint64(data)?;
-    let mut tables = Vec::with_capacity(count.min(4096) as usize);
-    for _ in 0..count {
-        let (t, n) = get_varint64(&data[pos..])?;
-        pos += n;
-        tables.push(t);
-    }
-    Ok((tables, TwoLevelHashIndex::restore(&data[pos..])?))
-}
 
 /// A sealed (immutable) memtable handed off to background maintenance,
 /// together with the WAL file that protects it until its flush commits.
@@ -69,8 +30,8 @@ pub struct SealedMem {
 
 /// Live state of one partition.
 pub struct Partition {
-    /// Persistent metadata (mirrors the last committed META snapshot plus
-    /// in-flight changes about to be committed).
+    /// Persistent metadata (the last committed state plus in-flight
+    /// changes about to be committed).
     pub meta: PartitionMeta,
     /// Active memtable.
     pub mem: Arc<MemTable>,
@@ -89,8 +50,9 @@ pub struct Partition {
     /// mutex so readers holding only the database read lock can populate
     /// the cache.
     pub tables: parking_lot::Mutex<HashMap<u64, Arc<Table>>>,
-    /// Flushes since the last index checkpoint.
-    pub flushes_since_ckpt: u32,
+    /// Entries `index` gained since the last manifest commit, in
+    /// insertion order: the next commit logs them with the table list.
+    pub unlogged: Vec<IndexEntry>,
 }
 
 impl Partition {
@@ -179,12 +141,6 @@ pub fn table_options_with_io(
         cache,
         io,
     }
-}
-
-/// Compute the index-checkpoint cadence from options (`unsorted_limit/2`
-/// flushes in the paper; explicit knob here).
-pub fn checkpoint_due(opts: &UniKvOptions, flushes_since: u32) -> bool {
-    flushes_since >= opts.index_checkpoint_interval
 }
 
 #[cfg(test)]
@@ -294,7 +250,7 @@ mod tests {
                 unikv_vlog::ValueLog::open(env, "/vlog", 0, 1 << 20).unwrap(),
             )),
             tables: parking_lot::Mutex::new(HashMap::new()),
-            flushes_since_ckpt: 0,
+            unlogged: Vec::new(),
         }
     }
 }

@@ -1,11 +1,13 @@
-//! Offline database scrub: walk every file the `META` snapshot commits to
+//! Offline database scrub: walk every file the `MANIFEST` commits to
 //! and verify it end to end, without opening (and thus mutating) the
 //! database. Backs `dbtool verify` and the corruption-recovery tests.
 //!
 //! The scrub is read-only and keeps going after the first problem so one
 //! pass reports *all* damaged files:
 //!
-//! * `META` — decoded (embedded CRC).
+//! * `MANIFEST` — strict replay of every record (framing CRCs): a torn
+//!   final record is crash residue, damage with intact records after it
+//!   is corruption.
 //! * SSTables (both tiers) — existence, recorded size, and a full
 //!   iteration so every data block's checksum is verified.
 //! * WALs (active + sealed) — strict replay: a torn tail is normal crash
@@ -13,12 +15,10 @@
 //!   as a write batch. A missing WAL file is *not* damage (a crash before
 //!   the first synced append legitimately leaves none).
 //! * Value logs (owned + inherited) — every record's framing and CRC.
-//! * `INDEX.ckpt` — restore attempt (embedded CRC). Damage here is
-//!   reported but recoverable: recovery rebuilds the index from tables.
 
 use crate::batch::decode_batch_record;
-use crate::meta::DbMeta;
-use crate::partition::{decode_index_ckpt, table_options, INDEX_CKPT};
+use crate::meta::{read_manifest, MANIFEST};
+use crate::partition::table_options;
 use crate::resolver::partition_dir;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -35,8 +35,7 @@ use unikv_wal::{LogReader, ReadOutcome};
 pub struct FileDamage {
     /// Path of the damaged file.
     pub path: PathBuf,
-    /// File kind: `"META"`, `"sstable"`, `"wal"`, `"vlog"`, or
-    /// `"index-ckpt"`.
+    /// File kind: `"MANIFEST"`, `"sstable"`, `"wal"` or `"vlog"`.
     pub kind: &'static str,
     /// Human-readable description of the damage.
     pub detail: String,
@@ -68,7 +67,7 @@ impl VerifyReport {
 
 /// Read every entry of the table at `path`, which verifies the footer,
 /// the index block, and each data block's checksum. Also checks the file
-/// size against the size `META` recorded at commit time.
+/// size against the size the manifest recorded at commit time.
 fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u64> {
     if !env.file_exists(path) {
         return Err(Error::corruption("file missing"));
@@ -109,25 +108,26 @@ fn verify_wal(env: &Arc<dyn Env>, path: &Path) -> Result<u64> {
 /// Requires exclusive access to a *closed* database: unlike
 /// [`crate::UniKv::open`], nothing is flushed, committed, or deleted.
 /// Returns `Err` only for environment-level failures (e.g. the root or
-/// `META` cannot be read at all); verification findings land in the
+/// `MANIFEST` cannot be read at all); verification findings land in the
 /// report.
 pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyReport> {
     let root = root.as_ref();
     let mut report = VerifyReport::default();
 
-    let meta_path = root.join("META");
+    let manifest = root.join(MANIFEST);
     report.files_checked += 1;
-    if !env.file_exists(&meta_path) {
-        report.flag(&meta_path, "META", "missing (database never created?)");
-        return Ok(report);
-    }
-    let meta = match DbMeta::decode(&env.read_to_vec(&meta_path)?) {
-        Ok(m) => m,
-        Err(e) => {
-            report.flag(&meta_path, "META", e.to_string());
-            // Without META there is no file inventory to scrub against.
+    let meta = match read_manifest(env.as_ref(), root) {
+        Ok(Some(state)) => state.meta,
+        Ok(None) => {
+            report.flag(&manifest, "MANIFEST", "missing (database never created?)");
             return Ok(report);
         }
+        Err(e) if e.is_corruption() => {
+            report.flag(&manifest, "MANIFEST", e.to_string());
+            // Without the manifest there is no file inventory to scrub.
+            return Ok(report);
+        }
+        Err(e) => return Err(e),
     };
 
     // Shared logs may be referenced by several partitions; scrub each once.
@@ -168,16 +168,6 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
             }
             if let Err(e) = verify_vlog_file(env.as_ref(), &path) {
                 report.flag(&path, "vlog", e.to_string());
-            }
-        }
-        let ckpt = dir.join(INDEX_CKPT);
-        if env.file_exists(&ckpt) {
-            report.files_checked += 1;
-            if let Err(e) = env
-                .read_to_vec(&ckpt)
-                .and_then(|data| decode_index_ckpt(&data).map(|_| ()))
-            {
-                report.flag(&ckpt, "index-ckpt", e.to_string());
             }
         }
     }
@@ -221,7 +211,7 @@ mod tests {
         let env = MemEnv::shared();
         let report = verify_db(env.clone() as Arc<dyn Env>, "/nowhere").unwrap();
         assert_eq!(report.damage.len(), 1);
-        assert_eq!(report.damage[0].kind, "META");
+        assert_eq!(report.damage[0].kind, "MANIFEST");
     }
 
     #[test]
@@ -229,7 +219,10 @@ mod tests {
         let env = MemEnv::shared();
         build_db(&env);
         // Find any committed table and damage the middle of it.
-        let meta = DbMeta::decode(&env.read_to_vec(Path::new("/db/META")).unwrap()).unwrap();
+        let meta = read_manifest(env.as_ref(), Path::new("/db"))
+            .unwrap()
+            .unwrap()
+            .meta;
         let p = &meta.partitions[0];
         let t = p.sorted.first().or(p.unsorted.first()).unwrap();
         let path = filenames::table_file(&partition_dir(Path::new("/db"), p.id), t.number);

@@ -127,7 +127,7 @@ fn merge_leaves_other_partitions_hot_blocks_cached() {
 }
 
 /// A flush whose install fails at the commit point evicts the blocks it
-/// admitted: nothing in the cache belongs to a table META never named.
+/// admitted: nothing in the cache belongs to a table the manifest never named.
 #[test]
 fn aborted_flush_install_leaves_no_admitted_blocks() {
     for background_jobs in [0, 2] {

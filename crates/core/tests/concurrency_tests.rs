@@ -7,9 +7,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unikv::{HealthState, UniKv, UniKvOptions};
+use unikv::{HealthState, JobKind, UniKv, UniKvOptions};
 use unikv_common::rng::DetRng;
-use unikv_env::fault::FaultInjectionEnv;
+use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
 
 fn bg_opts(jobs: usize) -> UniKvOptions {
@@ -164,7 +164,7 @@ fn stress_mixed_workload_with_background_maintenance() {
     verify(&db);
 
     // Clean recovery: drop (joins workers; queued jobs abandoned) and
-    // reopen in inline mode — sealed WALs committed in META are replayed.
+    // reopen in inline mode — sealed WALs committed in the manifest are replayed.
     drop(Arc::try_unwrap(db).ok().expect("all clones joined"));
     let db = UniKv::open(env, "/db", UniKvOptions::small_for_tests()).unwrap();
     verify(&db);
@@ -240,7 +240,7 @@ fn writes_proceed_while_merges_run() {
     }
 }
 
-/// A background job failing permanently (outside the META commit step)
+/// A background job failing permanently (outside the manifest commit step)
 /// no longer poisons the database: the job is quarantined, the stuck
 /// flush drives health to ReadOnly — writes fail fast with a typed
 /// `Error::ReadOnly` while reads keep serving — and once the fault
@@ -251,12 +251,27 @@ fn worker_failure_quarantines_and_database_self_heals() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
     let db = UniKv::open(fault.clone(), "/db", bg_opts(1)).unwrap();
 
+    // Every table append fails: a flush fails in its build, never at the
+    // manifest commit (whose permanent failure would poison instead).
+    let table_appends_fail = || {
+        FaultPlan::new(1).rule(
+            FaultRule::new(FaultOp::Append, FaultAction::Fail)
+                .on_path(".sst")
+                .sticky(),
+        )
+    };
+    let flush_quarantined = |db: &UniKv| {
+        db.health_report()
+            .quarantined
+            .iter()
+            .any(|q| q.kind == JobKind::Flush)
+    };
     let mut quarantined = false;
     let mut i = 0u32;
     'rounds: for _ in 0..50 {
-        fault.clear_failures();
+        fault.clear_plan();
         // Write until a fresh background job is enqueued, then make every
-        // append fail while it (or its successor) is still in flight.
+        // table append fail while it (or its successor) is still in flight.
         let scheduled = stat(&db, "maint_jobs_scheduled");
         loop {
             match db.put(format!("k{i:06}").as_bytes(), &[9u8; 200]) {
@@ -265,12 +280,7 @@ fn worker_failure_quarantines_and_database_self_heals() {
                     quarantined = true;
                     break 'rounds;
                 }
-                Err(_) => {
-                    // A foreground WAL append caught the injected failure
-                    // from a previous round; keep going.
-                    fault.clear_failures();
-                    continue;
-                }
+                Err(e) => panic!("unexpected write error: {e}"),
                 Ok(()) => {}
             }
             i += 1;
@@ -278,14 +288,14 @@ fn worker_failure_quarantines_and_database_self_heals() {
                 break;
             }
         }
-        fault.fail_after_appends(0);
+        fault.set_plan(table_appends_fail());
         db.wait_for_background();
-        if !db.health_report().quarantined.is_empty() {
+        if flush_quarantined(&db) {
             quarantined = true;
             break 'rounds;
         }
     }
-    assert!(quarantined, "background failures never quarantined a job");
+    assert!(quarantined, "background failures never quarantined a flush");
 
     // Quarantine, not poison: the injected failure is permanent but not a
     // commit-step failure, so the database stays alive.
@@ -304,7 +314,7 @@ fn worker_failure_quarantines_and_database_self_heals() {
 
     // Fault clears → the periodic quarantine probe re-runs the flush,
     // which now succeeds, and health recovers on its own.
-    fault.clear_failures();
+    fault.clear_plan();
     let deadline = Instant::now() + Duration::from_secs(30);
     while db.health() != HealthState::Healthy && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -321,7 +331,7 @@ fn worker_failure_quarantines_and_database_self_heals() {
 
 /// Crash (power failure) with sealed memtables pending flush: with
 /// synced writes, everything acknowledged is recovered by replaying the
-/// sealed WALs recorded in META.
+/// sealed WALs recorded in the manifest.
 #[test]
 fn crash_with_sealed_memtables_recovers_from_sealed_wals() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());

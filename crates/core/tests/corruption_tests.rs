@@ -1,14 +1,15 @@
 //! Corruption-recovery suite: flip bytes in every on-disk file type
-//! (WAL, SSTable, value log, META, index checkpoint) and assert the
-//! engine under `paranoid_checks` either refuses to open with
-//! `Error::Corruption`, serves reads that are individually correct or
-//! typed corruption errors — but **never** silently wrong values — or,
-//! for redundant structures, recovers cleanly. The offline scrub
+//! (WAL, SSTable, value log, MANIFEST) and assert the engine under
+//! `paranoid_checks` either refuses to open with `Error::Corruption` or
+//! serves reads that are individually correct or typed corruption errors
+//! — but **never** silently wrong values. A torn final manifest record is
+//! crash residue and reopens to the commit before it. The offline scrub
 //! (`verify_db`) must localize the damage in every case.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use unikv::meta::{read_manifest, MANIFEST};
 use unikv::{verify_db, UniKv, UniKvOptions};
 use unikv_env::fault::FaultInjectionEnv;
 use unikv_env::mem::MemEnv;
@@ -59,11 +60,11 @@ fn build_db(fault: &Arc<FaultInjectionEnv>) -> BTreeMap<Vec<u8>, Vec<u8>> {
     model
 }
 
-/// Every file under the partitions recorded in META whose name ends with
-/// `suffix`, largest first (the interesting one to damage).
+/// Every file under the partitions recorded in the manifest whose name
+/// ends with `suffix`, largest first (the interesting one to damage).
 fn files_with_suffix(env: &Arc<FaultInjectionEnv>, suffix: &str) -> Vec<(PathBuf, u64)> {
-    let root = std::path::Path::new(ROOT);
-    let meta = unikv::meta::DbMeta::decode(&env.read_to_vec(&root.join("META")).unwrap()).unwrap();
+    let root = Path::new(ROOT);
+    let meta = read_manifest(env.as_ref(), root).unwrap().unwrap().meta;
     let mut out = Vec::new();
     for p in &meta.partitions {
         let dir = unikv::resolver::partition_dir(root, p.id);
@@ -102,16 +103,38 @@ fn assert_no_silent_garbage(db: &UniKv, model: &BTreeMap<Vec<u8>, Vec<u8>>) -> u
     corrupt
 }
 
+/// Byte offsets at which each record of the manifest log starts, and the
+/// file length. Records of these tests fit one 32 KiB log block, so each
+/// is one fragment: a 7-byte header (CRC, 2-byte length, type) and its
+/// payload.
+fn manifest_records(env: &FaultInjectionEnv) -> (Vec<u64>, u64) {
+    let data = env.read_to_vec(&Path::new(ROOT).join(MANIFEST)).unwrap();
+    assert!(data.len() < 32 << 10, "records must fit one log block");
+    let mut starts = Vec::new();
+    let mut pos = 0usize;
+    while pos + 7 <= data.len() {
+        starts.push(pos as u64);
+        pos += 7 + u16::from_le_bytes([data[pos + 4], data[pos + 5]]) as usize;
+    }
+    assert_eq!(pos, data.len(), "manifest framing");
+    (starts, data.len() as u64)
+}
+
 #[test]
 fn corrupt_meta_fails_open_with_typed_error() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
     build_db(&fault);
-    let meta = std::path::Path::new(ROOT).join("META");
-    let size = fault.file_size(&meta).unwrap();
-    fault.flip_byte(&meta, size / 2).unwrap();
+    // Damage the snapshot record that opens the manifest.
+    let manifest = Path::new(ROOT).join(MANIFEST);
+    let (starts, _) = manifest_records(&fault);
+    assert!(starts.len() > 1, "edits follow the snapshot");
+    fault.flip_byte(&manifest, starts[1] / 2).unwrap();
 
     let report = verify_db(fault.clone() as Arc<dyn Env>, ROOT).unwrap();
-    assert!(report.damage.iter().any(|d| d.kind == "META"), "{report:?}");
+    assert!(
+        report.damage.iter().any(|d| d.kind == "MANIFEST"),
+        "{report:?}"
+    );
 
     let err = match UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, paranoid()) {
         Ok(_) => panic!("paranoid open must fail"),
@@ -238,30 +261,104 @@ fn corrupt_vlog_value_inside_scan_run_fails_scan() {
     }
 }
 
+/// A bit flip in an edit record with intact records after it cannot be
+/// crash residue: open fails with a typed error in every mode, and the
+/// scrub reports the manifest.
 #[test]
-fn corrupt_index_checkpoint_recovers_cleanly() {
+fn corrupt_manifest_middle_record_fails_open() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
-    let model = build_db(&fault);
-    let (ckpt, size) = {
-        // The checkpoint lives beside the tables in each partition dir.
-        let found = files_with_suffix(&fault, "INDEX.ckpt");
-        match found.into_iter().next() {
-            Some(f) => f,
-            None => return, // no checkpoint written at this scale: nothing to corrupt
-        }
-    };
-    fault.flip_byte(&ckpt, size / 2).unwrap();
+    build_db(&fault);
+    let manifest = Path::new(ROOT).join(MANIFEST);
+    let (starts, len) = manifest_records(&fault);
+    assert!(starts.len() >= 3, "snapshot, then edits: {starts:?}");
+    let mid = starts.len() / 2;
+    let end = starts.get(mid + 1).copied().unwrap_or(len);
+    fault.flip_byte(&manifest, (starts[mid] + end) / 2).unwrap();
 
     let report = verify_db(fault.clone() as Arc<dyn Env>, ROOT).unwrap();
-    assert!(
-        report.damage.iter().any(|d| d.kind == "index-ckpt"),
-        "{report:?}"
+    assert_eq!(report.damage.len(), 1, "{report:?}");
+    assert_eq!(report.damage[0].kind, "MANIFEST");
+    assert_eq!(report.damage[0].path, manifest);
+
+    for o in [opts(), paranoid()] {
+        let err = match UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, o) {
+            Ok(_) => panic!("open must fail"),
+            Err(e) => e,
+        };
+        assert!(err.is_corruption(), "got: {err}");
+        assert!(err.to_string().contains(MANIFEST), "got: {err}");
+    }
+}
+
+/// A torn final record (a crash mid-append) is dropped: the database
+/// reopens to the commit before it and serves that state exactly.
+#[test]
+fn torn_manifest_tail_reopens_to_previous_commit() {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let mut model = BTreeMap::new();
+    {
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()).unwrap();
+        for i in 0..300u64 {
+            let (k, v) = (format_key(i), make_value(i, 1, 80));
+            db.put(&k, &v).unwrap();
+            model.insert(k, v);
+        }
+        db.flush().unwrap();
+    }
+    let root = Path::new(ROOT);
+    {
+        // The flush's install appends the last record. Stop it right after
+        // that commit, before it deletes the flushed WAL: the state a crash
+        // that tore the append would have left behind, bar the tear below.
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()).unwrap();
+        db.put(b"late-key", b"late-value").unwrap();
+        db.sync_points().arm(Arc::new(|name| match name {
+            "flush:cleanup" => Err(unikv_common::Error::internal("stop before cleanup")),
+            _ => Ok(()),
+        }));
+        assert!(db.flush().is_err());
+    }
+    let after = read_manifest(fault.as_ref(), root).unwrap().unwrap().meta;
+    let manifest = root.join(MANIFEST);
+    let data = fault.read_to_vec(&manifest).unwrap();
+    let (starts, _) = manifest_records(&fault);
+    let last = *starts.last().unwrap() as usize;
+    assert!(last > 0);
+    // Keep the last record's header and half its payload, as a crash
+    // between two writes of the append would.
+    let torn = last + 7 + (data.len() - last - 7) / 2;
+    let mut w = fault.new_writable(&manifest).unwrap();
+    w.append(&data[..torn]).unwrap();
+    w.sync().unwrap();
+    drop(w);
+    let recovered = read_manifest(fault.as_ref(), root).unwrap().unwrap().meta;
+    let tables =
+        |m: &unikv::meta::DbMeta| -> usize { m.partitions.iter().map(|p| p.unsorted.len()).sum() };
+    assert_eq!(
+        tables(&recovered) + 1,
+        tables(&after),
+        "the flush was torn away"
+    );
+    assert_eq!(
+        verify_db(fault.clone() as Arc<dyn Env>, ROOT)
+            .unwrap()
+            .damage
+            .len(),
+        0,
+        "a torn tail is not damage"
     );
 
-    // The checkpoint is redundant (tables are the truth): recovery must
-    // fall back to rebuilding the index and serve everything correctly.
     let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, paranoid()).unwrap();
     assert_eq!(assert_no_silent_garbage(&db, &model), 0);
+    // The sealed WAL the surviving commit names still holds the late write.
+    assert_eq!(db.get(b"late-key").unwrap(), Some(b"late-value".to_vec()));
+    drop(db);
+    // The reopen wrote a fresh snapshot: no torn bytes remain.
+    let (starts, len) = manifest_records(&fault);
+    assert!(len > 0 && !starts.is_empty());
+    assert!(verify_db(fault.clone() as Arc<dyn Env>, ROOT)
+        .unwrap()
+        .is_clean());
 }
 
 #[test]

@@ -285,7 +285,7 @@ fn crash_without_sync_loses_only_memtable_tail() {
     }
     fault.crash().unwrap();
     let db = UniKv::open(fault.clone(), "/db", UniKvOptions::small_for_tests()).unwrap();
-    // Everything that reached a flushed table (committed via META) must be
+    // Everything that reached a flushed table (committed via the manifest) must be
     // present; only unsynced WAL tail may be missing. Count survivors.
     let mut survivors = 0;
     for i in 0..800u32 {

@@ -449,7 +449,7 @@ fn reopen_starts_clean_and_counts_recovery_io_only_in_io_families() {
 }
 
 /// A work counter never runs ahead of the state it describes: when a
-/// structural operation fails at its commit point, before META commits,
+/// structural operation fails at its commit point, before the manifest commits,
 /// none of its counters moves.
 #[test]
 fn failed_commits_leave_work_counters_unmoved() {

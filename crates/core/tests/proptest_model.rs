@@ -157,7 +157,6 @@ fn tiny_opts() -> UniKvOptions {
         partition_size_limit: 16 << 10,
         max_log_size: 4 << 10,
         gc_min_bytes: 4 << 10,
-        index_checkpoint_interval: 2,
         block_cache_bytes: 64 << 10,
         ..Default::default()
     }

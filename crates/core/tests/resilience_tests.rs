@@ -3,7 +3,7 @@
 //! Poisoned — and the database must heal itself once the storm clears,
 //! with zero lost acked writes and zero resurrected deletes (checked live
 //! and again across a crash + paranoid reopen). A permanent failure of
-//! the META commit step must still poison with a typed error.
+//! the manifest commit step must still poison with a typed error.
 //!
 //! On failure, the failing fault plan (seed + injected fault events) is
 //! written to `target/tmp/fault-suite/` so CI can upload it as an
@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use unikv::meta::read_manifest;
 use unikv::{HealthState, UniKv, UniKvOptions};
 use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
@@ -77,8 +78,8 @@ fn fail_with_plan(scenario: &str, seed: u64, fault: &FaultInjectionEnv, msg: Str
 
 /// A seeded storm of *transient* faults: a bounded number of failures on
 /// table/value-log appends (the first ENOSPC-tagged, exercising the
-/// ReadOnly watchdog) and on syncs anywhere (WAL, build files, META
-/// temp), after which every operation succeeds again.
+/// ReadOnly watchdog) and on syncs anywhere (WAL, build files,
+/// manifest), after which every operation succeeds again.
 fn storm_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
         .rule(
@@ -335,8 +336,70 @@ fn storage_full_goes_read_only_then_recovers() {
     }
 }
 
-/// The preserved fail-stop path: a *permanent* failure of the atomic META
-/// commit still poisons the database with a typed error.
+/// Transient, torn manifest writes in background jobs, at least one of
+/// them an append to the log: each job retries, and the next commit
+/// rewrites the manifest as a fresh snapshot rather than appending after
+/// the torn bytes. The database stays healthy, and after a crash it
+/// reopens (strict manifest replay) to the model.
+#[test]
+fn transient_manifest_append_failure_retries_then_reopens_to_model() {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    // Snapshot rewrites go through `MANIFEST.tmp`; appends hit the log.
+    let torn_append =
+        |f: &FaultInjectionEnv| f.fault_events().iter().any(|e| e.ends_with("/db/MANIFEST"));
+    let mut model = Model::new();
+    {
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts(1)).unwrap();
+        let mut i = 0u64;
+        let mut put = |db: &UniKv, model: &mut Model| {
+            let (k, v) = (format_key(i % KEY_SPACE), make_value(i, 5, VALUE_LEN));
+            db.put(&k, &v).unwrap();
+            model.insert(k, Some(v));
+            i += 1;
+        };
+        // Arm the fault only while the foreground is idle, so it lands on
+        // a worker's commit: write until a job is queued, then wait.
+        for _ in 0..200 {
+            let scheduled = stat(&db, "maint_jobs_scheduled");
+            while stat(&db, "maint_jobs_scheduled") == scheduled {
+                put(&db, &mut model);
+            }
+            fault.set_plan(
+                FaultPlan::new(9).rule(
+                    FaultRule::new(FaultOp::Append, FaultAction::TornAppend)
+                        .on_path("MANIFEST")
+                        .error_kind(std::io::ErrorKind::Interrupted),
+                ),
+            );
+            db.wait_for_background();
+            fault.clear_plan();
+            if torn_append(&fault) {
+                break;
+            }
+        }
+        assert!(torn_append(&fault), "no manifest append was torn");
+        assert!(stat(&db, "maint_job_retries") >= 1, "no retry");
+        assert!(wait_healthy(&db, Duration::from_secs(30)));
+        assert_eq!(db.background_error(), None, "a transient failure poisoned");
+        // The next commits must not append after the torn bytes: the log
+        // still replays strictly.
+        put(&db, &mut model);
+        db.flush().unwrap();
+        read_manifest(fault.as_ref(), std::path::Path::new("/db")).unwrap();
+        // Keep committing after the retry: every later record must stay
+        // readable past the torn bytes' old position.
+        for _ in 0..400 {
+            put(&db, &mut model);
+        }
+        db.wait_for_background();
+        check_live(&db, &model).unwrap();
+    }
+    fault.crash().unwrap();
+    check_recovery(fault.clone(), &model, &HashSet::new()).unwrap();
+}
+
+/// The preserved fail-stop path: a *permanent* failure of the manifest
+/// append still poisons the database with a typed error.
 #[test]
 fn permanent_commit_failure_still_poisons() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
@@ -347,7 +410,7 @@ fn permanent_commit_failure_still_poisons() {
     'rounds: for _ in 0..50 {
         fault.clear_plan();
         // Write until a fresh background job is enqueued, then fail every
-        // META commit rename while it is (or its successor is) in flight.
+        // manifest append while it is (or its successor is) in flight.
         let scheduled = stat(&db, "maint_jobs_scheduled");
         loop {
             match db.put(&format_key(i), &make_value(i, 3, VALUE_LEN)) {
@@ -364,8 +427,8 @@ fn permanent_commit_failure_still_poisons() {
         }
         fault.set_plan(
             FaultPlan::new(2).rule(
-                FaultRule::new(FaultOp::Rename, FaultAction::Fail)
-                    .on_path("META")
+                FaultRule::new(FaultOp::Append, FaultAction::Fail)
+                    .on_path("MANIFEST")
                     .sticky(),
             ),
         );
@@ -375,7 +438,10 @@ fn permanent_commit_failure_still_poisons() {
             break 'rounds;
         }
     }
-    assert!(poisoned, "permanent META-commit failures never poisoned");
+    assert!(
+        poisoned,
+        "permanent manifest-commit failures never poisoned"
+    );
     fault.clear_plan();
 
     assert_eq!(db.health(), HealthState::Poisoned);
@@ -383,7 +449,7 @@ fn permanent_commit_failure_still_poisons() {
     let err = db.put(b"after", b"x").unwrap_err().to_string();
     assert!(err.contains("poisoned"), "unexpected error: {err}");
     let report = db.health_report();
-    assert!(report.background_error.unwrap().contains("META"));
+    assert!(report.background_error.unwrap().contains("manifest"));
     // Reads still serve committed data.
     db.get(&format_key(0)).unwrap();
     db.scan(&format_key(0), 10).unwrap();

@@ -11,10 +11,9 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use unikv::meta::DbMeta;
+use unikv::meta::read_manifest;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
-use unikv_env::Env;
 
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 
@@ -35,9 +34,10 @@ fn opts(background_jobs: usize) -> UniKvOptions {
     }
 }
 
-/// UnsortedStore table count of every partition, as META last committed it.
+/// UnsortedStore table count of every partition, as the manifest last
+/// committed it.
 fn unsorted_tables(env: &MemEnv) -> Vec<usize> {
-    let meta = DbMeta::decode(&env.read_to_vec(Path::new("/db/META")).unwrap()).unwrap();
+    let meta = read_manifest(env, Path::new("/db")).unwrap().unwrap().meta;
     meta.partitions.iter().map(|p| p.unsorted.len()).collect()
 }
 

@@ -28,7 +28,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use unikv_common::rng::DetRng;
 use unikv_common::{Error, Result};
 
@@ -272,6 +272,10 @@ struct Tracking {
     synced_len: HashMap<PathBuf, u64>,
     /// Files created through this wrapper since construction/last crash.
     created: HashMap<PathBuf, bool>, // value: ever synced
+    /// The current path of every writable handed out. A rename moves an
+    /// open file, as on POSIX: later appends and syncs through the handle
+    /// land in (and make durable) the file under its new name.
+    handles: Vec<Weak<Mutex<PathBuf>>>,
 }
 
 /// Env wrapper that can simulate crashes and scripted fault plans.
@@ -395,31 +399,37 @@ impl FaultInjectionEnv {
 
 struct TrackedWritable {
     inner: Box<dyn WritableFile>,
-    path: PathBuf,
+    /// Shared with [`Tracking::handles`] so renames retarget it.
+    path: Arc<Mutex<PathBuf>>,
     tracking: Arc<Mutex<Tracking>>,
     appends_until_failure: Arc<AtomicI64>,
     shared: Arc<FaultShared>,
 }
 
+impl TrackedWritable {
+    fn path(&self) -> PathBuf {
+        self.path.lock().clone()
+    }
+}
+
 impl WritableFile for TrackedWritable {
     fn append(&mut self, data: &[u8]) -> Result<()> {
+        let path = self.path();
         let remaining = self.appends_until_failure.load(Ordering::SeqCst);
         if remaining == 0 {
-            return Err(injected_error("write", &self.path));
+            return Err(injected_error("write", &path));
         }
         if remaining > 0 {
             self.appends_until_failure.fetch_sub(1, Ordering::SeqCst);
         }
-        match self.shared.check(FaultOp::Append, &self.path) {
-            Some((FaultAction::Fail, _, kind)) => {
-                Err(injected_error_kind("write", &self.path, kind))
-            }
+        match self.shared.check(FaultOp::Append, &path) {
+            Some((FaultAction::Fail, _, kind)) => Err(injected_error_kind("write", &path, kind)),
             Some((FaultAction::TornAppend, salt, kind)) => {
                 if !data.is_empty() {
                     let keep = (salt % data.len() as u64) as usize;
                     self.inner.append(&data[..keep])?;
                 }
-                Err(injected_error_kind("torn write", &self.path, kind))
+                Err(injected_error_kind("torn write", &path, kind))
             }
             Some((FaultAction::FlipBit, salt, _)) => {
                 if data.is_empty() {
@@ -435,22 +445,24 @@ impl WritableFile for TrackedWritable {
     }
 
     fn flush(&mut self) -> Result<()> {
-        if let Some((_, _, kind)) = self.shared.check(FaultOp::Flush, &self.path) {
-            return Err(injected_error_kind("flush", &self.path, kind));
+        let path = self.path();
+        if let Some((_, _, kind)) = self.shared.check(FaultOp::Flush, &path) {
+            return Err(injected_error_kind("flush", &path, kind));
         }
         self.inner.flush()
     }
 
     fn sync(&mut self) -> Result<()> {
-        if let Some((_, _, kind)) = self.shared.check(FaultOp::Sync, &self.path) {
+        let path = self.path();
+        if let Some((_, _, kind)) = self.shared.check(FaultOp::Sync, &path) {
             // A failed fsync leaves everything since the last barrier
             // volatile: do NOT advance the synced prefix.
-            return Err(injected_error_kind("sync", &self.path, kind));
+            return Err(injected_error_kind("sync", &path, kind));
         }
         self.inner.sync()?;
         let mut t = self.tracking.lock();
-        t.synced_len.insert(self.path.clone(), self.inner.len());
-        if let Some(ever) = t.created.get_mut(&self.path) {
+        t.synced_len.insert(path.clone(), self.inner.len());
+        if let Some(ever) = t.created.get_mut(&path) {
             *ever = true;
         }
         Ok(())
@@ -521,12 +533,15 @@ impl Env for FaultInjectionEnv {
             return Err(injected_error_kind("open-for-write", path, kind));
         }
         let inner = self.inner.new_writable(path)?;
+        let handle = Arc::new(Mutex::new(path.to_path_buf()));
         let mut t = self.tracking.lock();
         t.created.entry(path.to_path_buf()).or_insert(false);
         t.synced_len.insert(path.to_path_buf(), 0);
+        t.handles.retain(|h| h.strong_count() > 0);
+        t.handles.push(Arc::downgrade(&handle));
         Ok(Box::new(TrackedWritable {
             inner,
-            path: path.to_path_buf(),
+            path: handle,
             tracking: self.tracking.clone(),
             appends_until_failure: self.appends_until_failure.clone(),
             shared: self.shared.clone(),
@@ -588,6 +603,12 @@ impl Env for FaultInjectionEnv {
         if let Some(ever) = t.created.remove(from) {
             t.created.insert(to.to_path_buf(), ever);
         }
+        for handle in t.handles.iter().filter_map(Weak::upgrade) {
+            let mut p = handle.lock();
+            if *p == from {
+                *p = to.to_path_buf();
+            }
+        }
         Ok(())
     }
 
@@ -646,6 +667,21 @@ mod tests {
         env.write_atomic(Path::new("/manifest"), b"meta").unwrap();
         env.crash().unwrap();
         assert_eq!(env.read_to_vec(Path::new("/manifest")).unwrap(), b"meta");
+    }
+
+    #[test]
+    fn renamed_open_file_keeps_syncing_under_its_new_name() {
+        let env = FaultInjectionEnv::new(MemEnv::shared());
+        let mut w = env.new_writable(Path::new("/m.tmp")).unwrap();
+        w.append(b"snap").unwrap();
+        w.sync().unwrap();
+        env.rename(Path::new("/m.tmp"), Path::new("/m")).unwrap();
+        w.append(b"+edit").unwrap();
+        w.sync().unwrap();
+        w.append(b"+lost").unwrap();
+        env.crash().unwrap();
+        assert_eq!(env.read_to_vec(Path::new("/m")).unwrap(), b"snap+edit");
+        assert!(!env.file_exists(Path::new("/m.tmp")));
     }
 
     #[test]

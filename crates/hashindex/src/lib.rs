@@ -23,18 +23,25 @@
 //!
 //! Memory: the paper budgets ~8 bytes per resident KV at ~80% bucket
 //! utilization, i.e. ~10 MB per 1 GB of 1 KiB KVs (<1%);
-//! [`TwoLevelHashIndex::memory_bytes`] reports that logical figure. The
-//! index is checkpointable for crash recovery (paper §Crash Consistency: a
-//! checkpoint every `unsorted_limit/2` flushes).
+//! [`TwoLevelHashIndex::memory_bytes`] reports that logical figure.
+//!
+//! **Persistence.** [`TwoLevelHashIndex::insert`] returns the `(bucket,
+//! tag)` it placed, so the engine can log each new table's entries with
+//! the commit that adds the table (paper §Crash Consistency). Recovery
+//! feeds the logged entries of the still-live tables back in log order
+//! through [`TwoLevelHashIndex::replay`]. Chains only ever grow at their
+//! newest end and [`TwoLevelHashIndex::remove_tables`] keeps arena order,
+//! so this rebuilds exactly the chains the index had, without reading a
+//! table. [`TwoLevelHashIndex::entries`] lists the live entries in that
+//! same order for a fresh snapshot.
 
 #[cfg(test)]
 mod reference;
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use unikv_common::coding::{get_varint32, put_fixed32, put_varint32, try_decode_fixed32};
 use unikv_common::hash::{bucket_hash, key_tag, FAMILY};
-use unikv_common::{crc32c, Error, Result};
+use unikv_common::{Error, Result};
 
 /// Logical bytes per entry, per the paper's memory analysis.
 pub const ENTRY_BYTES: usize = 8;
@@ -44,9 +51,6 @@ pub const DEFAULT_NUM_HASHES: usize = 2;
 
 /// Default target bucket utilization used by [`TwoLevelHashIndex::with_capacity`].
 pub const DEFAULT_LOAD_FACTOR: f64 = 0.8;
-
-/// Bytes one entry takes in a checkpoint: `tag(2) table_id(4)`.
-const CKPT_ENTRY_BYTES: usize = 6;
 
 /// Empty chain: a bucket head or `next` pointer that names no entry.
 const NIL: u32 = u32::MAX;
@@ -88,11 +92,15 @@ struct AtomicStats {
 /// use unikv_hashindex::TwoLevelHashIndex;
 ///
 /// let mut index = TwoLevelHashIndex::with_capacity(1_000, 2);
-/// index.insert(b"user42", 7);
+/// let (bucket, tag) = index.insert(b"user42", 7);
 /// assert!(index.candidates(b"user42").any(|t| t == 7));
 /// assert_eq!(index.memory_bytes(), 8); // 8 bytes per entry, as in the paper
-/// let restored = TwoLevelHashIndex::restore(&index.checkpoint()).unwrap();
-/// assert!(restored.candidates(b"user42").any(|t| t == 7));
+///
+/// // Replaying the logged placement rebuilds the same chains.
+/// let mut recovered = TwoLevelHashIndex::with_capacity(1_000, 2);
+/// recovered.replay(bucket, tag, 7).unwrap();
+/// assert!(recovered.candidates(b"user42").any(|t| t == 7));
+/// assert_eq!(recovered.entries(), index.entries());
 /// ```
 pub struct TwoLevelHashIndex {
     /// Per bucket, the arena index of its newest entry, or [`NIL`].
@@ -184,7 +192,9 @@ impl TwoLevelHashIndex {
     }
 
     /// Record that `key` now resides in UnsortedStore table `table_id`.
-    pub fn insert(&mut self, key: &[u8], table_id: u32) {
+    /// Returns the `(bucket, tag)` the entry was placed with: logged, it
+    /// lets [`replay`](Self::replay) rebuild the entry without the key.
+    pub fn insert(&mut self, key: &[u8], table_id: u32) -> (u32, u16) {
         let primary = (0..self.num_hashes)
             .map(|i| self.bucket_of(key, i))
             .find(|&b| self.heads[b] == NIL);
@@ -199,7 +209,43 @@ impl TwoLevelHashIndex {
                 self.bucket_of(key, self.num_hashes - 1)
             }
         };
-        self.push(b, key_tag(key), table_id);
+        let tag = key_tag(key);
+        self.push(b, tag, table_id);
+        (b as u32, tag)
+    }
+
+    /// Link in an entry logged from [`insert`](Self::insert) as the newest
+    /// of `bucket`. Replaying a table's logged entries in log order
+    /// reproduces the chains `insert` built. A bucket outside this index
+    /// (a log written with another geometry, or damaged) is corruption.
+    pub fn replay(&mut self, bucket: u32, tag: u16, table_id: u32) -> Result<()> {
+        if bucket as usize >= self.heads.len() {
+            return Err(Error::corruption(format!(
+                "hash index entry names bucket {bucket} of {}",
+                self.heads.len()
+            )));
+        }
+        self.push(bucket as usize, tag, table_id);
+        Ok(())
+    }
+
+    /// Every entry as `(bucket, tag, table_id)`, oldest first: the order
+    /// in which [`replay`](Self::replay) rebuilds this index exactly.
+    pub fn entries(&self) -> Vec<(u32, u16, u32)> {
+        // Arena order is insertion order; the chains supply the buckets.
+        let mut bucket_of = vec![0u32; self.arena.len()];
+        for (b, &head) in self.heads.iter().enumerate() {
+            let mut cur = head;
+            while cur != NIL {
+                bucket_of[cur as usize] = b as u32;
+                cur = self.arena[cur as usize].next;
+            }
+        }
+        self.arena
+            .iter()
+            .zip(bucket_of)
+            .map(|(e, b)| (b, e.tag, e.table_id))
+            .collect()
     }
 
     /// Candidate table ids for `key`, newest first. May contain false
@@ -274,80 +320,6 @@ impl TwoLevelHashIndex {
     pub fn clear(&mut self) {
         self.heads.fill(NIL);
         self.arena.clear();
-    }
-
-    /// Serialize the index for checkpointing. Format:
-    /// `fixed32(num_buckets) fixed32(num_hashes)
-    ///  [varint32(len) (fixed-6 entry)*]* fixed32(masked crc)`,
-    /// each bucket's entries oldest first.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(8 + self.arena.len() * CKPT_ENTRY_BYTES + self.heads.len() + 4);
-        put_fixed32(&mut out, self.heads.len() as u32);
-        put_fixed32(&mut out, self.num_hashes as u32);
-        for &head in &self.heads {
-            let len = self.chain(head).count();
-            put_varint32(&mut out, len as u32);
-            // The chain runs newest-first: fill the bucket's run backwards.
-            let mut end = out.len() + len * CKPT_ENTRY_BYTES;
-            out.resize(end, 0);
-            for e in self.chain(head) {
-                let rec = &mut out[end - CKPT_ENTRY_BYTES..end];
-                rec[..2].copy_from_slice(&e.tag.to_le_bytes());
-                rec[2..].copy_from_slice(&e.table_id.to_le_bytes());
-                end -= CKPT_ENTRY_BYTES;
-            }
-        }
-        let crc = crc32c::mask(crc32c::value(&out));
-        put_fixed32(&mut out, crc);
-        out
-    }
-
-    /// Restore an index from a checkpoint produced by [`checkpoint`](Self::checkpoint).
-    pub fn restore(data: &[u8]) -> Result<Self> {
-        if data.len() < 12 {
-            return Err(Error::corruption("hash index checkpoint too small"));
-        }
-        let body = &data[..data.len() - 4];
-        let stored = try_decode_fixed32(&data[data.len() - 4..])?;
-        if crc32c::unmask(stored) != crc32c::value(body) {
-            return Err(Error::corruption("hash index checkpoint crc mismatch"));
-        }
-        let num_buckets = try_decode_fixed32(body)? as usize;
-        let num_hashes = try_decode_fixed32(&body[4..])? as usize;
-        // Every bucket takes at least one length byte, which bounds both
-        // the bucket count (before allocating heads) and the entry count.
-        if num_buckets == 0
-            || num_buckets > body.len() - 8
-            || num_buckets >= NIL as usize
-            || !(1..=FAMILY.len()).contains(&num_hashes)
-        {
-            return Err(Error::corruption("hash index checkpoint header invalid"));
-        }
-        let mut idx = TwoLevelHashIndex::new(num_buckets, num_hashes);
-        idx.arena
-            .reserve(body.len().saturating_sub(8 + num_buckets) / CKPT_ENTRY_BYTES);
-        let mut pos = 8usize;
-        for b in 0..num_buckets {
-            let (len, n) = get_varint32(&body[pos..])
-                .map_err(|_| Error::corruption("hash index checkpoint truncated"))?;
-            pos += n;
-            let run = (len as usize)
-                .checked_mul(CKPT_ENTRY_BYTES)
-                .and_then(|bytes| body.get(pos..pos.checked_add(bytes)?))
-                .ok_or_else(|| Error::corruption("hash index checkpoint truncated entry"))?;
-            // Oldest first, so each push becomes the bucket's newest.
-            for rec in run.chunks_exact(CKPT_ENTRY_BYTES) {
-                let tag = u16::from_le_bytes([rec[0], rec[1]]);
-                let table_id = u32::from_le_bytes([rec[2], rec[3], rec[4], rec[5]]);
-                idx.push(b, tag, table_id);
-            }
-            pos += run.len();
-        }
-        if pos != body.len() {
-            return Err(Error::corruption("hash index checkpoint trailing bytes"));
-        }
-        Ok(idx)
     }
 }
 
@@ -446,63 +418,40 @@ mod tests {
         }
     }
 
+    /// Replay `idx.entries()` into a fresh index of the same geometry, as
+    /// recovery does with the entries a manifest snapshot checkpoints.
+    fn rebuild(idx: &TwoLevelHashIndex) -> TwoLevelHashIndex {
+        let mut out = TwoLevelHashIndex::new(idx.num_buckets(), idx.num_hashes);
+        for (b, tag, table) in idx.entries() {
+            out.replay(b, tag, table).unwrap();
+        }
+        out
+    }
+
     #[test]
     fn checkpoint_roundtrip() {
         let mut idx = TwoLevelHashIndex::with_capacity(500, 2);
         for i in 0..500u64 {
             idx.insert(&key(i), (i % 5) as u32);
         }
-        let snap = idx.checkpoint();
-        let restored = TwoLevelHashIndex::restore(&snap).unwrap();
+        let restored = rebuild(&idx);
         assert_eq!(restored.len(), idx.len());
         assert_eq!(restored.num_buckets(), idx.num_buckets());
+        assert_eq!(restored.entries(), idx.entries());
         for i in 0..500u64 {
             assert_eq!(cands(&restored, &key(i)), cands(&idx, &key(i)));
         }
     }
 
     #[test]
-    fn checkpoint_corruption_detected() {
-        let mut idx = TwoLevelHashIndex::with_capacity(10, 2);
-        idx.insert(b"a", 1);
-        let mut snap = idx.checkpoint();
-        let n = snap.len();
-        snap[n / 2] ^= 0xff;
-        assert!(TwoLevelHashIndex::restore(&snap).is_err());
-        assert!(TwoLevelHashIndex::restore(&snap[..4]).is_err());
-        assert!(TwoLevelHashIndex::restore(&[]).is_err());
-
-        // Structurally bad bodies under a valid CRC.
-        let with_crc = |body: &[u8]| {
-            let mut out = body.to_vec();
-            put_fixed32(&mut out, crc32c::mask(crc32c::value(body)));
-            out
-        };
-        let header = |buckets: u32, hashes: u32| {
-            let mut out = Vec::new();
-            put_fixed32(&mut out, buckets);
-            put_fixed32(&mut out, hashes);
-            out
-        };
-        let good = idx.checkpoint();
-        let body = &good[..good.len() - 4];
-        let cases: [(&str, Vec<u8>); 5] = [
-            ("zero buckets", header(0, 2)),
-            ("bad hash count", header(1, 5)),
-            // Rejected before 4 GiB of bucket heads are allocated.
-            ("more buckets than bytes", header(1 << 30, 2)),
-            (
-                "truncated entry",
-                [&header(1, 2)[..], &[1, 0xaa, 0xbb]].concat(),
-            ),
-            ("trailing bytes", [body, &[0][..]].concat()),
-        ];
-        for (what, body) in cases {
-            assert!(
-                TwoLevelHashIndex::restore(&with_crc(&body)).is_err(),
-                "{what}"
-            );
-        }
+    fn replay_rejects_out_of_range_bucket() {
+        let mut idx = TwoLevelHashIndex::new(16, 2);
+        let err = idx.replay(16, 0xabcd, 1).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(idx.replay(u32::MAX, 0, 1).unwrap_err().is_corruption());
+        assert!(idx.is_empty(), "a rejected entry must not be linked");
+        idx.replay(15, 0xabcd, 1).unwrap();
+        assert_eq!(idx.entries(), vec![(15, 0xabcd, 1)]);
     }
 
     #[test]
@@ -516,9 +465,9 @@ mod tests {
 
     /// Replay a random op sequence on the flat index and on the earlier
     /// `Vec`-per-bucket layout, asserting after every op that both give the
-    /// same candidates (order included), length and checkpoint bytes. The
-    /// shim does not shrink, so every failure message names the seed that
-    /// reproduces it.
+    /// same candidates (order included), length and per-bucket entries.
+    /// The shim does not shrink, so every failure message names the seed
+    /// that reproduces it.
     fn differential_run(seed: u64, num_buckets: usize, num_hashes: usize) {
         use crate::reference::VecIndex;
         use unikv_common::rng::DetRng;
@@ -543,11 +492,14 @@ mod tests {
                     oracle.remove_tables(&victims);
                 }
                 90..=96 => {
-                    // Cross-restore: each layout reads the other's bytes.
-                    flat = TwoLevelHashIndex::restore(&oracle.checkpoint())
-                        .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                    oracle = VecIndex::restore(&flat.checkpoint())
-                        .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+                    // Rebuild the flat index from its own entries.
+                    let mut rebuilt = TwoLevelHashIndex::new(num_buckets, num_hashes);
+                    for (b, tag, table) in flat.entries() {
+                        rebuilt
+                            .replay(b, tag, table)
+                            .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+                    }
+                    flat = rebuilt;
                 }
                 _ => {
                     flat.clear();
@@ -555,7 +507,11 @@ mod tests {
                 }
             }
             assert_eq!(flat.len(), oracle.len(), "{ctx}: len");
-            assert_eq!(flat.checkpoint(), oracle.checkpoint(), "{ctx}: checkpoint");
+            let mut per_bucket = vec![Vec::new(); num_buckets];
+            for (b, tag, table) in flat.entries() {
+                per_bucket[b as usize].push((tag, table));
+            }
+            assert_eq!(per_bucket, oracle.buckets(), "{ctx}: entries");
             for k in &keys {
                 assert_eq!(cands(&flat, k), oracle.candidates(k), "{ctx}: candidates");
             }
@@ -596,10 +552,53 @@ mod tests {
             for (k, t) in &keys {
                 idx.insert(k, *t);
             }
-            let restored = TwoLevelHashIndex::restore(&idx.checkpoint()).unwrap();
+            let restored = rebuild(&idx);
             prop_assert_eq!(restored.len(), idx.len());
+            prop_assert_eq!(restored.entries(), idx.entries());
             for (k, _) in &keys {
                 prop_assert_eq!(cands(&restored, k), cands(&idx, k));
+            }
+        }
+
+        /// Insert random tables, record what `insert` returned, drop
+        /// random subsets with `remove_tables`, then replay the surviving
+        /// tables' recorded entries in insertion order into a fresh index:
+        /// it must answer every key exactly as the original does.
+        #[test]
+        fn prop_replay_of_survivors_rebuilds_index(
+            tables in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..10), 1..40),
+                1..12),
+            removals in proptest::collection::vec(
+                proptest::collection::vec(0u32..12, 0..4), 0..4),
+            num_buckets in 1usize..64,
+            num_hashes in 1usize..=4,
+        ) {
+            let mut idx = TwoLevelHashIndex::new(num_buckets, num_hashes);
+            let mut logged: Vec<(u32, Vec<(u32, u16)>)> = Vec::new();
+            let mut dead = HashSet::new();
+            for (t, keys) in tables.iter().enumerate() {
+                let t = t as u32;
+                logged.push((t, keys.iter().map(|k| idx.insert(k, t)).collect()));
+                // Interleave removals with inserts, as merges do.
+                if let Some(victims) = removals.get(t as usize) {
+                    let victims: HashSet<u32> =
+                        victims.iter().copied().filter(|&v| v <= t).collect();
+                    idx.remove_tables(&victims);
+                    dead.extend(victims);
+                }
+            }
+            let mut replayed = TwoLevelHashIndex::new(num_buckets, num_hashes);
+            for (t, entries) in logged.iter().filter(|(t, _)| !dead.contains(t)) {
+                for &(b, tag) in entries {
+                    replayed.replay(b, tag, *t).unwrap();
+                }
+            }
+            prop_assert_eq!(replayed.len(), idx.len());
+            prop_assert_eq!(replayed.memory_bytes(), idx.memory_bytes());
+            prop_assert_eq!(replayed.entries(), idx.entries());
+            for k in tables.iter().flatten() {
+                prop_assert_eq!(cands(&replayed, k), cands(&idx, k));
             }
         }
     }

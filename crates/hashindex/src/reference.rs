@@ -1,12 +1,10 @@
 //! The index's earlier layout — one `Vec` of entries per bucket — kept as
 //! the oracle for the differential test of the flat layout. Placement,
-//! probe order and checkpoint bytes are the specification the flat index
-//! must reproduce exactly.
+//! probe order and per-bucket entry order are the specification the flat
+//! index must reproduce exactly.
 
 use std::collections::HashSet;
-use unikv_common::coding::{get_varint32, put_fixed32, put_varint32, try_decode_fixed32};
 use unikv_common::hash::{bucket_hash, key_tag};
-use unikv_common::{crc32c, Error, Result};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
@@ -90,57 +88,11 @@ impl VecIndex {
         self.entries = 0;
     }
 
-    pub(crate) fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.entries * 6 + self.buckets.len());
-        put_fixed32(&mut out, self.buckets.len() as u32);
-        put_fixed32(&mut out, self.num_hashes as u32);
-        for bucket in &self.buckets {
-            put_varint32(&mut out, bucket.len() as u32);
-            for e in bucket {
-                out.extend_from_slice(&e.tag.to_le_bytes());
-                out.extend_from_slice(&e.table_id.to_le_bytes());
-            }
-        }
-        let crc = crc32c::mask(crc32c::value(&out));
-        put_fixed32(&mut out, crc);
-        out
-    }
-
-    pub(crate) fn restore(data: &[u8]) -> Result<Self> {
-        if data.len() < 12 {
-            return Err(Error::corruption("hash index checkpoint too small"));
-        }
-        let body = &data[..data.len() - 4];
-        let stored = try_decode_fixed32(&data[data.len() - 4..])?;
-        if crc32c::unmask(stored) != crc32c::value(body) {
-            return Err(Error::corruption("hash index checkpoint crc mismatch"));
-        }
-        let num_buckets = try_decode_fixed32(body)? as usize;
-        let num_hashes = try_decode_fixed32(&body[4..])? as usize;
-        if num_buckets == 0 || !(1..=unikv_common::hash::FAMILY.len()).contains(&num_hashes) {
-            return Err(Error::corruption("hash index checkpoint header invalid"));
-        }
-        let mut idx = VecIndex::new(num_buckets, num_hashes);
-        let mut pos = 8usize;
-        for b in 0..num_buckets {
-            let (len, n) = get_varint32(&body[pos..])
-                .map_err(|_| Error::corruption("hash index checkpoint truncated"))?;
-            pos += n;
-            for _ in 0..len {
-                if pos + 6 > body.len() {
-                    return Err(Error::corruption("hash index checkpoint truncated entry"));
-                }
-                let tag = u16::from_le_bytes(body[pos..pos + 2].try_into().expect("2 bytes"));
-                let table_id =
-                    u32::from_le_bytes(body[pos + 2..pos + 6].try_into().expect("4 bytes"));
-                idx.buckets[b].push(Entry { tag, table_id });
-                idx.entries += 1;
-                pos += 6;
-            }
-        }
-        if pos != body.len() {
-            return Err(Error::corruption("hash index checkpoint trailing bytes"));
-        }
-        Ok(idx)
+    /// Each bucket's `(tag, table_id)` entries, oldest first.
+    pub(crate) fn buckets(&self) -> Vec<Vec<(u16, u32)>> {
+        self.buckets
+            .iter()
+            .map(|b| b.iter().map(|e| (e.tag, e.table_id)).collect())
+            .collect()
     }
 }

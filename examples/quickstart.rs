@@ -63,8 +63,8 @@ fn main() -> unikv_common::Result<()> {
         );
     } // drop = clean-ish shutdown (WAL remains for anything unflushed)
 
-    // Reopen: recovery replays the manifest (META), rebuilds the hash
-    // index from its checkpoint, and replays the WAL tail.
+    // Reopen: recovery replays the manifest, rebuilds the hash index
+    // from the entries logged in it, and replays the WAL tail.
     let db = UniKv::open(env, &dir, UniKvOptions::default())?;
     println!("reopened: city:sh = {:?}", as_str(db.get(b"city:sh")?));
     assert_eq!(db.get(b"city:bj")?, None);

@@ -129,7 +129,7 @@ fn write_errors_do_not_corrupt() {
 }
 
 /// Crashing right after heavy structural activity (merges, GC, splits)
-/// loses nothing: the META commit protocol covers every transition.
+/// loses nothing: the manifest commit protocol covers every transition.
 #[test]
 fn crash_after_structural_operations() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
