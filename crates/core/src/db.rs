@@ -69,6 +69,23 @@ use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 /// does not reserve a huge buffer.
 const SCAN_RESERVE_ITEMS: usize = 1024;
 
+/// Tables the hash index points into (flush and scan-merge outputs) are
+/// written with data blocks of `block_size / HASH_TIER_BLOCK_DIVISOR`, so
+/// a probe that misses the cache reads about 1 KiB instead of 4 KiB and
+/// the block cache holds four times as many hot-record blocks. SortedStore
+/// tables, which scans read, keep `block_size`. 4 is the knee of the
+/// measured curve in DESIGN.md §4 (*Point-read block geometry*).
+const HASH_TIER_BLOCK_DIVISOR: usize = 4;
+
+/// The store a table is written for; it decides the data-block size.
+#[derive(Clone, Copy)]
+enum Tier {
+    /// Hash-indexed UnsortedStore tables: point-read-sized blocks.
+    Unsorted,
+    /// SortedStore tables (full merge, GC, split): `block_size` blocks.
+    Sorted,
+}
+
 thread_local! {
     /// Set when `commit_meta` fails on the current thread. The worker
     /// loop reads it to tell commit-step failures — the only permanent
@@ -210,7 +227,10 @@ impl<'a> TableRoller<'a> {
                 .db
                 .env
                 .new_writable(&filenames::table_file(&self.dir, number))?;
-            self.builder = Some(TableBuilder::new(file, self.db.table_builder_opts()));
+            self.builder = Some(TableBuilder::new(
+                file,
+                self.db.table_builder_opts(Tier::Sorted),
+            ));
             self.tables.push(TableMeta {
                 number,
                 size: 0,
@@ -1615,8 +1635,10 @@ impl DbInner {
     ) -> Result<FlushedTable> {
         self.sync.hit("flush:build")?;
         let path = filenames::table_file(dir, table_number);
-        let mut builder =
-            TableBuilder::new(self.env.new_writable(&path)?, self.table_builder_opts());
+        let mut builder = TableBuilder::new(
+            self.env.new_writable(&path)?,
+            self.table_builder_opts(Tier::Unsorted),
+        );
         if self.topts.cache.is_some() {
             builder.keep_data_blocks();
         }
@@ -1788,9 +1810,13 @@ impl DbInner {
         });
     }
 
-    fn table_builder_opts(&self) -> TableBuilderOptions {
+    fn table_builder_opts(&self, tier: Tier) -> TableBuilderOptions {
+        let block_size = match tier {
+            Tier::Unsorted => self.opts.block_size / HASH_TIER_BLOCK_DIVISOR,
+            Tier::Sorted => self.opts.block_size,
+        };
         TableBuilderOptions {
-            block_size: self.opts.block_size,
+            block_size,
             bloom_bits_per_key: None, // UniKV removes Bloom filters
             ..Default::default()
         }
@@ -1976,7 +2002,7 @@ impl DbInner {
         let mut builder = TableBuilder::new(
             self.env
                 .new_writable(&filenames::table_file(&snap.dir, number))?,
-            self.table_builder_opts(),
+            self.table_builder_opts(Tier::Unsorted),
         );
         let mut index =
             TwoLevelHashIndex::with_capacity(index_capacity(&self.opts), self.opts.num_hashes);

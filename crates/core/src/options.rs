@@ -11,7 +11,10 @@ pub struct UniKvOptions {
     pub write_buffer_size: usize,
     /// Target SSTable size for SortedStore output.
     pub table_size: usize,
-    /// SSTable data-block size (paper: 4 KiB).
+    /// Data-block size of SortedStore tables (paper: 4 KiB). The tables
+    /// the hash index points into (UnsortedStore flush and scan-merge
+    /// outputs) use a quarter of it, so a hash probe reads a
+    /// point-read-sized block.
     pub block_size: usize,
     /// UnsortedStore byte budget; reaching it triggers a merge into the
     /// SortedStore (`UnsortedLimit`).

@@ -1,7 +1,8 @@
 //! The block cache under engine traffic, in inline and background mode:
 //! a flush admits its own blocks, maintenance neither fills the cache nor
 //! evicts other partitions' hot blocks, and an aborted flush install
-//! leaves no admitted block behind.
+//! leaves no admitted block behind. With the cache off, the block a get
+//! reads has the size of its tier's blocks.
 //!
 //! Background mode flushes and merges on a worker thread, so these tests
 //! wait for the queue to drain before they count; they are part of the CI
@@ -154,4 +155,89 @@ fn aborted_flush_install_leaves_no_admitted_blocks() {
         );
         db.sync_points().disarm();
     }
+}
+
+/// Bytes one table entry adds to its user key and value: the 8 B
+/// sequence/type tag, the inline-or-pointer tag, three varint32 lengths
+/// and a restart-array slot.
+const ENTRY_OVERHEAD: usize = 8 + 1 + 3 * 5 + 4;
+
+/// A value about the size of a benchmark record's.
+fn record_value(i: u32) -> Vec<u8> {
+    format!("record-{i:08}-").repeat(16).into_bytes()
+}
+
+/// Get every key in `keys` with the block cache off and check that each
+/// is answered by `tier` after reading exactly one data block of at most
+/// `max_bytes`. Returns the largest block read.
+fn assert_one_small_block_per_get(db: &UniKv, keys: &[u32], tier: &str, max_bytes: u64) -> u64 {
+    let mut largest = 0;
+    for &i in keys {
+        let (reads, bytes) = (
+            counter(db, "sst_block_reads"),
+            counter(db, "sst_block_read_bytes"),
+        );
+        let hits = counter(db, tier);
+        assert_eq!(db.get(&key(i)).unwrap(), Some(record_value(i)));
+        assert_eq!(
+            counter(db, tier),
+            hits + 1,
+            "get of {i} not answered by {tier}"
+        );
+        assert_eq!(counter(db, "sst_block_reads"), reads + 1, "get of {i}");
+        let read = counter(db, "sst_block_read_bytes") - bytes;
+        assert!(
+            read <= max_bytes,
+            "get of {i} ({tier}) read a {read} B block, bound {max_bytes} B"
+        );
+        largest = largest.max(read);
+    }
+    largest
+}
+
+/// A hash-index probe reads a point-read-sized block: the tables the
+/// hash index points into (flush and scan-merge outputs) are written with
+/// `block_size / 4` data blocks, while SortedStore tables keep
+/// `block_size`. With the cache off, every get reads its block from the
+/// file, so `sst_block_read_bytes` measures the block a probe costs.
+#[test]
+fn hash_probes_read_quarter_size_blocks() {
+    let opts = UniKvOptions {
+        block_cache_bytes: 0,
+        ..UniKvOptions::default()
+    };
+    let block_size = opts.block_size;
+    let db = UniKv::open(MemEnv::shared(), "/db", opts).unwrap();
+    let keys: Vec<u32> = (0..400).collect();
+    let record = key(0).len() + record_value(0).len() + ENTRY_OVERHEAD;
+    let hash_bound = (block_size / 4 + record) as u64;
+    // One UnsortedStore table per flush, up to the scan-merge limit.
+    let limit = db.options().scan_merge_limit;
+    for chunk in keys.chunks(keys.len().div_ceil(limit)) {
+        for &i in chunk {
+            db.put(&key(i), &record_value(i)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let stats = db.stats();
+    assert_eq!(stats.flushes.load(Ordering::Relaxed), limit as u64);
+    assert_eq!(stats.merges.load(Ordering::Relaxed), 0);
+    assert_one_small_block_per_get(&db, &keys, "reads_hit_unsorted", hash_bound);
+
+    // A scan reads the partition, which holds `limit` tables: it
+    // scan-merges them into one hash-indexed table.
+    assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
+    assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 1);
+    assert_one_small_block_per_get(&db, &keys, "reads_hit_unsorted", hash_bound);
+
+    // SortedStore blocks hold keys and value pointers (at most 31 B) at
+    // `block_size`, not at the hash tier's size.
+    db.compact_all().unwrap();
+    assert_eq!(stats.merges.load(Ordering::Relaxed), 1);
+    let sorted_bound = (block_size + key(0).len() + 31 + ENTRY_OVERHEAD) as u64;
+    let largest = assert_one_small_block_per_get(&db, &keys, "reads_hit_sorted", sorted_bound);
+    assert!(
+        largest > hash_bound,
+        "SortedStore blocks of {largest} B: written at the hash tier's size"
+    );
 }

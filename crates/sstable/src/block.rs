@@ -81,13 +81,24 @@ impl BlockBuilder {
         self.entries == 0
     }
 
-    /// Finish the block, returning its payload bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Finish the block: append the restart array and return the payload
+    /// bytes. Call [`BlockBuilder::reset`] before adding to it again.
+    pub fn finish(&mut self) -> &[u8] {
         for &r in &self.restarts {
             put_fixed32(&mut self.buf, r);
         }
         put_fixed32(&mut self.buf, self.restarts.len() as u32);
-        self.buf
+        &self.buf
+    }
+
+    /// Empty the builder for the next block, keeping its buffers.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.restarts.clear();
+        self.restarts.push(0);
+        self.counter = 0;
+        self.last_key.clear();
+        self.entries = 0;
     }
 }
 
@@ -280,7 +291,7 @@ mod tests {
         for (k, v) in entries {
             b.add(k, v);
         }
-        Block::new(b.finish()).unwrap()
+        Block::new(b.finish().to_vec()).unwrap()
     }
 
     #[test]

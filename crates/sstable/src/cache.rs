@@ -285,7 +285,7 @@ mod tests {
     fn block_of(n: usize) -> Arc<Block> {
         let mut b = BlockBuilder::new(16);
         b.add(b"k", &vec![0u8; n]);
-        Arc::new(Block::new(b.finish()).unwrap())
+        Arc::new(Block::new(b.finish().to_vec()).unwrap())
     }
 
     #[test]
@@ -538,7 +538,7 @@ mod proptests {
     fn block_of(n: usize) -> Arc<Block> {
         let mut b = BlockBuilder::new(16);
         b.add(b"k", &vec![0u8; n]);
-        Arc::new(Block::new(b.finish()).unwrap())
+        Arc::new(Block::new(b.finish().to_vec()).unwrap())
     }
 
     proptest! {

@@ -8,7 +8,7 @@
 //! Layout (LevelDB-lineage):
 //!
 //! ```text
-//! [data block]*            4 KiB target, prefix-compressed w/ restarts
+//! [data block]*            `block_size` target, prefix-compressed w/ restarts
 //! [filter block]?          Bloom filter (baselines only; UniKV omits it)
 //! [index block]            one entry per data block: last_key -> handle
 //! [footer]                 filter handle + index handle + magic

@@ -180,25 +180,15 @@ impl Table {
         let block = self.read_data_block(&handle, true)?;
         let mut it = block.iter(self.opts.cmp);
         it.seek(key)?;
-        if it.valid() {
-            return Ok(Some((it.key().to_vec(), it.value().to_vec())));
+        // Index keys are block-last keys, so the block the index selects
+        // holds an entry `>= key`; if it does not, the index disagrees with
+        // its block and the table is damaged.
+        if !it.valid() {
+            return Err(Error::corruption(
+                "index key sorts after every entry of its data block",
+            ));
         }
-        // Key sorts into the gap after this block's last entry; the next
-        // block's first entry is the answer (possible because index keys
-        // are block-last keys, not separators).
-        index_iter.next()?;
-        if !index_iter.valid() {
-            return Ok(None);
-        }
-        let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
-        let block = self.read_data_block(&handle, true)?;
-        let mut it = block.iter(self.opts.cmp);
-        it.seek_to_first()?;
-        if it.valid() {
-            Ok(Some((it.key().to_vec(), it.value().to_vec())))
-        } else {
-            Ok(None)
-        }
+        Ok(Some((it.key().to_vec(), it.value().to_vec())))
     }
 
     /// Iterator over the whole table. Scans and iterators pass
@@ -501,6 +491,56 @@ mod tests {
         assert_eq!(io.block_reads.value(), 1);
         table.evict_from_cache();
         assert_eq!(cache.bytes(), 0);
+    }
+
+    /// Index keys are block-last keys, so `get` finds its answer in the
+    /// one block the index selects: every present key, and every absent
+    /// key that sorts into the gap after a block's last entry, costs
+    /// exactly one block read on an uncached table.
+    #[test]
+    fn get_reads_exactly_one_block() {
+        let env = MemEnv::new();
+        let entries = sample_entries(300);
+        let path = Path::new("/t.sst");
+        let mut b = TableBuilder::new(
+            env.new_writable(path).unwrap(),
+            TableBuilderOptions {
+                block_size: 256,
+                ..Default::default()
+            },
+        );
+        b.keep_data_blocks();
+        for (k, v) in &entries {
+            b.add(k, v).unwrap();
+        }
+        let props = b.finish().unwrap();
+        assert!(
+            props.data_blocks.len() > 20,
+            "the table must span many blocks"
+        );
+        let io = test_io();
+        let opts = TableOptions {
+            cmp: crate::raw_cmp,
+            cache: None,
+            io: Some(io.clone()),
+        };
+        let file = env.new_random_access(path).unwrap();
+        let table = Table::open(file, props.file_size, opts).unwrap();
+        for (i, (k, v)) in entries.iter().enumerate() {
+            let reads = io.block_reads.value();
+            assert_eq!(table.get(k, None).unwrap(), Some((k.clone(), v.clone())));
+            assert_eq!(io.block_reads.value(), reads + 1, "get of {i}");
+            // Sorts between this key and the next one.
+            let mut gap = k.clone();
+            gap.push(b'x');
+            let got = table.get(&gap, None).unwrap();
+            assert_eq!(
+                got.map(|(k, _)| k),
+                entries.get(i + 1).map(|(k, _)| k.clone())
+            );
+            let expect = if i + 1 < entries.len() { 2 } else { 1 };
+            assert_eq!(io.block_reads.value(), reads + expect, "gap after {i}");
+        }
     }
 
     /// Build `entries` into `path` in small blocks and open it on `cache`.
