@@ -51,7 +51,7 @@ use unikv_common::ikey::{
 use unikv_common::metrics::{MetricsClock, MetricsSnapshot, TraceEvent, TraceOp, TraceOutcome};
 use unikv_common::perf::{self, PerfContext, PerfStage};
 use unikv_common::pointer::SeparatedValue;
-use unikv_common::{Error, Result};
+use unikv_common::{Error, Result, ValuePointer};
 use unikv_env::Env;
 use unikv_hashindex::TwoLevelHashIndex;
 use unikv_lsm::db::ScanItem;
@@ -61,7 +61,7 @@ use unikv_lsm::iter::{
 };
 use unikv_memtable::{LookupResult, MemTable};
 use unikv_sstable::{BlockCache, Table, TableBuilder, TableBuilderOptions, TableOptions};
-use unikv_vlog::{parse_vlog_file_name, vlog_file_name, ValueLog};
+use unikv_vlog::{parse_vlog_file_name, record_size, vlog_file_name, ValueLog};
 use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 
 /// A scan reserves `min(limit, SCAN_RESERVE_ITEMS)` items up front: a scan
@@ -877,13 +877,14 @@ impl DbInner {
         Ok(())
     }
 
-    /// Run GC on every partition regardless of the garbage ratio
-    /// (test/maintenance hook).
+    /// Run GC on every partition regardless of the garbage ratio: with a
+    /// victim threshold of 0 every log is a victim, so each partition's
+    /// live values are all rewritten (test/maintenance hook).
     pub fn force_gc(&self) -> Result<()> {
         let _pause = self.pause_maintenance()?;
         let mut core = self.core.write();
         for i in 0..core.partitions.len() {
-            self.gc_partition(&mut core, i, None)?;
+            self.gc_partition(&mut core, i, 0.0, None)?;
         }
         Ok(())
     }
@@ -1517,7 +1518,7 @@ impl DbInner {
         };
         let cause = fin.or(cause);
         if self.gc_due(&core.partitions[pidx]) {
-            self.gc_partition(core, pidx, cause)?;
+            self.gc_partition(core, pidx, self.opts.gc_garbage_ratio, cause)?;
         }
         if self.split_due(&core.partitions[pidx]) {
             self.split_partition(core, pidx, cause)?;
@@ -2121,12 +2122,21 @@ impl DbInner {
         garbage as f64 / total.max(1) as f64 >= self.opts.gc_garbage_ratio
     }
 
-    /// Garbage-collect the partition's value logs: rewrite every live
-    /// value (identified by scanning the SortedStore keys+pointers — no
-    /// index queries, unlike WiscKey) into fresh logs, rewrite the
-    /// SortedStore with the new pointers, drop old and inherited logs.
-    /// Also performs the lazy value split after a partition split.
-    fn gc_partition(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
+    /// Garbage-collect the partition's value logs at log granularity.
+    /// A pointer pass over the SortedStore's keys and pointers (no index
+    /// queries, unlike WiscKey; no value is read) picks the victims: every
+    /// own log whose garbage reaches `ratio` and every inherited log. The
+    /// rewrite pass copies only the values in victims into fresh logs and
+    /// rewrites the SortedStore with their new pointers; every other
+    /// pointer is written back unchanged and its log is kept. Dropping the
+    /// inherited logs is the lazy value split after a partition split.
+    fn gc_partition(
+        &self,
+        core: &mut DbCore,
+        pidx: usize,
+        ratio: f64,
+        cause: Option<u64>,
+    ) -> Result<()> {
         let p = &mut core.partitions[pidx];
         if p.meta.sorted.is_empty() && p.meta.inherited_logs.is_empty() {
             // No pointers can exist; every own log is garbage.
@@ -2143,45 +2153,51 @@ impl DbInner {
         }
         let t0 = self.metrics.registry.now_micros();
         self.sync.hit("gc:begin")?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        let old_logs: Vec<u64> = p.vlog.lock().log_numbers();
+        let pid = p.meta.id;
+        let victims = self.gc_victims(p, ratio)?;
+        if victims.is_empty() && p.meta.inherited_logs.is_empty() {
+            return Ok(()); // every log is live enough to keep
+        }
+        let is_victim = |ptr: &ValuePointer| {
+            ptr.partition != pid || victims.binary_search(&ptr.log_number).is_ok()
+        };
+        let victim_bytes: u64 = {
+            let vlog = p.vlog.lock();
+            victims.iter().filter_map(|&n| vlog.log_size(n)).sum()
+        };
         let scope = OpScope::begin(
             &self.events,
             EventKind::GcStart,
             EventKind::GcAbort,
-            p.meta.id,
+            pid,
             cause,
-            old_logs.clone(),
-            p.vlog.lock().total_size(),
+            victims.clone(),
+            victim_bytes,
         );
 
-        // Step 1+2 of the paper's protocol: identify valid values by
-        // scanning the SortedStore in key order, read them, and append to
+        // Step 1+2 of the paper's protocol: walk the SortedStore in key
+        // order, read the values that live in victims, and append them to
         // a newly created log.
-        p.vlog.lock().rotate()?;
-        let mut run = Vec::with_capacity(p.meta.sorted.len());
-        for tmeta in &p.meta.sorted {
-            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-        }
+        let first_new = p.vlog.lock().rotate()?;
         let vlog = p.vlog.clone();
-        let mut iter = ConcatSource::new(run, false);
-        iter.seek_to_first()?;
-
-        let mut out = TableRoller::new(self, dir);
+        let mut iter = self.sorted_iter(p)?;
+        let mut out = TableRoller::new(self, partition_dir(&self.root, pid));
         let mut written = 0u64;
         let mut live_value_bytes = 0u64;
         while iter.valid() {
             let slot = match SeparatedValue::decode(iter.value())? {
-                SeparatedValue::Pointer(ptr) => {
+                SeparatedValue::Pointer(ptr) if is_victim(&ptr) => {
                     let value = self.resolver.read(&ptr)?;
-                    let new_ptr = vlog.lock().append(&value)?;
                     written += value.len() as u64;
-                    live_value_bytes += new_ptr.length as u64;
-                    SeparatedValue::Pointer(new_ptr)
+                    SeparatedValue::Pointer(vlog.lock().append(&value)?)
                 }
-                inline => inline,
+                slot => slot,
             };
-            // Step 3: write keys with their new pointers back to SSTables.
+            if let SeparatedValue::Pointer(ptr) = &slot {
+                live_value_bytes += ptr.length as u64;
+            }
+            // Step 3: write keys with their (new or kept) pointers back to
+            // SSTables.
             out.add(iter.ikey(), &slot.encode(), &mut || core.alloc_file())?;
             iter.next()?;
         }
@@ -2199,40 +2215,80 @@ impl DbInner {
         let p = &mut core.partitions[pidx];
         let old_tables = std::mem::replace(&mut p.meta.sorted, out.tables);
         let old_inherited = std::mem::take(&mut p.meta.inherited_logs);
-        let new_logs: Vec<u64> = p
-            .vlog
-            .lock()
-            .log_numbers()
-            .into_iter()
-            .filter(|n| !old_logs.contains(n))
-            .collect();
-        p.meta.own_logs = new_logs;
+        p.meta.own_logs = p.vlog.lock().log_numbers();
+        p.meta
+            .own_logs
+            .retain(|n| victims.binary_search(n).is_err());
         p.meta.live_value_bytes = live_value_bytes;
 
-        // Step 4: the manifest commit is the GC_done mark; afterwards old logs
-        // and tables may be deleted.
+        // Step 4: the manifest commit is the GC_done mark; afterwards the
+        // victims and the old tables may be deleted.
         self.sync.hit("gc:commit")?;
         self.commit_meta(core)?;
         UniKvStats::add(&self.stats.gc_bytes_written, written);
         UniKvStats::add(&self.stats.gcs, 1);
-        let new_log_numbers = core.partitions[pidx].meta.own_logs.clone();
-        scope.finish(EventKind::GcFinish, new_log_numbers, written, "");
+        let new_logs: Vec<u64> = core.partitions[pidx]
+            .meta
+            .own_logs
+            .iter()
+            .copied()
+            .filter(|&n| n >= first_new)
+            .collect();
+        scope.finish(EventKind::GcFinish, new_logs, written, "");
         self.sync.hit("gc:cleanup")?;
         let p = &mut core.partitions[pidx];
-        let dir = partition_dir(&self.root, p.meta.id);
+        let dir = partition_dir(&self.root, pid);
         for t in old_tables {
             p.evict_table(t.number);
             self.env
                 .delete_file(&filenames::table_file(&dir, t.number))?;
         }
-        for n in &old_logs {
-            self.resolver.evict(p.meta.id, *n);
+        for &n in &victims {
+            self.resolver.evict(pid, n);
         }
-        let p = &mut core.partitions[pidx];
-        p.vlog.lock().delete_logs(&old_logs)?;
+        p.vlog.lock().delete_logs(&victims)?;
         self.sweep_shared_logs(core, &old_inherited)?;
-        self.record_maint(TraceOp::Gc, t0, core.partitions[pidx].meta.id, written);
+        self.record_maint(TraceOp::Gc, t0, pid, written);
         Ok(())
+    }
+
+    /// GC's pointer pass: the own logs of `p` whose garbage reaches
+    /// `ratio`, ascending. Each log's live bytes are the exact record bytes
+    /// (payload plus framing, as [`ValueLog::log_size`] counts them) that
+    /// the SortedStore's pointers address in it, so a fully live log reads
+    /// 0% garbage and a log no pointer reaches (empty, or left by an
+    /// aborted GC) is a victim at any ratio.
+    fn gc_victims(&self, p: &Partition, ratio: f64) -> Result<Vec<u64>> {
+        let mut live: HashMap<u64, u64> = HashMap::new();
+        let mut iter = self.sorted_iter(p)?;
+        while iter.valid() {
+            if let SeparatedValue::Pointer(ptr) = SeparatedValue::decode(iter.value())? {
+                if ptr.partition == p.meta.id {
+                    *live.entry(ptr.log_number).or_default() += record_size(ptr.length);
+                }
+            }
+            iter.next()?;
+        }
+        let vlog = p.vlog.lock();
+        let mut victims = vlog.log_numbers();
+        victims.retain(|n| {
+            let size = vlog.log_size(*n).unwrap_or(0);
+            let garbage = size.saturating_sub(live.get(n).copied().unwrap_or(0));
+            garbage as f64 >= ratio * size as f64
+        });
+        Ok(victims)
+    }
+
+    /// A maintenance iterator over the partition's SortedStore run,
+    /// positioned at its first entry; reads do not fill the block cache.
+    fn sorted_iter(&self, p: &Partition) -> Result<ConcatSource> {
+        let mut run = Vec::with_capacity(p.meta.sorted.len());
+        for tmeta in &p.meta.sorted {
+            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
+        }
+        let mut iter = ConcatSource::new(run, false);
+        iter.seek_to_first()?;
+        Ok(iter)
     }
 
     /// Delete formerly-inherited log files that no partition references
@@ -2638,7 +2694,7 @@ impl DbInner {
         };
         if self.gc_due(&core.partitions[pidx]) {
             let cause = self.take_job_cause(JobKind::Gc, pid);
-            self.gc_partition(&mut core, pidx, cause)?;
+            self.gc_partition(&mut core, pidx, self.opts.gc_garbage_ratio, cause)?;
         }
         Ok(())
     }
@@ -2778,8 +2834,10 @@ impl UniKv {
         self.inner.compact_all()
     }
 
-    /// Run GC on every partition regardless of the garbage ratio
-    /// (test/maintenance hook).
+    /// Run GC on every partition regardless of the garbage ratio. Every
+    /// value log is a victim, so every live value is rewritten into fresh
+    /// logs (a triggered GC rewrites only the logs that crossed
+    /// `gc_garbage_ratio`; test/maintenance hook).
     pub fn force_gc(&self) -> Result<()> {
         self.inner.force_gc()
     }

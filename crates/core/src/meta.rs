@@ -98,7 +98,12 @@ pub struct PartitionMeta {
     /// pointers in this partition's SortedStore.
     pub inherited_logs: Vec<LogRef>,
     /// Sum of live separated-value lengths in the SortedStore (GC trigger
-    /// bookkeeping; recomputed at each merge).
+    /// bookkeeping; recomputed at each merge). These are payload bytes,
+    /// while log sizes count whole records (length prefix and CRC too):
+    /// at 256 B values the two units are about 2.3% apart, so the
+    /// partition-wide ratio in `gc_due` reads slightly more garbage than
+    /// GC's per-log victim test, which sums record bytes. The split
+    /// trigger (`Partition::logical_size`) also reads this field.
     pub live_value_bytes: u64,
     /// WAL numbers of sealed (immutable) memtables awaiting a background
     /// flush, oldest first. Recovery replays them before the active WAL.

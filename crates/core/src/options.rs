@@ -32,8 +32,11 @@ pub struct UniKvOptions {
     pub partition_size_limit: u64,
     /// Value-log file rotation size (GC granularity).
     pub max_log_size: u64,
-    /// Run GC after a merge when dead log bytes exceed this fraction of
-    /// total log bytes.
+    /// Run GC after a flush or merge when dead log bytes reach this
+    /// fraction of the partition's total log bytes. The same fraction is
+    /// the per-log victim threshold: the GC rewrites only the logs whose
+    /// own garbage reaches it (and every log inherited from a split
+    /// parent) and keeps the rest as they are.
     pub gc_garbage_ratio: f64,
     /// Minimum log bytes before GC is considered at all.
     pub gc_min_bytes: u64,

@@ -4,16 +4,21 @@
 //! recovered database matches a model — no lost acked writes, no
 //! resurrected deletes. Both the inline (`background_jobs = 0`) and the
 //! background-worker mode are covered, plus seeded random crash points
-//! under background jobs.
+//! under background jobs. The GC points are crashed a second time in a
+//! triggered GC that keeps logs below the garbage ratio, a path
+//! `force_gc` (every log a victim) never takes.
 //!
 //! On failure, the failing fault plan (seed, crash point, injected fault
 //! events) is written to `target/tmp/fault-suite/` so CI can upload it
 //! as an artifact. Override the random seed with `UNIKV_FAULT_SEED`.
 
+mod gc_scenario;
+
+use gc_scenario::Scenario;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use unikv::{UniKv, UniKvOptions, SYNC_POINTS};
+use unikv::{verify_db, UniKv, UniKvOptions, SYNC_POINTS};
 use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
 use unikv_env::Env;
@@ -136,7 +141,17 @@ fn check_recovery(
     model: &Model,
     in_flight: Option<&[u8]>,
 ) -> Result<(), String> {
-    let db = UniKv::open(env as Arc<dyn Env>, "/db", reopen_opts())
+    check_recovery_with(env, reopen_opts(), model, in_flight)
+}
+
+/// [`check_recovery`] reopening with `opts`.
+fn check_recovery_with(
+    env: Arc<FaultInjectionEnv>,
+    opts: UniKvOptions,
+    model: &Model,
+    in_flight: Option<&[u8]>,
+) -> Result<(), String> {
+    let db = UniKv::open(env as Arc<dyn Env>, "/db", opts)
         .map_err(|e| format!("recovery open failed: {e}"))?;
     for (k, expect) in model {
         // The op interrupted by the crash was never acked: both its old
@@ -227,6 +242,85 @@ fn crash_matrix_inline_mode_covers_every_sync_point() {
 fn crash_matrix_background_mode_covers_every_sync_point() {
     for point in SYNC_POINTS {
         crash_at_point(point, 2);
+    }
+}
+
+/// Crash at GC sync point `point` (first hit) of the GC that
+/// [`Scenario::trigger`] reaches through the normal trigger path, one
+/// that keeps two own logs. Recovery must match the model, the scrub
+/// must find no damage before or after the reopen, and the kept fresh log
+/// must survive in every case.
+fn crash_in_gc_that_keeps_logs(point: &'static str, background_jobs: usize) {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let fired = Arc::new(AtomicBool::new(false));
+    let opts = UniKvOptions {
+        sync_writes: true,
+        ..gc_scenario::opts(background_jobs)
+    };
+    let (model, in_flight, fresh) = {
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts.clone()).unwrap();
+        let mut s = Scenario::build(&db, fault.as_ref()).unwrap();
+        let f = fired.clone();
+        db.sync_points().arm(Arc::new(move |name| {
+            if name == point && !f.swap(true, Ordering::SeqCst) {
+                return Err(unikv_common::Error::internal(format!(
+                    "injected crash at {name}"
+                )));
+            }
+            Ok(())
+        }));
+        let _ = s.trigger(&db);
+        db.sync_points().disarm();
+        // As in `crash_at_point`: a later commit would persist anything
+        // the aborted GC left half-applied in memory.
+        for i in 0..20u64 {
+            let k = format_key(10 * gc_scenario::KEYS + i);
+            let v = make_value(i, 99, VALUE_LEN);
+            if db.put(&k, &v).is_ok() {
+                s.model.insert(k, v);
+            }
+        }
+        let _ = db.flush();
+        let model: Model = s.model.into_iter().map(|(k, v)| (k, Some(v))).collect();
+        (model, s.in_flight, s.fresh)
+    };
+    fault.crash().unwrap();
+    assert!(
+        fired.load(Ordering::SeqCst),
+        "sync point {point} never fired with background_jobs={background_jobs}"
+    );
+    let scenario = format!(
+        "kept-log-gc-{}-bg{background_jobs}",
+        point.replace(':', "-")
+    );
+    let fail = |msg: String| fail_with_plan(&scenario, 0, &fault, format!("[{point}] {msg}"));
+    let scrub = |when: &str| {
+        let report = verify_db(fault.clone() as Arc<dyn Env>, "/db").unwrap();
+        if !report.is_clean() {
+            fail(format!("scrub {when} reopen: {:?}", report.damage));
+        }
+    };
+    scrub("before");
+    let reopen = UniKvOptions {
+        paranoid_checks: true,
+        background_jobs: 0,
+        ..opts
+    };
+    if let Err(msg) = check_recovery_with(fault.clone(), reopen, &model, in_flight.as_deref()) {
+        fail(msg);
+    }
+    scrub("after");
+    if !gc_scenario::logs(fault.as_ref(), 0).contains_key(&fresh) {
+        fail(format!("fresh log {fresh} is gone"));
+    }
+}
+
+#[test]
+fn crash_matrix_covers_gc_that_keeps_logs() {
+    for background_jobs in [0, 2] {
+        for point in ["gc:begin", "gc:build", "gc:commit", "gc:cleanup"] {
+            crash_in_gc_that_keeps_logs(point, background_jobs);
+        }
     }
 }
 

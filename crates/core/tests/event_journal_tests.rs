@@ -4,6 +4,8 @@
 //! panicking listener is caught and counted without poisoning the
 //! database, and a damaged journal never fails `UniKv::open`.
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use unikv::{
@@ -12,6 +14,7 @@ use unikv::{
 };
 use unikv_env::mem::MemEnv;
 use unikv_env::Env;
+use unikv_vlog::parse_vlog_file_name;
 
 fn key(i: u64) -> Vec<u8> {
     format!("user{i:08}").into_bytes()
@@ -275,4 +278,94 @@ fn disabled_journal_writes_nothing() {
     assert_eq!(db.listener_panics(), 0);
     assert!(!env.file_exists(std::path::Path::new("/db").join(EVENTS_FILE).as_path()));
     assert!(!env.file_exists(std::path::Path::new("/db").join(EVENTS_OLD_FILE).as_path()));
+}
+
+/// Value logs as `(partition, log number)`.
+type Logs = BTreeSet<(u32, u64)>;
+
+/// The value logs of every partition directory under `/db`.
+fn all_logs(env: &MemEnv) -> Logs {
+    let mut out = BTreeSet::new();
+    for dir in env.list_dir(Path::new("/db")).unwrap() {
+        let Some(pid) = dir.to_str().and_then(|d| d.strip_prefix('p')?.parse().ok()) else {
+            continue;
+        };
+        for name in env.list_dir(&Path::new("/db").join(&dir)).unwrap() {
+            out.extend(
+                name.to_str()
+                    .and_then(parse_vlog_file_name)
+                    .map(|n| (pid, n)),
+            );
+        }
+    }
+    out
+}
+
+/// Each published event with the value logs on disk when it fired.
+struct Snapshots {
+    env: Arc<MemEnv>,
+    seen: Mutex<Vec<(Event, Logs)>>,
+}
+
+impl EventListener for Snapshots {
+    fn on_event(&self, e: &Event) {
+        let logs = all_logs(&self.env);
+        self.seen.lock().unwrap().push((e.clone(), logs));
+    }
+}
+
+/// GC events name only the logs GC touches: the start event lists the
+/// victim logs, and the partition's logs the GC deletes (gone by the next
+/// event of the run, as only a partition's own GC deletes its logs) are
+/// exactly those. The finish event lists the new logs, none of which is
+/// an input. Some GC of the run keeps a log, so the inputs are not simply
+/// every log.
+#[test]
+fn gc_deletes_exactly_the_logs_its_start_event_names() {
+    let env = MemEnv::shared();
+    let snapshots = Arc::new(Snapshots {
+        env: env.clone(),
+        seen: Mutex::new(Vec::new()),
+    });
+    let mut opts = journal_opts();
+    opts.listeners.push(snapshots.clone());
+    let db = UniKv::open(env.clone(), "/db", opts).unwrap();
+    drive(&db, 10_000);
+    drop(db);
+
+    let mut seen = std::mem::take(&mut *snapshots.seen.lock().unwrap());
+    let end = seen.last().unwrap().0.clone();
+    seen.push((end, all_logs(&env)));
+    let (mut gcs, mut kept) = (0, 0);
+    for (i, (start, before)) in seen.iter().enumerate() {
+        if start.kind != EventKind::GcStart {
+            continue;
+        }
+        let f = i + seen[i..]
+            .iter()
+            .position(|(e, _)| e.cause == Some(start.seq))
+            .expect("a GC start without its end");
+        let finish = &seen[f].0;
+        assert_eq!(finish.kind, EventKind::GcFinish, "GC aborted: {finish:?}");
+        assert!(
+            finish.outputs.iter().all(|n| !start.inputs.contains(n)),
+            "a new log is also an input: {start:?} {finish:?}"
+        );
+        let own = |logs: &Logs| -> Vec<u64> {
+            logs.iter()
+                .filter(|l| l.0 == start.partition)
+                .map(|l| l.1)
+                .collect()
+        };
+        let after = own(&seen[f + 1].1);
+        let deleted: Vec<u64> = own(before)
+            .into_iter()
+            .filter(|n| !after.contains(n))
+            .collect();
+        assert_eq!(deleted, start.inputs, "GC deletes differ from its inputs");
+        gcs += 1;
+        kept += usize::from(own(before).len() > start.inputs.len());
+    }
+    assert!(gcs > 0, "the workload ran no GC");
+    assert!(kept > 0, "none of the {gcs} GCs kept a log");
 }

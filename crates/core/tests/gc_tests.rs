@@ -1,0 +1,179 @@
+//! Log-granularity GC: a triggered GC rewrites only the value logs whose
+//! own garbage ratio reached `gc_garbage_ratio`, plus every log inherited
+//! from a split parent, and keeps every other log byte for byte.
+
+mod gc_scenario;
+
+use gc_scenario::{logs, opts, Scenario, KEYS, ROOT, VALUE_LEN};
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use unikv::{UniKv, UniKvOptions};
+use unikv_env::mem::MemEnv;
+use unikv_env::Env;
+use unikv_workload::{format_key, make_value};
+
+/// Gets and a full scan return exactly the model.
+fn check_model(db: &UniKv, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
+    for (k, v) in model {
+        assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "get {k:?}");
+    }
+    let scanned: Vec<(Vec<u8>, Vec<u8>)> = db
+        .scan(b"", model.len() + 10)
+        .unwrap()
+        .into_iter()
+        .map(|it| (it.key, it.value))
+        .collect();
+    let expect: Vec<(Vec<u8>, Vec<u8>)> =
+        model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    assert!(scanned == expect, "scan diverged from the model");
+}
+
+/// The scenario's triggered GC deletes exactly the logs at or above the
+/// ratio and leaves the others, fresh one included, byte for byte.
+fn kept_logs_survive_a_triggered_gc(background_jobs: usize) {
+    let env = MemEnv::shared();
+    let opts = opts(background_jobs);
+    let ratio = opts.gc_garbage_ratio;
+    let db = UniKv::open(env.clone(), ROOT, opts.clone()).unwrap();
+    let mut s = Scenario::build(&db, env.as_ref()).unwrap();
+    let before = logs(env.as_ref(), 0);
+    let garbage = s.garbage(&before);
+    assert_eq!(garbage[&s.fresh], 0.0, "the fresh log is fully live");
+    let victims: Vec<u64> = garbage
+        .iter()
+        .filter(|(_, &g)| g >= ratio)
+        .map(|(&n, _)| n)
+        .collect();
+    assert_eq!(victims.len(), 2, "garbage per log: {garbage:?}");
+    assert!(
+        garbage.values().any(|&g| g > 0.0 && g < ratio),
+        "the scenario must hold a kept log with some garbage: {garbage:?}"
+    );
+
+    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 0);
+    s.trigger(&db).unwrap();
+    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 1, "one GC ran");
+
+    let after = logs(env.as_ref(), 0);
+    for (n, bytes) in &before {
+        if victims.contains(n) {
+            assert!(!after.contains_key(n), "victim log {n} survived the GC");
+        } else {
+            assert!(
+                after.get(n) == Some(bytes),
+                "kept log {n} (garbage {:.2}) was rewritten or deleted",
+                garbage[n]
+            );
+        }
+    }
+    // The rewritten values went to new logs; the partition is now below
+    // the ratio, so the next trigger check does not fire again.
+    let total: u64 = after.values().map(|b| b.len() as u64).sum();
+    let dead = total - s.live_record_bytes();
+    assert!(
+        (dead as f64) < ratio * total as f64,
+        "{dead} of {total} log bytes are still garbage"
+    );
+    db.flush().unwrap();
+    db.wait_for_background();
+    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 1, "GC fired again");
+
+    check_model(&db, &s.model);
+    drop(db);
+    let db = UniKv::open(env.clone(), ROOT, opts).unwrap();
+    check_model(&db, &s.model);
+    assert_eq!(logs(env.as_ref(), 0), after, "reopen changed the logs");
+}
+
+#[test]
+fn triggered_gc_keeps_logs_below_the_ratio_inline() {
+    kept_logs_survive_a_triggered_gc(0);
+}
+
+#[test]
+fn triggered_gc_keeps_logs_below_the_ratio_in_background() {
+    kept_logs_survive_a_triggered_gc(2);
+}
+
+/// After a split, the children share the parent's logs until a GC moves
+/// their values out. A triggered GC in a child always takes every
+/// inherited log (the lazy value split) but keeps the child's own fresh
+/// log; once both children have collected, the parent's logs are gone.
+#[test]
+fn triggered_gc_takes_every_inherited_log_and_keeps_fresh_own_logs() {
+    let env = MemEnv::shared();
+    let opts = UniKvOptions {
+        enable_partitioning: true,
+        // The first trigger splits the one partition; the halves stay
+        // below the limit.
+        partition_size_limit: 24 << 10,
+        ..opts(0)
+    };
+    let db = UniKv::open(env.clone(), ROOT, opts.clone()).unwrap();
+    let mut model = BTreeMap::new();
+    let mut round = |db: &UniKv, tag: u64| {
+        for i in 0..KEYS {
+            let (k, v) = (format_key(i), make_value(i, tag, VALUE_LEN));
+            db.put(&k, &v).unwrap();
+            model.insert(k, v);
+        }
+        db.compact_all().unwrap();
+    };
+    round(&db, 0);
+    let parent_logs = logs(env.as_ref(), 0);
+    db.flush().unwrap(); // post-flush triggers: split only
+    assert_eq!(db.stats().splits.load(Ordering::Relaxed), 1);
+    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 0);
+    let children = [1u32, 2];
+    for pid in children {
+        assert!(logs(env.as_ref(), pid).is_empty(), "p{pid} owns no log yet");
+    }
+    // Two overwrite rounds: each child gets a dead own log, then a fresh
+    // fully live one; the inherited logs are all garbage.
+    round(&db, 1);
+    let dead: Vec<BTreeMap<u64, Vec<u8>>> =
+        children.iter().map(|&p| logs(env.as_ref(), p)).collect();
+    round(&db, 2);
+    let fresh: Vec<BTreeMap<u64, Vec<u8>>> = children
+        .iter()
+        .zip(&dead)
+        .map(|(&p, dead)| {
+            let mut l = logs(env.as_ref(), p);
+            l.retain(|n, _| !dead.contains_key(n));
+            l
+        })
+        .collect();
+    db.flush().unwrap();
+    assert_eq!(
+        db.stats().gcs.load(Ordering::Relaxed),
+        2,
+        "both children GC"
+    );
+    assert_eq!(db.stats().splits.load(Ordering::Relaxed), 1);
+
+    for n in parent_logs.keys() {
+        let path = Path::new(ROOT)
+            .join("p0")
+            .join(unikv_vlog::vlog_file_name(*n));
+        assert!(!env.file_exists(&path), "inherited log {n} survived");
+    }
+    for (i, &pid) in children.iter().enumerate() {
+        let now = logs(env.as_ref(), pid);
+        assert_eq!(fresh[i].len(), 1, "one fresh log in p{pid}");
+        for (n, bytes) in &fresh[i] {
+            assert!(
+                now.get(n) == Some(bytes),
+                "fresh log {n} of p{pid} rewritten"
+            );
+        }
+        for n in dead[i].keys() {
+            assert!(!now.contains_key(n), "dead log {n} of p{pid} survived");
+        }
+    }
+    check_model(&db, &model);
+    drop(db);
+    let db = UniKv::open(env as Arc<dyn Env>, ROOT, opts).unwrap();
+    check_model(&db, &model);
+}

@@ -308,6 +308,13 @@ fn storage_full_goes_read_only_then_recovers() {
         "untyped error: {err}"
     );
     assert_eq!(db.health(), HealthState::ReadOnly);
+    // The engine settles health before it counts the retry (a counted
+    // retry must never be seen while health still reads `Healthy`), so
+    // the put can see `ReadOnly` a moment before the count lands.
+    let end = Instant::now() + Duration::from_secs(10);
+    while stat(&db, "maint_job_retries") == 0 && Instant::now() < end {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert!(stat(&db, "maint_job_retries") > 0);
     assert_eq!(db.background_error(), None, "ENOSPC must not poison");
 

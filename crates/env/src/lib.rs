@@ -147,6 +147,7 @@ mod tests {
         assert!(!env.file_exists(&q));
         assert!(env.file_exists(&root.join("c.txt")));
 
+        env.create_dir_all(&root.join("sub")).unwrap();
         let mut names: Vec<_> = env
             .list_dir(root)
             .unwrap()
@@ -154,7 +155,7 @@ mod tests {
             .map(|n| n.to_string_lossy().into_owned())
             .collect();
         names.sort();
-        assert_eq!(names, vec!["a.txt", "c.txt"]);
+        assert_eq!(names, vec!["a.txt", "c.txt", "sub"]);
 
         env.delete_file(&p).unwrap();
         assert!(!env.file_exists(&p));

@@ -175,7 +175,8 @@ impl Env for MemEnv {
     fn list_dir(&self, path: &Path) -> Result<Vec<PathBuf>> {
         let st = self.state.lock();
         let mut out = Vec::new();
-        for p in st.files.keys() {
+        // Subdirectories are entries too, as `read_dir` reports them.
+        for p in st.files.keys().chain(&st.dirs) {
             if p.parent() == Some(path) {
                 out.push(PathBuf::from(p.file_name().expect("file has a name")));
             }
