@@ -105,12 +105,16 @@ pub struct PerfContext {
     pub stage_hits: [u64; PERF_STAGE_COUNT],
     /// UnsortedStore hash-index candidate tables probed.
     pub hash_probes: u64,
-    /// SSTable blocks read (cache hits + misses).
+    /// SSTable blocks read (cache hits + misses), plus single records read
+    /// through a table's record directory (`record_reads`).
     pub block_reads: u64,
     /// Block-cache hits.
     pub cache_hits: u64,
     /// Block-cache misses.
     pub cache_misses: u64,
+    /// Single records read through a record directory: counted in
+    /// `block_reads`, never as a cache hit or miss.
+    pub record_reads: u64,
     /// Values fetched from a value log.
     pub vlog_fetches: u64,
     /// Total operation wall time (`t1 - t0`; equals the stage sum).
@@ -140,6 +144,7 @@ impl PerfContext {
         self.block_reads += other.block_reads;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.record_reads += other.record_reads;
         self.vlog_fetches += other.vlog_fetches;
         self.total_micros += other.total_micros;
         self.ops += other.ops;
@@ -170,13 +175,14 @@ impl PerfContext {
             ));
         }
         out.push_str(&format!(
-            "  ops={} total_us={} hash_probes={} block_reads={} cache_hits={} cache_misses={} vlog_fetches={}\n",
+            "  ops={} total_us={} hash_probes={} block_reads={} cache_hits={} cache_misses={} record_reads={} vlog_fetches={}\n",
             self.ops,
             self.total_micros,
             self.hash_probes,
             self.block_reads,
             self.cache_hits,
             self.cache_misses,
+            self.record_reads,
             self.vlog_fetches
         ));
         out
@@ -271,6 +277,15 @@ pub fn count_cache_miss() {
     with_ctx(|c| {
         c.block_reads += 1;
         c.cache_misses += 1;
+    });
+}
+
+/// Count one SSTable record read on its own through a record directory.
+#[inline]
+pub fn count_record_read() {
+    with_ctx(|c| {
+        c.block_reads += 1;
+        c.record_reads += 1;
     });
 }
 

@@ -70,17 +70,20 @@ use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 const SCAN_RESERVE_ITEMS: usize = 1024;
 
 /// Tables the hash index points into (flush and scan-merge outputs) are
-/// written with data blocks of `block_size / HASH_TIER_BLOCK_DIVISOR`, so
-/// a probe that misses the cache reads about 1 KiB instead of 4 KiB and
-/// the block cache holds four times as many hot-record blocks. SortedStore
-/// tables, which scans read, keep `block_size`. 4 is the knee of the
-/// measured curve in DESIGN.md §4 (*Point-read block geometry*).
+/// written with data blocks of `block_size / HASH_TIER_BLOCK_DIVISOR`
+/// (1 KiB at the default). A hash probe no longer reads a block: it reads
+/// one record through the table's record directory. The small blocks now
+/// serve scan seeks and merges, whose per-block costs the divisor was
+/// measured against; SortedStore tables keep `block_size`. See DESIGN.md
+/// §4 (*Point-read block geometry*).
 const HASH_TIER_BLOCK_DIVISOR: usize = 4;
 
-/// The store a table is written for; it decides the data-block size.
+/// The store a table is written for; it decides the data-block size and
+/// whether the table gets a record directory.
 #[derive(Clone, Copy)]
 enum Tier {
-    /// Hash-indexed UnsortedStore tables: point-read-sized blocks.
+    /// Hash-indexed UnsortedStore tables: point-read-sized blocks and,
+    /// with the hash index on, a record directory for hash probes.
     Unsorted,
     /// SortedStore tables (full merge, GC, split): `block_size` blocks.
     Sorted,
@@ -181,8 +184,7 @@ struct MergeSnapshot<'a> {
 }
 
 /// What a flush built: the table's metadata, the kept user keys (for the
-/// hash index at install) and the open table, its blocks already on the
-/// block cache's probation segment.
+/// hash index at install) and the open table.
 struct FlushedTable {
     meta: TableMeta,
     keys: Vec<Vec<u8>>,
@@ -1162,7 +1164,7 @@ impl DbInner {
                     continue; // stale entry for an already-merged table
                 };
                 perf::mark(PerfStage::IndexProbe);
-                match self.probe_table(p, tmeta, &seek_key, key)? {
+                match self.probe_table(p, tmeta, &seek_key, key, true)? {
                     Probe::Value(slot) => {
                         let (v, _) = self.resolve_slot(&slot)?;
                         return Ok((Some(v), TraceOutcome::Unsorted, pid));
@@ -1179,7 +1181,7 @@ impl DbInner {
                 {
                     continue;
                 }
-                match self.probe_table(p, tmeta, &seek_key, key)? {
+                match self.probe_table(p, tmeta, &seek_key, key, false)? {
                     Probe::Value(slot) => {
                         let (v, _) = self.resolve_slot(&slot)?;
                         return Ok((Some(v), TraceOutcome::Unsorted, pid));
@@ -1196,7 +1198,7 @@ impl DbInner {
         let sorted = p.sorted_table_for(key);
         perf::mark(PerfStage::BoundarySearch);
         if let Some(tmeta) = sorted {
-            match self.probe_table(p, tmeta, &seek_key, key)? {
+            match self.probe_table(p, tmeta, &seek_key, key, false)? {
                 Probe::Value(slot) => {
                     let (v, from_vlog) = self.resolve_slot(&slot)?;
                     let outcome = if from_vlog {
@@ -1213,16 +1215,21 @@ impl DbInner {
         Ok((None, TraceOutcome::Miss, pid))
     }
 
+    /// Look `user_key` up in one table. A hash probe (`by_record`) reads
+    /// just the key's record when the table has a record directory; the
+    /// SortedStore, the index-off ablation (E7) and tables without a
+    /// directory read the data block.
     fn probe_table(
         &self,
         p: &Partition,
         tmeta: &TableMeta,
         seek_key: &[u8],
         user_key: &[u8],
+        by_record: bool,
     ) -> Result<Probe> {
         UniKvStats::add(&self.stats.tables_checked, 1);
         let table = self.open_table(p, tmeta.number)?;
-        let Some((ikey, value)) = table.get(seek_key, None)? else {
+        let Some((ikey, value)) = table.get(seek_key, by_record.then_some(user_key))? else {
             return Ok(Probe::Miss);
         };
         if extract_user_key(&ikey) != user_key {
@@ -1625,9 +1632,7 @@ impl DbInner {
 
     /// Write a memtable out as one UnsortedStore table, deduping to the
     /// newest version per user key. Takes no locks: background flushes
-    /// call it with the core lock released. Once the file is synced, the
-    /// data blocks the builder wrote are admitted to the block cache, so
-    /// the first reads of the new table cost no block read.
+    /// call it with the core lock released.
     fn build_flush_table(
         &self,
         dir: &Path,
@@ -1640,9 +1645,6 @@ impl DbInner {
             self.env.new_writable(&path)?,
             self.table_builder_opts(Tier::Unsorted),
         );
-        if self.topts.cache.is_some() {
-            builder.keep_data_blocks();
-        }
         let mut keys = Vec::new();
         let mut iter = MemTableSource::new(mem);
         iter.seek_to_first()?;
@@ -1664,7 +1666,6 @@ impl DbInner {
             props.file_size,
             self.topts.clone(),
         )?;
-        table.admit(props.data_blocks)?;
         Ok(FlushedTable {
             meta: TableMeta {
                 number: table_number,
@@ -1680,8 +1681,7 @@ impl DbInner {
     /// Install a flushed table under the write lock: append it to the
     /// UnsortedStore, feed the hash index, retire the flushed WAL and pop
     /// the matching sealed memtable, and commit to the manifest. The open
-    /// table joins the partition's table handles; if the install aborts
-    /// before the commit, its admitted blocks are evicted.
+    /// table joins the partition's table handles.
     fn install_flush(
         &self,
         core: &mut DbCore,
@@ -1692,10 +1692,7 @@ impl DbInner {
     ) -> Result<()> {
         let FlushedTable { meta, keys, table } = flushed;
         let (table_number, table_size) = (meta.number, meta.size);
-        if let Err(e) = self.commit_flush(core, pidx, meta, &keys, old_wal) {
-            table.evict_from_cache();
-            return Err(e);
-        }
+        self.commit_flush(core, pidx, meta, &keys, old_wal)?;
         core.partitions[pidx]
             .tables_guard()
             .insert(table_number, table);
@@ -1819,6 +1816,8 @@ impl DbInner {
         TableBuilderOptions {
             block_size,
             bloom_bits_per_key: None, // UniKV removes Bloom filters
+            filter_key: extract_user_key,
+            record_directory: matches!(tier, Tier::Unsorted) && self.opts.enable_hash_index,
             ..Default::default()
         }
     }
@@ -2177,8 +2176,9 @@ impl DbInner {
 
         // Step 1+2 of the paper's protocol: walk the SortedStore in key
         // order, read the values that live in victims, and append them to
-        // a newly created log.
-        let first_new = p.vlog.lock().rotate()?;
+        // a newly created log. The log is created by the first copy, so a
+        // GC whose victims hold no live value leaves no empty log behind.
+        let mut first_new = None;
         let vlog = p.vlog.clone();
         let mut iter = self.sorted_iter(p)?;
         let mut out = TableRoller::new(self, partition_dir(&self.root, pid));
@@ -2189,7 +2189,11 @@ impl DbInner {
                 SeparatedValue::Pointer(ptr) if is_victim(&ptr) => {
                     let value = self.resolver.read(&ptr)?;
                     written += value.len() as u64;
-                    SeparatedValue::Pointer(vlog.lock().append(&value)?)
+                    let mut vlog = vlog.lock();
+                    if first_new.is_none() {
+                        first_new = Some(vlog.rotate()?);
+                    }
+                    SeparatedValue::Pointer(vlog.append(&value)?)
                 }
                 slot => slot,
             };
@@ -2203,7 +2207,9 @@ impl DbInner {
         }
         out.finish()?;
         written += out.bytes;
-        vlog.lock().sync()?;
+        if first_new.is_some() {
+            vlog.lock().sync()?;
+        }
         self.sync.hit("gc:build")?;
 
         // All in-memory meta mutations happen together, only after every
@@ -2232,7 +2238,7 @@ impl DbInner {
             .own_logs
             .iter()
             .copied()
-            .filter(|&n| n >= first_new)
+            .filter(|&n| first_new.is_some_and(|first| n >= first))
             .collect();
         scope.finish(EventKind::GcFinish, new_logs, written, "");
         self.sync.hit("gc:cleanup")?;
@@ -2615,7 +2621,6 @@ impl DbInner {
             let mut core = self.core.write();
             let Some(pidx) = core.partition_index(pid) else {
                 // Partition vanished (split); scope aborts.
-                flushed.table.evict_from_cache();
                 return Ok(());
             };
             self.install_flush(

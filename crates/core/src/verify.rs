@@ -9,7 +9,9 @@
 //!   final record is crash residue, damage with intact records after it
 //!   is corruption.
 //! * SSTables (both tiers) — existence, recorded size, and a full
-//!   iteration so every data block's checksum is verified.
+//!   iteration so every data block's checksum is verified; a hash-indexed
+//!   table's record directory is checked against its blocks (every record
+//!   listed once, with its length, CRC and key fingerprint).
 //! * WALs (active + sealed) — strict replay: a torn tail is normal crash
 //!   residue, mid-log damage is corruption; every record must also decode
 //!   as a write batch. A missing WAL file is *not* damage (a crash before
@@ -23,6 +25,7 @@ use crate::resolver::partition_dir;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use unikv_common::ikey::extract_user_key;
 use unikv_common::{Error, Result};
 use unikv_env::Env;
 use unikv_lsm::filenames;
@@ -66,7 +69,8 @@ impl VerifyReport {
 }
 
 /// Read every entry of the table at `path`, which verifies the footer,
-/// the index block, and each data block's checksum. Also checks the file
+/// the index block, and each data block's checksum, and check its record
+/// directory, if it has one, against the blocks. Also checks the file
 /// size against the size the manifest recorded at commit time.
 fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u64> {
     if !env.file_exists(path) {
@@ -86,6 +90,7 @@ fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u
         entries += 1;
         it.next()?;
     }
+    table.verify_record_directory(extract_user_key)?;
     Ok(entries)
 }
 

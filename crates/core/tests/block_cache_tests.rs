@@ -1,8 +1,8 @@
 //! The block cache under engine traffic, in inline and background mode:
-//! a flush admits its own blocks, maintenance neither fills the cache nor
-//! evicts other partitions' hot blocks, and an aborted flush install
-//! leaves no admitted block behind. With the cache off, the block a get
-//! reads has the size of its tier's blocks.
+//! a hash probe reads one record and bypasses the cache, maintenance
+//! neither fills the cache nor evicts other partitions' hot blocks, and an
+//! aborted flush install leaves nothing in the cache. With the cache off,
+//! the block a get reads has the size of its tier's blocks.
 //!
 //! Background mode flushes and merges on a worker thread, so these tests
 //! wait for the queue to drain before they count; they are part of the CI
@@ -12,6 +12,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
+use unikv_env::metrics::CountingEnv;
 
 fn key(i: u32) -> Vec<u8> {
     format!("user{i:08}").into_bytes()
@@ -37,36 +38,78 @@ fn stat(db: &UniKv, name: &str) -> u64 {
     stats.into_iter().find(|(n, _)| *n == name).unwrap().1
 }
 
-/// The first get of every key of just-flushed tables is answered from
-/// the blocks the flush admitted: no block is read from a file.
+/// Bytes a table record adds to its user key and value: three varint32
+/// lengths, the 8 B sequence/type tag and the inline-or-pointer tag.
+const RECORD_FRAMING: u64 = 3 * 5 + 8 + 1;
+
+/// Every get the UnsortedStore answers reads exactly one record from the
+/// env: one `read_at` of the record's bytes plus its framing, never a
+/// data block and never a cached block (records are not cached, and a
+/// flush puts nothing in the cache). The read counts as a block read and
+/// a record read, not as a cache lookup. Covers flush outputs, inline and
+/// on a worker, and the scan-merge output.
 #[test]
-fn first_get_after_flush_reads_no_block() {
+fn hash_probes_read_one_record() {
     for background_jobs in [0, 2] {
-        let db = UniKv::open(MemEnv::shared(), "/db", opts(background_jobs)).unwrap();
-        // A few memtables, flushed by puts (on a worker in background
-        // mode), well below both merge triggers.
-        let n = db.options().write_buffer_size as u32 / 40;
-        for i in 0..n {
-            db.put(&key(i), &value(i, 0)).unwrap();
+        let env = CountingEnv::new(MemEnv::shared());
+        let io = env.counters();
+        let db = UniKv::open(env.clone(), "/db", opts(background_jobs)).unwrap();
+        // One UnsortedStore table per flush, up to the scan-merge limit,
+        // each below the memtable size and all below the merge trigger.
+        let limit = db.options().scan_merge_limit as u32;
+        let per_table = db.options().write_buffer_size as u32 / 400;
+        let keys: Vec<u32> = (0..limit * per_table).collect();
+        for chunk in keys.chunks(per_table as usize) {
+            for &i in chunk {
+                db.put(&key(i), &record_value(i)).unwrap();
+            }
+            db.flush().unwrap();
         }
         db.wait_for_background();
         let stats = db.stats();
-        assert!(stats.flushes.load(Ordering::Relaxed) >= 1);
+        assert_eq!(stats.flushes.load(Ordering::Relaxed), limit as u64);
         assert_eq!(stats.merges.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 0);
-        let reads = counter(&db, "sst_block_reads");
-        for i in 0..n {
-            assert_eq!(db.get(&key(i)).unwrap(), Some(value(i, 0)));
-        }
-        assert!(
-            counter(&db, "reads_hit_unsorted") > 0,
-            "no get reached a table"
-        );
-        assert_eq!(
-            counter(&db, "sst_block_reads"),
-            reads,
-            "mode {background_jobs}: a get of a flushed key read a block"
-        );
+        let check = |what: &str| {
+            let lookups = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
+            for &i in &keys {
+                let (reads, bytes) = (io.random_reads(), io.bytes_read());
+                let hits = counter(&db, "reads_hit_unsorted");
+                let records = db
+                    .metrics_snapshot()
+                    .counters
+                    .get("sst_record_reads")
+                    .copied();
+                assert_eq!(db.get(&key(i)).unwrap(), Some(record_value(i)));
+                assert_eq!(counter(&db, "reads_hit_unsorted"), hits + 1);
+                assert_eq!(
+                    io.random_reads(),
+                    reads + 1,
+                    "mode {background_jobs}, {what}: get of {i}"
+                );
+                let read = io.bytes_read() - bytes;
+                let record = (key(i).len() + record_value(i).len()) as u64;
+                assert!(
+                    record < read && read <= record + RECORD_FRAMING,
+                    "mode {background_jobs}, {what}: get of {i} read {read} B \
+                     for a {record} B key and value"
+                );
+                assert_eq!(counter(&db, "sst_record_reads"), records.unwrap() + 1);
+            }
+            let now = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
+            assert_eq!(
+                now, lookups,
+                "mode {background_jobs}, {what}: a get used the cache"
+            );
+        };
+        check("flushed tables");
+
+        // A scan reads the partition: it scan-merges the tables into one
+        // hash-indexed table, which the first get opens.
+        assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
+        db.wait_for_background();
+        assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 1);
+        db.get(&key(0)).unwrap();
+        check("scan-merged table");
     }
 }
 
@@ -127,8 +170,8 @@ fn merge_leaves_other_partitions_hot_blocks_cached() {
     }
 }
 
-/// A flush whose install fails at the commit point evicts the blocks it
-/// admitted: nothing in the cache belongs to a table the manifest never named.
+/// A flush whose install fails at the commit point leaves nothing in the
+/// cache: no block belongs to a table the manifest never named.
 #[test]
 fn aborted_flush_install_leaves_no_admitted_blocks() {
     for background_jobs in [0, 2] {
@@ -151,7 +194,7 @@ fn aborted_flush_install_leaves_no_admitted_blocks() {
         assert_eq!(
             db.block_cache_bytes(),
             0,
-            "mode {background_jobs}: an aborted flush left admitted blocks"
+            "mode {background_jobs}: an aborted flush left blocks in the cache"
         );
         db.sync_points().disarm();
     }

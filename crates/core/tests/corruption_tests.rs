@@ -261,6 +261,97 @@ fn corrupt_vlog_value_inside_scan_run_fails_scan() {
     }
 }
 
+/// Flush `n` distinct keys into one UnsortedStore table (no merge) and
+/// return the model and that table's path. Its gets go through the
+/// table's record directory.
+fn build_unsorted_table(
+    fault: &Arc<FaultInjectionEnv>,
+    n: u64,
+) -> (BTreeMap<Vec<u8>, Vec<u8>>, PathBuf) {
+    let mut model = BTreeMap::new();
+    let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()).unwrap();
+    for i in 0..n {
+        let (k, v) = (format_key(i), make_value(i, 3, 80));
+        db.put(&k, &v).unwrap();
+        model.insert(k, v);
+    }
+    db.flush().unwrap();
+    let stats: BTreeMap<_, _> = db.stats().snapshot().into_iter().collect();
+    assert_eq!((stats["flushes"], stats["merges"]), (1, 0));
+    drop(db);
+    let (sst, _) = files_with_suffix(fault, ".sst")
+        .into_iter()
+        .next()
+        .expect("the flushed table");
+    (model, sst)
+}
+
+/// A flipped byte inside one UnsortedStore record fails exactly that
+/// key's get with a typed corruption error (the record's own CRC); every
+/// other key of the table, the same block's included, still reads its
+/// value. The scrub flags the table.
+#[test]
+fn corrupt_unsorted_record_fails_only_its_get() {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let (model, sst) = build_unsorted_table(&fault, 12);
+    let victim = format_key(7);
+    let data = fault.read_to_vec(&sst).unwrap();
+    let at = data
+        .windows(model[&victim].len())
+        .position(|w| w == &model[&victim][..])
+        .expect("the value sits in the table");
+    fault.flip_byte(&sst, (at + 10) as u64).unwrap();
+
+    let report = verify_db(fault.clone() as Arc<dyn Env>, ROOT).unwrap();
+    assert_eq!(report.damage.len(), 1, "{report:?}");
+    assert_eq!(
+        (report.damage[0].kind, &report.damage[0].path),
+        ("sstable", &sst)
+    );
+
+    let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()).unwrap();
+    for (k, v) in &model {
+        if *k == victim {
+            let err = db.get(k).unwrap_err();
+            assert!(err.is_corruption(), "expected typed corruption, got: {err}");
+        } else {
+            assert_eq!(&db.get(k).unwrap().expect("key present"), v);
+        }
+    }
+}
+
+/// A flipped byte in a table's record directory fails the table's open
+/// (the directory block's CRC) with a typed error, so every get that
+/// reaches the table fails typed and none is served wrong; the scrub
+/// flags the table.
+#[test]
+fn corrupt_record_directory_fails_typed() {
+    use unikv_sstable::format::{Footer, DIRECTORY_FOOTER_SIZE};
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let (model, sst) = build_unsorted_table(&fault, 12);
+    let data = fault.read_to_vec(&sst).unwrap();
+    let footer = Footer::decode(&data[data.len() - DIRECTORY_FOOTER_SIZE..]).unwrap();
+    let dir = footer
+        .directory_handle
+        .expect("a hash-indexed table has a directory");
+    fault.flip_byte(&sst, dir.offset + dir.size / 2).unwrap();
+
+    let report = verify_db(fault.clone() as Arc<dyn Env>, ROOT).unwrap();
+    assert_eq!(report.damage.len(), 1, "{report:?}");
+    assert_eq!(
+        (report.damage[0].kind, &report.damage[0].path),
+        ("sstable", &sst)
+    );
+
+    match UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()) {
+        Err(e) => assert!(e.is_corruption(), "got: {e}"),
+        Ok(db) => {
+            let corrupt = assert_no_silent_garbage(&db, &model);
+            assert_eq!(corrupt, model.len() as u64, "every key lives in the table");
+        }
+    }
+}
+
 /// A bit flip in an edit record with intact records after it cannot be
 /// crash residue: open fails with a typed error in every mode, and the
 /// scrub reports the manifest.
@@ -268,6 +359,21 @@ fn corrupt_vlog_value_inside_scan_run_fails_scan() {
 fn corrupt_manifest_middle_record_fails_open() {
     let fault = FaultInjectionEnv::new(MemEnv::shared());
     build_db(&fault);
+    // Where the manifest last compacted depends on table sizes (a flush's
+    // edit carries the new table's index entries). Commit small flushes
+    // until a record sits between the first and the last one.
+    {
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, ROOT, opts()).unwrap();
+        for i in 0..8u64 {
+            if manifest_records(&fault).0.len() >= 3 {
+                break;
+            }
+            db.put(&format_key(2000 + i), &make_value(i, 9, 40))
+                .unwrap();
+            db.flush().unwrap();
+        }
+    }
+    fault.crash().unwrap();
     let manifest = Path::new(ROOT).join(MANIFEST);
     let (starts, len) = manifest_records(&fault);
     assert!(starts.len() >= 3, "snapshot, then edits: {starts:?}");

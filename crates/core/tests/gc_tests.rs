@@ -97,12 +97,26 @@ fn triggered_gc_keeps_logs_below_the_ratio_in_background() {
     kept_logs_survive_a_triggered_gc(2);
 }
 
-/// After a split, the children share the parent's logs until a GC moves
-/// their values out. A triggered GC in a child always takes every
-/// inherited log (the lazy value split) but keeps the child's own fresh
-/// log; once both children have collected, the parent's logs are gone.
-#[test]
-fn triggered_gc_takes_every_inherited_log_and_keeps_fresh_own_logs() {
+/// The split scenario up to both children's first GC.
+struct SplitRun {
+    env: Arc<MemEnv>,
+    db: UniKv,
+    opts: UniKvOptions,
+    model: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// The parent's logs, which both children inherit.
+    parent_logs: BTreeMap<u64, Vec<u8>>,
+    /// Per child: its own log that the second overwrite round made dead.
+    dead: Vec<BTreeMap<u64, Vec<u8>>>,
+    /// Per child: its own fully live log.
+    fresh: Vec<BTreeMap<u64, Vec<u8>>>,
+}
+
+const CHILDREN: [u32; 2] = [1, 2];
+
+/// Split the one partition, give each child a dead own log and then a
+/// fresh fully live one (the inherited logs are all garbage), and let
+/// the next flush run both children's GC.
+fn split_and_gc() -> SplitRun {
     let env = MemEnv::shared();
     let opts = UniKvOptions {
         enable_partitioning: true,
@@ -126,17 +140,14 @@ fn triggered_gc_takes_every_inherited_log_and_keeps_fresh_own_logs() {
     db.flush().unwrap(); // post-flush triggers: split only
     assert_eq!(db.stats().splits.load(Ordering::Relaxed), 1);
     assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 0);
-    let children = [1u32, 2];
-    for pid in children {
+    for pid in CHILDREN {
         assert!(logs(env.as_ref(), pid).is_empty(), "p{pid} owns no log yet");
     }
-    // Two overwrite rounds: each child gets a dead own log, then a fresh
-    // fully live one; the inherited logs are all garbage.
     round(&db, 1);
     let dead: Vec<BTreeMap<u64, Vec<u8>>> =
-        children.iter().map(|&p| logs(env.as_ref(), p)).collect();
+        CHILDREN.iter().map(|&p| logs(env.as_ref(), p)).collect();
     round(&db, 2);
-    let fresh: Vec<BTreeMap<u64, Vec<u8>>> = children
+    let fresh: Vec<BTreeMap<u64, Vec<u8>>> = CHILDREN
         .iter()
         .zip(&dead)
         .map(|(&p, dead)| {
@@ -152,14 +163,39 @@ fn triggered_gc_takes_every_inherited_log_and_keeps_fresh_own_logs() {
         "both children GC"
     );
     assert_eq!(db.stats().splits.load(Ordering::Relaxed), 1);
+    SplitRun {
+        env,
+        db,
+        opts,
+        model,
+        parent_logs,
+        dead,
+        fresh,
+    }
+}
 
+/// After a split, the children share the parent's logs until a GC moves
+/// their values out. A triggered GC in a child always takes every
+/// inherited log (the lazy value split) but keeps the child's own fresh
+/// log; once both children have collected, the parent's logs are gone.
+#[test]
+fn triggered_gc_takes_every_inherited_log_and_keeps_fresh_own_logs() {
+    let SplitRun {
+        env,
+        db,
+        opts,
+        model,
+        parent_logs,
+        dead,
+        fresh,
+    } = split_and_gc();
     for n in parent_logs.keys() {
         let path = Path::new(ROOT)
             .join("p0")
             .join(unikv_vlog::vlog_file_name(*n));
         assert!(!env.file_exists(&path), "inherited log {n} survived");
     }
-    for (i, &pid) in children.iter().enumerate() {
+    for (i, &pid) in CHILDREN.iter().enumerate() {
         let now = logs(env.as_ref(), pid);
         assert_eq!(fresh[i].len(), 1, "one fresh log in p{pid}");
         for (n, bytes) in &fresh[i] {
@@ -176,4 +212,24 @@ fn triggered_gc_takes_every_inherited_log_and_keeps_fresh_own_logs() {
     drop(db);
     let db = UniKv::open(env as Arc<dyn Env>, ROOT, opts).unwrap();
     check_model(&db, &model);
+}
+
+/// The children's first GC copies no value (every inherited and dead
+/// value is overwritten), so it must open no new log: each child keeps
+/// exactly its fresh log and no 0-byte log is left in any partition.
+#[test]
+fn gc_that_copies_nothing_leaves_no_empty_log() {
+    let run = split_and_gc();
+    for (i, &pid) in CHILDREN.iter().enumerate() {
+        let now = logs(run.env.as_ref(), pid);
+        for (n, bytes) in &now {
+            assert!(!bytes.is_empty(), "p{pid} holds an empty log {n}");
+        }
+        assert_eq!(
+            now.keys().collect::<Vec<_>>(),
+            run.fresh[i].keys().collect::<Vec<_>>(),
+            "p{pid} holds exactly its fresh log"
+        );
+    }
+    check_model(&run.db, &run.model);
 }

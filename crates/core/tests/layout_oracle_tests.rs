@@ -24,14 +24,17 @@ use unikv_env::mem::MemEnv;
 use unikv_env::Env;
 
 /// Digest of the files [`run_workload`] leaves behind. Every CRC32C
-/// kernel must reproduce it. Last re-recorded when a triggered GC began
-/// to rewrite only the value logs whose own garbage ratio crossed the
-/// threshold (plus inherited logs) and to keep the others.
-const LAYOUT_DIGEST: u64 = 0xde03_c80d_62ab_eeba;
+/// kernel must reproduce it. Last re-recorded when hash-indexed tables
+/// gained a record directory (a meta block, a longer footer, and entries
+/// whose shared key bytes are bounded by the previous block's last key)
+/// and GC began to open its new value log only on the first copied value.
+const LAYOUT_DIGEST: u64 = 0xa427_a75e_2ec7_fe55;
 
 /// Digest of `metrics_report_machine()` plus `stats().snapshot()` after
-/// [`run_workload`].
-const REPORT_DIGEST: u64 = 0x4c5d_3cb8_7b38_f13f;
+/// [`run_workload`]. Last re-recorded with [`LAYOUT_DIGEST`]: hash probes
+/// read records (new `sst_record_reads` counters) and flushes no longer
+/// put blocks in the cache.
+const REPORT_DIGEST: u64 = 0x7055_eede_b622_eb47;
 
 /// Partition directories are `p<id>`; ids stay far below this bound for
 /// the workload below (the byte-count check catches a miss).

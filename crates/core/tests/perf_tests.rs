@@ -143,8 +143,9 @@ fn profiled_put_stage_sums_match_histogram_total() {
 }
 
 /// The I/O counters in a profile reflect where the read actually went:
-/// hash-index probes and block reads for UnsortedStore hits, vlog fetches
-/// once a merge has separated values into the value log.
+/// hash-index probes and one record read (a block read that is not a
+/// cache lookup) for UnsortedStore hits, vlog fetches once a merge has
+/// separated values into the value log.
 #[test]
 fn profiled_reads_count_probes_blocks_and_vlog_fetches() {
     let db = UniKv::open(MemEnv::shared(), "/db", UniKvOptions::small_for_tests()).unwrap();
@@ -153,12 +154,16 @@ fn profiled_reads_count_probes_blocks_and_vlog_fetches() {
     }
     db.flush().unwrap();
 
-    // UnsortedStore hit: resolved via the hash index and a table block.
+    // UnsortedStore hit: resolved via the hash index and a table record.
     let (v, ctx) = db.get_profiled(&key(7)).unwrap();
     assert_eq!(v, Some(value(7, 200)));
     assert!(ctx.hash_probes >= 1, "no hash probe counted: {ctx:?}");
     assert!(ctx.block_reads >= 1, "no block read counted: {ctx:?}");
-    assert_eq!(ctx.cache_hits + ctx.cache_misses, ctx.block_reads);
+    assert_eq!(ctx.record_reads, 1, "not one record read: {ctx:?}");
+    assert_eq!(
+        ctx.cache_hits + ctx.cache_misses + ctx.record_reads,
+        ctx.block_reads
+    );
     assert!(ctx.stage_hits[PerfStage::IndexProbe as usize] >= 1);
     assert!(ctx.stage_hits[PerfStage::BlockRead as usize] >= 1);
 

@@ -43,9 +43,18 @@ impl BlockBuilder {
     /// the table's comparator; the builder only debug-asserts byte order of
     /// shared prefixes, full ordering is the caller's contract.
     pub fn add(&mut self, key: &[u8], value: &[u8]) {
+        self.add_bounded(key, value, usize::MAX);
+    }
+
+    /// [`BlockBuilder::add`], sharing at most `max_shared` key bytes with
+    /// the previous entry; returns the entry's encoded bytes. A table with
+    /// a record directory bounds each entry by its common prefix with a key
+    /// the reader holds in memory, so the entry also decodes on its own.
+    pub fn add_bounded(&mut self, key: &[u8], value: &[u8], max_shared: usize) -> &[u8] {
+        let start = self.buf.len();
         let mut shared = 0;
         if self.counter < self.restart_interval {
-            let max = self.last_key.len().min(key.len());
+            let max = self.last_key.len().min(key.len()).min(max_shared);
             while shared < max && self.last_key[shared] == key[shared] {
                 shared += 1;
             }
@@ -64,6 +73,7 @@ impl BlockBuilder {
         self.last_key.extend_from_slice(key);
         self.counter += 1;
         self.entries += 1;
+        &self.buf[start..]
     }
 
     /// Bytes the finished block will occupy (excluding trailer).
@@ -140,6 +150,55 @@ impl Block {
     fn restart_point(&self, i: usize) -> usize {
         debug_assert!(i < self.num_restarts);
         decode_fixed32(&self.data[self.restarts_offset + i * 4..]) as usize
+    }
+
+    /// Number of entries of a block whose every entry is a restart point,
+    /// as in an index block (built with restart interval 1).
+    pub(crate) fn restart_entries(&self) -> usize {
+        if self.restarts_offset == 0 {
+            0 // an empty block still records restart point 0
+        } else {
+            self.num_restarts
+        }
+    }
+
+    /// Key and value of the entry at restart point `i` (its full key:
+    /// `shared` is always 0 there).
+    pub(crate) fn restart_entry(&self, i: usize) -> Result<(&[u8], &[u8])> {
+        let off = self.restart_point(i);
+        let data = &self.data[..self.restarts_offset];
+        if off >= data.len() {
+            return Err(Error::corruption("restart point out of range"));
+        }
+        let (shared, n1) = get_varint32(&data[off..])?;
+        if shared != 0 {
+            return Err(Error::corruption("restart entry has shared bytes"));
+        }
+        let (non_shared, n2) = get_varint32(&data[off + n1..])?;
+        let (value_len, n3) = get_varint32(&data[off + n1 + n2..])?;
+        let kstart = off + n1 + n2 + n3;
+        let kend = kstart + non_shared as usize;
+        let vend = kend + value_len as usize;
+        if vend > data.len() {
+            return Err(Error::corruption("restart entry out of range"));
+        }
+        Ok((&data[kstart..kend], &data[kend..vend]))
+    }
+
+    /// In a block whose every entry is a restart point: the position of
+    /// the first entry with key `>= target`, or [`Block::restart_entries`]
+    /// when every key is smaller.
+    pub(crate) fn restart_lower_bound(&self, target: &[u8], cmp: KeyCmp) -> Result<usize> {
+        let (mut lo, mut hi) = (0, self.restart_entries());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if cmp(self.restart_entry(mid)?.0, target) == Ordering::Less {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
     }
 
     /// Create an iterator over the block.
@@ -239,20 +298,13 @@ impl BlockIterator {
 
     /// Full key stored at restart point `i` (shared is always 0 there).
     fn restart_key(&self, i: usize) -> Result<&[u8]> {
-        let off = self.block.restart_point(i);
-        let data = &self.block.data[..self.block.restarts_offset];
-        let (shared, n1) = get_varint32(&data[off..])?;
-        if shared != 0 {
-            return Err(Error::corruption("restart entry has shared bytes"));
-        }
-        let (non_shared, n2) = get_varint32(&data[off + n1..])?;
-        let (_vlen, n3) = get_varint32(&data[off + n1 + n2..])?;
-        let kstart = off + n1 + n2 + n3;
-        let kend = kstart + non_shared as usize;
-        if kend > data.len() {
-            return Err(Error::corruption("restart key out of range"));
-        }
-        Ok(&data[kstart..kend])
+        Ok(self.block.restart_entry(i)?.0)
+    }
+
+    /// The current entry's encoded bytes. Panics if not valid.
+    pub(crate) fn entry(&self) -> &[u8] {
+        assert!(self.valid());
+        &self.block.data[self.offset..self.next_offset]
     }
 
     fn parse_next(&mut self) -> Result<()> {
@@ -278,6 +330,29 @@ impl BlockIterator {
         self.next_offset = vend;
         Ok(())
     }
+}
+
+/// Decode one entry read on its own (a record read through a table's
+/// record directory) into `key` and return its value. The entry's shared
+/// key bytes are taken from `prefix`, the key the reader holds in memory;
+/// the entry must span `entry` exactly.
+pub(crate) fn decode_entry<'a>(
+    entry: &'a [u8],
+    prefix: &[u8],
+    key: &mut Vec<u8>,
+) -> Result<&'a [u8]> {
+    let (shared, n1) = get_varint32(entry)?;
+    let (non_shared, n2) = get_varint32(&entry[n1..])?;
+    let (value_len, n3) = get_varint32(&entry[n1 + n2..])?;
+    let kstart = n1 + n2 + n3;
+    let vstart = kstart + non_shared as usize;
+    if shared as usize > prefix.len() || vstart + value_len as usize != entry.len() {
+        return Err(Error::corruption("record does not decode on its own"));
+    }
+    key.clear();
+    key.extend_from_slice(&prefix[..shared as usize]);
+    key.extend_from_slice(&entry[kstart..vstart]);
+    Ok(&entry[vstart..])
 }
 
 #[cfg(test)]

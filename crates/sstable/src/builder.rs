@@ -1,6 +1,7 @@
 //! Streaming SSTable builder.
 
 use crate::block::{BlockBuilder, DEFAULT_RESTART_INTERVAL};
+use crate::directory::DirectoryBuilder;
 use crate::filter::BloomFilterPolicy;
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, COMPRESSION_RAW};
 use unikv_common::{crc32c, Error, Result};
@@ -24,8 +25,12 @@ pub struct TableBuilderOptions {
     pub restart_interval: usize,
     /// Bloom bits per key; `None` disables the filter block (UniKV mode).
     pub bloom_bits_per_key: Option<usize>,
-    /// Key transform applied before inserting into the Bloom filter.
+    /// Key transform applied before inserting into the Bloom filter and
+    /// before fingerprinting a record for the record directory.
     pub filter_key: FilterKeyFn,
+    /// Write a record directory (see [`crate::directory`]), so a point
+    /// read can fetch one record instead of its whole block.
+    pub record_directory: bool,
 }
 
 impl Default for TableBuilderOptions {
@@ -35,6 +40,7 @@ impl Default for TableBuilderOptions {
             restart_interval: DEFAULT_RESTART_INTERVAL,
             bloom_bits_per_key: None,
             filter_key: identity_filter_key,
+            record_directory: false,
         }
     }
 }
@@ -50,9 +56,6 @@ pub struct TableProperties {
     pub smallest: Vec<u8>,
     /// Last key added.
     pub largest: Vec<u8>,
-    /// `(offset, payload)` of every data block written, in file order;
-    /// empty unless [`TableBuilder::keep_data_blocks`] was called.
-    pub data_blocks: Vec<(u64, Vec<u8>)>,
 }
 
 /// Builds an SSTable by streaming sorted entries to a writable file.
@@ -68,8 +71,12 @@ pub struct TableBuilder {
     smallest: Vec<u8>,
     largest: Vec<u8>,
     last_key: Vec<u8>,
-    /// Data-block payloads kept for the caller; `None` unless asked for.
-    data_blocks: Option<Vec<(u64, Vec<u8>)>>,
+    /// The record directory, if the options ask for one.
+    directory: Option<DirectoryBuilder>,
+    /// The last key of the previous data block (empty for block 0): the
+    /// index entry a reader holds in memory when it reads a record of the
+    /// open block, so no record shares more key bytes than it does.
+    anchor: Vec<u8>,
 }
 
 impl TableBuilder {
@@ -78,7 +85,6 @@ impl TableBuilder {
         let restart_interval = opts.restart_interval;
         TableBuilder {
             file,
-            opts,
             data_block: BlockBuilder::new(restart_interval),
             index_block: BlockBuilder::new(1),
             filter_keys: Vec::new(),
@@ -87,15 +93,10 @@ impl TableBuilder {
             smallest: Vec::new(),
             largest: Vec::new(),
             last_key: Vec::new(),
-            data_blocks: None,
+            directory: opts.record_directory.then(DirectoryBuilder::default),
+            anchor: Vec::new(),
+            opts,
         }
-    }
-
-    /// Keep each data block's payload once it is written and hand them
-    /// back in [`TableProperties::data_blocks`], so a caller can put the
-    /// new table's blocks in a cache without reading them back.
-    pub fn keep_data_blocks(&mut self) {
-        self.data_blocks.get_or_insert_with(Vec::new);
     }
 
     /// Append an entry. Keys must be strictly increasing under the table's
@@ -115,7 +116,14 @@ impl TableBuilder {
         if self.opts.bloom_bits_per_key.is_some() {
             self.filter_keys.push((self.opts.filter_key)(key).to_vec());
         }
-        self.data_block.add(key, value);
+        match &mut self.directory {
+            None => self.data_block.add(key, value),
+            Some(dir) => {
+                let bound = common_prefix_len(&self.anchor, key);
+                let record = self.data_block.add_bounded(key, value, bound);
+                dir.add(record, (self.opts.filter_key)(key));
+            }
+        }
         self.num_entries += 1;
         if self.data_block.current_size_estimate() >= self.opts.block_size {
             self.flush_data_block()?;
@@ -142,11 +150,10 @@ impl TableBuilder {
         let mut enc = Vec::with_capacity(20);
         handle.encode_to(&mut enc);
         self.index_block.add(&self.last_key, &enc);
-        if let Some(kept) = &mut self.data_blocks {
-            // A copy of exactly the payload, so a cached block costs what
-            // it holds, as one read from the file does; the builder's
-            // buffer is reused for the next block.
-            kept.push((handle.offset, payload.to_vec()));
+        if let Some(dir) = &mut self.directory {
+            dir.finish_block();
+            self.anchor.clear();
+            self.anchor.extend_from_slice(&self.last_key);
         }
         self.data_block.reset();
         Ok(())
@@ -166,6 +173,15 @@ impl TableBuilder {
             _ => BlockHandle { offset: 0, size: 0 },
         };
 
+        let directory_handle = match &self.directory {
+            Some(dir) => Some(write_raw_block(
+                self.file.as_mut(),
+                &mut self.offset,
+                dir.finish(),
+            )?),
+            None => None,
+        };
+
         let index_handle = write_raw_block(
             self.file.as_mut(),
             &mut self.offset,
@@ -175,9 +191,11 @@ impl TableBuilder {
         let footer = Footer {
             filter_handle,
             index_handle,
-        };
-        self.file.append(&footer.encode())?;
-        self.offset += crate::format::FOOTER_SIZE as u64;
+            directory_handle,
+        }
+        .encode();
+        self.file.append(&footer)?;
+        self.offset += footer.len() as u64;
         self.file.sync()?;
 
         Ok(TableProperties {
@@ -185,9 +203,13 @@ impl TableBuilder {
             file_size: self.offset,
             smallest: self.smallest,
             largest: self.largest,
-            data_blocks: self.data_blocks.unwrap_or_default(),
         })
     }
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// Append `payload` and its trailer to `file` at `*offset`, advancing it.

@@ -10,16 +10,25 @@
 //! ```text
 //! [data block]*            `block_size` target, prefix-compressed w/ restarts
 //! [filter block]?          Bloom filter (baselines only; UniKV omits it)
+//! [record directory]?      per data block: each record's length, CRC32C and
+//!                          1-byte key fingerprint (UniKV's hash-indexed tables)
 //! [index block]            one entry per data block: last_key -> handle
-//! [footer]                 filter handle + index handle + magic
+//! [footer]                 filter handle + index handle [+ directory handle]
+//!                          + magic (a directory table has its own magic)
 //! ```
 //!
 //! Every block is followed by a 5-byte trailer: compression type (always
-//! raw here) and a masked CRC32C.
+//! raw here) and a masked CRC32C. In a table with a record directory no
+//! data-block entry shares more key bytes than the previous block's last
+//! key (its index entry) has in common with it, so a point read can fetch
+//! and decode one record on its own (see [`directory`]); the blocks still
+//! decode with the ordinary [`BlockIterator`], so scans, merges and
+//! verification read them as before.
 
 pub mod block;
 pub mod builder;
 pub mod cache;
+pub mod directory;
 pub mod filter;
 pub mod format;
 pub mod reader;

@@ -1,24 +1,29 @@
 //! SSTable reader: footer → index block → data blocks, with block-cache
 //! integration and a two-level iterator.
 
-use crate::block::{Block, BlockIterator};
+use crate::block::{decode_entry, Block, BlockIterator};
+use crate::builder::FilterKeyFn;
 use crate::cache::BlockCache;
+use crate::directory::{fingerprint, key_hash, RecordDirectory, RecordEntry};
 use crate::filter::BloomFilterPolicy;
-use crate::format::{read_block_payload, BlockHandle, Footer, FOOTER_SIZE};
+use crate::format::{read_block_payload, BlockHandle, Footer, DIRECTORY_FOOTER_SIZE, FOOTER_SIZE};
 use crate::KeyCmp;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use unikv_common::metrics::Counter;
 use unikv_common::perf::{self, PerfStage};
-use unikv_common::{Error, Result};
+use unikv_common::{crc32c, Error, Result};
 use unikv_env::RandomAccessFile;
 
 /// Registry-backed I/O counters shared by every table opened with the
 /// same [`TableOptions`] (typically one bundle per database).
 #[derive(Clone)]
 pub struct TableIoMetrics {
-    /// Data blocks read from the file (cache misses + uncached reads).
+    /// Data blocks read from the file (cache misses + uncached reads),
+    /// plus single records read through a record directory.
     pub block_reads: Counter,
-    /// Bytes of data-block payload read from the file.
+    /// Bytes of data-block payload (and of single records) read from the
+    /// file.
     pub block_read_bytes: Counter,
     /// Data-block lookups answered by the block cache.
     pub cache_hits: Counter,
@@ -30,6 +35,11 @@ pub struct TableIoMetrics {
     pub maint_block_reads: Counter,
     /// The part of `block_read_bytes` taken by maintenance.
     pub maint_block_read_bytes: Counter,
+    /// The part of `block_reads` that read one record through a record
+    /// directory; such a read is not a cache lookup.
+    pub record_reads: Counter,
+    /// The part of `block_read_bytes` taken by record reads.
+    pub record_read_bytes: Counter,
 }
 
 impl TableIoMetrics {
@@ -42,6 +52,8 @@ impl TableIoMetrics {
             cache_misses: registry.counter("sst_cache_misses"),
             maint_block_reads: registry.counter("sst_maint_block_reads"),
             maint_block_read_bytes: registry.counter("sst_maint_block_read_bytes"),
+            record_reads: registry.counter("sst_record_reads"),
+            record_read_bytes: registry.counter("sst_record_read_bytes"),
         }
     }
 }
@@ -74,6 +86,7 @@ pub struct Table {
     opts: TableOptions,
     index: Block,
     filter: Option<Vec<u8>>,
+    directory: Option<RecordDirectory>,
     cache_id: u64,
 }
 
@@ -87,7 +100,8 @@ impl Table {
         if (size as usize) < FOOTER_SIZE {
             return Err(Error::corruption("table file too small for footer"));
         }
-        let footer_bytes = file.read_at(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
+        let tail = (size as usize).min(DIRECTORY_FOOTER_SIZE);
+        let footer_bytes = file.read_at(size - tail as u64, tail)?;
         let footer = Footer::decode(&footer_bytes)?;
         let index = Block::new(read_block_payload(file.as_ref(), &footer.index_handle)?)?;
         let filter = if footer.filter_handle.size > 0 {
@@ -95,12 +109,27 @@ impl Table {
         } else {
             None
         };
+        let directory = match &footer.directory_handle {
+            Some(h) => {
+                let dir = RecordDirectory::parse(read_block_payload(file.as_ref(), h)?)?;
+                if dir.num_blocks() != index.restart_entries() {
+                    return Err(Error::corruption(format!(
+                        "record directory lists {} blocks, the index {}",
+                        dir.num_blocks(),
+                        index.restart_entries()
+                    )));
+                }
+                Some(dir)
+            }
+            None => None,
+        };
         let cache_id = opts.cache.as_ref().map(|c| c.new_id()).unwrap_or(0);
         Ok(Arc::new(Table {
             file,
             opts,
             index,
             filter,
+            directory,
             cache_id,
         }))
     }
@@ -117,6 +146,11 @@ impl Table {
     /// True if a Bloom filter block is present.
     pub fn has_filter(&self) -> bool {
         self.filter.is_some()
+    }
+
+    /// True if a record directory is present.
+    pub fn has_record_directory(&self) -> bool {
+        self.directory.is_some()
     }
 
     /// Read the data block at `handle`, from the cache when it holds
@@ -163,12 +197,20 @@ impl Table {
     /// Find the first entry with key `>= key`. Returns `(key, value)` or
     /// `None` if every entry is smaller.
     ///
-    /// `filter_key`, when provided, is checked against the Bloom filter
-    /// first; a negative answer short-circuits without any I/O.
+    /// `filter_key`, when provided, is the filter key of the entry the
+    /// caller looks for, and the filters may answer `None` (or another
+    /// entry) when the first entry `>= key` does not have it; callers
+    /// compare keys. The Bloom filter is checked first: a negative answer
+    /// short-circuits without any I/O. On a table with a record directory
+    /// the lookup then reads single records instead of the block (one
+    /// record for a key the table holds; see `get_record`).
     pub fn get(&self, key: &[u8], filter_key: Option<&[u8]>) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         if let Some(fk) = filter_key {
             if !self.may_contain(fk) {
                 return Ok(None);
+            }
+            if let Some(dir) = &self.directory {
+                return self.get_record(dir, key, fk);
             }
         }
         let mut index_iter = self.index.iter(self.opts.cmp);
@@ -204,17 +246,126 @@ impl Table {
         }
     }
 
-    /// Put data blocks this table's builder wrote — `(offset, payload)`
-    /// pairs from [`crate::builder::TableProperties::data_blocks`] — on the
-    /// cache's probation segment, so the first reads of a just-flushed
-    /// table do not go to the file. A no-op without a cache.
-    pub fn admit(&self, blocks: Vec<(u64, Vec<u8>)>) -> Result<()> {
-        if let Some(cache) = &self.opts.cache {
-            for (offset, payload) in blocks {
-                cache.insert(self.cache_id, offset, Arc::new(Block::new(payload)?));
+    /// The record-directory lookup behind [`Table::get`]: the index
+    /// (pinned in memory) selects the block holding the first entry
+    /// `>= key`, and the directory lists that block's records. Only the
+    /// records whose fingerprint matches `filter_key`'s are read, each
+    /// with one `read_at` of exactly its bytes, checked against its CRC
+    /// and decoded against the previous block's last key, the index entry
+    /// before the selected one. The first one `>= key` is the answer, so
+    /// a key the block holds costs one record read and an absent key
+    /// usually none. The block cache is neither read nor filled.
+    fn get_record(
+        &self,
+        dir: &RecordDirectory,
+        key: &[u8],
+        filter_key: &[u8],
+    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let i = self.index.restart_lower_bound(key, self.opts.cmp)?;
+        if i == self.index.restart_entries() {
+            return Ok(None);
+        }
+        let (handle, anchor) = self.directory_block(i)?;
+        let (salt, records) = dir.block(i);
+        let fp = fingerprint(key_hash(filter_key), salt);
+        let block_end = handle.offset + handle.size;
+        let mut offset = handle.offset;
+        let mut record_key = Vec::new();
+        for r in records {
+            if offset + u64::from(r.len) > block_end {
+                return Err(Error::corruption("record directory overruns its block"));
+            }
+            if r.fp == fp {
+                let record = self.read_record(offset, r)?;
+                let value = decode_entry(&record, anchor, &mut record_key)?;
+                if (self.opts.cmp)(&record_key, key) != Ordering::Less {
+                    return Ok(Some((record_key, value.to_vec())));
+                }
+            }
+            offset += u64::from(r.len);
+        }
+        Ok(None)
+    }
+
+    /// Data block `i` of a table with a record directory: its handle, and
+    /// the key its records decode against, the previous block's last key
+    /// (its index entry; empty for block 0). The index block has one
+    /// entry per restart point.
+    fn directory_block(&self, i: usize) -> Result<(BlockHandle, &[u8])> {
+        let (handle, _) = BlockHandle::decode_from(self.index.restart_entry(i)?.1)?;
+        let anchor = match i {
+            0 => &[][..],
+            _ => self.index.restart_entry(i - 1)?.0,
+        };
+        Ok((handle, anchor))
+    }
+
+    /// Read one record's bytes at `offset` and check them against its
+    /// directory entry. Counted as a block read (registry and per-op
+    /// profile), in the record-read subset, and never as a cache lookup.
+    fn read_record(&self, offset: u64, entry: RecordEntry) -> Result<Vec<u8>> {
+        if let Some(io) = &self.opts.io {
+            io.block_reads.inc();
+            io.block_read_bytes.add(u64::from(entry.len));
+            io.record_reads.inc();
+            io.record_read_bytes.add(u64::from(entry.len));
+        }
+        perf::count_record_read();
+        let record = self.file.read_at(offset, entry.len as usize)?;
+        if record.len() != entry.len as usize {
+            return Err(Error::corruption("truncated record read"));
+        }
+        if crc32c::unmask(entry.crc) != crc32c::value(&record) {
+            return Err(Error::corruption("record checksum mismatch"));
+        }
+        perf::mark(PerfStage::BlockRead);
+        Ok(record)
+    }
+
+    /// Check the record directory against the data blocks, reading every
+    /// block from the file (the cache is not consulted): one entry per
+    /// record, in order, with the record's length, CRC and the fingerprint
+    /// of `filter_key` of its key, and every record decoding on its own
+    /// against the previous block's last key. Returns `false` for a table
+    /// without a directory.
+    pub fn verify_record_directory(&self, filter_key: FilterKeyFn) -> Result<bool> {
+        let Some(dir) = &self.directory else {
+            return Ok(false);
+        };
+        let mut key = Vec::new();
+        for i in 0..self.index.restart_entries() {
+            let (handle, anchor) = self.directory_block(i)?;
+            let block = Block::new(read_block_payload(self.file.as_ref(), &handle)?)?;
+            let mut it = block.iter(self.opts.cmp);
+            it.seek_to_first()?;
+            let (salt, mut records) = dir.block(i);
+            while it.valid() {
+                let record = it.entry();
+                let expect = RecordEntry {
+                    len: record.len() as u32,
+                    crc: crc32c::mask(crc32c::value(record)),
+                    fp: fingerprint(key_hash(filter_key(it.key())), salt),
+                };
+                if records.next() != Some(expect) {
+                    return Err(Error::corruption(format!(
+                        "record directory disagrees with block {i}"
+                    )));
+                }
+                decode_entry(record, anchor, &mut key)?;
+                if key != it.key() {
+                    return Err(Error::corruption(format!(
+                        "a record of block {i} does not decode on its own"
+                    )));
+                }
+                it.next()?;
+            }
+            if records.next().is_some() {
+                return Err(Error::corruption(format!(
+                    "record directory lists extra records for block {i}"
+                )));
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Evict this table's blocks from the shared cache (call on delete).
@@ -509,15 +660,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        b.keep_data_blocks();
         for (k, v) in &entries {
             b.add(k, v).unwrap();
         }
         let props = b.finish().unwrap();
-        assert!(
-            props.data_blocks.len() > 20,
-            "the table must span many blocks"
-        );
         let io = test_io();
         let opts = TableOptions {
             cmp: crate::raw_cmp,
@@ -526,6 +672,10 @@ mod tests {
         };
         let file = env.new_random_access(path).unwrap();
         let table = Table::open(file, props.file_size, opts).unwrap();
+        assert!(
+            table.index.restart_entries() > 20,
+            "the table must span many blocks"
+        );
         for (i, (k, v)) in entries.iter().enumerate() {
             let reads = io.block_reads.value();
             assert_eq!(table.get(k, None).unwrap(), Some((k.clone(), v.clone())));
@@ -550,8 +700,7 @@ mod tests {
         entries: &[(Vec<u8>, Vec<u8>)],
         cache: &Arc<BlockCache>,
         io: &TableIoMetrics,
-        keep_blocks: bool,
-    ) -> (Arc<Table>, Vec<(u64, Vec<u8>)>) {
+    ) -> Arc<Table> {
         let mut b = TableBuilder::new(
             env.new_writable(path).unwrap(),
             TableBuilderOptions {
@@ -559,9 +708,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        if keep_blocks {
-            b.keep_data_blocks();
-        }
         for (k, v) in entries {
             b.add(k, v).unwrap();
         }
@@ -572,10 +718,7 @@ mod tests {
             io: Some(io.clone()),
         };
         let file = env.new_random_access(path).unwrap();
-        (
-            Table::open(file, props.file_size, opts).unwrap(),
-            props.data_blocks,
-        )
+        Table::open(file, props.file_size, opts).unwrap()
     }
 
     fn test_io() -> TableIoMetrics {
@@ -588,8 +731,8 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let io = test_io();
         let entries = sample_entries(300);
-        let (a, _) = cached_table(&env, Path::new("/a.sst"), &entries, &cache, &io, false);
-        let (b, _) = cached_table(&env, Path::new("/b.sst"), &entries, &cache, &io, false);
+        let a = cached_table(&env, Path::new("/a.sst"), &entries, &cache, &io);
+        let b = cached_table(&env, Path::new("/b.sst"), &entries, &cache, &io);
         for table in [&a, &b] {
             let mut it = table.iter(true);
             it.seek_to_first().unwrap();
@@ -619,14 +762,7 @@ mod tests {
         let env = MemEnv::new();
         let cache = BlockCache::new(1 << 20);
         let io = test_io();
-        let (table, _) = cached_table(
-            &env,
-            Path::new("/t.sst"),
-            &sample_entries(300),
-            &cache,
-            &io,
-            false,
-        );
+        let table = cached_table(&env, Path::new("/t.sst"), &sample_entries(300), &cache, &io);
         table.get(b"key000000", None).unwrap();
         let cached = cache.bytes();
         let mut it = table.iter(false);
@@ -648,29 +784,167 @@ mod tests {
         );
     }
 
+    /// Build `entries` with a record directory in 1 KiB blocks, opened
+    /// uncached with I/O counters.
+    fn directory_table(
+        env: &MemEnv,
+        path: &Path,
+        entries: &[(Vec<u8>, Vec<u8>)],
+        io: &TableIoMetrics,
+    ) -> Arc<Table> {
+        let mut b = TableBuilder::new(
+            env.new_writable(path).unwrap(),
+            TableBuilderOptions {
+                block_size: 1024,
+                record_directory: true,
+                ..Default::default()
+            },
+        );
+        for (k, v) in entries {
+            b.add(k, v).unwrap();
+        }
+        let props = b.finish().unwrap();
+        let opts = TableOptions {
+            cmp: crate::raw_cmp,
+            cache: None,
+            io: Some(io.clone()),
+        };
+        let table =
+            Table::open(env.new_random_access(path).unwrap(), props.file_size, opts).unwrap();
+        assert!(table.has_record_directory());
+        table
+    }
+
+    /// Every key, in block 0 (decoded against an empty in-memory key) and
+    /// past the 16-entry restart interval of a block, is read through the
+    /// directory with exactly one record read of exactly its bytes; an
+    /// absent key usually reads nothing. Short records put about 25
+    /// entries in a block.
     #[test]
-    fn admitted_blocks_are_the_blocks_on_disk() {
+    fn directory_get_reads_one_record() {
         let env = MemEnv::new();
-        let cache = BlockCache::new(1 << 20);
+        let io = test_io();
+        let entries = sample_entries(2000);
+        let table = directory_table(&env, Path::new("/t.sst"), &entries, &io);
+        assert!(table.index.restart_entries() > 20);
+        let (_, first_block) = table.directory.as_ref().unwrap().block(0);
+        assert!(first_block.count() > 16, "blocks must span restart points");
+        for (i, (k, v)) in entries.iter().enumerate() {
+            let (reads, bytes) = (io.block_reads.value(), io.block_read_bytes.value());
+            assert_eq!(table.get(k, Some(k)).unwrap(), Some((k.clone(), v.clone())));
+            assert_eq!(io.block_reads.value(), reads + 1, "get of {i}");
+            assert_eq!(io.record_reads.value(), io.block_reads.value());
+            // varint32 shared, non_shared and value length: one byte each.
+            let most = 3 + k.len() + v.len();
+            assert!(
+                io.block_read_bytes.value() - bytes <= most as u64,
+                "get of {i}"
+            );
+        }
+        assert_eq!(io.record_read_bytes.value(), io.block_read_bytes.value());
+        let reads = io.block_reads.value();
+        for i in 0..2000u32 {
+            let k = format!("key{i:06}x").into_bytes();
+            if let Some((got, _)) = table.get(&k, Some(&k)).unwrap() {
+                assert_ne!(got, k);
+            }
+        }
+        // An absent key reads a record only when its 1-byte fingerprint
+        // matches one of the block's (distinct) fingerprints.
+        let absent_reads = io.block_reads.value() - reads;
+        let per_block = 2000 / table.index.restart_entries() as u64;
+        let expected = 2000 * per_block / 256;
+        assert!(
+            absent_reads < expected * 3 / 2,
+            "2000 absent keys read {absent_reads} records, expected about {expected}"
+        );
+        assert_eq!((io.cache_hits.value(), io.cache_misses.value()), (0, 0));
+        assert!(table.verify_record_directory(|k| k).unwrap());
+    }
+
+    /// Without a filter key, and on a table without a directory, a get
+    /// answers through the block as before.
+    #[test]
+    fn get_without_the_directory_reads_the_block() {
+        let env = MemEnv::new();
         let io = test_io();
         let entries = sample_entries(300);
-        let (table, blocks) = cached_table(&env, Path::new("/t.sst"), &entries, &cache, &io, true);
-        assert!(blocks.len() > 10);
-        let on_disk = env.read_to_vec(Path::new("/t.sst")).unwrap();
-        for (offset, payload) in &blocks {
-            assert_eq!(&on_disk[*offset as usize..][..payload.len()], &payload[..]);
-        }
-        table.admit(blocks).unwrap();
-        let mut it = table.iter(true);
-        it.seek_to_first().unwrap();
+        let table = directory_table(&env, Path::new("/t.sst"), &entries, &io);
+        let plain = cached_table(
+            &env,
+            Path::new("/p.sst"),
+            &entries,
+            &BlockCache::new(0),
+            &io,
+        );
+        assert!(!plain.has_record_directory());
+        assert!(!plain.verify_record_directory(|k| k).unwrap());
         for (k, v) in &entries {
-            assert_eq!((it.key(), it.value()), (&k[..], &v[..]));
-            it.next().unwrap();
+            for (t, filter_key) in [(&table, None), (&plain, Some(&k[..]))] {
+                let (reads, bytes) = (io.block_reads.value(), io.block_read_bytes.value());
+                assert_eq!(t.get(k, filter_key).unwrap(), Some((k.clone(), v.clone())));
+                assert_eq!(io.block_reads.value(), reads + 1);
+                assert!(io.block_read_bytes.value() - bytes > 200, "a whole block");
+            }
         }
-        assert!(!it.valid());
-        assert_eq!(io.block_reads.value(), 0, "every block was admitted");
-        table.evict_from_cache();
-        assert_eq!(cache.bytes(), 0);
+        assert_eq!(io.record_reads.value(), 0);
+    }
+
+    /// A damaged record fails its own get with a typed corruption error;
+    /// every other key still reads its value. A damaged directory fails
+    /// the open.
+    #[test]
+    fn damaged_record_or_directory_is_corruption() {
+        let env = MemEnv::new();
+        let io = test_io();
+        let entries = sample_entries(300);
+        let path = Path::new("/t.sst");
+        directory_table(&env, path, &entries, &io);
+        let clean = env.read_to_vec(path).unwrap();
+        let rewrite = |data: &[u8]| {
+            let mut w = env.new_writable(path).unwrap();
+            w.append(data).unwrap();
+        };
+        let victim = 150;
+        let at = clean
+            .windows(entries[victim].1.len())
+            .position(|w| w == &entries[victim].1[..])
+            .unwrap();
+        let mut data = clean.clone();
+        data[at + 2] ^= 0x20;
+        rewrite(&data);
+        let opts = TableOptions::raw_uncached();
+        let table = Table::open(
+            env.new_random_access(path).unwrap(),
+            data.len() as u64,
+            opts.clone(),
+        )
+        .unwrap();
+        for (i, (k, v)) in entries.iter().enumerate() {
+            match table.get(k, Some(k)) {
+                Err(e) if i == victim => assert!(e.is_corruption(), "{e}"),
+                r => assert_eq!(r.unwrap(), Some((k.clone(), v.clone())), "get of {i}"),
+            }
+        }
+        assert!(table
+            .verify_record_directory(|k| k)
+            .unwrap_err()
+            .is_corruption());
+
+        let footer = Footer::decode(&clean[clean.len() - DIRECTORY_FOOTER_SIZE..]).unwrap();
+        let dir = footer.directory_handle.unwrap();
+        let mut data = clean.clone();
+        data[(dir.offset + dir.size / 2) as usize] ^= 0x01;
+        rewrite(&data);
+        let err = match Table::open(
+            env.new_random_access(path).unwrap(),
+            data.len() as u64,
+            opts,
+        ) {
+            Ok(_) => panic!("open of a damaged directory must fail"),
+            Err(e) => e,
+        };
+        assert!(err.is_corruption(), "{err}");
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Property tests over whole tables: build → read round-trips with
 //! internal keys (the production key shape), across block sizes, with
-//! lower-bound seek semantics checked against a model.
+//! lower-bound seek semantics checked against a model; and point reads
+//! through a record directory checked against the block path.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-use unikv_common::ikey::{compare_internal_keys, make_internal_key, ValueType};
+use unikv_common::ikey::{
+    compare_internal_keys, extract_user_key, make_internal_key, ValueType, MAX_SEQUENCE_NUMBER,
+};
 use unikv_env::mem::MemEnv;
 use unikv_env::Env;
 use unikv_sstable::{Table, TableBuilder, TableBuilderOptions, TableOptions};
@@ -114,5 +117,86 @@ proptest! {
             }
         }
         let _ = build; // silence unused when cases shrink
+    }
+
+    /// A table written with a record directory answers every point read
+    /// through single records as the block path does: each stored version
+    /// at its own sequence, each user key's newest version at the top
+    /// sequence, and nothing (or another user key) for absent keys. Its
+    /// blocks still iterate as ordinary blocks, and the directory checks
+    /// out against them.
+    #[test]
+    fn prop_record_directory_matches_block_path(
+        keys in proptest::collection::btree_set(
+            (proptest::collection::vec(any::<u8>(), 1..12), 1u64..4), 1..200),
+        absent in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..12), 0..40),
+        block_size in prop_oneof![Just(64usize), Just(256), Just(1024), Just(4096)],
+        value_len in prop_oneof![Just(0usize), Just(8), Just(200)],
+    ) {
+        let mut sorted: Vec<Vec<u8>> = keys
+            .iter()
+            .map(|(k, seq)| make_internal_key(k, *seq, ValueType::Value))
+            .collect();
+        sorted.sort_by(|a, b| compare_internal_keys(a, b));
+        let value = |i: usize| format!("v{i}-").repeat(value_len / 3 + 1).into_bytes();
+        let env = MemEnv::new();
+        let mut tables = Vec::new();
+        for (path, record_directory) in [("/dir.sst", true), ("/plain.sst", false)] {
+            let path = Path::new(path);
+            let mut b = TableBuilder::new(
+                env.new_writable(path).unwrap(),
+                TableBuilderOptions {
+                    block_size,
+                    filter_key: extract_user_key,
+                    record_directory,
+                    ..Default::default()
+                },
+            );
+            for (i, ik) in sorted.iter().enumerate() {
+                b.add(ik, &value(i)).unwrap();
+            }
+            let props = b.finish().unwrap();
+            let table = Table::open(
+                env.new_random_access(path).unwrap(),
+                props.file_size,
+                TableOptions { cmp: compare_internal_keys, cache: None, io: None },
+            ).unwrap();
+            prop_assert_eq!(table.has_record_directory(), record_directory);
+            prop_assert_eq!(table.verify_record_directory(extract_user_key).unwrap(), record_directory);
+            tables.push(table);
+        }
+        let (dir, plain) = (&tables[0], &tables[1]);
+
+        let mut it = dir.iter(true);
+        it.seek_to_first().unwrap();
+        for (i, ik) in sorted.iter().enumerate() {
+            prop_assert!(it.valid());
+            prop_assert_eq!(it.key(), &ik[..]);
+            prop_assert_eq!(it.value(), &value(i)[..]);
+            it.next().unwrap();
+        }
+        prop_assert!(!it.valid());
+
+        // What a point read must answer: the first entry >= the probe if
+        // it belongs to the probe's user key.
+        let expect = |probe: &[u8]| {
+            sorted.iter().position(|ik| compare_internal_keys(ik, probe).is_ge())
+                .filter(|&i| extract_user_key(&sorted[i]) == extract_user_key(probe))
+                .map(|i| (sorted[i].clone(), value(i)))
+        };
+        let same_user = |got: Option<(Vec<u8>, Vec<u8>)>, probe: &[u8]| {
+            got.filter(|(k, _)| extract_user_key(k) == extract_user_key(probe))
+        };
+        let probes = sorted.iter().cloned()
+            .chain(keys.iter().map(|(k, _)| make_internal_key(k, MAX_SEQUENCE_NUMBER, ValueType::Value)))
+            .chain(keys.iter().map(|(k, _)| make_internal_key(k, 0, ValueType::Value)))
+            .chain(absent.iter().map(|k| make_internal_key(k, MAX_SEQUENCE_NUMBER, ValueType::Value)));
+        for probe in probes {
+            let user = extract_user_key(&probe);
+            let want = expect(&probe);
+            prop_assert_eq!(same_user(dir.get(&probe, Some(user)).unwrap(), &probe), want.clone());
+            prop_assert_eq!(same_user(plain.get(&probe, Some(user)).unwrap(), &probe), want.clone());
+            prop_assert_eq!(same_user(dir.get(&probe, None).unwrap(), &probe), want);
+        }
     }
 }
