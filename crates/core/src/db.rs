@@ -60,7 +60,9 @@ use unikv_lsm::iter::{
     ConcatSource, InternalIterator, LiveIter, MemTableSource, MergingIterator, TableSource,
 };
 use unikv_memtable::{LookupResult, MemTable};
-use unikv_sstable::{BlockCache, Table, TableBuilder, TableBuilderOptions, TableOptions};
+use unikv_sstable::{
+    BlockCache, KeptBlocks, Table, TableBuilder, TableBuilderOptions, TableOptions,
+};
 use unikv_vlog::{parse_vlog_file_name, record_size, vlog_file_name, ValueLog};
 use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 
@@ -191,22 +193,35 @@ struct FlushedTable {
     table: Arc<Table>,
 }
 
-/// What a full merge built: the new SortedStore run, the bytes written
-/// (tables plus newly separated values) and the live separated bytes.
+/// What a full merge built: the new SortedStore run, its open tables,
+/// the bytes written (tables plus newly separated values) and the live
+/// separated bytes.
 struct MergeOutput {
     tables: Vec<TableMeta>,
+    built: Vec<BuiltTable>,
     written: u64,
     live_value_bytes: u64,
 }
 
+/// A table a merge, GC or split wrote, opened when its build finished,
+/// with the data blocks the build kept for the block cache. Installed by
+/// [`DbInner::install_tables`] once the rewrite commits.
+struct BuiltTable {
+    number: u64,
+    table: Arc<Table>,
+    kept: Option<KeptBlocks>,
+}
+
 /// Writes a sorted entry stream into tables in `dir`, rolling over to a
 /// new table once one reaches `table_size`. Each table takes its number
-/// from the caller's allocator when it opens.
+/// from the caller's allocator when it opens, and keeps its data blocks
+/// for the block cache while the cache has capacity left unreserved.
 struct TableRoller<'a> {
     db: &'a DbInner,
     dir: PathBuf,
     builder: Option<TableBuilder>,
     tables: Vec<TableMeta>,
+    built: Vec<BuiltTable>,
     /// Bytes of the finished tables.
     bytes: u64,
 }
@@ -218,6 +233,7 @@ impl<'a> TableRoller<'a> {
             dir,
             builder: None,
             tables: Vec::new(),
+            built: Vec::new(),
             bytes: 0,
         }
     }
@@ -229,10 +245,11 @@ impl<'a> TableRoller<'a> {
                 .db
                 .env
                 .new_writable(&filenames::table_file(&self.dir, number))?;
-            self.builder = Some(TableBuilder::new(
-                file,
-                self.db.table_builder_opts(Tier::Sorted),
-            ));
+            let mut builder = TableBuilder::new(file, self.db.table_builder_opts(Tier::Sorted));
+            if let Some(cache) = &self.db.topts.cache {
+                builder.keep_blocks(cache.clone());
+            }
+            self.builder = Some(builder);
             self.tables.push(TableMeta {
                 number,
                 size: 0,
@@ -248,7 +265,7 @@ impl<'a> TableRoller<'a> {
         Ok(())
     }
 
-    /// Finish the open table, if any.
+    /// Finish the open table, if any, and open it.
     fn finish(&mut self) -> Result<()> {
         if let Some(b) = self.builder.take() {
             let props = b.finish()?;
@@ -257,6 +274,12 @@ impl<'a> TableRoller<'a> {
             t.size = props.file_size;
             t.smallest = props.smallest;
             t.largest = props.largest;
+            let path = filenames::table_file(&self.dir, t.number);
+            self.built.push(BuiltTable {
+                number: t.number,
+                table: self.db.open_table_file(&path, t.size)?,
+                kept: props.kept,
+            });
         }
         Ok(())
     }
@@ -1246,10 +1269,15 @@ impl DbInner {
             return Ok(t.clone());
         }
         let path = filenames::table_file(&partition_dir(&self.root, p.meta.id), number);
-        let size = self.env.file_size(&path)?;
-        let table = Table::open(self.env.new_random_access(&path)?, size, self.topts.clone())?;
+        let table = self.open_table_file(&path, self.env.file_size(&path)?)?;
         p.tables_guard().insert(number, table.clone());
         Ok(table)
+    }
+
+    /// Open the table file at `path`, `size` bytes long, on the shared
+    /// block cache.
+    fn open_table_file(&self, path: &Path, size: u64) -> Result<Arc<Table>> {
+        Table::open(self.env.new_random_access(path)?, size, self.topts.clone())
     }
 
     /// Decode a value slot; the flag reports whether the value had to be
@@ -1661,11 +1689,7 @@ impl DbInner {
             iter.next()?;
         }
         let props = builder.finish()?;
-        let table = Table::open(
-            self.env.new_random_access(&path)?,
-            props.file_size,
-            self.topts.clone(),
-        )?;
+        let table = self.open_table_file(&path, props.file_size)?;
         Ok(FlushedTable {
             meta: TableMeta {
                 number: table_number,
@@ -1910,6 +1934,21 @@ impl DbInner {
         }))
     }
 
+    /// Make a rewrite's output tables current once its manifest commit is
+    /// done and the tables it replaced have left the cache: each joins the
+    /// partition's open handles, and the blocks its build kept go on the
+    /// cache's probation segment under its cache id.
+    fn install_tables(&self, p: &Partition, built: Vec<BuiltTable>) -> Result<()> {
+        let mut tables = p.tables_guard();
+        for b in built {
+            if let Some(kept) = b.kept {
+                b.table.admit(kept)?;
+            }
+            tables.insert(b.number, b.table);
+        }
+        Ok(())
+    }
+
     /// Phase 2 of a full merge, no core lock needed: write the newest
     /// version of every live key into a new SortedStore run. Fresh
     /// (inline) values move to a newly rotated value log; values already
@@ -1959,6 +1998,7 @@ impl DbInner {
         self.sync.hit("merge:build")?;
         Ok(MergeOutput {
             tables: out.tables,
+            built: out.built,
             written: written + out.bytes,
             live_value_bytes,
         })
@@ -1983,7 +2023,7 @@ impl DbInner {
         p.meta.live_value_bytes = out.live_value_bytes;
         p.index.clear();
         p.unlogged.clear();
-        self.commit_merge(core, pidx, snap, outputs, out.written)
+        self.commit_merge(core, pidx, snap, outputs, out.built, out.written)
     }
 
     /// Phase 2 of a scan-merge, no core lock needed: collapse the input
@@ -1995,13 +2035,13 @@ impl DbInner {
         &self,
         snap: &mut MergeSnapshot,
         alloc: &mut dyn FnMut() -> u64,
-    ) -> Result<(TableMeta, TwoLevelHashIndex)> {
+    ) -> Result<(TableMeta, BuiltTable, TwoLevelHashIndex)> {
         let number = alloc();
         let iter = &mut snap.iter;
         iter.seek_to_first()?;
+        let path = filenames::table_file(&snap.dir, number);
         let mut builder = TableBuilder::new(
-            self.env
-                .new_writable(&filenames::table_file(&snap.dir, number))?,
+            self.env.new_writable(&path)?,
             self.table_builder_opts(Tier::Unsorted),
         );
         let mut index =
@@ -2019,6 +2059,7 @@ impl DbInner {
             iter.next()?;
         }
         let props = builder.finish()?;
+        let table = self.open_table_file(&path, props.file_size)?;
         self.sync.hit("scanmerge:build")?;
         let tmeta = TableMeta {
             number,
@@ -2026,7 +2067,12 @@ impl DbInner {
             smallest: props.smallest,
             largest: props.largest,
         };
-        Ok((tmeta, index))
+        let built = BuiltTable {
+            number,
+            table,
+            kept: None,
+        };
+        Ok((tmeta, built, index))
     }
 
     /// Phase 3 of a scan-merge, under the write lock: the merged table and
@@ -2038,7 +2084,7 @@ impl DbInner {
         core: &mut DbCore,
         pidx: usize,
         snap: MergeSnapshot,
-        (tmeta, index): (TableMeta, TwoLevelHashIndex),
+        (tmeta, built, index): (TableMeta, BuiltTable, TwoLevelHashIndex),
     ) -> Result<u64> {
         let p = &mut core.partitions[pidx];
         check_merge_inputs(p.meta.unsorted.iter(), &snap.inputs)?;
@@ -2049,18 +2095,19 @@ impl DbInner {
         // of merged-away tables still unlogged (after a failed commit)
         // would only be dropped at recovery.
         p.unlogged = p.index.entries();
-        self.commit_merge(core, pidx, snap, vec![number], size)
+        self.commit_merge(core, pidx, snap, vec![number], vec![built], size)
     }
 
     /// The end of both merges' install: commit the manifest, count the merge,
-    /// publish the finish event, delete the input tables and record the
-    /// op.
+    /// publish the finish event, delete the input tables, install the
+    /// output tables and record the op.
     fn commit_merge(
         &self,
         core: &mut DbCore,
         pidx: usize,
         snap: MergeSnapshot,
         outputs: Vec<u64>,
+        built: Vec<BuiltTable>,
         bytes: u64,
     ) -> Result<u64> {
         let (commit, finish, cleanup, op) = if snap.full {
@@ -2097,6 +2144,7 @@ impl DbInner {
             self.env
                 .delete_file(&filenames::table_file(&snap.dir, number))?;
         }
+        self.install_tables(p, built)?;
         self.maint.notify_progress();
         self.record_maint(op, snap.t0, snap.pid, bytes);
         Ok(fin)
@@ -2219,6 +2267,7 @@ impl DbInner {
         // dropping `inherited_logs` that rewritten pointers still need,
         // turning those logs into orphans deleted on the next open.
         let p = &mut core.partitions[pidx];
+        let built = out.built;
         let old_tables = std::mem::replace(&mut p.meta.sorted, out.tables);
         let old_inherited = std::mem::take(&mut p.meta.inherited_logs);
         p.meta.own_logs = p.vlog.lock().log_numbers();
@@ -2249,6 +2298,7 @@ impl DbInner {
             self.env
                 .delete_file(&filenames::table_file(&dir, t.number))?;
         }
+        self.install_tables(p, built)?;
         for &n in &victims {
             self.resolver.evict(pid, n);
         }
@@ -2492,6 +2542,10 @@ impl DbInner {
         self.sync.hit("split:build")?;
 
         let split_bytes = left.written + right.written;
+        let built = [
+            std::mem::take(&mut left.out.built),
+            std::mem::take(&mut right.out.built),
+        ];
 
         // Build the child partitions and swap them in.
         let build_partition = |child: ChildBuild,
@@ -2554,10 +2608,14 @@ impl DbInner {
         // (now shared with the children, freed by lazy GC).
         let parent_dir = partition_dir(&self.root, parent.meta.id);
         for t in parent.meta.unsorted.iter().chain(&parent.meta.sorted) {
+            parent.evict_table(t.number);
             let path = filenames::table_file(&parent_dir, t.number);
             if self.env.file_exists(&path) {
                 self.env.delete_file(&path)?;
             }
+        }
+        for (child, built) in built.into_iter().enumerate() {
+            self.install_tables(&core.partitions[pidx + child], built)?;
         }
         let wal_path = filenames::wal_file(&parent_dir, parent.meta.wal_number);
         if self.env.file_exists(&wal_path) {

@@ -70,4 +70,4 @@ pub use unikv_common::metrics::{
 };
 pub use unikv_common::perf::{PerfContext, PerfStage, PERF_STAGE_COUNT};
 pub use unikv_lsm::db::ScanItem;
-pub use verify::{verify_db, FileDamage, VerifyReport};
+pub use verify::{verify_db, FileDamage, LiveBytesMismatch, VerifyReport};

@@ -17,6 +17,9 @@
 //!   as a write batch. A missing WAL file is *not* damage (a crash before
 //!   the first synced append legitimately leaves none).
 //! * Value logs (owned + inherited) — every record's framing and CRC.
+//! * Live value bytes — per partition, the lengths of the SortedStore's
+//!   value pointers must sum to the `live_value_bytes` the manifest
+//!   records, which the GC trigger reads.
 
 use crate::batch::decode_batch_record;
 use crate::meta::{read_manifest, MANIFEST};
@@ -26,6 +29,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unikv_common::ikey::extract_user_key;
+use unikv_common::pointer::SeparatedValue;
 use unikv_common::{Error, Result};
 use unikv_env::Env;
 use unikv_lsm::filenames;
@@ -44,6 +48,18 @@ pub struct FileDamage {
     pub detail: String,
 }
 
+/// A partition whose recorded live value bytes disagree with the value
+/// pointers its SortedStore holds, found by [`verify_db`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiveBytesMismatch {
+    /// The partition id.
+    pub partition: u32,
+    /// `PartitionMeta::live_value_bytes` as the manifest records it.
+    pub recorded: u64,
+    /// The sum of the SortedStore's value-pointer lengths.
+    pub pointed: u64,
+}
+
 /// Result of a full offline scrub.
 #[derive(Debug, Default)]
 pub struct VerifyReport {
@@ -51,12 +67,17 @@ pub struct VerifyReport {
     pub files_checked: usize,
     /// Every damaged file, in scrub order.
     pub damage: Vec<FileDamage>,
+    /// Every partition whose live value bytes disagree with its
+    /// SortedStore's pointers. Partitions with a damaged SortedStore
+    /// table are not checked.
+    pub live_bytes: Vec<LiveBytesMismatch>,
 }
 
 impl VerifyReport {
-    /// True when no file shows damage.
+    /// True when no file shows damage and every partition's live value
+    /// bytes agree with its pointers.
     pub fn is_clean(&self) -> bool {
-        self.damage.is_empty()
+        self.damage.is_empty() && self.live_bytes.is_empty()
     }
 
     fn flag(&mut self, path: &Path, kind: &'static str, detail: impl Into<String>) {
@@ -71,7 +92,8 @@ impl VerifyReport {
 /// Read every entry of the table at `path`, which verifies the footer,
 /// the index block, and each data block's checksum, and check its record
 /// directory, if it has one, against the blocks. Also checks the file
-/// size against the size the manifest recorded at commit time.
+/// size against the size the manifest recorded at commit time. Returns
+/// the sum of the lengths of the value pointers the table holds.
 fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u64> {
     if !env.file_exists(path) {
         return Err(Error::corruption("file missing"));
@@ -85,13 +107,15 @@ fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u
     let table = Table::open(env.new_random_access(path)?, size, table_options(None))?;
     let mut it = table.iter(true);
     it.seek_to_first()?;
-    let mut entries = 0u64;
+    let mut pointed = 0u64;
     while it.valid() {
-        entries += 1;
+        if let SeparatedValue::Pointer(ptr) = SeparatedValue::decode(it.value())? {
+            pointed += u64::from(ptr.length);
+        }
         it.next()?;
     }
     table.verify_record_directory(extract_user_key)?;
-    Ok(entries)
+    Ok(pointed)
 }
 
 /// Strict-replay the WAL at `path`: torn tails truncate (normal), mid-log
@@ -139,12 +163,25 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
     let mut seen_vlogs: BTreeSet<(u32, u64)> = BTreeSet::new();
     for p in &meta.partitions {
         let dir = partition_dir(root, p.id);
-        for tmeta in p.unsorted.iter().chain(&p.sorted) {
+        // `None` once a SortedStore table is damaged.
+        let mut pointed = Some(0u64);
+        for (i, tmeta) in p.unsorted.iter().chain(&p.sorted).enumerate() {
             let path = filenames::table_file(&dir, tmeta.number);
             report.files_checked += 1;
-            if let Err(e) = verify_table(&env, &path, tmeta.size) {
+            let result = verify_table(&env, &path, tmeta.size);
+            if i >= p.unsorted.len() {
+                pointed = pointed.zip(result.as_ref().ok()).map(|(sum, b)| sum + b);
+            }
+            if let Err(e) = result {
                 report.flag(&path, "sstable", e.to_string());
             }
+        }
+        if let Some(pointed) = pointed.filter(|&b| b != p.live_value_bytes) {
+            report.live_bytes.push(LiveBytesMismatch {
+                partition: p.id,
+                recorded: p.live_value_bytes,
+                pointed,
+            });
         }
         for &n in p.sealed_wals.iter().chain([p.wal_number].iter()) {
             let path = filenames::wal_file(&dir, n);
@@ -209,6 +246,84 @@ mod tests {
         let report = verify_db(env.clone() as Arc<dyn Env>, "/db").unwrap();
         assert!(report.is_clean(), "unexpected damage: {:?}", report.damage);
         assert!(report.files_checked > 3, "scrub saw {report:?}");
+    }
+
+    /// Merges, GCs and splits, inline and on worker threads, keep every
+    /// partition's recorded live value bytes equal to the lengths of its
+    /// SortedStore's pointers.
+    #[test]
+    fn live_value_bytes_match_after_merges_gc_and_split() {
+        for background_jobs in [0, 2] {
+            let env = MemEnv::shared();
+            let opts = UniKvOptions {
+                background_jobs,
+                ..UniKvOptions::small_for_tests()
+            };
+            let db = UniKv::open(env.clone() as Arc<dyn Env>, "/db", opts).unwrap();
+            for round in 0..6u32 {
+                for i in 0..1500u32 {
+                    let value = format!("{round}-{i}-").repeat(12);
+                    db.put(format!("key{i:05}").as_bytes(), value.as_bytes())
+                        .unwrap();
+                }
+            }
+            db.wait_for_background();
+            let stats = db.stats().snapshot();
+            for op in ["merges", "gcs", "splits"] {
+                let n = stats.iter().find(|(name, _)| *name == op).unwrap().1;
+                assert!(n > 0, "mode {background_jobs}: no {op} ran");
+            }
+            drop(db);
+            let report = verify_db(env.clone() as Arc<dyn Env>, "/db").unwrap();
+            assert!(report.is_clean(), "mode {background_jobs}: {report:?}");
+        }
+    }
+
+    /// A manifest whose live value bytes disagree with the SortedStore is
+    /// reported as a typed mismatch, and the files as undamaged.
+    #[test]
+    fn wrong_live_value_bytes_is_reported() {
+        use crate::maintenance::SyncPoints;
+        use crate::meta::{Header, ManifestWriter, PartitionView};
+        use unikv_hashindex::TwoLevelHashIndex;
+
+        let env = MemEnv::shared();
+        build_db(&env);
+        let root = Path::new("/db");
+        let mut meta = read_manifest(env.as_ref(), root).unwrap().unwrap().meta;
+        let recorded = meta.partitions[0].live_value_bytes;
+        assert!(recorded > 0, "the merge separated values");
+        meta.partitions[0].live_value_bytes += 1;
+        let index = TwoLevelHashIndex::with_capacity(1, 1);
+        let views: Vec<PartitionView> = meta
+            .partitions
+            .iter()
+            .map(|p| PartitionView {
+                meta: p,
+                index: &index,
+                new_entries: &[],
+            })
+            .collect();
+        let header = Header {
+            last_sequence: meta.last_sequence,
+            next_file: meta.next_file,
+            next_partition: meta.next_partition,
+        };
+        ManifestWriter::new(root, None)
+            .commit(env.as_ref(), &SyncPoints::default(), header, &views)
+            .unwrap();
+
+        let report = verify_db(env.clone() as Arc<dyn Env>, root).unwrap();
+        assert!(report.damage.is_empty(), "damage: {:?}", report.damage);
+        assert_eq!(
+            report.live_bytes,
+            vec![LiveBytesMismatch {
+                partition: meta.partitions[0].id,
+                recorded: recorded + 1,
+                pointed: recorded,
+            }]
+        );
+        assert!(!report.is_clean());
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! The block cache under engine traffic, in inline and background mode:
-//! a hash probe reads one record and bypasses the cache, maintenance
-//! neither fills the cache nor evicts other partitions' hot blocks, and an
-//! aborted flush install leaves nothing in the cache. With the cache off,
-//! the block a get reads has the size of its tier's blocks.
+//! a hash probe reads one record and bypasses the cache, maintenance reads
+//! do not evict other partitions' hot blocks, a full merge or GC puts the
+//! blocks it writes in the cache in place of the replaced tables' blocks,
+//! up to the cache's capacity, and an aborted flush, merge or GC install
+//! leaves nothing in the cache. With the cache off, the block a get reads has the size of
+//! its tier's blocks.
 //!
 //! Background mode flushes and merges on a worker thread, so these tests
 //! wait for the queue to drain before they count; they are part of the CI
 //! flake sweep.
+
+mod gc_scenario;
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -104,19 +108,19 @@ fn hash_probes_read_one_record() {
         check("flushed tables");
 
         // A scan reads the partition: it scan-merges the tables into one
-        // hash-indexed table, which the first get opens.
+        // hash-indexed table, opened when the scan-merge installs it.
         assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
         db.wait_for_background();
         assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 1);
-        db.get(&key(0)).unwrap();
         check("scan-merged table");
     }
 }
 
 /// A full merge in one partition reads all of that partition's tables
-/// without filling the cache, so the hot blocks of another partition stay
-/// cached. The cache holds a few small blocks per shard, far less than the
-/// merge reads: under an LRU that caches maintenance reads this fails.
+/// without filling the cache, and the blocks it writes enter on probation,
+/// so the hot blocks of another partition stay cached. The cache holds a
+/// few small blocks per shard, far less than the merge reads: under an LRU
+/// that caches maintenance reads this fails.
 #[test]
 fn merge_leaves_other_partitions_hot_blocks_cached() {
     let small_cache = |background_jobs| UniKvOptions {
@@ -197,6 +201,210 @@ fn aborted_flush_install_leaves_no_admitted_blocks() {
             "mode {background_jobs}: an aborted flush left blocks in the cache"
         );
         db.sync_points().disarm();
+    }
+}
+
+/// Keys of the rewrite tests: one partition, below the split limit.
+const KEYS: u32 = 400;
+
+/// Every 10th key: the keys the merge tests overwrite. Enough distinct
+/// keys that the UnsortedStore reaches its byte limit, and the full merge,
+/// before it holds the table count at which background mode collapses it
+/// with a scan-merge.
+fn hot(i: u32) -> bool {
+    i.is_multiple_of(10)
+}
+
+/// A one-partition database whose SortedStore holds `KEYS` keys at
+/// version 0 and whose UnsortedStore is empty.
+fn sorted_store_db(opts: UniKvOptions) -> UniKv {
+    let db = UniKv::open(MemEnv::shared(), "/db", opts).unwrap();
+    for i in 0..KEYS {
+        db.put(&key(i), &value(i, 0)).unwrap();
+    }
+    db.compact_all().unwrap();
+    db.wait_for_background();
+    assert_eq!(db.partition_count(), 1);
+    db
+}
+
+/// Get every key in `keys`, checking its value; the `sst_block_reads`
+/// the gets added.
+fn block_reads_of_gets(db: &UniKv, keys: &[(Vec<u8>, Vec<u8>)]) -> u64 {
+    let reads = counter(db, "sst_block_reads");
+    for (k, v) in keys {
+        assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "get {k:?}");
+    }
+    counter(db, "sst_block_reads") - reads
+}
+
+/// The keys `sorted_store_db` wrote that `hot` excludes, with their values.
+fn untouched() -> Vec<(Vec<u8>, Vec<u8>)> {
+    (0..KEYS)
+        .filter(|&i| !hot(i))
+        .map(|i| (key(i), value(i, 0)))
+        .collect()
+}
+
+/// Overwrite the hot keys round after round until a full merge has run
+/// or `stop` holds; the puts' first error, if one failed.
+fn overwrite_hot_keys(db: &UniKv, stop: impl Fn(&UniKv) -> bool) -> Option<unikv_common::Error> {
+    let merges = db.stats().merges.load(Ordering::Relaxed);
+    for version in 1.. {
+        for i in (0..KEYS).filter(|&i| hot(i)) {
+            if let Err(e) = db.put(&key(i), &value(i, version)) {
+                return Some(e);
+            }
+        }
+        db.wait_for_background();
+        if db.stats().merges.load(Ordering::Relaxed) > merges || stop(db) {
+            return None;
+        }
+        assert!(version < 1000, "no merge ran");
+    }
+    unreachable!()
+}
+
+/// A full merge writes the SortedStore under new table numbers and evicts
+/// the tables it replaces. The blocks it writes go in the cache in their
+/// place, so gets of keys the merge did not change read no block.
+#[test]
+fn merge_keeps_replaced_blocks_cached() {
+    for background_jobs in [0, 2] {
+        let db = sorted_store_db(opts(background_jobs));
+        let keys = untouched();
+        block_reads_of_gets(&db, &keys);
+        assert_eq!(block_reads_of_gets(&db, &keys), 0, "the cache is warm");
+        let admits = counter(&db, "sst_cache_admits");
+        assert!(overwrite_hot_keys(&db, |_| false).is_none());
+        assert!(counter(&db, "sst_cache_admits") > admits);
+        assert_eq!(
+            block_reads_of_gets(&db, &keys),
+            0,
+            "mode {background_jobs}: the merge left the SortedStore cold"
+        );
+    }
+}
+
+/// With a cache smaller than the SortedStore, a merge keeps and admits
+/// no more bytes than the cache holds, and the values stay right.
+#[test]
+fn merge_admits_at_most_the_cache_capacity() {
+    // The bytes one full merge admits; 256 B blocks, so that each of the
+    // 16 shards of the small cache below holds one.
+    let merge_admits = |background_jobs, block_cache_bytes| {
+        let db = sorted_store_db(UniKvOptions {
+            block_size: 256,
+            block_cache_bytes,
+            ..opts(background_jobs)
+        });
+        let (admitted, gcs) = (counter(&db, "sst_cache_admit_bytes"), stat(&db, "gcs"));
+        assert!(overwrite_hot_keys(&db, |_| false).is_none());
+        assert_eq!(stat(&db, "gcs"), gcs, "a GC ran too");
+        assert!(db.block_cache_bytes() <= block_cache_bytes);
+        block_reads_of_gets(&db, &untouched());
+        counter(&db, "sst_cache_admit_bytes") - admitted
+    };
+    for background_jobs in [0, 2] {
+        let capacity = 16 * 320;
+        let whole = merge_admits(background_jobs, 256 << 10);
+        let capped = merge_admits(background_jobs, capacity);
+        assert!(
+            0 < capped && capped <= capacity as u64 && (capacity as u64) < whole,
+            "mode {background_jobs}: admitted {capped} B of {whole} B"
+        );
+    }
+}
+
+/// GC rewrites the SortedStore with new pointers; the blocks it writes go
+/// in the cache in place of the replaced tables' blocks, so gets of the
+/// keys the scenario's rounds wrote read no block.
+#[test]
+fn gc_keeps_replaced_blocks_cached() {
+    for background_jobs in [0, 2] {
+        let env = MemEnv::shared();
+        let db = UniKv::open(
+            env.clone(),
+            gc_scenario::ROOT,
+            gc_scenario::opts(background_jobs),
+        )
+        .unwrap();
+        let mut s = gc_scenario::Scenario::build(&db, env.as_ref()).unwrap();
+        let keys: Vec<(Vec<u8>, Vec<u8>)> = s.model.clone().into_iter().collect();
+        block_reads_of_gets(&db, &keys);
+        assert_eq!(block_reads_of_gets(&db, &keys), 0, "the cache is warm");
+        let admits = counter(&db, "sst_cache_admits");
+        s.trigger(&db).unwrap();
+        assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 1, "one GC ran");
+        assert!(counter(&db, "sst_cache_admits") > admits);
+        assert_eq!(
+            block_reads_of_gets(&db, &keys),
+            0,
+            "mode {background_jobs}: the GC left the SortedStore cold"
+        );
+    }
+}
+
+/// A merge or GC whose install fails at its commit point admits nothing:
+/// the cache does not grow, and a get that reads the uncommitted output
+/// (which the in-memory state names after the failed install) reads its
+/// block from the file, not from a block the build kept.
+#[test]
+fn aborted_merge_install_leaves_no_admitted_blocks() {
+    let install_failed = |db: &UniKv| {
+        db.background_error().is_some()
+            || [
+                "maint_jobs_failed",
+                "maint_job_retries",
+                "maint_jobs_quarantined",
+            ]
+            .iter()
+            .any(|name| stat(db, name) > 0)
+    };
+    for background_jobs in [0, 2] {
+        for point in ["merge:commit", "gc:commit"] {
+            let env = MemEnv::shared();
+            let (db, keys) = if point == "merge:commit" {
+                (sorted_store_db(opts(background_jobs)), untouched())
+            } else {
+                let db = UniKv::open(
+                    env.clone(),
+                    gc_scenario::ROOT,
+                    gc_scenario::opts(background_jobs),
+                )
+                .unwrap();
+                let s = gc_scenario::Scenario::build(&db, env.as_ref()).unwrap();
+                (db, s.model.into_iter().collect())
+            };
+            block_reads_of_gets(&db, &keys);
+            let (cached, admits) = (db.block_cache_bytes(), counter(&db, "sst_cache_admits"));
+            db.sync_points().arm(Arc::new(move |name| {
+                if name == point {
+                    Err(unikv_common::Error::internal(format!("injected at {name}")))
+                } else {
+                    Ok(())
+                }
+            }));
+            let failed = if point == "merge:commit" {
+                overwrite_hot_keys(&db, install_failed).is_some()
+            } else {
+                gc_scenario::Scenario::default().trigger(&db).is_err()
+            };
+            db.wait_for_background();
+            let what = format!("mode {background_jobs}, {point}");
+            assert!(failed || install_failed(&db), "{what}: nothing failed");
+            assert_eq!(counter(&db, "sst_cache_admits"), admits, "{what}");
+            assert!(db.block_cache_bytes() <= cached, "{what}: the cache grew");
+            let misses = counter(&db, "sst_cache_misses");
+            let (k, v) = &keys[keys.len() / 2];
+            assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "{what}");
+            assert_eq!(
+                counter(&db, "sst_cache_misses"),
+                misses + 1,
+                "{what}: a block of the uncommitted output answered a get"
+            );
+            db.sync_points().disarm();
+        }
     }
 }
 

@@ -31,10 +31,12 @@ use unikv_env::Env;
 const LAYOUT_DIGEST: u64 = 0xa427_a75e_2ec7_fe55;
 
 /// Digest of `metrics_report_machine()` plus `stats().snapshot()` after
-/// [`run_workload`]. Last re-recorded with [`LAYOUT_DIGEST`]: hash probes
-/// read records (new `sst_record_reads` counters) and flushes no longer
-/// put blocks in the cache.
-const REPORT_DIGEST: u64 = 0x7055_eede_b622_eb47;
+/// [`run_workload`]. Last re-recorded when full merges, GC and splits
+/// began to put the blocks they write in the cache at install, up to the
+/// cache's capacity (new `sst_cache_admits` counters, fewer cache misses),
+/// and to open their output tables at install; [`LAYOUT_DIGEST`] did not
+/// move.
+const REPORT_DIGEST: u64 = 0x7af7_c589_0c4c_2a52;
 
 /// Partition directories are `p<id>`; ids stay far below this bound for
 /// the workload below (the byte-count check catches a miss).

@@ -1,9 +1,12 @@
 //! Streaming SSTable builder.
 
 use crate::block::{BlockBuilder, DEFAULT_RESTART_INTERVAL};
+use crate::cache::BlockCache;
 use crate::directory::DirectoryBuilder;
 use crate::filter::BloomFilterPolicy;
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, COMPRESSION_RAW};
+use crate::residency::KeptBlocks;
+use std::sync::Arc;
 use unikv_common::{crc32c, Error, Result};
 use unikv_env::WritableFile;
 
@@ -46,7 +49,6 @@ impl Default for TableBuilderOptions {
 }
 
 /// Summary of a finished table.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableProperties {
     /// Number of entries written.
     pub num_entries: u64,
@@ -56,6 +58,9 @@ pub struct TableProperties {
     pub smallest: Vec<u8>,
     /// Last key added.
     pub largest: Vec<u8>,
+    /// The data blocks kept for the cache, if
+    /// [`TableBuilder::keep_blocks`] was called.
+    pub kept: Option<KeptBlocks>,
 }
 
 /// Builds an SSTable by streaming sorted entries to a writable file.
@@ -71,6 +76,7 @@ pub struct TableBuilder {
     smallest: Vec<u8>,
     largest: Vec<u8>,
     last_key: Vec<u8>,
+    kept: Option<KeptBlocks>,
     /// The record directory, if the options ask for one.
     directory: Option<DirectoryBuilder>,
     /// The last key of the previous data block (empty for block 0): the
@@ -93,6 +99,7 @@ impl TableBuilder {
             smallest: Vec::new(),
             largest: Vec::new(),
             last_key: Vec::new(),
+            kept: None,
             directory: opts.record_directory.then(DirectoryBuilder::default),
             anchor: Vec::new(),
             opts,
@@ -141,12 +148,23 @@ impl TableBuilder {
         self.offset + self.data_block.current_size_estimate() as u64
     }
 
+    /// Keep a copy of each data block written from now on, for
+    /// [`crate::Table::admit`], while `cache` has capacity left
+    /// unreserved (see [`crate::residency`]). [`TableBuilder::finish`]
+    /// returns them in [`TableProperties::kept`].
+    pub fn keep_blocks(&mut self, cache: Arc<BlockCache>) {
+        self.kept = Some(KeptBlocks::new(cache));
+    }
+
     fn flush_data_block(&mut self) -> Result<()> {
         if self.data_block.is_empty() {
             return Ok(());
         }
         let payload = self.data_block.finish();
         let handle = write_raw_block(self.file.as_mut(), &mut self.offset, payload)?;
+        if let Some(kept) = &mut self.kept {
+            kept.offer(handle.offset, payload);
+        }
         let mut enc = Vec::with_capacity(20);
         handle.encode_to(&mut enc);
         self.index_block.add(&self.last_key, &enc);
@@ -203,6 +221,7 @@ impl TableBuilder {
             file_size: self.offset,
             smallest: self.smallest,
             largest: self.largest,
+            kept: self.kept,
         })
     }
 }

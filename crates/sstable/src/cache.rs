@@ -8,7 +8,7 @@
 //! hit there promotes it to *protected*, which holds at most 80% of the
 //! shard's bytes. Eviction takes
 //! probation's least recently used block first, so a one-touch stream
-//! (a sweep of cold blocks, a flush's admitted blocks) cycles through
+//! (a sweep of cold blocks, the blocks a rewrite admits) cycles through
 //! probation and cannot push out blocks that were read twice.
 //! Maintenance looks blocks up with [`BlockCache::peek`], which moves
 //! nothing: a merge reading a table once is not a second touch.
@@ -16,7 +16,7 @@
 use crate::block::Block;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const SHARDS: usize = 16;
@@ -217,6 +217,10 @@ impl Shard {
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     next_id: AtomicU64,
+    /// Payload bytes builders may still keep for admission: the
+    /// capacity, less the bytes of kept blocks not yet admitted or
+    /// dropped (see [`crate::residency`]).
+    unreserved: AtomicUsize,
 }
 
 impl BlockCache {
@@ -228,7 +232,23 @@ impl BlockCache {
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
             next_id: AtomicU64::new(1),
+            unreserved: AtomicUsize::new(per_shard * SHARDS),
         })
+    }
+
+    /// Reserve `bytes` of the capacity for a kept block; false when less
+    /// than that is left unreserved.
+    pub(crate) fn reserve(&self, bytes: usize) -> bool {
+        self.unreserved
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
+                free.checked_sub(bytes)
+            })
+            .is_ok()
+    }
+
+    /// Return `bytes` reserved by [`BlockCache::reserve`].
+    pub(crate) fn release(&self, bytes: usize) {
+        self.unreserved.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Reserve a fresh id for a table file.

@@ -32,6 +32,7 @@ pub mod directory;
 pub mod filter;
 pub mod format;
 pub mod reader;
+pub mod residency;
 
 pub use block::{Block, BlockBuilder, BlockIterator};
 pub use builder::{TableBuilder, TableBuilderOptions};
@@ -39,6 +40,7 @@ pub use cache::BlockCache;
 pub use filter::BloomFilterPolicy;
 pub use format::BlockHandle;
 pub use reader::{Table, TableIoMetrics, TableIterator, TableOptions};
+pub use residency::KeptBlocks;
 
 use std::cmp::Ordering;
 

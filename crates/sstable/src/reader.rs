@@ -7,6 +7,7 @@ use crate::cache::BlockCache;
 use crate::directory::{fingerprint, key_hash, RecordDirectory, RecordEntry};
 use crate::filter::BloomFilterPolicy;
 use crate::format::{read_block_payload, BlockHandle, Footer, DIRECTORY_FOOTER_SIZE, FOOTER_SIZE};
+use crate::residency::KeptBlocks;
 use crate::KeyCmp;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -40,6 +41,11 @@ pub struct TableIoMetrics {
     pub record_reads: Counter,
     /// The part of `block_read_bytes` taken by record reads.
     pub record_read_bytes: Counter,
+    /// Blocks a rewrite kept and put in the cache for its output tables
+    /// (see [`crate::residency`]); not block reads.
+    pub cache_admits: Counter,
+    /// Payload bytes of `cache_admits`.
+    pub cache_admit_bytes: Counter,
 }
 
 impl TableIoMetrics {
@@ -54,6 +60,8 @@ impl TableIoMetrics {
             maint_block_read_bytes: registry.counter("sst_maint_block_read_bytes"),
             record_reads: registry.counter("sst_record_reads"),
             record_read_bytes: registry.counter("sst_record_read_bytes"),
+            cache_admits: registry.counter("sst_cache_admits"),
+            cache_admit_bytes: registry.counter("sst_cache_admit_bytes"),
         }
     }
 }
@@ -366,6 +374,24 @@ impl Table {
             }
         }
         Ok(true)
+    }
+
+    /// Put data blocks this table's builder kept for the cache on the
+    /// cache's probation segment, as a read that missed would. A no-op
+    /// without a cache. Counted as admissions, not as block reads.
+    pub fn admit(&self, mut kept: KeptBlocks) -> Result<()> {
+        let Some(cache) = &self.opts.cache else {
+            return Ok(());
+        };
+        for (offset, payload) in std::mem::take(&mut kept.blocks) {
+            let block = Arc::new(Block::new(payload)?);
+            if let Some(io) = &self.opts.io {
+                io.cache_admits.inc();
+                io.cache_admit_bytes.add(block.size() as u64);
+            }
+            cache.insert(self.cache_id, offset, block);
+        }
+        Ok(())
     }
 
     /// Evict this table's blocks from the shared cache (call on delete).
@@ -723,6 +749,63 @@ mod tests {
 
     fn test_io() -> TableIoMetrics {
         TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true, 0))
+    }
+
+    /// A builder that keeps its blocks keeps them byte for byte as on
+    /// disk, up to the cache's capacity. Once admitted they answer gets
+    /// without a block read, the admission is counted apart from block
+    /// reads, and the capacity they reserved is free again.
+    #[test]
+    fn kept_blocks_are_the_blocks_on_disk() {
+        let env = MemEnv::new();
+        let entries = sample_entries(300);
+        let path = Path::new("/t.sst");
+        // A cache that holds the whole table, and one that holds a part.
+        for (capacity, whole) in [(1 << 20, true), (2048, false)] {
+            let cache = BlockCache::new(capacity);
+            let io = test_io();
+            let mut b = TableBuilder::new(
+                env.new_writable(path).unwrap(),
+                TableBuilderOptions {
+                    block_size: 256,
+                    ..Default::default()
+                },
+            );
+            b.keep_blocks(cache.clone());
+            for (k, v) in &entries {
+                b.add(k, v).unwrap();
+            }
+            let props = b.finish().unwrap();
+            let kept = props.kept.unwrap();
+            let on_disk = env.read_to_vec(path).unwrap();
+            for (offset, payload) in &kept.blocks {
+                assert_eq!(&on_disk[*offset as usize..][..payload.len()], &payload[..]);
+            }
+            let (blocks, bytes) = (kept.blocks.len() as u64, kept.bytes);
+            assert!(blocks > 0 && bytes <= capacity);
+            let opts = TableOptions {
+                cmp: crate::raw_cmp,
+                cache: Some(cache.clone()),
+                io: Some(io.clone()),
+            };
+            let table =
+                Table::open(env.new_random_access(path).unwrap(), props.file_size, opts).unwrap();
+            let data_blocks = table.index.restart_entries() as u64;
+            assert_eq!(blocks == data_blocks, whole);
+            table.admit(kept).unwrap();
+            if whole {
+                assert_eq!(cache.bytes(), bytes);
+            }
+            assert_eq!(io.cache_admits.value(), blocks);
+            assert_eq!(io.cache_admit_bytes.value(), bytes as u64);
+            assert_eq!(io.block_reads.value(), 0, "admission read a block");
+            assert!(cache.reserve(capacity), "admitted bytes stay reserved");
+            cache.release(capacity);
+            for (k, v) in &entries {
+                assert_eq!(table.get(k, None).unwrap(), Some((k.clone(), v.clone())));
+            }
+            assert_eq!(io.cache_misses.value() == 0, whole);
+        }
     }
 
     #[test]

@@ -74,6 +74,12 @@ fn main() -> unikv_common::Result<()> {
         for d in &report.damage {
             println!("DAMAGED [{}] {}: {}", d.kind, d.path.display(), d.detail);
         }
+        for m in &report.live_bytes {
+            println!(
+                "MISMATCH partition {}: live value bytes recorded {}, pointed to {}",
+                m.partition, m.recorded, m.pointed
+            );
+        }
         if !report.is_clean() {
             std::process::exit(1);
         }
@@ -167,6 +173,12 @@ fn main() -> unikv_common::Result<()> {
             println!("last sequence: {}", db.last_sequence());
             for (name, value) in db.stats().snapshot() {
                 println!("{name}: {value}");
+            }
+            // Blocks merges, GC and splits put in the cache for the tables
+            // they wrote, in place of the replaced tables' cached blocks.
+            let counters = db.metrics_snapshot().counters;
+            for name in ["sst_cache_admits", "sst_cache_admit_bytes"] {
+                println!("{name}: {}", counters.get(name).copied().unwrap_or(0));
             }
             println!(
                 "write amplification: {:.2}",
