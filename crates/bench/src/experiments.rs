@@ -554,7 +554,7 @@ pub fn amplification(cfg: &BenchConfig) -> Result<()> {
 
 /// E12 / paper §Memory overhead: hash-index memory vs data size
 /// (claim: <1% of the UnsortedStore-resident data, ~8 B/key). "index KB"
-/// is the paper's logical 8 B per entry (`UniKv::index_memory_bytes`),
+/// is the paper's logical 8 B per entry (`Engine::index_memory_bytes`),
 /// not heap bytes: the flat index holds 12 B per entry plus 4 B per bucket.
 pub fn memory_overhead(cfg: &BenchConfig) -> Result<()> {
     let mut t = Table::new(

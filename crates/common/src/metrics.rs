@@ -1,6 +1,5 @@
 //! Unified observability substrate: a lock-free metrics registry with
-//! atomic counters, gauges, and fixed-bucket log-scale latency histograms,
-//! plus a bounded in-memory ring of structured operation trace events.
+//! atomic counters, gauges, and fixed-bucket log-scale latency histograms.
 //!
 //! Every engine in the workspace (UniKV, the LSM baselines, the hash-store
 //! baseline) reports through the same family names, so cross-engine runs
@@ -19,8 +18,7 @@
 //! histograms), so per-partition or per-engine registries can be folded
 //! into one report.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -336,20 +334,12 @@ impl MetricsSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Trace ring
+// Operation kinds and outcomes
 // ---------------------------------------------------------------------
 
-/// Operation kind of a trace event.
+/// Maintenance operation kind: picks the op's latency histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceOp {
-    /// Point lookup.
-    Get,
-    /// Insert/update.
-    Put,
-    /// Tombstone write.
-    Delete,
-    /// Range scan.
-    Scan,
     /// Memtable flush.
     Flush,
     /// UnsortedStore → SortedStore merge (or LSM compaction).
@@ -362,24 +352,7 @@ pub enum TraceOp {
     Split,
 }
 
-impl fmt::Display for TraceOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceOp::Get => "get",
-            TraceOp::Put => "put",
-            TraceOp::Delete => "delete",
-            TraceOp::Scan => "scan",
-            TraceOp::Flush => "flush",
-            TraceOp::Merge => "merge",
-            TraceOp::ScanMerge => "scan_merge",
-            TraceOp::Gc => "gc",
-            TraceOp::Split => "split",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Where an operation resolved (reads) or how it ended (everything else).
+/// Where a point read resolved: picks its tier-resolution counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceOutcome {
     /// Read answered by a memtable (active or sealed).
@@ -392,118 +365,6 @@ pub enum TraceOutcome {
     Vlog,
     /// Read found nothing.
     Miss,
-    /// Non-read operation completed.
-    Done,
-    /// Operation failed.
-    Failed,
-}
-
-impl fmt::Display for TraceOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceOutcome::Memtable => "memtable",
-            TraceOutcome::Unsorted => "unsorted",
-            TraceOutcome::Sorted => "sorted",
-            TraceOutcome::Vlog => "vlog",
-            TraceOutcome::Miss => "miss",
-            TraceOutcome::Done => "done",
-            TraceOutcome::Failed => "failed",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One structured operation event. `Copy` on purpose: pushing an event
-/// never allocates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Clock reading at operation start (microseconds).
-    pub at_micros: u64,
-    /// Operation duration (microseconds).
-    pub dur_micros: u64,
-    /// Operation kind.
-    pub op: TraceOp,
-    /// Resolution tier / completion outcome.
-    pub outcome: TraceOutcome,
-    /// Partition the operation touched (0 for single-partition engines).
-    pub partition: u32,
-    /// Op-specific size: value bytes for get/put, items for scan, 0 else.
-    pub bytes: u64,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "t={}us {} p{} -> {} ({}us, {}B)",
-            self.at_micros, self.op, self.partition, self.outcome, self.dur_micros, self.bytes
-        )
-    }
-}
-
-/// Bounded in-memory ring of [`TraceEvent`]s. Oldest events are dropped
-/// once the ring is full; the drop count is retained.
-pub struct TraceRing {
-    capacity: usize,
-    buf: Mutex<VecDeque<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-impl TraceRing {
-    fn new(capacity: usize) -> Self {
-        TraceRing {
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, ev: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut buf = self.buf.lock().expect("trace ring poisoned");
-        if buf.len() >= self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(ev);
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently retained events (never exceeds the capacity).
-    pub fn len(&self) -> usize {
-        self.buf.lock().expect("trace ring poisoned").len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Copy out the retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf
-            .lock()
-            .expect("trace ring poisoned")
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    fn clear(&self) {
-        self.buf.lock().expect("trace ring poisoned").clear();
-        self.dropped.store(0, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -517,28 +378,26 @@ enum Family {
 }
 
 /// The metrics registry: a named set of counter/gauge/histogram families,
-/// a clock, and a trace ring. Registration takes a mutex; the recording
-/// hot paths are lock-free.
+/// and a clock. Registration takes a mutex; the recording hot paths are
+/// lock-free.
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
     origin: Instant,
     has_manual_clock: AtomicBool,
     clock: RwLock<Option<MetricsClock>>,
     families: Mutex<BTreeMap<String, Family>>,
-    trace: TraceRing,
 }
 
 impl MetricsRegistry {
     /// Create a registry. `enabled = false` turns every record call into
-    /// a branch on one atomic bool; `trace_capacity = 0` disables tracing.
-    pub fn new(enabled: bool, trace_capacity: usize) -> Arc<MetricsRegistry> {
+    /// a branch on one atomic bool.
+    pub fn new(enabled: bool) -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry {
             enabled: Arc::new(AtomicBool::new(enabled)),
             origin: Instant::now(),
             has_manual_clock: AtomicBool::new(false),
             clock: RwLock::new(None),
             families: Mutex::new(BTreeMap::new()),
-            trace: TraceRing::new(trace_capacity),
         })
     }
 
@@ -632,20 +491,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Push a trace event (no-op while disabled or with capacity 0).
-    #[inline]
-    pub fn trace_event(&self, ev: TraceEvent) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.trace.push(ev);
-    }
-
-    /// The trace ring.
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
-    }
-
     /// Snapshot every family.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let fams = self.families.lock().expect("families lock poisoned");
@@ -679,7 +524,7 @@ impl MetricsRegistry {
         snap
     }
 
-    /// Zero every family and clear the trace ring. Counters are cleared
+    /// Zero every family. Counters are cleared
     /// one by one (quiesce concurrent writers for an exact zero point).
     pub fn reset(&self) {
         let fams = self.families.lock().expect("families lock poisoned");
@@ -689,7 +534,6 @@ impl MetricsRegistry {
                 Family::Histogram(h) => h.reset(),
             }
         }
-        self.trace.clear();
     }
 
     /// Human-readable report of the current snapshot.
@@ -777,7 +621,7 @@ impl EngineMetrics {
                 self.reads_hit_sorted.inc();
                 self.reads_vlog_resolved.inc();
             }
-            _ => self.reads_miss.inc(),
+            TraceOutcome::Miss => self.reads_miss.inc(),
         }
     }
 
@@ -787,7 +631,7 @@ impl EngineMetrics {
             TraceOp::Flush => &self.flush_latency,
             TraceOp::ScanMerge | TraceOp::Merge => &self.merge_latency,
             TraceOp::Gc => &self.gc_latency,
-            _ => &self.split_latency,
+            TraceOp::Split => &self.split_latency,
         }
     }
 }
@@ -829,7 +673,7 @@ mod tests {
 
     #[test]
     fn histogram_exact_with_equal_values() {
-        let reg = MetricsRegistry::new(true, 0);
+        let reg = MetricsRegistry::new(true);
         let h = reg.histogram("h");
         for _ in 0..100 {
             h.record(7);
@@ -846,7 +690,7 @@ mod tests {
 
     #[test]
     fn quantiles_walk_buckets() {
-        let reg = MetricsRegistry::new(true, 0);
+        let reg = MetricsRegistry::new(true);
         let h = reg.histogram("h");
         for _ in 0..90 {
             h.record(1);
@@ -866,7 +710,7 @@ mod tests {
     #[test]
     fn snapshot_merge_is_associative() {
         let mk = |n: u64| {
-            let reg = MetricsRegistry::new(true, 0);
+            let reg = MetricsRegistry::new(true);
             reg.counter("c").add(n);
             reg.gauge("g").set(n);
             let h = reg.histogram("h");
@@ -890,40 +734,23 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
-        let reg = MetricsRegistry::new(false, 16);
+        let reg = MetricsRegistry::new(false);
         let c = reg.counter("c");
         let g = reg.gauge("g");
         let h = reg.histogram("h");
         c.add(5);
         g.set(5);
         h.record(5);
-        reg.trace_event(TraceEvent {
-            at_micros: 0,
-            dur_micros: 0,
-            op: TraceOp::Get,
-            outcome: TraceOutcome::Miss,
-            partition: 0,
-            bytes: 0,
-        });
         assert_eq!(reg.now_micros(), 0);
         assert!(reg.snapshot().is_empty());
-        assert_eq!(reg.trace().len(), 0);
     }
 
     #[test]
     fn reset_empties_everything() {
-        let reg = MetricsRegistry::new(true, 4);
+        let reg = MetricsRegistry::new(true);
         reg.counter("c").add(9);
         reg.gauge("g").set(9);
         reg.histogram("h").record(9);
-        reg.trace_event(TraceEvent {
-            at_micros: 1,
-            dur_micros: 2,
-            op: TraceOp::Put,
-            outcome: TraceOutcome::Done,
-            partition: 0,
-            bytes: 3,
-        });
         assert!(!reg.snapshot().is_empty());
         reg.reset();
         let snap = reg.snapshot();
@@ -933,32 +760,11 @@ mod tests {
             reg.family_names(),
             vec!["c".to_string(), "g".to_string(), "h".to_string()]
         );
-        assert_eq!(reg.trace().len(), 0);
-    }
-
-    #[test]
-    fn trace_ring_bounded_and_ordered() {
-        let reg = MetricsRegistry::new(true, 3);
-        for i in 0..10u64 {
-            reg.trace_event(TraceEvent {
-                at_micros: i,
-                dur_micros: 0,
-                op: TraceOp::Get,
-                outcome: TraceOutcome::Miss,
-                partition: 0,
-                bytes: 0,
-            });
-        }
-        assert_eq!(reg.trace().len(), 3);
-        assert_eq!(reg.trace().capacity(), 3);
-        assert_eq!(reg.trace().dropped(), 7);
-        let at: Vec<u64> = reg.trace().events().iter().map(|e| e.at_micros).collect();
-        assert_eq!(at, vec![7, 8, 9]);
     }
 
     #[test]
     fn manual_clock_is_deterministic() {
-        let reg = MetricsRegistry::new(true, 0);
+        let reg = MetricsRegistry::new(true);
         reg.set_clock(Some(manual_step_clock(5)));
         assert_eq!(reg.now_micros(), 5);
         assert_eq!(reg.now_micros(), 10);
@@ -969,7 +775,7 @@ mod tests {
 
     #[test]
     fn machine_report_covers_all_families() {
-        let reg = MetricsRegistry::new(true, 0);
+        let reg = MetricsRegistry::new(true);
         let em = EngineMetrics::new(&reg);
         em.record_read(TraceOutcome::Vlog);
         em.record_read(TraceOutcome::Miss);
@@ -988,7 +794,7 @@ mod tests {
 
     #[test]
     fn engine_metrics_read_invariant() {
-        let reg = MetricsRegistry::new(true, 0);
+        let reg = MetricsRegistry::new(true);
         let em = EngineMetrics::new(&reg);
         for (i, o) in [
             TraceOutcome::Memtable,

@@ -1,27 +1,35 @@
 //! Opt-in, thread-local per-operation performance profiling.
 //!
 //! Aggregate histograms (see [`crate::metrics`]) answer *how much*; this
-//! module answers *why was this one operation slow*. A profiled operation
-//! activates a thread-local profiler for its duration; instrumented code
-//! throughout the workspace ([`mark`] / count hooks in the core read and
-//! write paths, the SSTable reader, the value log, and the WAL) attributes
-//! wall time and I/O counts to named stages. The result is a
-//! [`PerfContext`]: per-stage microseconds and hit counts plus probe/IO
-//! counters for one operation.
+//! module answers *why was this one operation slow*. [`profile`] opens a
+//! scope on the calling thread and runs a closure in it; every engine op
+//! that runs inside the scope is profiled. Instrumented code throughout
+//! the workspace ([`mark`] / count hooks in the core read and write paths,
+//! the SSTable reader, the value log, and the WAL) attributes wall time
+//! and I/O counts to named stages. The result is a [`PerfContext`]:
+//! per-stage microseconds and hit counts plus probe/IO counters.
+//!
+//! ```
+//! use unikv_common::perf;
+//! // No engine op ran inside the scope, so the profile is empty.
+//! let (n, ctx) = perf::profile(|| 6 * 7);
+//! assert_eq!((n, ctx), (42, perf::PerfContext::default()));
+//! ```
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Zero cost when inactive.** Every hook first reads one thread-local
-//!   flag and returns; no clock read, no allocation. An unprofiled run is
-//!   byte-identical to a build without the hooks.
+//! * **Zero cost outside a scope.** Every hook, [`begin_at`] and
+//!   [`finish_at`] first read one thread-local flag and return; no clock
+//!   read, no allocation. An unprofiled op behaves exactly as a build
+//!   without the hooks.
 //! * **Exact accounting under the injectable clock.** Profiling is
-//!   *mark-based*: [`begin_at`] receives the operation's own start
-//!   reading, each [`mark`] reads the clock once and charges the elapsed
-//!   time since the previous mark to its stage, and [`finish_at`] receives
-//!   the operation's end reading, charging the residual to
-//!   [`PerfStage::Other`]. Stage sums therefore equal `t1 - t0` — the
-//!   exact duration the operation's latency histogram records — even
-//!   under [`crate::metrics::manual_step_clock`], where every clock
+//!   *mark-based*: an op passes the two clock readings it already takes
+//!   for its latency histogram to [`begin_at`] and [`finish_at`]; each
+//!   [`mark`] in between reads the clock once and charges the elapsed
+//!   time since the previous mark to its stage, and [`finish_at`] charges
+//!   the residual to [`PerfStage::Other`]. Stage sums therefore equal
+//!   `t1 - t0` — the exact duration the op's latency histogram records —
+//!   even under [`crate::metrics::manual_step_clock`], where every clock
 //!   reading advances time.
 
 use crate::metrics::MetricsRegistry;
@@ -189,139 +197,184 @@ impl PerfContext {
     }
 }
 
-struct ProfilerState {
+/// What the thread's profiler is doing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// No scope is open: every entry point returns at once.
+    Idle,
+    /// A scope is open and no op is in flight.
+    Open,
+    /// A scope is open and an op is in flight: the hooks record.
+    Active,
+}
+
+/// The op in flight inside a scope.
+struct OpState {
     registry: Arc<MetricsRegistry>,
     ctx: PerfContext,
     start: u64,
     last: u64,
 }
 
+/// An open scope: the folded profiles of the ops finished in it, and the
+/// op in flight, if any.
+#[derive(Default)]
+struct Scope {
+    done: PerfContext,
+    op: Option<OpState>,
+}
+
 thread_local! {
-    // Fast flag checked by every hook; the boxed state is only touched
-    // while a profiled operation is in flight on this thread.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static STATE: RefCell<Option<ProfilerState>> = const { RefCell::new(None) };
+    // Fast flag checked by every entry point; the scope itself is only
+    // touched while one is open on this thread.
+    static PHASE: Cell<Phase> = const { Cell::new(Phase::Idle) };
+    static SCOPE: RefCell<Option<Scope>> = const { RefCell::new(None) };
 }
 
-/// True while a profiled operation is in flight on this thread.
 #[inline]
-pub fn is_active() -> bool {
-    ACTIVE.with(|a| a.get())
+fn phase() -> Phase {
+    PHASE.with(|p| p.get())
 }
 
-/// Activate profiling for the current operation. `t0` is the clock
-/// reading the operation already took for its latency histogram; no
-/// extra clock read happens here. Must be paired with [`finish_at`].
-pub fn begin_at(registry: Arc<MetricsRegistry>, t0: u64) {
-    STATE.with(|s| {
-        *s.borrow_mut() = Some(ProfilerState {
-            registry,
-            ctx: PerfContext {
-                ops: 1,
-                ..PerfContext::default()
-            },
-            start: t0,
-            last: t0,
-        });
+/// Run `op` in a profiling scope on this thread and return its result
+/// with the profile of every engine op that finished inside it (merged
+/// when there are several; `PerfContext::default()` when there are
+/// none). The scope closes when `op` returns or unwinds, so an engine op
+/// that failed before finishing leaves nothing armed on the thread. A
+/// nested scope collects its own ops and then restores the enclosing one.
+pub fn profile<T>(op: impl FnOnce() -> T) -> (T, PerfContext) {
+    /// Puts back the enclosing scope (or none) when the scope ends.
+    struct Restore {
+        phase: Phase,
+        scope: Option<Scope>,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.with(|s| *s.borrow_mut() = self.scope.take());
+            PHASE.with(|p| p.set(self.phase));
+        }
+    }
+    let restore = Restore {
+        phase: PHASE.with(|p| p.replace(Phase::Open)),
+        scope: SCOPE.with(|s| s.borrow_mut().replace(Scope::default())),
+    };
+    let out = op();
+    let ctx = SCOPE
+        .with(|s| s.borrow_mut().take())
+        .map_or_else(PerfContext::default, |s| s.done);
+    drop(restore);
+    (out, ctx)
+}
+
+/// Start profiling an engine op if a scope is open on this thread. `t0`
+/// is the clock reading the op already took for its latency histogram;
+/// no extra clock read happens here. An op still in flight (one that
+/// failed before [`finish_at`]) is dropped: one op is profiled at a time.
+#[inline]
+pub fn begin_at(registry: &Arc<MetricsRegistry>, t0: u64) {
+    if phase() == Phase::Idle {
+        return;
+    }
+    SCOPE.with(|s| {
+        if let Some(scope) = s.borrow_mut().as_mut() {
+            scope.op = Some(OpState {
+                registry: registry.clone(),
+                ctx: PerfContext {
+                    ops: 1,
+                    ..PerfContext::default()
+                },
+                start: t0,
+                last: t0,
+            });
+        }
     });
-    ACTIVE.with(|a| a.set(true));
+    PHASE.with(|p| p.set(Phase::Active));
+}
+
+#[inline]
+fn with_op(f: impl FnOnce(&mut OpState)) {
+    if phase() != Phase::Active {
+        return;
+    }
+    SCOPE.with(|s| {
+        if let Some(op) = s.borrow_mut().as_mut().and_then(|scope| scope.op.as_mut()) {
+            f(op);
+        }
+    });
 }
 
 /// Charge the time since the previous mark to `stage` (one clock read).
 /// No-op — and no clock read — when no profiled op is in flight.
 #[inline]
 pub fn mark(stage: PerfStage) {
-    if !is_active() {
-        return;
-    }
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            let now = st.registry.now_micros();
-            st.ctx.stage_micros[stage.idx()] += now.saturating_sub(st.last);
-            st.ctx.stage_hits[stage.idx()] += 1;
-            st.last = now;
-        }
-    });
-}
-
-#[inline]
-fn with_ctx(f: impl FnOnce(&mut PerfContext)) {
-    if !is_active() {
-        return;
-    }
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            f(&mut st.ctx);
-        }
+    with_op(|op| {
+        let now = op.registry.now_micros();
+        op.ctx.stage_micros[stage.idx()] += now.saturating_sub(op.last);
+        op.ctx.stage_hits[stage.idx()] += 1;
+        op.last = now;
     });
 }
 
 /// Count hash-index candidates probed (no clock read).
 #[inline]
 pub fn count_hash_probes(n: u64) {
-    with_ctx(|c| c.hash_probes += n);
+    with_op(|op| op.ctx.hash_probes += n);
 }
 
 /// Count one SSTable block read served from the block cache.
 #[inline]
 pub fn count_cache_hit() {
-    with_ctx(|c| {
-        c.block_reads += 1;
-        c.cache_hits += 1;
+    with_op(|op| {
+        op.ctx.block_reads += 1;
+        op.ctx.cache_hits += 1;
     });
 }
 
 /// Count one SSTable block read that missed the cache (or ran uncached).
 #[inline]
 pub fn count_cache_miss() {
-    with_ctx(|c| {
-        c.block_reads += 1;
-        c.cache_misses += 1;
+    with_op(|op| {
+        op.ctx.block_reads += 1;
+        op.ctx.cache_misses += 1;
     });
 }
 
 /// Count one SSTable record read on its own through a record directory.
 #[inline]
 pub fn count_record_read() {
-    with_ctx(|c| {
-        c.block_reads += 1;
-        c.record_reads += 1;
+    with_op(|op| {
+        op.ctx.block_reads += 1;
+        op.ctx.record_reads += 1;
     });
 }
 
 /// Count one value fetched from a value log.
 #[inline]
 pub fn count_vlog_fetch() {
-    with_ctx(|c| c.vlog_fetches += 1);
+    with_op(|op| op.ctx.vlog_fetches += 1);
 }
 
-/// Deactivate profiling without producing a context. Error paths call
-/// this instead of [`finish_at`] so a failed profiled operation cannot
-/// leave a stale profiler armed on the thread.
-pub fn cancel() {
-    ACTIVE.with(|a| a.set(false));
-    STATE.with(|s| {
-        s.borrow_mut().take();
-    });
-}
-
-/// Deactivate profiling and return the finished profile. `t1` is the
-/// clock reading the operation already took for its latency histogram;
-/// the residual since the last mark is charged to [`PerfStage::Other`],
-/// so `total_micros == stage_sum() == t1 - t0` exactly.
-pub fn finish_at(t1: u64) -> PerfContext {
-    ACTIVE.with(|a| a.set(false));
-    STATE.with(|s| match s.borrow_mut().take() {
-        Some(st) => {
-            let mut ctx = st.ctx;
-            let residual = t1.saturating_sub(st.last);
-            ctx.stage_micros[PerfStage::Other.idx()] += residual;
-            ctx.stage_hits[PerfStage::Other.idx()] += 1;
-            ctx.total_micros = t1.saturating_sub(st.start);
-            ctx
+/// Finish the op in flight, if any, and fold its profile into the scope.
+/// `t1` is the clock reading the op already took for its latency
+/// histogram; the residual since the last mark is charged to
+/// [`PerfStage::Other`], so `total_micros == stage_sum() == t1 - t0`.
+#[inline]
+pub fn finish_at(t1: u64) {
+    if phase() != Phase::Active {
+        return;
+    }
+    SCOPE.with(|s| {
+        if let Some(scope) = s.borrow_mut().as_mut() {
+            if let Some(op) = scope.op.take() {
+                let mut ctx = op.ctx;
+                ctx.stage_micros[PerfStage::Other.idx()] += t1.saturating_sub(op.last);
+                ctx.stage_hits[PerfStage::Other.idx()] += 1;
+                ctx.total_micros = t1.saturating_sub(op.start);
+                scope.done.merge(&ctx);
+            }
         }
-        None => PerfContext::default(),
-    })
+    });
+    PHASE.with(|p| p.set(Phase::Open));
 }
 
 #[cfg(test)]
@@ -329,32 +382,59 @@ mod tests {
     use super::*;
     use crate::metrics::manual_step_clock;
 
+    /// A stand-in engine op: the two histogram clock reads, with `body`
+    /// between them.
+    fn op(reg: &Arc<MetricsRegistry>, body: impl FnOnce()) -> u64 {
+        let t0 = reg.now_micros();
+        begin_at(reg, t0);
+        body();
+        let t1 = reg.now_micros();
+        finish_at(t1);
+        t1 - t0
+    }
+
     #[test]
     fn inactive_hooks_are_noops() {
-        assert!(!is_active());
-        mark(PerfStage::Router);
-        count_hash_probes(3);
-        count_cache_hit();
-        count_cache_miss();
-        count_vlog_fetch();
-        // finish without begin yields an empty context.
-        assert_eq!(finish_at(100), PerfContext::default());
+        let reg = MetricsRegistry::new(true);
+        reg.set_clock(Some(manual_step_clock(1)));
+        op(&reg, || {
+            mark(PerfStage::Router);
+            count_hash_probes(3);
+            count_cache_hit();
+            count_cache_miss();
+            count_vlog_fetch();
+        });
+        // Only the op's own two reads touched the clock.
+        assert_eq!(reg.now_micros(), 3);
+        assert!(phase() == Phase::Idle);
+    }
+
+    #[test]
+    fn a_scope_without_an_op_is_empty() {
+        let (out, ctx) = profile(|| {
+            mark(PerfStage::Router);
+            count_cache_hit();
+            finish_at(100);
+            7
+        });
+        assert_eq!(out, 7);
+        assert_eq!(ctx, PerfContext::default());
     }
 
     #[test]
     fn stage_sums_equal_total_under_manual_clock() {
-        let reg = MetricsRegistry::new(true, 0);
+        let reg = MetricsRegistry::new(true);
         reg.set_clock(Some(manual_step_clock(5)));
-        let t0 = reg.now_micros(); // 5
-        begin_at(reg.clone(), t0);
-        assert!(is_active());
-        mark(PerfStage::Router); // 10 -> router = 5
-        mark(PerfStage::Memtable); // 15 -> memtable = 5
-        count_hash_probes(2);
-        mark(PerfStage::BlockRead); // 20 -> block_read = 5
-        let t1 = reg.now_micros(); // 25
-        let ctx = finish_at(t1);
-        assert!(!is_active());
+        let (dur, ctx) = profile(|| {
+            op(&reg, || {
+                mark(PerfStage::Router); // 10 -> router = 5
+                mark(PerfStage::Memtable); // 15 -> memtable = 5
+                count_hash_probes(2);
+                mark(PerfStage::BlockRead); // 20 -> block_read = 5
+            })
+        });
+        assert!(phase() == Phase::Idle);
+        assert_eq!(dur, 20);
         assert_eq!(ctx.total_micros, 20);
         assert_eq!(ctx.stage_sum(), ctx.total_micros);
         assert_eq!(ctx.stage(PerfStage::Router), 5);
@@ -366,29 +446,90 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_everything_and_table_lists_all_stages() {
-        let reg = MetricsRegistry::new(true, 0);
+    fn an_unfinished_op_is_dropped_and_disarmed() {
+        let reg = MetricsRegistry::new(true);
         reg.set_clock(Some(manual_step_clock(1)));
-        let t0 = reg.now_micros();
-        begin_at(reg.clone(), t0);
-        mark(PerfStage::WalAppend);
-        count_cache_hit();
-        let a = finish_at(reg.now_micros());
-        let t0 = reg.now_micros();
-        begin_at(reg.clone(), t0);
-        mark(PerfStage::WalSync);
-        count_cache_miss();
-        count_vlog_fetch();
-        let mut b = finish_at(reg.now_micros());
-        b.merge(&a);
+        let ((), ctx) = profile(|| {
+            // Fails after its first clock read: never finishes.
+            begin_at(&reg, reg.now_micros());
+            mark(PerfStage::WalAppend);
+            // The next op replaces it and is profiled on its own.
+            op(&reg, || mark(PerfStage::Memtable));
+            // Another failure is still in flight when the scope ends.
+            begin_at(&reg, reg.now_micros());
+        });
+        assert_eq!(ctx.ops, 1);
+        assert_eq!(ctx.stage(PerfStage::WalAppend), 0);
+        assert_eq!(ctx.total_micros, 2);
+        assert_eq!(ctx.stage_sum(), ctx.total_micros);
+        // Outside the scope nothing is armed: marks read no clock.
+        let before = reg.now_micros();
+        mark(PerfStage::Router);
+        assert_eq!(reg.now_micros(), before + 1);
+    }
+
+    #[test]
+    fn a_panicking_scope_disarms_the_thread() {
+        let reg = MetricsRegistry::new(true);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            profile(|| {
+                begin_at(&reg, 0);
+                panic!("op failed");
+            })
+        }));
+        assert!(r.is_err());
+        assert!(phase() == Phase::Idle);
+    }
+
+    #[test]
+    fn nested_scopes_keep_their_own_ops() {
+        let reg = MetricsRegistry::new(true);
+        reg.set_clock(Some(manual_step_clock(1)));
+        let (inner, outer) = profile(|| {
+            op(&reg, || mark(PerfStage::Router));
+            let ((), inner) = profile(|| {
+                op(&reg, count_vlog_fetch);
+            });
+            op(&reg, || mark(PerfStage::Router));
+            inner
+        });
+        assert_eq!(inner.ops, 1);
+        assert_eq!(inner.vlog_fetches, 1);
+        assert_eq!(outer.ops, 2);
+        assert_eq!(outer.vlog_fetches, 0);
+        assert_eq!(outer.stage_hits[PerfStage::Router.idx()], 2);
+        assert!(phase() == Phase::Idle);
+    }
+
+    #[test]
+    fn merge_adds_everything_and_table_lists_all_stages() {
+        let reg = MetricsRegistry::new(true);
+        reg.set_clock(Some(manual_step_clock(1)));
+        let ((), a) = profile(|| {
+            op(&reg, || {
+                mark(PerfStage::WalAppend);
+                count_cache_hit();
+            });
+        });
+        // Two ops in one scope fold into one context.
+        let ((), b) = profile(|| {
+            op(&reg, || {
+                mark(PerfStage::WalSync);
+                count_cache_miss();
+            });
+            op(&reg, count_vlog_fetch);
+        });
         assert_eq!(b.ops, 2);
-        assert_eq!(b.block_reads, 2);
-        assert_eq!(b.cache_hits, 1);
-        assert_eq!(b.cache_misses, 1);
-        assert_eq!(b.vlog_fetches, 1);
-        assert_eq!(b.total_micros, a.total_micros + 2);
-        assert_eq!(b.stage_sum(), b.total_micros);
-        let table = b.render_table();
+        let mut ab = b.clone();
+        ab.merge(&a);
+        assert_eq!(ab.ops, 3);
+        assert_eq!(ab.block_reads, 2);
+        assert_eq!(ab.cache_hits, 1);
+        assert_eq!(ab.cache_misses, 1);
+        assert_eq!(ab.vlog_fetches, 1);
+        assert_eq!(ab.total_micros, a.total_micros + b.total_micros);
+        assert_eq!(ab.stage_sum(), ab.total_micros);
+        let table = ab.render_table();
         for stage in PerfStage::ALL {
             assert!(table.contains(stage.name()), "missing {}", stage.name());
         }

@@ -48,7 +48,7 @@ use unikv_common::events::{EventBus, EventClock, EventKind, EventListener};
 use unikv_common::ikey::{
     extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
 };
-use unikv_common::metrics::{MetricsClock, MetricsSnapshot, TraceEvent, TraceOp, TraceOutcome};
+use unikv_common::metrics::{MetricsClock, MetricsSnapshot, TraceOp, TraceOutcome};
 use unikv_common::perf::{self, PerfContext, PerfStage};
 use unikv_common::pointer::SeparatedValue;
 use unikv_common::{Error, Result, ValuePointer};
@@ -177,7 +177,6 @@ struct MergeSnapshot<'a> {
     scope: OpScope<'a>,
     full: bool,
     t0: u64,
-    pid: u32,
     dir: PathBuf,
     inputs: Vec<u64>,
     input_bytes: u64,
@@ -205,7 +204,7 @@ struct MergeOutput {
 
 /// A table a merge, GC or split wrote, opened when its build finished,
 /// with the data blocks the build kept for the block cache. Installed by
-/// [`DbInner::install_tables`] once the rewrite commits.
+/// [`Engine::install_tables`] once the rewrite commits.
 struct BuiltTable {
     number: u64,
     table: Arc<Table>,
@@ -217,7 +216,7 @@ struct BuiltTable {
 /// from the caller's allocator when it opens, and keeps its data blocks
 /// for the block cache while the cache has capacity left unreserved.
 struct TableRoller<'a> {
-    db: &'a DbInner,
+    db: &'a Engine,
     dir: PathBuf,
     builder: Option<TableBuilder>,
     tables: Vec<TableMeta>,
@@ -227,7 +226,7 @@ struct TableRoller<'a> {
 }
 
 impl<'a> TableRoller<'a> {
-    fn new(db: &'a DbInner, dir: PathBuf) -> TableRoller<'a> {
+    fn new(db: &'a Engine, dir: PathBuf) -> TableRoller<'a> {
         TableRoller {
             db,
             dir,
@@ -439,10 +438,10 @@ impl DbCore {
     }
 }
 
-/// Engine state shared between the public handle and the maintenance
-/// worker threads. All database logic lives here; [`UniKv`] is a thin
-/// wrapper that owns the workers' join handles.
-pub(crate) struct DbInner {
+/// The UniKV engine: all database state and the whole database API.
+/// [`UniKv`] owns it and the maintenance workers' join handles, and
+/// derefs to it; the workers share it through an `Arc`.
+pub struct Engine {
     pub(crate) env: Arc<dyn Env>,
     root: PathBuf,
     pub(crate) opts: UniKvOptions,
@@ -466,9 +465,9 @@ pub(crate) struct DbInner {
     job_causes: parking_lot::Mutex<HashMap<Job, u64>>,
 }
 
-impl DbInner {
+impl Engine {
     /// Open (creating or recovering) the engine state under `root`.
-    fn open_inner(env: Arc<dyn Env>, root: PathBuf, opts: UniKvOptions) -> Result<DbInner> {
+    fn open_inner(env: Arc<dyn Env>, root: PathBuf, opts: UniKvOptions) -> Result<Engine> {
         opts.validate()?;
         env.create_dir_all(&root)?;
         let cache = (opts.block_cache_bytes > 0).then(|| BlockCache::new(opts.block_cache_bytes));
@@ -574,7 +573,7 @@ impl DbInner {
         }
         let events = EventBus::new(listeners, first_seq);
 
-        let db = DbInner {
+        let db = Engine {
             resolver: Arc::new(ValueResolver::new(env.clone(), root.clone())),
             env,
             root,
@@ -653,12 +652,15 @@ impl DbInner {
             .sum()
     }
 
-    /// Bytes of block payload the shared block cache holds.
+    /// Bytes of block payload the shared block cache holds (0 without a
+    /// cache).
     pub fn block_cache_bytes(&self) -> usize {
         self.topts.cache.as_ref().map_or(0, |c| c.bytes())
     }
 
-    /// The table ids the hash index of `key`'s partition names for it.
+    /// The UnsortedStore table ids the hash index names for `key`, newest
+    /// first, false positives included: the candidates a get of `key`
+    /// would verify.
     pub fn index_candidates(&self, key: &[u8]) -> Vec<u32> {
         let core = self.core.read();
         core.partitions[core.route(key)]
@@ -682,6 +684,113 @@ impl DbInner {
         self.core.read().last_seq
     }
 
+    /// The named sync-point registry for crash testing: arm a hook to
+    /// observe (or abort, by returning `Err`) structural operations at
+    /// any of the [`crate::maintenance::SYNC_POINTS`]. An abort models a
+    /// crash at that step — drop the database and reopen to exercise
+    /// recovery.
+    pub fn sync_points(&self) -> &SyncPoints {
+        &self.sync
+    }
+
+    /// Block until the maintenance queue is empty and no job is running.
+    /// Returns immediately in inline mode or after a background failure.
+    pub fn wait_for_background(&self) {
+        self.maint.wait_idle();
+    }
+
+    /// The fatal background-maintenance error that poisoned this
+    /// database, if any. Once set, writes and structural operations fail
+    /// with this error; reads keep working.
+    pub fn background_error(&self) -> Option<String> {
+        self.maint.poison_message()
+    }
+
+    /// Current health state (see [`HealthState`] for the transitions).
+    /// Lock-free; always `Healthy` in inline mode.
+    pub fn health(&self) -> HealthState {
+        self.maint.health_state()
+    }
+
+    /// Detailed health snapshot: state, jobs retrying, quarantined jobs
+    /// with their reasons, and the poison message if any.
+    pub fn health_report(&self) -> HealthReport {
+        self.maint.health_report()
+    }
+
+    /// Replace the maintenance scheduler's clock (milliseconds, arbitrary
+    /// monotonic origin), or restore the real clock with `None`. Backoff
+    /// deadlines and quarantine probes are evaluated against it — a test
+    /// or simulation hook so retry schedules elapse without sleeping.
+    pub fn set_maintenance_clock(&self, clock: Option<MaintClock>) {
+        self.maint.set_clock(clock);
+    }
+
+    /// The database's metric bundle: registry plus every typed handle.
+    pub fn metrics(&self) -> &DbMetrics {
+        &self.metrics
+    }
+
+    /// The lifecycle event bus this database publishes on. Exposed for
+    /// tests and tooling that want the next seq or panic counters; new
+    /// listeners must be registered via [`UniKvOptions::listeners`]
+    /// *before* open so no event is missed.
+    pub fn event_bus(&self) -> &Arc<EventBus> {
+        &self.events
+    }
+
+    /// Listener panics caught (and swallowed) so far.
+    pub fn listener_panics(&self) -> u64 {
+        self.events.listener_panics()
+    }
+
+    /// Event-journal health: `(events_written, write_errors)` since open,
+    /// or `None` when the journal is disabled or failed to open.
+    pub fn event_journal_stats(&self) -> Option<(u64, u64)> {
+        self.journal
+            .as_ref()
+            .map(|j| (j.events_written(), j.write_errors()))
+    }
+
+    /// Replace the event bus clock (microseconds, arbitrary monotonic
+    /// origin) used to stamp `at_micros` on published events, or restore
+    /// the real clock with `None`. Deliberately separate from the metrics
+    /// clock: publishing an event must never advance a manual metrics
+    /// clock mid-operation.
+    pub fn set_event_clock(&self, clock: Option<EventClock>) {
+        self.events.set_clock(clock);
+    }
+
+    /// Human-readable metrics report: every counter, gauge, and latency
+    /// histogram (count/p50/p95/p99/max).
+    pub fn metrics_report(&self) -> String {
+        self.metrics.registry.render_text()
+    }
+
+    /// Machine-readable metrics report (tab-separated, one family per
+    /// line; histograms include their full bucket vector).
+    pub fn metrics_report_machine(&self) -> String {
+        self.metrics.registry.snapshot().render_machine()
+    }
+
+    /// Snapshot every metric family (mergeable across databases/engines).
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.registry.snapshot()
+    }
+
+    /// Replace the metrics clock (microseconds, arbitrary monotonic
+    /// origin), or restore the real clock with `None`. Tests install
+    /// [`unikv_common::metrics::manual_step_clock`] to make latency
+    /// histograms exactly reproducible.
+    pub fn set_metrics_clock(&self, clock: Option<MetricsClock>) {
+        self.metrics.registry.set_clock(clock);
+    }
+
+    /// Zero every metric; registered families remain enumerable.
+    pub fn reset_metrics(&self) {
+        self.metrics.registry.reset();
+    }
+
     /// Insert or update `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.write(key, value, ValueType::Value)
@@ -692,71 +801,33 @@ impl DbInner {
         self.write(key, b"", ValueType::Deletion)
     }
 
-    /// Insert or update `key`, returning a per-operation stage profile.
+    /// [`Engine::put`] in a [`perf::profile`] scope: the put's stage
+    /// profile (stall wait, router, WAL append/sync, memtable). Kept as a
+    /// one-call form for callers that sample single ops.
     pub fn put_profiled(&self, key: &[u8], value: &[u8]) -> Result<PerfContext> {
-        self.write_observed(key, value, ValueType::Value, true)
+        let (r, ctx) = perf::profile(|| self.put(key, value));
+        r.map(|()| ctx)
     }
 
-    /// Delete `key`, returning a per-operation stage profile.
-    pub fn delete_profiled(&self, key: &[u8]) -> Result<PerfContext> {
-        self.write_observed(key, b"", ValueType::Deletion, true)
-    }
-
+    /// The write path. The profiler hooks reuse the op's own histogram
+    /// clock readings (`t0`/`t1`), so a profile's stage sum equals the
+    /// recorded latency exactly and an unprofiled call reads the clock
+    /// twice.
     fn write(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<()> {
-        self.write_observed(key, value, t, false).map(|_| ())
-    }
-
-    /// The write path with optional per-op profiling. The profiler reuses
-    /// the operation's own histogram clock readings (`t0`/`t1`), so the
-    /// profile's stage sum equals the recorded latency exactly and an
-    /// unprofiled call performs the same two clock reads as before.
-    fn write_observed(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        t: ValueType,
-        profile: bool,
-    ) -> Result<PerfContext> {
         if key.is_empty() {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let t0 = self.metrics.registry.now_micros();
-        if profile {
-            perf::begin_at(self.metrics.registry.clone(), t0);
-        }
-        let pid = match self.write_impl(key, value, t) {
-            Ok(pid) => pid,
-            Err(e) => {
-                if profile {
-                    perf::cancel();
-                }
-                return Err(e);
-            }
-        };
+        perf::begin_at(&self.metrics.registry, t0);
+        self.write_impl(key, value, t)?;
         let t1 = self.metrics.registry.now_micros();
-        let ctx = if profile {
-            perf::finish_at(t1)
-        } else {
-            PerfContext::default()
-        };
+        perf::finish_at(t1);
         self.metrics.eng.writes.inc();
         self.metrics.eng.put_latency.record(t1.saturating_sub(t0));
-        self.metrics.registry.trace_event(TraceEvent {
-            at_micros: t1,
-            dur_micros: t1.saturating_sub(t0),
-            op: if t == ValueType::Value {
-                TraceOp::Put
-            } else {
-                TraceOp::Delete
-            },
-            outcome: TraceOutcome::Done,
-            partition: pid,
-            bytes: (key.len() + value.len()) as u64,
-        });
-        Ok(ctx)
+        Ok(())
     }
 
-    fn write_impl(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<u32> {
+    fn write_impl(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<()> {
         if self.opts.background_jobs > 0 {
             self.wait_for_write_room(Some(key))?;
             perf::mark(PerfStage::StallWait);
@@ -781,9 +852,9 @@ impl DbInner {
             &self.stats.user_bytes_written,
             (key.len() + value.len()) as u64,
         );
-        let pid = p.meta.id;
         if p.mem.approximate_memory_usage() >= self.opts.write_buffer_size {
             if self.opts.background_jobs > 0 {
+                let pid = p.meta.id;
                 self.seal_memtable(&mut core, pidx)?;
                 self.schedule(JobKind::Flush, pid);
             } else {
@@ -791,7 +862,7 @@ impl DbInner {
                 self.run_triggers(&mut core, pidx, fin)?;
             }
         }
-        Ok(pid)
+        Ok(())
     }
 
     /// Apply `batch` atomically: each partition's slice of the batch is
@@ -803,6 +874,7 @@ impl DbInner {
             return Ok(());
         }
         let t0 = self.metrics.registry.now_micros();
+        perf::begin_at(&self.metrics.registry, t0);
         if self.opts.background_jobs > 0 {
             self.wait_for_write_room(None)?;
         }
@@ -855,22 +927,16 @@ impl DbInner {
         // `writes`/`batch_ops` so `put_latency`'s sample count keeps
         // matching the number of put/delete *calls*.
         let t1 = self.metrics.registry.now_micros();
+        perf::finish_at(t1);
         let n = batch.ops.len() as u64;
         self.metrics.eng.writes.add(n);
         self.metrics.batch_ops.add(n);
         self.metrics.batch_latency.record(t1.saturating_sub(t0));
-        self.metrics.registry.trace_event(TraceEvent {
-            at_micros: t1,
-            dur_micros: t1.saturating_sub(t0),
-            op: TraceOp::Put,
-            outcome: TraceOutcome::Done,
-            partition: 0,
-            bytes: n,
-        });
         Ok(())
     }
 
-    /// Force all memtables to disk.
+    /// Force all memtables (active and sealed) to disk. In background
+    /// mode this quiesces the workers first, so it is a true barrier.
     pub fn flush(&self) -> Result<()> {
         let _pause = self.pause_maintenance()?;
         let mut core = self.core.write();
@@ -902,9 +968,10 @@ impl DbInner {
         Ok(())
     }
 
-    /// Run GC on every partition regardless of the garbage ratio: with a
-    /// victim threshold of 0 every log is a victim, so each partition's
-    /// live values are all rewritten (test/maintenance hook).
+    /// Run GC on every partition regardless of the garbage ratio. Every
+    /// value log is a victim, so every live value is rewritten into fresh
+    /// logs (a triggered GC rewrites only the logs that crossed
+    /// `gc_garbage_ratio`; test/maintenance hook).
     pub fn force_gc(&self) -> Result<()> {
         let _pause = self.pause_maintenance()?;
         let mut core = self.core.write();
@@ -949,7 +1016,7 @@ impl DbInner {
 
     /// Remember the event seq that caused `kind` to be scheduled on
     /// `partition`; the worker publishing the job's start event consumes
-    /// it via [`DbInner::take_job_cause`]. Only bothers when someone is
+    /// it via [`Engine::take_job_cause`]. Only bothers when someone is
     /// listening — the map must stay empty on the zero-overhead path.
     fn note_job_cause(&self, kind: JobKind, partition: u32, cause: Option<u64>) {
         let Some(cause) = cause else { return };
@@ -1101,58 +1168,35 @@ impl DbInner {
         r
     }
 
-    /// Point lookup.
+    /// Point lookup. Like the write path, the profiler hooks reuse the
+    /// op's two histogram clock readings.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_observed(key, false).map(|(v, _)| v)
-    }
-
-    /// Point lookup returning a per-operation stage profile alongside the
-    /// value. The profile's `total_micros` equals the latency recorded in
-    /// the `get` histogram for this very call.
-    pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
-        self.get_observed(key, true)
-    }
-
-    fn get_observed(&self, key: &[u8], profile: bool) -> Result<(Option<Vec<u8>>, PerfContext)> {
         let t0 = self.metrics.registry.now_micros();
-        if profile {
-            perf::begin_at(self.metrics.registry.clone(), t0);
-        }
+        perf::begin_at(&self.metrics.registry, t0);
         let r = self.track_read(self.get_impl(key));
         let t1 = self.metrics.registry.now_micros();
-        let ctx = if profile {
-            perf::finish_at(t1)
-        } else {
-            PerfContext::default()
-        };
-        match &r {
-            Ok((value, outcome, pid)) => {
-                self.metrics.eng.record_read(*outcome);
-                self.metrics.eng.get_latency.record(t1.saturating_sub(t0));
-                self.metrics.registry.trace_event(TraceEvent {
-                    at_micros: t1,
-                    dur_micros: t1.saturating_sub(t0),
-                    op: TraceOp::Get,
-                    outcome: *outcome,
-                    partition: *pid,
-                    bytes: value.as_ref().map_or(0, |v| v.len()) as u64,
-                });
-            }
-            Err(_) => {
-                self.metrics.eng.get_latency.record(t1.saturating_sub(t0));
-            }
-        }
-        r.map(|(value, _, _)| (value, ctx))
+        perf::finish_at(t1);
+        self.metrics.eng.get_latency.record(t1.saturating_sub(t0));
+        let (value, outcome) = r?;
+        self.metrics.eng.record_read(outcome);
+        Ok(value)
+    }
+
+    /// [`Engine::get`] in a [`perf::profile`] scope: the value with the
+    /// get's stage profile (router, memtable, index probes, boundary
+    /// search, block reads, vlog fetch), whose `total_micros` equals the
+    /// latency the `get` histogram recorded for this call.
+    pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
+        let (r, ctx) = perf::profile(|| self.get(key));
+        r.map(|v| (v, ctx))
     }
 
     /// Resolve `key` to its value plus the tier that answered (for the
-    /// per-tier read counters and the op trace) and the partition id.
-    #[allow(clippy::type_complexity)]
-    fn get_impl(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, TraceOutcome, u32)> {
+    /// per-tier read counters).
+    fn get_impl(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, TraceOutcome)> {
         let core = self.core.read();
         let snapshot = core.last_seq;
         let p = &core.partitions[core.route(key)];
-        let pid = p.meta.id;
         perf::mark(PerfStage::Router);
 
         // 1. Memtables: the active one, then sealed ones newest-first
@@ -1163,12 +1207,12 @@ impl DbInner {
                     UniKvStats::add(&self.stats.memtable_hits, 1);
                     perf::mark(PerfStage::Memtable);
                     let (v, _) = self.resolve_slot(slot)?;
-                    return Ok((Some(v), TraceOutcome::Memtable, pid));
+                    return Ok((Some(v), TraceOutcome::Memtable));
                 }
                 LookupResult::Deleted => {
                     UniKvStats::add(&self.stats.memtable_hits, 1);
                     perf::mark(PerfStage::Memtable);
-                    return Ok((None, TraceOutcome::Memtable, pid));
+                    return Ok((None, TraceOutcome::Memtable));
                 }
                 LookupResult::NotFound => {}
             }
@@ -1190,9 +1234,9 @@ impl DbInner {
                 match self.probe_table(p, tmeta, &seek_key, key, true)? {
                     Probe::Value(slot) => {
                         let (v, _) = self.resolve_slot(&slot)?;
-                        return Ok((Some(v), TraceOutcome::Unsorted, pid));
+                        return Ok((Some(v), TraceOutcome::Unsorted));
                     }
-                    Probe::Tombstone => return Ok((None, TraceOutcome::Unsorted, pid)),
+                    Probe::Tombstone => return Ok((None, TraceOutcome::Unsorted)),
                     Probe::Miss => {
                         UniKvStats::add(&self.stats.index_false_positives, 1);
                     }
@@ -1207,9 +1251,9 @@ impl DbInner {
                 match self.probe_table(p, tmeta, &seek_key, key, false)? {
                     Probe::Value(slot) => {
                         let (v, _) = self.resolve_slot(&slot)?;
-                        return Ok((Some(v), TraceOutcome::Unsorted, pid));
+                        return Ok((Some(v), TraceOutcome::Unsorted));
                     }
-                    Probe::Tombstone => return Ok((None, TraceOutcome::Unsorted, pid)),
+                    Probe::Tombstone => return Ok((None, TraceOutcome::Unsorted)),
                     Probe::Miss => {}
                 }
             }
@@ -1229,13 +1273,13 @@ impl DbInner {
                     } else {
                         TraceOutcome::Sorted
                     };
-                    return Ok((Some(v), outcome, pid));
+                    return Ok((Some(v), outcome));
                 }
-                Probe::Tombstone => return Ok((None, TraceOutcome::Sorted, pid)),
+                Probe::Tombstone => return Ok((None, TraceOutcome::Sorted)),
                 Probe::Miss => {}
             }
         }
-        Ok((None, TraceOutcome::Miss, pid))
+        Ok((None, TraceOutcome::Miss))
     }
 
     /// Look `user_key` up in one table. A hash probe (`by_record`) reads
@@ -1303,23 +1347,17 @@ impl DbInner {
         limit: usize,
     ) -> Result<Vec<ScanItem>> {
         let t0 = self.metrics.registry.now_micros();
+        perf::begin_at(&self.metrics.registry, t0);
         let mut due = Vec::new();
         let r = self
             .track_read(self.scan_range_impl(from, end, limit, &mut due))
             .and_then(|items| self.merge_scanned(&due).map(|()| items));
         let t1 = self.metrics.registry.now_micros();
+        perf::finish_at(t1);
         self.metrics.eng.scans.inc();
         self.metrics.eng.scan_latency.record(t1.saturating_sub(t0));
         if let Ok(items) = &r {
             self.metrics.eng.scan_items.add(items.len() as u64);
-            self.metrics.registry.trace_event(TraceEvent {
-                at_micros: t1,
-                dur_micros: t1.saturating_sub(t0),
-                op: TraceOp::Scan,
-                outcome: TraceOutcome::Done,
-                partition: 0,
-                bytes: items.len() as u64,
-            });
         }
         r
     }
@@ -1809,27 +1847,19 @@ impl DbInner {
                 Some(scope.start_seq),
             )?;
             last_finish = Some(scope.finish(EventKind::FlushFinish, vec![table_number], bytes, ""));
-            self.record_maint(TraceOp::Flush, t0, pid, bytes);
+            self.record_maint(TraceOp::Flush, t0);
         }
         Ok(last_finish)
     }
 
-    /// Record one completed maintenance operation: a latency sample in the
-    /// op's histogram and a `Done` trace event.
-    fn record_maint(&self, op: TraceOp, t0: u64, pid: u32, bytes: u64) {
+    /// Record one completed maintenance operation's latency sample in the
+    /// op's histogram.
+    fn record_maint(&self, op: TraceOp, t0: u64) {
         let t1 = self.metrics.registry.now_micros();
         self.metrics
             .eng
             .maint_histogram(op)
             .record(t1.saturating_sub(t0));
-        self.metrics.registry.trace_event(TraceEvent {
-            at_micros: t1,
-            dur_micros: t1.saturating_sub(t0),
-            op,
-            outcome: TraceOutcome::Done,
-            partition: pid,
-            bytes,
-        });
     }
 
     fn table_builder_opts(&self, tier: Tier) -> TableBuilderOptions {
@@ -1925,7 +1955,6 @@ impl DbInner {
             scope,
             full,
             t0,
-            pid: p.meta.id,
             dir: partition_dir(&self.root, p.meta.id),
             inputs,
             input_bytes,
@@ -2146,7 +2175,7 @@ impl DbInner {
         }
         self.install_tables(p, built)?;
         self.maint.notify_progress();
-        self.record_maint(op, snap.t0, snap.pid, bytes);
+        self.record_maint(op, snap.t0);
         Ok(fin)
     }
 
@@ -2304,7 +2333,7 @@ impl DbInner {
         }
         p.vlog.lock().delete_logs(&victims)?;
         self.sweep_shared_logs(core, &old_inherited)?;
-        self.record_maint(TraceOp::Gc, t0, pid, written);
+        self.record_maint(TraceOp::Gc, t0);
         Ok(())
     }
 
@@ -2623,7 +2652,7 @@ impl DbInner {
         }
         // Parent logs with no surviving references can go immediately.
         self.sweep_shared_logs(core, &parent_logs)?;
-        self.record_maint(TraceOp::Split, t0, parent_id, split_bytes);
+        self.record_maint(TraceOp::Split, t0);
         Ok(Some(fin))
     }
 
@@ -2690,7 +2719,7 @@ impl DbInner {
             )?;
             let fin = scope.finish(EventKind::FlushFinish, vec![table_number], bytes, "");
             self.schedule_triggers(&core, pidx, Some(fin));
-            self.record_maint(TraceOp::Flush, t0, pid, bytes);
+            self.record_maint(TraceOp::Flush, t0);
         }
     }
 
@@ -2785,288 +2814,58 @@ impl DbInner {
 
 /// The UniKV database handle.
 ///
-/// Owns the engine state (shared with maintenance worker threads via
-/// `Arc`) and the worker join handles. With `background_jobs = 0` (the
+/// Owns the [`Engine`] (shared with maintenance worker threads via
+/// `Arc`) and the worker join handles, and derefs to the engine, where
+/// the whole database API lives. With `background_jobs = 0` (the
 /// default) no threads are spawned and every structural operation runs
-/// inline, exactly as in previous versions. Dropping the handle asks the
-/// workers to finish their current job and joins them; jobs still queued
-/// are abandoned — safe, because sealed WALs are committed in the manifest and
-/// recovery replays them.
+/// inline. Dropping the handle asks the workers to finish their current
+/// job and joins them; jobs still queued are abandoned — safe, because
+/// sealed WALs are committed in the manifest and recovery replays them.
 pub struct UniKv {
-    inner: Arc<DbInner>,
+    engine: Arc<Engine>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl UniKv {
     /// Open (creating or recovering) a database under `root`.
     pub fn open(env: Arc<dyn Env>, root: impl Into<PathBuf>, opts: UniKvOptions) -> Result<UniKv> {
-        let inner = Arc::new(DbInner::open_inner(env, root.into(), opts)?);
-        let workers = (0..inner.opts.background_jobs)
+        let engine = Arc::new(Engine::open_inner(env, root.into(), opts)?);
+        let workers = (0..engine.opts.background_jobs)
             .map(|i| {
-                let inner = inner.clone();
+                let engine = engine.clone();
                 std::thread::Builder::new()
                     .name(format!("unikv-maint-{i}"))
-                    .spawn(move || worker_loop(inner))
+                    .spawn(move || worker_loop(engine))
                     .expect("spawn maintenance worker")
             })
             .collect();
-        Ok(UniKv { inner, workers })
+        Ok(UniKv { engine, workers })
     }
+}
 
-    /// Counters.
-    pub fn stats(&self) -> &UniKvStats {
-        self.inner.stats()
-    }
+impl std::ops::Deref for UniKv {
+    type Target = Engine;
 
-    /// The named sync-point registry for crash testing: arm a hook to
-    /// observe (or abort, by returning `Err`) structural operations at
-    /// any of the [`crate::maintenance::SYNC_POINTS`]. An abort models a
-    /// crash at that step — drop the database and reopen to exercise
-    /// recovery.
-    pub fn sync_points(&self) -> &crate::maintenance::SyncPoints {
-        &self.inner.sync
-    }
-
-    /// Options this database was opened with.
-    pub fn options(&self) -> &UniKvOptions {
-        self.inner.options()
-    }
-
-    /// Number of partitions (grows via dynamic range partitioning).
-    pub fn partition_count(&self) -> usize {
-        self.inner.partition_count()
-    }
-
-    /// The current partition boundary keys (`lo` of each partition).
-    pub fn partition_boundaries(&self) -> Vec<Vec<u8>> {
-        self.inner.partition_boundaries()
-    }
-
-    /// Total bytes of in-memory hash-index entries across partitions
-    /// (experiment E12).
-    pub fn index_memory_bytes(&self) -> usize {
-        self.inner.index_memory_bytes()
-    }
-
-    /// Bytes of block payload the shared block cache holds (0 without a
-    /// cache).
-    pub fn block_cache_bytes(&self) -> usize {
-        self.inner.block_cache_bytes()
-    }
-
-    /// The UnsortedStore table ids the hash index names for `key`, newest
-    /// first, false positives included: the candidates a get of `key`
-    /// would verify.
-    pub fn index_candidates(&self, key: &[u8]) -> Vec<u32> {
-        self.inner.index_candidates(key)
-    }
-
-    /// Total logical bytes stored (tables + live values).
-    pub fn logical_bytes(&self) -> u64 {
-        self.inner.logical_bytes()
-    }
-
-    /// Last committed sequence number.
-    pub fn last_sequence(&self) -> SequenceNumber {
-        self.inner.last_sequence()
-    }
-
-    /// Insert or update `key`.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.inner.put(key, value)
-    }
-
-    /// Delete `key`.
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.inner.delete(key)
-    }
-
-    /// Apply `batch` atomically (see [`WriteBatch`]).
-    pub fn write_batch(&self, batch: &WriteBatch) -> Result<()> {
-        self.inner.write_batch(batch)
-    }
-
-    /// Force all memtables (active and sealed) to disk. In background
-    /// mode this quiesces the workers first, so it is a true barrier.
-    pub fn flush(&self) -> Result<()> {
-        self.inner.flush()
-    }
-
-    /// Force a full merge (UnsortedStore → SortedStore) in every partition.
-    pub fn compact_all(&self) -> Result<()> {
-        self.inner.compact_all()
-    }
-
-    /// Run GC on every partition regardless of the garbage ratio. Every
-    /// value log is a victim, so every live value is rewritten into fresh
-    /// logs (a triggered GC rewrites only the logs that crossed
-    /// `gc_garbage_ratio`; test/maintenance hook).
-    pub fn force_gc(&self) -> Result<()> {
-        self.inner.force_gc()
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get(key)
-    }
-
-    /// Point lookup with a per-operation stage profile (router, memtable,
-    /// index probes, boundary search, block reads, vlog fetch…). The
-    /// profile's `total_micros` equals the sum of its stages and the
-    /// latency recorded in the `get` histogram for this call.
-    pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
-        self.inner.get_profiled(key)
-    }
-
-    /// Insert or update `key`, returning a per-operation stage profile
-    /// (stall wait, router, WAL append/sync, memtable).
-    pub fn put_profiled(&self, key: &[u8], value: &[u8]) -> Result<PerfContext> {
-        self.inner.put_profiled(key, value)
-    }
-
-    /// Delete `key`, returning a per-operation stage profile.
-    pub fn delete_profiled(&self, key: &[u8]) -> Result<PerfContext> {
-        self.inner.delete_profiled(key)
-    }
-
-    /// Range scan: up to `limit` live entries with `key >= from`.
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.inner.scan(from, limit)
-    }
-
-    /// Range scan bounded above: up to `limit` live entries with
-    /// `from <= key < end` (`end = None` means unbounded).
-    pub fn scan_range(
-        &self,
-        from: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<ScanItem>> {
-        self.inner.scan_range(from, end, limit)
-    }
-
-    /// A streaming iterator over the whole database at the current
-    /// sequence number — the paper's seek()/next() scan interface.
-    pub fn iter(&self) -> Result<crate::iter::UniKvIterator> {
-        self.inner.iter()
-    }
-
-    /// Block until the maintenance queue is empty and no job is running.
-    /// Returns immediately in inline mode or after a background failure.
-    pub fn wait_for_background(&self) {
-        self.inner.maint.wait_idle();
-    }
-
-    /// The fatal background-maintenance error that poisoned this
-    /// database, if any. Once set, writes and structural operations fail
-    /// with this error; reads keep working.
-    pub fn background_error(&self) -> Option<String> {
-        self.inner.maint.poison_message()
-    }
-
-    /// Current health state (see [`HealthState`] for the transitions).
-    /// Lock-free; always `Healthy` in inline mode.
-    pub fn health(&self) -> HealthState {
-        self.inner.maint.health_state()
-    }
-
-    /// Detailed health snapshot: state, jobs retrying, quarantined jobs
-    /// with their reasons, and the poison message if any.
-    pub fn health_report(&self) -> HealthReport {
-        self.inner.maint.health_report()
-    }
-
-    /// Replace the maintenance scheduler's clock (milliseconds, arbitrary
-    /// monotonic origin), or restore the real clock with `None`. Backoff
-    /// deadlines and quarantine probes are evaluated against it — a test
-    /// or simulation hook so retry schedules elapse without sleeping.
-    pub fn set_maintenance_clock(&self, clock: Option<MaintClock>) {
-        self.inner.maint.set_clock(clock);
-    }
-
-    /// The database's metric bundle: registry plus every typed handle.
-    pub fn metrics(&self) -> &DbMetrics {
-        &self.inner.metrics
-    }
-
-    /// The lifecycle event bus this database publishes on. Exposed for
-    /// tests and tooling that want the next seq or panic counters; new
-    /// listeners must be registered via [`UniKvOptions::listeners`]
-    /// *before* open so no event is missed.
-    pub fn event_bus(&self) -> &Arc<EventBus> {
-        &self.inner.events
-    }
-
-    /// Listener panics caught (and swallowed) so far.
-    pub fn listener_panics(&self) -> u64 {
-        self.inner.events.listener_panics()
-    }
-
-    /// Event-journal health: `(events_written, write_errors)` since open,
-    /// or `None` when the journal is disabled or failed to open.
-    pub fn event_journal_stats(&self) -> Option<(u64, u64)> {
-        self.inner
-            .journal
-            .as_ref()
-            .map(|j| (j.events_written(), j.write_errors()))
-    }
-
-    /// Replace the event bus clock (microseconds, arbitrary monotonic
-    /// origin) used to stamp `at_micros` on published events, or restore
-    /// the real clock with `None`. Deliberately separate from the metrics
-    /// clock: publishing an event must never advance a manual metrics
-    /// clock mid-operation.
-    pub fn set_event_clock(&self, clock: Option<EventClock>) {
-        self.inner.events.set_clock(clock);
-    }
-
-    /// Human-readable metrics report: every counter, gauge, and latency
-    /// histogram (count/p50/p95/p99/max) plus the tail of the op trace.
-    pub fn metrics_report(&self) -> String {
-        self.inner.metrics.report_text()
-    }
-
-    /// Machine-readable metrics report (tab-separated, one family per
-    /// line; histograms include their full bucket vector).
-    pub fn metrics_report_machine(&self) -> String {
-        self.inner.metrics.report_machine()
-    }
-
-    /// Snapshot every metric family (mergeable across databases/engines).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
-    }
-
-    /// Replace the metrics clock (microseconds, arbitrary monotonic
-    /// origin), or restore the real clock with `None`. Tests install
-    /// [`unikv_common::metrics::manual_step_clock`] to make latency
-    /// histograms exactly reproducible.
-    pub fn set_metrics_clock(&self, clock: Option<MetricsClock>) {
-        self.inner.metrics.registry.set_clock(clock);
-    }
-
-    /// Zero every metric and clear the op trace; registered families
-    /// remain enumerable.
-    pub fn reset_metrics(&self) {
-        self.inner.metrics.registry.reset();
+    fn deref(&self) -> &Engine {
+        &self.engine
     }
 }
 
 impl Drop for UniKv {
     fn drop(&mut self) {
-        self.inner.maint.begin_shutdown();
+        self.engine.maint.begin_shutdown();
         // Workers park in timed waits while jobs sit in backoff, so they
         // notice shutdown within one tick — but a worker wedged inside a
         // job (e.g. an env stuck in a syscall) must not hang the drop
         // forever. Join with a deadline and detach stragglers; a detached
         // worker exits on its own when its current job ends.
         let deadline =
-            Instant::now() + Duration::from_millis(self.inner.opts.shutdown_join_timeout_ms);
+            Instant::now() + Duration::from_millis(self.engine.opts.shutdown_join_timeout_ms);
         for handle in self.workers.drain(..) {
             while !handle.is_finished() && Instant::now() < deadline {
                 // Re-notify: a worker that raced into a wait just before
                 // the shutdown flag was set could otherwise miss a wakeup.
-                self.inner.maint.begin_shutdown();
+                self.engine.maint.begin_shutdown();
                 std::thread::sleep(Duration::from_millis(1));
             }
             if handle.is_finished() {

@@ -95,7 +95,7 @@ mod tests {
     use unikv_vlog::{vlog_file_name, ValueLog};
 
     fn metrics() -> FetchMetrics {
-        FetchMetrics::new(&MetricsRegistry::new(true, 0))
+        FetchMetrics::new(&MetricsRegistry::new(true))
     }
 
     /// `n` output items whose values the fetch has yet to fill.

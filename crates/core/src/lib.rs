@@ -22,6 +22,15 @@
 //! exceeds its size limit splits at the median key into two independent
 //! partitions (values split lazily during GC), instead of deepening an LSM.
 //!
+//! ## Handle and engine
+//!
+//! [`UniKv::open`] returns the handle that owns the maintenance worker
+//! threads. It derefs to [`Engine`], where the whole database API lives
+//! (`put`, `get`, `scan`, `write_batch`, `metrics_snapshot`, `health`,
+//! …), so every engine method is called straight on the handle. Any of
+//! the ops can be profiled by running it in a
+//! [`unikv_common::perf::profile`] scope.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -50,7 +59,7 @@ pub mod router;
 pub mod verify;
 
 pub use batch::WriteBatch;
-pub use db::{UniKv, UniKvStats};
+pub use db::{Engine, UniKv, UniKvStats};
 pub use fetch::FetchMetrics;
 pub use iter::UniKvIterator;
 pub use journal::{read_events, EventJournal, EVENTS_FILE, EVENTS_OLD_FILE};
@@ -65,8 +74,7 @@ pub use unikv_common::events::{
     causal_chain, Event, EventBus, EventClock, EventKind, EventListener, Listeners,
 };
 pub use unikv_common::metrics::{
-    manual_step_clock, MetricsClock, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceOp,
-    TraceOutcome,
+    manual_step_clock, MetricsClock, MetricsRegistry, MetricsSnapshot, TraceOp, TraceOutcome,
 };
 pub use unikv_common::perf::{PerfContext, PerfStage, PERF_STAGE_COUNT};
 pub use unikv_lsm::db::ScanItem;

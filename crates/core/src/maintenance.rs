@@ -49,7 +49,7 @@
 //! ## Health state machine
 //!
 //! `Healthy → Degraded → ReadOnly → Poisoned`, surfaced via
-//! [`crate::UniKv::health`] and recomputed from the queue on every job
+//! [`crate::Engine::health`] and recomputed from the queue on every job
 //! completion, so recovery is automatic:
 //!
 //! * **Degraded** — at least one job is retrying or quarantined. Writes
@@ -65,7 +65,7 @@
 //! probe finds the disk freed) the state recomputes back toward
 //! `Healthy`.
 
-use crate::db::DbInner;
+use crate::db::Engine;
 use crate::options::UniKvOptions;
 use crate::UniKvStats;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -209,7 +209,7 @@ impl HealthState {
 }
 
 /// A maintenance job parked after exhausting its retry budget or failing
-/// permanently (introspection view, see [`crate::UniKv::health_report`]).
+/// permanently (introspection view, see [`crate::Engine::health_report`]).
 #[derive(Debug, Clone)]
 pub struct QuarantinedJob {
     /// The job's kind.
@@ -220,7 +220,7 @@ pub struct QuarantinedJob {
     pub reason: String,
 }
 
-/// Snapshot of the health machinery (see [`crate::UniKv::health_report`]).
+/// Snapshot of the health machinery (see [`crate::Engine::health_report`]).
 #[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Current health state.
@@ -741,7 +741,7 @@ impl MaintState {
             || q.inflight.get(&partition).is_some_and(|r| r.attempts > 0)
     }
 
-    /// Snapshot for [`crate::UniKv::health_report`].
+    /// Snapshot for [`crate::Engine::health_report`].
     pub(crate) fn health_report(&self) -> HealthReport {
         let q = self.queue.lock();
         let retrying = q.jobs.iter().filter(|p| p.attempts > 0).count()
@@ -920,7 +920,7 @@ impl Drop for PauseGuard<'_> {
 }
 
 /// Body of one maintenance worker thread.
-pub(crate) fn worker_loop(inner: Arc<DbInner>) {
+pub(crate) fn worker_loop(inner: Arc<Engine>) {
     while let Some((job, attempts, depth)) = inner.maint.next_job() {
         inner.set_queue_depth(depth);
         // Reset the commit-step marker so a stale flag from a previous

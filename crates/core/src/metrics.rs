@@ -2,15 +2,14 @@
 //! database holding the standard engine families plus WAL, value-log,
 //! and SSTable I/O counters from the subsystem crates. Every partition
 //! records into the same registry, so snapshots are already "merged
-//! across partitions"; [`MetricsSnapshot::merge`] remains available for
-//! folding multiple databases (or engines) into one report.
+//! across partitions"; [`unikv_common::metrics::MetricsSnapshot::merge`]
+//! remains available for folding multiple databases (or engines) into
+//! one report.
 
 use crate::fetch::FetchMetrics;
 use crate::options::UniKvOptions;
 use std::sync::Arc;
-use unikv_common::metrics::{
-    Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
-};
+use unikv_common::metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry};
 use unikv_sstable::TableIoMetrics;
 use unikv_vlog::VlogMetrics;
 use unikv_wal::WalMetrics;
@@ -44,14 +43,9 @@ pub struct DbMetrics {
 impl DbMetrics {
     /// Build the registry and register every family. Disabled databases
     /// still register the families (names stay enumerable) but record
-    /// nothing and keep the trace ring off.
+    /// nothing.
     pub fn new(opts: &UniKvOptions) -> DbMetrics {
-        let trace_cap = if opts.enable_metrics {
-            opts.metrics_trace_events
-        } else {
-            0
-        };
-        let registry = MetricsRegistry::new(opts.enable_metrics, trace_cap);
+        let registry = MetricsRegistry::new(opts.enable_metrics);
         DbMetrics {
             eng: EngineMetrics::new(&registry),
             wal: WalMetrics::new(&registry),
@@ -64,33 +58,5 @@ impl DbMetrics {
             maint_queue_depth: registry.gauge("maint_queue_depth"),
             registry,
         }
-    }
-
-    /// Current snapshot of every family.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-
-    /// Human-readable report: every family plus the tail of the op trace.
-    pub fn report_text(&self) -> String {
-        let mut out = self.registry.snapshot().render_text();
-        let trace = self.registry.trace();
-        let events = trace.events();
-        out.push_str(&format!(
-            "== trace ({} events retained, cap {}, {} dropped) ==\n",
-            events.len(),
-            trace.capacity(),
-            trace.dropped()
-        ));
-        const TAIL: usize = 16;
-        for ev in events.iter().rev().take(TAIL).rev() {
-            out.push_str(&format!("  {ev}\n"));
-        }
-        out
-    }
-
-    /// Stable machine-readable report (tab-separated families).
-    pub fn report_machine(&self) -> String {
-        self.registry.snapshot().render_machine()
     }
 }

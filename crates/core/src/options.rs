@@ -99,12 +99,11 @@ pub struct UniKvOptions {
 
     // ---- Observability ----
     /// Record metrics (latency histograms, tier-resolution counters,
-    /// subsystem I/O counters) and trace events. When `false`, every
-    /// record path is one relaxed atomic load and nothing is allocated.
+    /// subsystem I/O counters). When `false`, every record path is one
+    /// relaxed atomic load, the metrics clock is never read, and nothing
+    /// is allocated. The [`crate::UniKvStats`] counters and the event
+    /// bus are not affected.
     pub enable_metrics: bool,
-    /// Capacity of the in-memory op-trace ring (`0` disables tracing;
-    /// oldest events are dropped once full).
-    pub metrics_trace_events: usize,
     /// Persist lifecycle events (seal/flush/merge/GC/split, stalls,
     /// health transitions, WAL retirement — each with a causal `cause`
     /// link) to a JSON-lines `EVENTS` journal under the database root.
@@ -165,7 +164,6 @@ impl Default for UniKvOptions {
             maint_retry_jitter_seed: 0x5eed_u64,
             shutdown_join_timeout_ms: 5000,
             enable_metrics: true,
-            metrics_trace_events: 1024,
             enable_event_journal: false,
             event_journal_max_bytes: 4 << 20,
             listeners: unikv_common::events::Listeners::default(),
@@ -244,6 +242,14 @@ impl UniKvOptions {
                 "maint_quarantine_probe_ms must be positive",
             ));
         }
+        let shard_bytes = self
+            .block_cache_bytes
+            .div_ceil(unikv_sstable::cache::SHARDS);
+        if self.block_cache_bytes > 0 && shard_bytes < self.block_size {
+            return Err(unikv_common::Error::invalid_argument(
+                "block_cache_bytes must give each cache shard room for one block",
+            ));
+        }
         if self.enable_event_journal && self.event_journal_max_bytes < 1024 {
             return Err(unikv_common::Error::invalid_argument(
                 "event_journal_max_bytes must be at least 1 KiB",
@@ -261,6 +267,15 @@ mod tests {
     fn defaults_validate() {
         UniKvOptions::default().validate().unwrap();
         UniKvOptions::small_for_tests().validate().unwrap();
+        // No cache at all, and a cache whose shards each hold a full block.
+        for block_cache_bytes in [0, 16 * 8192] {
+            UniKvOptions {
+                block_cache_bytes,
+                ..Default::default()
+            }
+            .validate()
+            .unwrap();
+        }
     }
 
     #[test]
@@ -307,6 +322,12 @@ mod tests {
             UniKvOptions {
                 enable_event_journal: true,
                 event_journal_max_bytes: 100,
+                ..Default::default()
+            },
+            // 16 shards of 512 B: none holds a 4 KiB block.
+            UniKvOptions {
+                block_cache_bytes: 8 << 10,
+                block_size: 4 << 10,
                 ..Default::default()
             },
         ];

@@ -98,8 +98,7 @@ fn model_check_random_workload() {
     }
 
     // Metrics invariants: the tier-resolution counters partition `reads`
-    // exactly, histogram sample counts equal op counts, and the op-trace
-    // ring never exceeds its configured bound.
+    // exactly, and histogram sample counts equal op counts.
     let snap = db.metrics_snapshot();
     assert_eq!(snap.counters["writes"], 6000);
     assert_eq!(snap.histograms["put_latency_us"].count, 6000);
@@ -114,8 +113,6 @@ fn model_check_random_workload() {
             + snap.counters["reads_hit_sorted"]
             + snap.counters["reads_miss"]
     );
-    let trace = db.metrics().registry.trace();
-    assert!(trace.len() <= trace.capacity());
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! two identical runs must produce byte-identical machine reports.
 
 use std::sync::Arc;
-use unikv::{manual_step_clock, TraceOutcome, UniKv, UniKvOptions};
+use unikv::{manual_step_clock, UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
 
 fn key(i: u32) -> Vec<u8> {
@@ -144,8 +144,8 @@ fn snapshot_merge_is_associative_across_databases() {
     assert_eq!(ab_c.histograms["get_latency_us"].count, 27);
 }
 
-/// `reset()` zeroes every family and clears the trace, but the families
-/// stay registered (their names remain enumerable for reports).
+/// `reset()` zeroes every family, but the families stay registered
+/// (their names remain enumerable for reports).
 #[test]
 fn reset_empties_but_keeps_families() {
     let db = UniKv::open(MemEnv::shared(), "/db", quiet_opts()).unwrap();
@@ -155,7 +155,6 @@ fn reset_empties_but_keeps_families() {
     }
     db.get(&key(3)).unwrap();
     let families_before = db.metrics().registry.family_names();
-    assert!(!db.metrics().registry.trace().is_empty());
 
     db.reset_metrics();
 
@@ -163,8 +162,6 @@ fn reset_empties_but_keeps_families() {
     assert!(snap.counters.values().all(|v| *v == 0));
     assert!(snap.gauges.values().all(|v| *v == 0));
     assert!(snap.histograms.values().all(|h| h.is_empty()));
-    assert!(db.metrics().registry.trace().is_empty());
-    assert_eq!(db.metrics().registry.trace().dropped(), 0);
     assert_eq!(db.metrics().registry.family_names(), families_before);
 
     // Recording still works after a reset.
@@ -172,37 +169,11 @@ fn reset_empties_but_keeps_families() {
     assert_eq!(db.metrics_snapshot().counters["writes"], 1);
 }
 
-/// The op-trace ring is bounded: it retains at most the configured number
-/// of events (newest last), counts what it dropped, and event timestamps
-/// are non-decreasing under the manual clock.
-#[test]
-fn trace_ring_is_bounded_and_ordered() {
-    let opts = UniKvOptions {
-        metrics_trace_events: 8,
-        ..quiet_opts()
-    };
-    let db = UniKv::open(MemEnv::shared(), "/db", opts).unwrap();
-    db.set_metrics_clock(Some(manual_step_clock(1)));
-    for i in 0..100u32 {
-        db.put(&key(i), b"v").unwrap();
-    }
-    let trace = db.metrics().registry.trace();
-    assert_eq!(trace.capacity(), 8);
-    assert_eq!(trace.len(), 8);
-    assert_eq!(trace.dropped(), 92);
-    let events = trace.events();
-    for w in events.windows(2) {
-        assert!(w[0].at_micros <= w[1].at_micros);
-    }
-    // The retained tail is the newest 8 puts.
-    assert!(events.iter().all(|e| e.dur_micros == 1));
-}
-
 /// Satellite: the overhead guard. The same seeded workload with metrics
 /// disabled returns identical user-visible results, and the disabled
 /// registry records nothing at all — counters stay zero, histograms stay
-/// empty, the trace ring stays off, and the clock reads as zero (the
-/// disabled fast path never takes a timestamp).
+/// empty, and the clock reads as zero (the disabled fast path never takes
+/// a timestamp).
 #[test]
 fn disabled_metrics_change_nothing_and_record_nothing() {
     let run = |enable: bool| {
@@ -259,8 +230,6 @@ fn disabled_metrics_change_nothing_and_record_nothing() {
     assert!(off.counters.values().all(|v| *v == 0));
     assert!(off.gauges.values().all(|v| *v == 0));
     assert!(off.histograms.values().all(|h| h.is_empty()));
-    assert_eq!(disabled_db.metrics().registry.trace().capacity(), 0);
-    assert!(disabled_db.metrics().registry.trace().is_empty());
     assert_eq!(disabled_db.metrics().registry.now_micros(), 0);
     // Families stay enumerable even when disabled, so reports keep their
     // shape across configurations.
@@ -365,13 +334,6 @@ fn vlog_resolution_is_visible_in_tier_counters() {
     assert_eq!(snap.counters["reads_hit_sorted"], 40);
     assert_eq!(snap.counters["reads_vlog_resolved"], 40);
     assert_eq!(snap.counters["reads_miss"], 0);
-
-    // The op trace saw the same story.
-    let events = db.metrics().registry.trace().events();
-    assert!(events
-        .iter()
-        .filter(|e| matches!(e.op, unikv::TraceOp::Get))
-        .all(|e| e.outcome == TraceOutcome::Vlog));
 }
 
 /// The machine report covers every registered family — the same check the
@@ -397,7 +359,7 @@ fn machine_report_covers_every_family() {
     }
     // And the human report names the headline sections.
     let text = db.metrics_report();
-    for needle in ["== counters ==", "== histograms (us) ==", "== trace ("] {
+    for needle in ["== counters ==", "== histograms (us) =="] {
         assert!(text.contains(needle), "report missing {needle}");
     }
 }

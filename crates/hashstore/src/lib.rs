@@ -21,7 +21,7 @@ use std::sync::Arc;
 use unikv_common::coding::{get_varint32, put_varint32, try_decode_fixed64};
 use unikv_common::hash::hash64;
 use unikv_common::metrics::{EngineMetrics, MetricsRegistry, TraceOutcome};
-use unikv_common::perf::{self, PerfContext, PerfStage};
+use unikv_common::perf::{self, PerfStage};
 use unikv_common::{Error, Result};
 use unikv_env::{Env, RandomAccessFile, WritableFile};
 
@@ -82,9 +82,9 @@ impl HashStore {
         env.create_dir_all(&dir)?;
         let path = dir.join("data.log");
         let writer = env.new_writable(&path)?;
-        // Always-on registry with no trace ring: the baseline records the
-        // standard cross-engine families but keeps its hot path mutex-free.
-        let metrics = MetricsRegistry::new(true, 0);
+        // Always-on registry: the baseline records the standard
+        // cross-engine families.
+        let metrics = MetricsRegistry::new(true);
         Ok(HashStore {
             env,
             path,
@@ -134,7 +134,7 @@ impl HashStore {
         let mut writer = env.new_writable(&path)?;
         writer.append(&data[..pos])?;
         writer.sync()?;
-        let metrics = MetricsRegistry::new(true, 0);
+        let metrics = MetricsRegistry::new(true);
         Ok(HashStore {
             env,
             path,
@@ -146,36 +146,17 @@ impl HashStore {
         })
     }
 
-    /// Insert or update `key`.
+    /// Insert or update `key`. The profiler hooks reuse the put's two
+    /// histogram clock readings (see `unikv_common::perf`).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.put_observed(key, value, false).map(|_| ())
-    }
-
-    /// [`Self::put`] with per-stage profiling for this one operation.
-    pub fn put_profiled(&self, key: &[u8], value: &[u8]) -> Result<PerfContext> {
-        self.put_observed(key, value, true)
-    }
-
-    fn put_observed(&self, key: &[u8], value: &[u8], profile: bool) -> Result<PerfContext> {
         let t0 = self.metrics.now_micros();
-        if profile {
-            perf::begin_at(self.metrics.clone(), t0);
-        }
-        if let Err(e) = self.put_impl(key, value) {
-            if profile {
-                perf::cancel();
-            }
-            return Err(e);
-        }
+        perf::begin_at(&self.metrics, t0);
+        self.put_impl(key, value)?;
         let t1 = self.metrics.now_micros();
-        let ctx = if profile {
-            perf::finish_at(t1)
-        } else {
-            PerfContext::default()
-        };
+        perf::finish_at(t1);
         self.eng.writes.inc();
         self.eng.put_latency.record(t1.saturating_sub(t0));
-        Ok(ctx)
+        Ok(())
     }
 
     fn put_impl(&self, key: &[u8], value: &[u8]) -> Result<()> {
@@ -213,36 +194,11 @@ impl HashStore {
     /// the number of log records visited alongside the value, so the
     /// motivation experiment can report read amplification directly.
     pub fn get_traced(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u64)> {
-        self.get_observed(key, false).map(|(v, n, _)| (v, n))
-    }
-
-    /// [`Self::get`] with per-stage profiling for this one operation.
-    pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
-        self.get_observed(key, true).map(|(v, _, ctx)| (v, ctx))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn get_observed(
-        &self,
-        key: &[u8],
-        profile: bool,
-    ) -> Result<(Option<Vec<u8>>, u64, PerfContext)> {
         let t0 = self.metrics.now_micros();
-        if profile {
-            perf::begin_at(self.metrics.clone(), t0);
-        }
+        perf::begin_at(&self.metrics, t0);
         let r = self.get_traced_impl(key);
         let t1 = self.metrics.now_micros();
-        let ctx = if profile {
-            if r.is_ok() {
-                perf::finish_at(t1)
-            } else {
-                perf::cancel();
-                PerfContext::default()
-            }
-        } else {
-            PerfContext::default()
-        };
+        perf::finish_at(t1);
         self.eng.get_latency.record(t1.saturating_sub(t0));
         if let Ok((value, _)) = &r {
             // Single-tier store: a hit resolves in the hash-indexed tier
@@ -253,7 +209,7 @@ impl HashStore {
                 TraceOutcome::Miss
             });
         }
-        r.map(|(v, n)| (v, n, ctx))
+        r
     }
 
     fn get_traced_impl(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u64)> {

@@ -27,7 +27,7 @@ use unikv_common::ikey::{
     ValueType, MAX_SEQUENCE_NUMBER,
 };
 use unikv_common::metrics::{EngineMetrics, MetricsRegistry, TraceOutcome};
-use unikv_common::perf::{self, PerfContext, PerfStage};
+use unikv_common::perf::{self, PerfStage};
 use unikv_common::{Error, Result};
 use unikv_env::Env;
 use unikv_memtable::{LookupResult, MemTable};
@@ -124,9 +124,8 @@ impl LsmDb {
             None
         };
         // Baselines report through the same standard metric families as
-        // UniKV so cross-engine runs are directly comparable. No trace
-        // ring: the baseline's hot path stays mutex-free outside `state`.
-        let metrics = MetricsRegistry::new(true, 0);
+        // UniKV so cross-engine runs are directly comparable.
+        let metrics = MetricsRegistry::new(true);
         let eng = EngineMetrics::new(&metrics);
         let topts = TableOptions {
             cmp: compare_internal_keys,
@@ -359,47 +358,25 @@ impl LsmDb {
 
     /// Insert or update `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write_observed(key, value, ValueType::Value, false)
-            .map(|_| ())
-    }
-
-    /// [`Self::put`] with per-stage profiling for this one operation.
-    pub fn put_profiled(&self, key: &[u8], value: &[u8]) -> Result<PerfContext> {
-        self.write_observed(key, value, ValueType::Value, true)
+        self.write(key, value, ValueType::Value)
     }
 
     /// Delete `key` (writes a tombstone).
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.write_observed(key, b"", ValueType::Deletion, false)
-            .map(|_| ())
+        self.write(key, b"", ValueType::Deletion)
     }
 
-    fn write_observed(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        t: ValueType,
-        profile: bool,
-    ) -> Result<PerfContext> {
+    /// The write path; the profiler hooks reuse its two histogram clock
+    /// readings (see `unikv_common::perf`).
+    fn write(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<()> {
         let t0 = self.metrics.now_micros();
-        if profile {
-            perf::begin_at(self.metrics.clone(), t0);
-        }
-        if let Err(e) = self.write_impl(key, value, t) {
-            if profile {
-                perf::cancel();
-            }
-            return Err(e);
-        }
+        perf::begin_at(&self.metrics, t0);
+        self.write_impl(key, value, t)?;
         let t1 = self.metrics.now_micros();
-        let ctx = if profile {
-            perf::finish_at(t1)
-        } else {
-            PerfContext::default()
-        };
+        perf::finish_at(t1);
         self.eng.writes.inc();
         self.eng.put_latency.record(t1.saturating_sub(t0));
-        Ok(ctx)
+        Ok(())
     }
 
     fn write_impl(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<()> {
@@ -650,39 +627,17 @@ impl LsmDb {
         Ok(())
     }
 
-    /// Point lookup.
+    /// Point lookup; the profiler hooks reuse its two histogram clock
+    /// readings.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_observed(key, false).map(|(v, _)| v)
-    }
-
-    /// [`Self::get`] with per-stage profiling for this one operation.
-    pub fn get_profiled(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, PerfContext)> {
-        self.get_observed(key, true)
-    }
-
-    fn get_observed(&self, key: &[u8], profile: bool) -> Result<(Option<Vec<u8>>, PerfContext)> {
         let t0 = self.metrics.now_micros();
-        if profile {
-            perf::begin_at(self.metrics.clone(), t0);
-        }
-        let (value, outcome) = match self.get_impl(key) {
-            Ok(r) => r,
-            Err(e) => {
-                if profile {
-                    perf::cancel();
-                }
-                return Err(e);
-            }
-        };
+        perf::begin_at(&self.metrics, t0);
+        let (value, outcome) = self.get_impl(key)?;
         self.eng.record_read(outcome);
         let t1 = self.metrics.now_micros();
-        let ctx = if profile {
-            perf::finish_at(t1)
-        } else {
-            PerfContext::default()
-        };
+        perf::finish_at(t1);
         self.eng.get_latency.record(t1.saturating_sub(t0));
-        Ok((value, ctx))
+        Ok(value)
     }
 
     /// Lookup body; returns the answer plus the tier that resolved it
@@ -781,6 +736,7 @@ impl LsmDb {
             }
         }
         let t0 = self.metrics.now_micros();
+        perf::begin_at(&self.metrics, t0);
         let mut iter = self.iter()?;
         iter.seek(from, end)?;
         let mut items = Vec::with_capacity(limit.min(1024));
@@ -791,11 +747,11 @@ impl LsmDb {
             });
             iter.next(end)?;
         }
+        let t1 = self.metrics.now_micros();
+        perf::finish_at(t1);
         self.eng.scans.inc();
         self.eng.scan_items.add(items.len() as u64);
-        self.eng
-            .scan_latency
-            .record(self.metrics.now_micros().saturating_sub(t0));
+        self.eng.scan_latency.record(t1.saturating_sub(t0));
         Ok(items)
     }
 

@@ -19,7 +19,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-const SHARDS: usize = 16;
+/// Shards a cache's capacity is split over: each holds
+/// `capacity.div_ceil(SHARDS)` bytes, and drops a larger block at once.
+pub const SHARDS: usize = 16;
 
 /// Share of a shard's bytes the protected segment may hold; overflow
 /// demotes protected's least recently used block to probation.
@@ -155,7 +157,9 @@ impl Shard {
 
     /// Insert a new block on probation; a block already cached under
     /// `key` is replaced in place and refreshed in its own segment.
-    fn insert(&mut self, key: Key, block: Arc<Block>) {
+    /// Returns whether the block is still cached once the shard fits its
+    /// capacity again.
+    fn insert(&mut self, key: Key, block: Arc<Block>) -> bool {
         if let Some(&i) = self.map.get(&key) {
             let segment = self.slots[i].segment;
             self.unlink(i);
@@ -184,6 +188,7 @@ impl Shard {
             self.push_back(i, Segment::Probation);
         }
         self.evict_overflow();
+        self.map.contains_key(&key)
     }
 
     /// Drop the entry in slot `i`, returning the slot to the free list.
@@ -279,10 +284,12 @@ impl BlockCache {
     }
 
     /// Insert a block on probation, evicting probation's least recently
-    /// used blocks first if the shard is over capacity.
-    pub fn insert(&self, cache_id: u64, offset: u64, block: Arc<Block>) {
+    /// used blocks first if the shard is over capacity. Returns whether
+    /// the block stayed: one larger than the shard's share of the
+    /// capacity is dropped at once.
+    pub fn insert(&self, cache_id: u64, offset: u64, block: Arc<Block>) -> bool {
         let key = (cache_id, offset);
-        self.shard(key).lock().insert(key, block);
+        self.shard(key).lock().insert(key, block)
     }
 
     /// Drop the block cached under `(cache_id, offset)`, if any.
@@ -315,6 +322,17 @@ mod tests {
         assert!(cache.get(id, 0).is_none());
         cache.insert(id, 0, block_of(10));
         assert!(cache.get(id, 0).is_some());
+        assert!(cache.get(id, 1).is_none());
+    }
+
+    #[test]
+    fn insert_reports_whether_the_block_stayed() {
+        // 16 shards of 64 B: a 10 B block fits, a 100 B one never does.
+        let cache = BlockCache::new(16 * 64);
+        let id = cache.new_id();
+        assert!(cache.insert(id, 0, block_of(10)));
+        assert!(cache.get(id, 0).is_some());
+        assert!(!cache.insert(id, 1, block_of(100)));
         assert!(cache.get(id, 1).is_none());
     }
 

@@ -385,11 +385,13 @@ impl Table {
         };
         for (offset, payload) in std::mem::take(&mut kept.blocks) {
             let block = Arc::new(Block::new(payload)?);
-            if let Some(io) = &self.opts.io {
-                io.cache_admits.inc();
-                io.cache_admit_bytes.add(block.size() as u64);
+            let size = block.size() as u64;
+            if cache.insert(self.cache_id, offset, block) {
+                if let Some(io) = &self.opts.io {
+                    io.cache_admits.inc();
+                    io.cache_admit_bytes.add(size);
+                }
             }
-            cache.insert(self.cache_id, offset, block);
         }
         Ok(())
     }
@@ -646,7 +648,7 @@ mod tests {
         }
         b.finish().unwrap();
         let cache = BlockCache::new(1 << 20);
-        let io = TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true, 0));
+        let io = TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true));
         let file = env.new_random_access(Path::new("/t.sst")).unwrap();
         let size = env.file_size(Path::new("/t.sst")).unwrap();
         let table = Table::open(
@@ -748,7 +750,7 @@ mod tests {
     }
 
     fn test_io() -> TableIoMetrics {
-        TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true, 0))
+        TableIoMetrics::new(&unikv_common::metrics::MetricsRegistry::new(true))
     }
 
     /// A builder that keeps its blocks keeps them byte for byte as on
@@ -761,7 +763,7 @@ mod tests {
         let entries = sample_entries(300);
         let path = Path::new("/t.sst");
         // A cache that holds the whole table, and one that holds a part.
-        for (capacity, whole) in [(1 << 20, true), (2048, false)] {
+        for (capacity, whole) in [(1 << 20, true), (8192, false)] {
             let cache = BlockCache::new(capacity);
             let io = test_io();
             let mut b = TableBuilder::new(
@@ -793,11 +795,11 @@ mod tests {
             let data_blocks = table.index.restart_entries() as u64;
             assert_eq!(blocks == data_blocks, whole);
             table.admit(kept).unwrap();
+            let (admits, admit_bytes) = (io.cache_admits.value(), io.cache_admit_bytes.value());
             if whole {
                 assert_eq!(cache.bytes(), bytes);
             }
-            assert_eq!(io.cache_admits.value(), blocks);
-            assert_eq!(io.cache_admit_bytes.value(), bytes as u64);
+            assert_eq!((admits, admit_bytes), (blocks, bytes as u64));
             assert_eq!(io.block_reads.value(), 0, "admission read a block");
             assert!(cache.reserve(capacity), "admitted bytes stay reserved");
             cache.release(capacity);
@@ -806,6 +808,42 @@ mod tests {
             }
             assert_eq!(io.cache_misses.value() == 0, whole);
         }
+    }
+
+    /// A block larger than its shard's share of the capacity is dropped
+    /// as soon as it is inserted, so admitting it counts nothing.
+    #[test]
+    fn admit_counts_only_blocks_the_cache_keeps() {
+        let env = MemEnv::new();
+        let path = Path::new("/t.sst");
+        // 16 shards of 128 B each: every 256 B block outgrows its shard.
+        let cache = BlockCache::new(16 * 128);
+        let io = test_io();
+        let mut b = TableBuilder::new(
+            env.new_writable(path).unwrap(),
+            TableBuilderOptions {
+                block_size: 256,
+                ..Default::default()
+            },
+        );
+        b.keep_blocks(cache.clone());
+        for (k, v) in &sample_entries(300) {
+            b.add(k, v).unwrap();
+        }
+        let props = b.finish().unwrap();
+        let kept = props.kept.unwrap();
+        assert!(!kept.blocks.is_empty());
+        let opts = TableOptions {
+            cmp: crate::raw_cmp,
+            cache: Some(cache.clone()),
+            io: Some(io.clone()),
+        };
+        let table =
+            Table::open(env.new_random_access(path).unwrap(), props.file_size, opts).unwrap();
+        table.admit(kept).unwrap();
+        assert_eq!(cache.bytes(), 0);
+        assert_eq!(io.cache_admits.value(), 0);
+        assert_eq!(io.cache_admit_bytes.value(), 0);
     }
 
     #[test]

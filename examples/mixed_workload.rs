@@ -13,17 +13,18 @@
 //! fails if the report is missing any registered metric family — the CI
 //! smoke check for the observability layer.
 //!
-//! With `--perf-sample N`, every Nth operation runs through the engine's
-//! profiled variant; the per-stage profiles are merged per phase and a
-//! breakdown table (router / WAL / memtable / index probe / block read /
-//! vlog fetch ...) is printed after each phase. The run fails if the
-//! UniKV breakdown is missing a declared stage or never exercised the
-//! stages every profiled op must touch — the CI smoke check for the
-//! per-op profiler.
+//! With `--perf-sample N`, every Nth operation runs in a
+//! `unikv_common::perf::profile` scope; the per-stage profiles are merged
+//! per phase and a breakdown table (router / WAL / memtable / index probe
+//! / block read / vlog fetch ...) is printed after each phase. The run
+//! fails if the UniKV breakdown is missing a declared stage or never
+//! exercised the stages every profiled op must touch — the CI smoke
+//! check for the per-op profiler.
 
 use std::sync::Arc;
 use std::time::Instant;
 use unikv::{PerfContext, PerfStage, UniKv, UniKvOptions};
+use unikv_common::perf;
 use unikv_env::fs::FsEnv;
 use unikv_lsm::{Baseline, LsmDb, LsmOptions};
 use unikv_workload::{format_key, make_value, MixedWorkload, Op};
@@ -83,11 +84,6 @@ fn main() -> unikv_common::Result<()> {
             Op::Update(k) => unikv.put(&k, &make_value(i, 1, value_size)),
             _ => Ok(()),
         },
-        |op, i| match op {
-            Op::Read(k) => unikv.get_profiled(&k).map(|(_, c)| c),
-            Op::Update(k) => unikv.put_profiled(&k, &make_value(i, 1, value_size)),
-            _ => Ok(PerfContext::default()),
-        },
         |phase, prof| {
             if show_metrics {
                 dump_phase("UniKV", phase, &unikv.metrics_report());
@@ -132,11 +128,6 @@ fn main() -> unikv_common::Result<()> {
             Op::Read(k) => unikv_bg.get(&k).map(|_| ()),
             Op::Update(k) => unikv_bg.put(&k, &make_value(i, 1, value_size)),
             _ => Ok(()),
-        },
-        |op, i| match op {
-            Op::Read(k) => unikv_bg.get_profiled(&k).map(|(_, c)| c),
-            Op::Update(k) => unikv_bg.put_profiled(&k, &make_value(i, 1, value_size)),
-            _ => Ok(PerfContext::default()),
         },
         |phase, prof| {
             if show_metrics {
@@ -194,11 +185,6 @@ fn main() -> unikv_common::Result<()> {
             Op::Update(k) => leveldb.put(&k, &make_value(i, 1, value_size)),
             _ => Ok(()),
         },
-        |op, i| match op {
-            Op::Read(k) => leveldb.get_profiled(&k).map(|(_, c)| c),
-            Op::Update(k) => leveldb.put_profiled(&k, &make_value(i, 1, value_size)),
-            _ => Ok(PerfContext::default()),
-        },
         |phase, prof| {
             if show_metrics && phase == "mixed" {
                 dump_phase("LevelDB-like", phase, &leveldb.metrics_report());
@@ -221,7 +207,6 @@ fn main() -> unikv_common::Result<()> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     name: &str,
     num_keys: u64,
@@ -229,15 +214,15 @@ fn run(
     value_size: usize,
     perf_sample: u64,
     mut apply: impl FnMut(Op, u64) -> unikv_common::Result<()>,
-    mut apply_profiled: impl FnMut(Op, u64) -> unikv_common::Result<PerfContext>,
     mut on_phase: impl FnMut(&str, &PerfContext),
 ) -> unikv_common::Result<()> {
-    // Every `perf_sample`th op (when sampling) runs the engine's profiled
-    // variant; the per-op profiles merge into one per-phase breakdown.
+    // Every `perf_sample`th op (when sampling) runs in a profiling scope;
+    // the per-op profiles merge into one per-phase breakdown.
     let mut step = |op: Op, i: u64, prof: &mut PerfContext| {
         if perf_sample > 0 && i.is_multiple_of(perf_sample) {
-            prof.merge(&apply_profiled(op, i)?);
-            Ok(())
+            let (r, ctx) = perf::profile(|| apply(op, i));
+            prof.merge(&ctx);
+            r
         } else {
             apply(op, i)
         }
