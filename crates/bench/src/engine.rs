@@ -159,13 +159,13 @@ impl BenchEngine for NamedUniKv {
         self.db.compact_all()
     }
     fn write_amplification(&self) -> Option<f64> {
-        Some(self.db.stats().write_amplification())
+        Some(self.db.write_amplification())
     }
     fn stats_lines(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .db
-            .stats()
-            .snapshot()
+            .metrics_snapshot()
+            .counters
             .into_iter()
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
@@ -203,12 +203,13 @@ impl BenchEngine for NamedLsm {
         self.db.compact_all()
     }
     fn write_amplification(&self) -> Option<f64> {
-        Some(self.db.stats().write_amplification())
+        Some(self.db.write_amplification())
     }
     fn stats_lines(&self) -> Vec<String> {
         self.db
-            .stats()
+            .metrics_registry()
             .snapshot()
+            .counters
             .into_iter()
             .map(|(k, v)| format!("{k}={v}"))
             .collect()

@@ -370,7 +370,7 @@ pub fn ablation_hash_index(cfg: &BenchConfig) -> Result<()> {
             assert!(db.get(&format_key(k))?.is_some());
         }
         let secs = start.elapsed().as_secs_f64();
-        let checked = db.stats().tables_checked.load(Ordering::Relaxed);
+        let checked = db.metrics().tables_checked.value();
         t.row(
             spec.name(),
             vec![
@@ -642,7 +642,7 @@ pub fn sensitivity(cfg: &BenchConfig) -> Result<()> {
             vec![
                 f1(kops(cfg.num_keys, load_secs)),
                 f1(kops(reads, read_secs)),
-                db.stats().merges.load(Ordering::Relaxed).to_string(),
+                db.metrics().merges.value().to_string(),
             ],
         );
     }

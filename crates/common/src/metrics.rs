@@ -540,6 +540,23 @@ impl MetricsRegistry {
     pub fn render_text(&self) -> String {
         self.snapshot().render_text()
     }
+
+    /// The counter families, read as one list (see [`Counters`]).
+    pub fn counters(&self) -> Counters<'_> {
+        Counters(self)
+    }
+}
+
+/// The counter families of one registry, read as `(name, value)` pairs:
+/// the shape of the per-engine stats structs these families replaced,
+/// kept for callers that still read `stats().snapshot()`.
+pub struct Counters<'a>(&'a MetricsRegistry);
+
+impl Counters<'_> {
+    /// Every counter family as `(name, value)`, sorted by name.
+    pub fn snapshot(&self) -> Vec<(String, u64)> {
+        self.0.snapshot().counters.into_iter().collect()
+    }
 }
 
 // ---------------------------------------------------------------------

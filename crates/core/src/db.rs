@@ -41,14 +41,13 @@ use crate::resolver::{partition_dir, ValueResolver};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unikv_common::events::{EventBus, EventClock, EventKind, EventListener};
 use unikv_common::ikey::{
     extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
 };
-use unikv_common::metrics::{MetricsClock, MetricsSnapshot, TraceOp, TraceOutcome};
+use unikv_common::metrics::{Counters, MetricsClock, MetricsSnapshot, TraceOp, TraceOutcome};
 use unikv_common::perf::{self, PerfContext, PerfStage};
 use unikv_common::pointer::SeparatedValue;
 use unikv_common::{Error, Result, ValuePointer};
@@ -284,127 +283,6 @@ impl<'a> TableRoller<'a> {
     }
 }
 
-/// Engine-level counters (per-database).
-#[derive(Debug, Default)]
-pub struct UniKvStats {
-    /// Bytes of user data accepted by writes (key + value).
-    pub user_bytes_written: AtomicU64,
-    /// Bytes written by memtable flushes.
-    pub bytes_flushed: AtomicU64,
-    /// Bytes read by UnsortedStore→SortedStore merges.
-    pub merge_bytes_read: AtomicU64,
-    /// Bytes written by merges (tables + newly separated values).
-    pub merge_bytes_written: AtomicU64,
-    /// Bytes rewritten by GC (values + tables).
-    pub gc_bytes_written: AtomicU64,
-    /// Bytes written while splitting partitions.
-    pub split_bytes_written: AtomicU64,
-    /// Number of flushes.
-    pub flushes: AtomicU64,
-    /// Number of full merges.
-    pub merges: AtomicU64,
-    /// Number of size-based (scan-optimization) merges.
-    pub scan_merges: AtomicU64,
-    /// Number of GC passes.
-    pub gcs: AtomicU64,
-    /// Number of partition splits.
-    pub splits: AtomicU64,
-    /// SSTables consulted across all point lookups.
-    pub tables_checked: AtomicU64,
-    /// Gets answered by a memtable.
-    pub memtable_hits: AtomicU64,
-    /// Hash-index candidates that failed key verification.
-    pub index_false_positives: AtomicU64,
-    /// Microseconds foreground writes spent stalled (slowdowns + stops).
-    pub stall_time_micros: AtomicU64,
-    /// Writes that hit the slowdown threshold.
-    pub stall_slowdowns: AtomicU64,
-    /// Writes that hit the hard-stop threshold.
-    pub stall_stops: AtomicU64,
-    /// Background maintenance jobs enqueued.
-    pub maint_jobs_scheduled: AtomicU64,
-    /// Background maintenance jobs completed successfully.
-    pub maint_jobs_completed: AtomicU64,
-    /// Background maintenance jobs that failed *fatally* (poisoning the
-    /// database): a permanent manifest-commit failure or a worker panic.
-    /// Transient failures retry (`maint_job_retries`) or quarantine
-    /// (`maint_jobs_quarantined`) without touching this counter.
-    pub maint_jobs_failed: AtomicU64,
-    /// Transient job failures re-queued with backoff.
-    pub maint_job_retries: AtomicU64,
-    /// Jobs quarantined after exhausting their retry budget or failing
-    /// permanently (counted once per quarantine entry).
-    pub maint_jobs_quarantined: AtomicU64,
-    /// Health state transitions (Healthy↔Degraded↔ReadOnly→Poisoned).
-    pub health_transitions: AtomicU64,
-    /// Total milliseconds spent in any non-Healthy state (accrued when
-    /// the database transitions back to Healthy).
-    pub time_degraded_ms: AtomicU64,
-    /// Most recently observed maintenance queue depth.
-    pub maint_queue_depth: AtomicU64,
-    /// Checksum/structure failures detected (and surfaced as
-    /// `Error::Corruption`) instead of serving garbage.
-    pub corruptions_detected: AtomicU64,
-    /// Non-corruption I/O errors surfaced by read paths.
-    pub read_io_errors: AtomicU64,
-    /// WAL bytes dropped as torn tails during recovery replay.
-    pub wal_dropped_bytes: AtomicU64,
-}
-
-impl UniKvStats {
-    pub(crate) fn add(c: &AtomicU64, v: u64) {
-        c.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Write amplification: device writes / user writes.
-    pub fn write_amplification(&self) -> f64 {
-        let user = self.user_bytes_written.load(Ordering::Relaxed);
-        if user == 0 {
-            return 0.0;
-        }
-        let device = self.bytes_flushed.load(Ordering::Relaxed)
-            + self.merge_bytes_written.load(Ordering::Relaxed)
-            + self.gc_bytes_written.load(Ordering::Relaxed)
-            + self.split_bytes_written.load(Ordering::Relaxed);
-        device as f64 / user as f64
-    }
-
-    /// Snapshot all counters as `(name, value)` pairs.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        let l = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        vec![
-            ("user_bytes_written", l(&self.user_bytes_written)),
-            ("bytes_flushed", l(&self.bytes_flushed)),
-            ("merge_bytes_read", l(&self.merge_bytes_read)),
-            ("merge_bytes_written", l(&self.merge_bytes_written)),
-            ("gc_bytes_written", l(&self.gc_bytes_written)),
-            ("split_bytes_written", l(&self.split_bytes_written)),
-            ("flushes", l(&self.flushes)),
-            ("merges", l(&self.merges)),
-            ("scan_merges", l(&self.scan_merges)),
-            ("gcs", l(&self.gcs)),
-            ("splits", l(&self.splits)),
-            ("tables_checked", l(&self.tables_checked)),
-            ("memtable_hits", l(&self.memtable_hits)),
-            ("index_false_positives", l(&self.index_false_positives)),
-            ("stall_time_micros", l(&self.stall_time_micros)),
-            ("stall_slowdowns", l(&self.stall_slowdowns)),
-            ("stall_stops", l(&self.stall_stops)),
-            ("maint_jobs_scheduled", l(&self.maint_jobs_scheduled)),
-            ("maint_jobs_completed", l(&self.maint_jobs_completed)),
-            ("maint_jobs_failed", l(&self.maint_jobs_failed)),
-            ("maint_job_retries", l(&self.maint_job_retries)),
-            ("maint_jobs_quarantined", l(&self.maint_jobs_quarantined)),
-            ("health_transitions", l(&self.health_transitions)),
-            ("time_degraded_ms", l(&self.time_degraded_ms)),
-            ("maint_queue_depth", l(&self.maint_queue_depth)),
-            ("corruptions_detected", l(&self.corruptions_detected)),
-            ("read_io_errors", l(&self.read_io_errors)),
-            ("wal_dropped_bytes", l(&self.wal_dropped_bytes)),
-        ]
-    }
-}
-
 struct DbCore {
     /// Partitions ordered by `meta.lo`.
     partitions: Vec<Partition>,
@@ -448,7 +326,6 @@ pub struct Engine {
     topts: TableOptions,
     core: RwLock<DbCore>,
     resolver: Arc<ValueResolver>,
-    pub(crate) stats: Arc<UniKvStats>,
     pub(crate) metrics: DbMetrics,
     pub(crate) maint: MaintState,
     pub(crate) sync: SyncPoints,
@@ -515,7 +392,6 @@ impl Engine {
             sweep_partition_dir(env.as_ref(), &dir, id, pmeta, &inherited_refs)?;
         }
 
-        let stats = Arc::new(UniKvStats::default());
         let mut last_seq = meta.last_sequence;
         let mut stale_wals = Vec::new();
         let mut next_file = core.next_file;
@@ -529,7 +405,6 @@ impl Engine {
                 replay_index.then(|| index_entries.get(&pmeta.id).map_or(&[][..], Vec::as_slice)),
                 &mut last_seq,
                 &mut next_file,
-                &stats,
                 &metrics,
             )?;
             core.partitions.push(p);
@@ -579,13 +454,12 @@ impl Engine {
             root,
             maint: MaintState::new(
                 RetryConfig::from_options(&opts),
-                stats.clone(),
+                &metrics.registry,
                 events.clone(),
             ),
             opts,
             topts,
             core: RwLock::new(core),
-            stats,
             metrics,
             sync: SyncPoints::default(),
             events,
@@ -615,9 +489,26 @@ impl Engine {
         Ok(db)
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &UniKvStats {
-        &self.stats
+    /// Every counter family as one list; reads the same values as
+    /// [`Engine::metrics_snapshot`]'s counters. A one-call form kept for
+    /// callers of the former stats struct.
+    pub fn stats(&self) -> Counters<'_> {
+        self.metrics.registry.counters()
+    }
+
+    /// Write amplification: bytes written by flushes, merges, GC and
+    /// splits per byte of user data written (0 before any write).
+    pub fn write_amplification(&self) -> f64 {
+        let m = &self.metrics;
+        let user = m.user_bytes_written.value();
+        if user == 0 {
+            return 0.0;
+        }
+        let device = m.bytes_flushed.value()
+            + m.merge_bytes_written.value()
+            + m.gc_bytes_written.value()
+            + m.split_bytes_written.value();
+        device as f64 / user as f64
     }
 
     /// Options this database was opened with.
@@ -848,10 +739,9 @@ impl Engine {
         let slot = SeparatedValue::Inline(value.to_vec()).encode();
         p.mem.add(seq, t, key, &slot);
         perf::mark(PerfStage::Memtable);
-        UniKvStats::add(
-            &self.stats.user_bytes_written,
-            (key.len() + value.len()) as u64,
-        );
+        self.metrics
+            .user_bytes_written
+            .add((key.len() + value.len()) as u64);
         if p.mem.approximate_memory_usage() >= self.opts.write_buffer_size {
             if self.opts.background_jobs > 0 {
                 let pid = p.meta.id;
@@ -908,7 +798,9 @@ impl Engine {
             for (seq, t, k, v) in slice {
                 let slot = SeparatedValue::Inline(v.clone()).encode();
                 core.partitions[pidx].mem.add(*seq, *t, k, &slot);
-                UniKvStats::add(&self.stats.user_bytes_written, (k.len() + v.len()) as u64);
+                self.metrics
+                    .user_bytes_written
+                    .add((k.len() + v.len()) as u64);
             }
         }
         for pidx in 0..core.partitions.len() {
@@ -1001,17 +893,9 @@ impl Engine {
             return;
         }
         if let Some(depth) = self.maint.schedule(Job { kind, partition }) {
-            UniKvStats::add(&self.stats.maint_jobs_scheduled, 1);
-            self.set_queue_depth(depth);
+            self.maint.jobs_scheduled.inc();
+            self.metrics.maint_queue_depth.set(depth as u64);
         }
-    }
-
-    /// Record the maintenance queue depth in the stat and the gauge.
-    pub(crate) fn set_queue_depth(&self, depth: usize) {
-        self.stats
-            .maint_queue_depth
-            .store(depth as u64, Ordering::Relaxed);
-        self.metrics.maint_queue_depth.set(depth as u64);
     }
 
     /// Remember the event seq that caused `kind` to be scheduled on
@@ -1080,7 +964,7 @@ impl Engine {
                     // background queue.
                     if !slowed {
                         slowed = true;
-                        UniKvStats::add(&self.stats.stall_slowdowns, 1);
+                        self.metrics.stall_slowdowns.inc();
                         if stall_seq.is_none() && self.events.has_listeners() {
                             stall_seq = Some(self.events.publish(
                                 EventKind::StallBegin,
@@ -1099,7 +983,7 @@ impl Engine {
                 StallLevel::Stop => {
                     if !stopped {
                         stopped = true;
-                        UniKvStats::add(&self.stats.stall_stops, 1);
+                        self.metrics.stall_stops.inc();
                         if stall_seq.is_none() && self.events.has_listeners() {
                             stall_seq = Some(self.events.publish(
                                 EventKind::StallBegin,
@@ -1136,7 +1020,7 @@ impl Engine {
         };
         if slowed || stopped {
             let waited = start.elapsed().as_micros() as u64;
-            UniKvStats::add(&self.stats.stall_time_micros, waited);
+            self.metrics.stall_time_micros.add(waited);
             if let Some(begin) = stall_seq {
                 self.events.publish(
                     EventKind::StallEnd,
@@ -1156,13 +1040,13 @@ impl Engine {
     // Reads
     // ---------------------------------------------------------------
 
-    /// Surface read-path failures to the stats counters: corruption
+    /// Surface read-path failures to the read-error counters: corruption
     /// detected anywhere along a read (block CRC, value CRC, pointer
     /// decode) and I/O errors bubbling out of the environment.
     fn track_read<T>(&self, r: Result<T>) -> Result<T> {
         match &r {
-            Err(Error::Corruption(_)) => UniKvStats::add(&self.stats.corruptions_detected, 1),
-            Err(Error::Io(_)) => UniKvStats::add(&self.stats.read_io_errors, 1),
+            Err(Error::Corruption(_)) => self.metrics.corruptions_detected.inc(),
+            Err(Error::Io(_)) => self.metrics.read_io_errors.inc(),
             _ => {}
         }
         r
@@ -1204,13 +1088,13 @@ impl Engine {
         for mem in std::iter::once(&p.mem).chain(p.imms.iter().rev().map(|s| &s.mem)) {
             match mem.get(key, snapshot) {
                 LookupResult::Value(slot) => {
-                    UniKvStats::add(&self.stats.memtable_hits, 1);
+                    self.metrics.memtable_hits.inc();
                     perf::mark(PerfStage::Memtable);
                     let (v, _) = self.resolve_slot(slot)?;
                     return Ok((Some(v), TraceOutcome::Memtable));
                 }
                 LookupResult::Deleted => {
-                    UniKvStats::add(&self.stats.memtable_hits, 1);
+                    self.metrics.memtable_hits.inc();
                     perf::mark(PerfStage::Memtable);
                     return Ok((None, TraceOutcome::Memtable));
                 }
@@ -1238,7 +1122,7 @@ impl Engine {
                     }
                     Probe::Tombstone => return Ok((None, TraceOutcome::Unsorted)),
                     Probe::Miss => {
-                        UniKvStats::add(&self.stats.index_false_positives, 1);
+                        self.metrics.index_false_positives.inc();
                     }
                 }
             }
@@ -1294,7 +1178,7 @@ impl Engine {
         user_key: &[u8],
         by_record: bool,
     ) -> Result<Probe> {
-        UniKvStats::add(&self.stats.tables_checked, 1);
+        self.metrics.tables_checked.inc();
         let table = self.open_table(p, tmeta.number)?;
         let Some((ikey, value)) = table.get(seek_key, by_record.then_some(user_key))? else {
             return Ok(Probe::Miss);
@@ -1429,7 +1313,6 @@ impl Engine {
             jobs,
             &mut items,
             self.opts.enable_scan_optimization,
-            &self.metrics.fetch,
         )?;
         Ok(items)
     }
@@ -1758,8 +1641,8 @@ impl Engine {
         core.partitions[pidx]
             .tables_guard()
             .insert(table_number, table);
-        UniKvStats::add(&self.stats.bytes_flushed, table_size);
-        UniKvStats::add(&self.stats.flushes, 1);
+        self.metrics.bytes_flushed.add(table_size);
+        self.metrics.flushes.inc();
         self.sync.hit("flush:cleanup")?;
         // Old WAL is obsolete once the manifest no longer names it.
         let p = &core.partitions[pidx];
@@ -2157,12 +2040,12 @@ impl Engine {
         self.sync.hit(commit)?;
         self.commit_meta(core)?;
         if snap.full {
-            UniKvStats::add(&self.stats.merge_bytes_read, snap.input_bytes);
-            UniKvStats::add(&self.stats.merges, 1);
+            self.metrics.merge_bytes_read.add(snap.input_bytes);
+            self.metrics.merges.inc();
         } else {
-            UniKvStats::add(&self.stats.scan_merges, 1);
+            self.metrics.scan_merges.inc();
         }
-        UniKvStats::add(&self.stats.merge_bytes_written, bytes);
+        self.metrics.merge_bytes_written.add(bytes);
         // Manifest committed: the merge is durable, so the finish event fires
         // here — a cleanup failure below must not read as an aborted merge.
         let fin = snap.scope.finish(finish, outputs, bytes, "");
@@ -2309,8 +2192,8 @@ impl Engine {
         // victims and the old tables may be deleted.
         self.sync.hit("gc:commit")?;
         self.commit_meta(core)?;
-        UniKvStats::add(&self.stats.gc_bytes_written, written);
-        UniKvStats::add(&self.stats.gcs, 1);
+        self.metrics.gc_bytes_written.add(written);
+        self.metrics.gcs.inc();
         let new_logs: Vec<u64> = core.partitions[pidx]
             .meta
             .own_logs
@@ -2621,8 +2504,8 @@ impl Engine {
 
         self.sync.hit("split:commit")?;
         self.commit_meta(core)?;
-        UniKvStats::add(&self.stats.split_bytes_written, split_bytes);
-        UniKvStats::add(&self.stats.splits, 1);
+        self.metrics.split_bytes_written.add(split_bytes);
+        self.metrics.splits.inc();
         // Outputs name the two child *partitions* (the interesting unit
         // here), not files; the detail spells out which is which.
         let fin = scope.finish(
@@ -2965,7 +2848,6 @@ fn open_partition(
     index_entries: Option<&[IndexEntry]>,
     last_seq: &mut SequenceNumber,
     next_file: &mut u64,
-    stats: &UniKvStats,
     metrics: &DbMetrics,
 ) -> Result<(Partition, Vec<PathBuf>)> {
     let dir = partition_dir(root, pmeta.id);
@@ -3085,7 +2967,7 @@ fn open_partition(
                 replayed = true;
             }
         }
-        UniKvStats::add(&stats.wal_dropped_bytes, reader.dropped_bytes());
+        metrics.wal_dropped_bytes.add(reader.dropped_bytes());
     }
 
     let mut meta = pmeta.clone();

@@ -14,7 +14,6 @@
 //! threads to pay (DESIGN.md §4).
 
 use crate::resolver::ValueResolver;
-use unikv_common::metrics::{Counter, MetricsRegistry};
 use unikv_common::{Result, ValuePointer};
 use unikv_lsm::db::ScanItem;
 use unikv_vlog::record_size;
@@ -31,27 +30,6 @@ fn extends_run(prev: &Job, next: &Job) -> bool {
         && b.offset == a.offset + record_size(a.length)
 }
 
-/// Dispatch counters recorded by `fetch_values`.
-#[derive(Clone)]
-pub struct FetchMetrics {
-    /// Batches fanned out across fetch threads. Always 0, since every batch
-    /// is fetched inline; the family stays registered so reports that
-    /// name it keep working.
-    pub parallel_batches: Counter,
-    /// Batches fetched inline on the calling thread.
-    pub inline_batches: Counter,
-}
-
-impl FetchMetrics {
-    /// Register the fetch-dispatch families in `registry`.
-    pub fn new(registry: &MetricsRegistry) -> FetchMetrics {
-        FetchMetrics {
-            parallel_batches: registry.counter("fetch_parallel_batches"),
-            inline_batches: registry.counter("fetch_inline_batches"),
-        }
-    }
-}
-
 /// Fetch every pointer in `jobs`, writing each value into `out[idx].value`.
 ///
 /// `scan_optimization = true` reads runs of back-to-back records with one
@@ -61,12 +39,10 @@ pub(crate) fn fetch_values(
     mut jobs: Vec<Job>,
     out: &mut [ScanItem],
     scan_optimization: bool,
-    metrics: &FetchMetrics,
 ) -> Result<()> {
     if jobs.is_empty() {
         return Ok(());
     }
-    metrics.inline_batches.inc();
     if !scan_optimization {
         for (idx, ptr) in &jobs {
             out[*idx].value = resolver.read(ptr)?;
@@ -93,10 +69,6 @@ mod tests {
     use unikv_env::metrics::CountingEnv;
     use unikv_env::Env;
     use unikv_vlog::{vlog_file_name, ValueLog};
-
-    fn metrics() -> FetchMetrics {
-        FetchMetrics::new(&MetricsRegistry::new(true))
-    }
 
     /// `n` output items whose values the fetch has yet to fill.
     fn slots(n: usize) -> Vec<ScanItem> {
@@ -139,31 +111,25 @@ mod tests {
     fn run_reads_and_pointer_reads_agree() {
         let (resolver, jobs, expect) = setup(500);
         let sparse = scattered(&jobs);
-        let m = metrics();
         for opt in [false, true] {
             let mut out = slots(jobs.len());
-            fetch_values(&resolver, jobs.clone(), &mut out, opt, &m).unwrap();
+            fetch_values(&resolver, jobs.clone(), &mut out, opt).unwrap();
             for (i, e) in expect.iter().enumerate() {
                 assert_eq!(&out[i].value, e, "opt={opt}");
             }
             let mut out = slots(sparse.len());
-            fetch_values(&resolver, sparse.clone(), &mut out, opt, &m).unwrap();
+            fetch_values(&resolver, sparse.clone(), &mut out, opt).unwrap();
             for (slot, e) in expect.iter().step_by(2).enumerate() {
                 assert_eq!(&out[slot].value, e, "opt={opt}");
             }
         }
-        assert_eq!(
-            (m.inline_batches.value(), m.parallel_batches.value()),
-            (4, 0)
-        );
     }
 
     #[test]
     fn empty_jobs_ok() {
-        let (resolver, _, _) = setup(1);
-        let m = metrics();
-        fetch_values(&resolver, Vec::new(), &mut [], true, &m).unwrap();
-        assert_eq!(m.inline_batches.value(), 0);
+        let (got, reads, _) = fetch_counted(&counting_env(), Vec::new());
+        assert!(got.unwrap().is_empty());
+        assert_eq!(reads, 0, "no pointers, no reads");
     }
 
     #[test]
@@ -173,7 +139,7 @@ mod tests {
             jobs[150].1.offset = 1 << 40;
             for opt in [false, true] {
                 let mut out = slots(jobs.len());
-                assert!(fetch_values(&resolver, jobs.clone(), &mut out, opt, &metrics()).is_err());
+                assert!(fetch_values(&resolver, jobs.clone(), &mut out, opt).is_err());
             }
         }
     }
@@ -219,7 +185,7 @@ mod tests {
         let resolver = ValueResolver::new(env.clone(), PathBuf::from(ROOT));
         let mut out = slots(jobs.len());
         env.counters().reset();
-        let result = fetch_values(&resolver, jobs, &mut out, true, &metrics())
+        let result = fetch_values(&resolver, jobs, &mut out, true)
             .map(|()| out.into_iter().map(|item| item.value).collect());
         let counters = env.counters();
         (result, counters.random_reads(), counters.bytes_read())

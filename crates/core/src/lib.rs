@@ -59,8 +59,7 @@ pub mod router;
 pub mod verify;
 
 pub use batch::WriteBatch;
-pub use db::{Engine, UniKv, UniKvStats};
-pub use fetch::FetchMetrics;
+pub use db::{Engine, UniKv};
 pub use iter::UniKvIterator;
 pub use journal::{read_events, EventJournal, EVENTS_FILE, EVENTS_OLD_FILE};
 pub use maintenance::{

@@ -22,8 +22,7 @@
 //! thresholds they block until a background job completes. While the
 //! database is [`HealthState::Degraded`] or worse the slowdown thresholds
 //! are halved, shaving the ingest rate early to give retrying maintenance
-//! headroom. Stall time and counts are reported in
-//! [`crate::UniKvStats::snapshot`].
+//! headroom. Stall time and counts are the `stall_*` counter families.
 //!
 //! ## Failure model
 //!
@@ -67,13 +66,13 @@
 
 use crate::db::Engine;
 use crate::options::UniKvOptions;
-use crate::UniKvStats;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unikv_common::events::{EventBus, EventKind};
+use unikv_common::metrics::{Counter, MetricsRegistry};
 use unikv_common::rng::splitmix64_mix;
 use unikv_common::{Error, Result};
 
@@ -388,7 +387,24 @@ struct HealthMeta {
 /// Shared scheduler state between the database and its worker threads.
 pub(crate) struct MaintState {
     cfg: RetryConfig,
-    stats: Arc<UniKvStats>,
+    /// `maint_jobs_scheduled`: jobs enqueued.
+    pub(crate) jobs_scheduled: Counter,
+    /// `maint_jobs_completed`: jobs completed successfully.
+    jobs_completed: Counter,
+    /// `maint_jobs_failed`: jobs that failed *fatally*, poisoning the
+    /// database (a permanent manifest-commit failure or a worker panic).
+    /// Transient failures retry or quarantine without counting here.
+    jobs_failed: Counter,
+    /// `maint_job_retries`: transient failures re-queued with backoff.
+    job_retries: Counter,
+    /// `maint_jobs_quarantined`: jobs quarantined after exhausting their
+    /// retry budget or failing permanently (once per quarantine entry).
+    jobs_quarantined: Counter,
+    /// `health_transitions`: Healthy↔Degraded↔ReadOnly→Poisoned moves.
+    health_transitions: Counter,
+    /// `time_degraded_ms`: milliseconds spent in any non-Healthy state,
+    /// accrued when health returns to Healthy.
+    time_degraded_ms: Counter,
     /// Lifecycle event bus: health transitions, retries, and quarantines
     /// publish here so causal chains include degradation episodes.
     events: Arc<EventBus>,
@@ -418,12 +434,18 @@ pub(crate) struct MaintState {
 impl MaintState {
     pub(crate) fn new(
         cfg: RetryConfig,
-        stats: Arc<UniKvStats>,
+        registry: &MetricsRegistry,
         events: Arc<EventBus>,
     ) -> MaintState {
         MaintState {
             cfg,
-            stats,
+            jobs_scheduled: registry.counter("maint_jobs_scheduled"),
+            jobs_completed: registry.counter("maint_jobs_completed"),
+            jobs_failed: registry.counter("maint_jobs_failed"),
+            job_retries: registry.counter("maint_job_retries"),
+            jobs_quarantined: registry.counter("maint_jobs_quarantined"),
+            health_transitions: registry.counter("health_transitions"),
+            time_degraded_ms: registry.counter("time_degraded_ms"),
             events,
             queue: Mutex::new(QueueState {
                 jobs: Vec::new(),
@@ -588,7 +610,7 @@ impl MaintState {
             return;
         }
         if commit_step && !err.is_transient() {
-            UniKvStats::add(&self.stats.maint_jobs_failed, 1);
+            self.jobs_failed.inc();
             self.poison(format!(
                 "{:?} job on partition {} failed committing the manifest: {err}",
                 job.kind, job.partition
@@ -631,7 +653,7 @@ impl MaintState {
             // Count and publish only once the health state reflects the
             // re-queued job: an observer must never see a counted retry
             // while health still reads `Healthy`.
-            UniKvStats::add(&self.stats.maint_job_retries, 1);
+            self.job_retries.inc();
             let detail = if self.events.has_listeners() {
                 format!("{:?} attempt {next_attempt}: {err}", job.kind)
             } else {
@@ -666,7 +688,7 @@ impl MaintState {
             // Same ordering as the retry arm: settle, then count.
             self.settle_health(target);
             if newly {
-                UniKvStats::add(&self.stats.maint_jobs_quarantined, 1);
+                self.jobs_quarantined.inc();
                 let detail = if self.events.has_listeners() {
                     format!("{:?}: {err}", job.kind)
                 } else {
@@ -790,14 +812,12 @@ impl MaintState {
         if meta.state == HealthState::Healthy {
             meta.unhealthy_since_ms = now;
         } else if target == HealthState::Healthy {
-            UniKvStats::add(
-                &self.stats.time_degraded_ms,
-                now.saturating_sub(meta.unhealthy_since_ms),
-            );
+            self.time_degraded_ms
+                .add(now.saturating_sub(meta.unhealthy_since_ms));
         }
         meta.state = target;
         self.health.store(target as u8, Ordering::Release);
-        UniKvStats::add(&self.stats.health_transitions, 1);
+        self.health_transitions.inc();
         let detail = if self.events.has_listeners() {
             format!("{from:?}->{target:?}")
         } else {
@@ -922,14 +942,14 @@ impl Drop for PauseGuard<'_> {
 /// Body of one maintenance worker thread.
 pub(crate) fn worker_loop(inner: Arc<Engine>) {
     while let Some((job, attempts, depth)) = inner.maint.next_job() {
-        inner.set_queue_depth(depth);
+        inner.metrics.maint_queue_depth.set(depth as u64);
         // Reset the commit-step marker so a stale flag from a previous
         // job on this thread cannot misclassify this one's failure.
         let _ = crate::db::take_commit_failure();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inner.run_job(&job)));
         match result {
             Ok(Ok(())) => {
-                UniKvStats::add(&inner.stats.maint_jobs_completed, 1);
+                inner.maint.jobs_completed.inc();
                 inner.maint.job_succeeded(&job);
             }
             Ok(Err(e)) => {
@@ -939,7 +959,7 @@ pub(crate) fn worker_loop(inner: Arc<Engine>) {
                     .handle_job_failure(job, attempts, &e, commit_step);
             }
             Err(_) => {
-                UniKvStats::add(&inner.stats.maint_jobs_failed, 1);
+                inner.maint.jobs_failed.inc();
                 inner.maint.poison(format!(
                     "{:?} job on partition {} panicked",
                     job.kind, job.partition
@@ -977,11 +997,7 @@ mod tests {
     }
 
     fn mstate() -> MaintState {
-        MaintState::new(
-            cfg(),
-            Arc::new(UniKvStats::default()),
-            EventBus::new(vec![], 1),
-        )
+        MaintState::new(cfg(), &MetricsRegistry::new(true), EventBus::new(vec![], 1))
     }
 
     /// A state driven by a manually advanced clock (no real sleeping).
@@ -1125,7 +1141,7 @@ mod tests {
         m.handle_job_failure(j, attempts, &transient(), false);
         m.finish_job(j.partition);
         assert_eq!(m.health_state(), HealthState::Degraded);
-        assert_eq!(m.stats.maint_job_retries.load(Ordering::Relaxed), 1);
+        assert_eq!(m.job_retries.value(), 1);
         // The retry is not runnable until its backoff deadline passes.
         assert!(m.health_report().retrying == 1);
         clock.fetch_add(1000, Ordering::SeqCst);
@@ -1135,8 +1151,8 @@ mod tests {
         m.job_succeeded(&j2);
         m.finish_job(j2.partition);
         assert_eq!(m.health_state(), HealthState::Healthy);
-        assert!(m.stats.health_transitions.load(Ordering::Relaxed) >= 2);
-        assert!(m.stats.time_degraded_ms.load(Ordering::Relaxed) >= 1000);
+        assert!(m.health_transitions.value() >= 2);
+        assert!(m.time_degraded_ms.value() >= 1000);
         m.wait_idle();
     }
 
@@ -1187,7 +1203,7 @@ mod tests {
             m.handle_job_failure(got, attempts, &transient(), false);
             m.finish_job(got.partition);
         }
-        assert_eq!(m.stats.maint_jobs_quarantined.load(Ordering::Relaxed), 1);
+        assert_eq!(m.jobs_quarantined.value(), 1);
         assert!(
             m.queue.lock().jobs.is_empty(),
             "no pending copy left behind"
@@ -1198,7 +1214,7 @@ mod tests {
         assert_eq!((got, attempts, depth), (j, 3, 0));
         m.handle_job_failure(got, attempts, &transient(), false);
         m.finish_job(got.partition);
-        assert_eq!(m.stats.maint_job_retries.load(Ordering::Relaxed), 3);
+        assert_eq!(m.job_retries.value(), 3);
         assert_eq!(m.health_report().quarantined.len(), 1);
     }
 
@@ -1215,8 +1231,8 @@ mod tests {
             m.handle_job_failure(got, attempts, &transient(), false);
             m.finish_job(got.partition);
         }
-        assert_eq!(m.stats.maint_job_retries.load(Ordering::Relaxed), 3);
-        assert_eq!(m.stats.maint_jobs_quarantined.load(Ordering::Relaxed), 1);
+        assert_eq!(m.job_retries.value(), 3);
+        assert_eq!(m.jobs_quarantined.value(), 1);
         assert_eq!(m.health_state(), HealthState::Degraded);
         let report = m.health_report();
         assert_eq!(report.quarantined.len(), 1);
@@ -1244,8 +1260,8 @@ mod tests {
         let (got, attempts, _) = m.next_job().unwrap();
         m.handle_job_failure(got, attempts, &Error::corruption("bad block"), false);
         m.finish_job(got.partition);
-        assert_eq!(m.stats.maint_job_retries.load(Ordering::Relaxed), 0);
-        assert_eq!(m.stats.maint_jobs_quarantined.load(Ordering::Relaxed), 1);
+        assert_eq!(m.job_retries.value(), 0);
+        assert_eq!(m.jobs_quarantined.value(), 1);
         assert_eq!(m.health_state(), HealthState::Degraded);
         assert!(m.poisoned_error().is_none());
         let report = m.health_report();
@@ -1304,7 +1320,7 @@ mod tests {
         m.handle_job_failure(got, attempts, &Error::internal("meta write lost"), true);
         m.finish_job(got.partition);
         assert_eq!(m.health_state(), HealthState::Poisoned);
-        assert_eq!(m.stats.maint_jobs_failed.load(Ordering::Relaxed), 1);
+        assert_eq!(m.jobs_failed.value(), 1);
         let gate = m.write_gate_error().unwrap();
         assert!(gate.to_string().contains("poisoned"));
         // Poisoned is sticky: later successes cannot downgrade it.
@@ -1321,7 +1337,7 @@ mod tests {
         m.handle_job_failure(got, attempts, &transient(), true);
         m.finish_job(got.partition);
         assert!(m.poisoned_error().is_none());
-        assert_eq!(m.stats.maint_job_retries.load(Ordering::Relaxed), 1);
+        assert_eq!(m.job_retries.value(), 1);
     }
 
     #[test]
@@ -1388,7 +1404,7 @@ mod tests {
                 quarantine_probe_ms: 3_600_000,
                 jitter_seed: 9,
             },
-            Arc::new(UniKvStats::default()),
+            &MetricsRegistry::new(true),
             EventBus::new(vec![], 1),
         ));
         m.schedule(job(JobKind::Gc, 0));

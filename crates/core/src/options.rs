@@ -98,11 +98,11 @@ pub struct UniKvOptions {
     pub shutdown_join_timeout_ms: u64,
 
     // ---- Observability ----
-    /// Record metrics (latency histograms, tier-resolution counters,
-    /// subsystem I/O counters). When `false`, every record path is one
-    /// relaxed atomic load, the metrics clock is never read, and nothing
-    /// is allocated. The [`crate::UniKvStats`] counters and the event
-    /// bus are not affected.
+    /// Record metrics (latency histograms, the engine's work counters,
+    /// tier-resolution and subsystem I/O counters). When `false`, nothing
+    /// records: every record path is one relaxed atomic load, the metrics
+    /// clock is never read, and nothing is allocated. The event bus is
+    /// not affected.
     pub enable_metrics: bool,
     /// Persist lifecycle events (seal/flush/merge/GC/split, stalls,
     /// health transitions, WAL retirement — each with a causal `cause`
@@ -242,12 +242,15 @@ impl UniKvOptions {
                 "maint_quarantine_probe_ms must be positive",
             ));
         }
+        // A table builder cuts a data block once it reaches `block_size`,
+        // so a full block is `block_size` plus its last entry: a shard of
+        // two block sizes holds at least one.
         let shard_bytes = self
             .block_cache_bytes
             .div_ceil(unikv_sstable::cache::SHARDS);
-        if self.block_cache_bytes > 0 && shard_bytes < self.block_size {
+        if self.block_cache_bytes > 0 && shard_bytes < 2 * self.block_size {
             return Err(unikv_common::Error::invalid_argument(
-                "block_cache_bytes must give each cache shard room for one block",
+                "block_cache_bytes must give each cache shard room for two blocks",
             ));
         }
         if self.enable_event_journal && self.event_journal_max_bytes < 1024 {
@@ -267,7 +270,8 @@ mod tests {
     fn defaults_validate() {
         UniKvOptions::default().validate().unwrap();
         UniKvOptions::small_for_tests().validate().unwrap();
-        // No cache at all, and a cache whose shards each hold a full block.
+        // No cache at all, and the smallest cache whose shards each hold
+        // two 4 KiB blocks.
         for block_cache_bytes in [0, 16 * 8192] {
             UniKvOptions {
                 block_cache_bytes,
@@ -327,6 +331,18 @@ mod tests {
             // 16 shards of 512 B: none holds a 4 KiB block.
             UniKvOptions {
                 block_cache_bytes: 8 << 10,
+                block_size: 4 << 10,
+                ..Default::default()
+            },
+            // 16 shards of exactly one 4 KiB block, which drop nearly every
+            // block a builder cuts, and of one byte under two blocks.
+            UniKvOptions {
+                block_cache_bytes: 16 * 4096,
+                block_size: 4 << 10,
+                ..Default::default()
+            },
+            UniKvOptions {
+                block_cache_bytes: 16 * 8191,
                 block_size: 4 << 10,
                 ..Default::default()
             },

@@ -268,10 +268,9 @@ mod tests {
                 }
             }
             db.wait_for_background();
-            let stats = db.stats().snapshot();
+            let counters = db.metrics_snapshot().counters;
             for op in ["merges", "gcs", "splits"] {
-                let n = stats.iter().find(|(name, _)| *name == op).unwrap().1;
-                assert!(n > 0, "mode {background_jobs}: no {op} ran");
+                assert!(counters[op] > 0, "mode {background_jobs}: no {op} ran");
             }
             drop(db);
             let report = verify_db(env.clone() as Arc<dyn Env>, "/db").unwrap();

@@ -12,7 +12,6 @@
 
 mod gc_scenario;
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
@@ -35,11 +34,6 @@ fn opts(background_jobs: usize) -> UniKvOptions {
 
 fn counter(db: &UniKv, name: &str) -> u64 {
     db.metrics_snapshot().counters[name]
-}
-
-fn stat(db: &UniKv, name: &str) -> u64 {
-    let stats = db.stats().snapshot();
-    stats.into_iter().find(|(n, _)| *n == name).unwrap().1
 }
 
 /// Bytes a table record adds to its user key and value: three varint32
@@ -70,9 +64,8 @@ fn hash_probes_read_one_record() {
             db.flush().unwrap();
         }
         db.wait_for_background();
-        let stats = db.stats();
-        assert_eq!(stats.flushes.load(Ordering::Relaxed), limit as u64);
-        assert_eq!(stats.merges.load(Ordering::Relaxed), 0);
+        assert_eq!(counter(&db, "flushes"), limit as u64);
+        assert_eq!(counter(&db, "merges"), 0);
         let check = |what: &str| {
             let lookups = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
             for &i in &keys {
@@ -111,7 +104,7 @@ fn hash_probes_read_one_record() {
         // hash-indexed table, opened when the scan-merge installs it.
         assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
         db.wait_for_background();
-        assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 1);
+        assert_eq!(counter(&db, "scan_merges"), 1);
         check("scan-merged table");
     }
 }
@@ -149,9 +142,9 @@ fn merge_leaves_other_partitions_hot_blocks_cached() {
             }
         }
         // Overwrite the first partition until a merge has run there.
-        let merges = db.stats().merges.load(Ordering::Relaxed);
+        let merges = counter(&db, "merges");
         let mut version = 1;
-        while db.stats().merges.load(Ordering::Relaxed) == merges {
+        while counter(&db, "merges") == merges {
             for i in 0..200u32 {
                 db.put(&key(i), &value(i, version)).unwrap();
             }
@@ -193,7 +186,7 @@ fn aborted_flush_install_leaves_no_admitted_blocks() {
         }
         failed |= db.flush().is_err();
         db.wait_for_background();
-        assert!(failed || db.background_error().is_some() || stat(&db, "maint_jobs_failed") > 0);
+        assert!(failed || db.background_error().is_some() || counter(&db, "maint_jobs_failed") > 0);
         assert_eq!(counter(&db, "sst_block_reads"), 0, "nothing read a block");
         assert_eq!(
             db.block_cache_bytes(),
@@ -249,7 +242,7 @@ fn untouched() -> Vec<(Vec<u8>, Vec<u8>)> {
 /// Overwrite the hot keys round after round until a full merge has run
 /// or `stop` holds; the puts' first error, if one failed.
 fn overwrite_hot_keys(db: &UniKv, stop: impl Fn(&UniKv) -> bool) -> Option<unikv_common::Error> {
-    let merges = db.stats().merges.load(Ordering::Relaxed);
+    let merges = counter(db, "merges");
     for version in 1.. {
         for i in (0..KEYS).filter(|&i| hot(i)) {
             if let Err(e) = db.put(&key(i), &value(i, version)) {
@@ -257,7 +250,7 @@ fn overwrite_hot_keys(db: &UniKv, stop: impl Fn(&UniKv) -> bool) -> Option<unikv
             }
         }
         db.wait_for_background();
-        if db.stats().merges.load(Ordering::Relaxed) > merges || stop(db) {
+        if counter(db, "merges") > merges || stop(db) {
             return None;
         }
         assert!(version < 1000, "no merge ran");
@@ -290,23 +283,23 @@ fn merge_keeps_replaced_blocks_cached() {
 /// no more bytes than the cache holds, and the values stay right.
 #[test]
 fn merge_admits_at_most_the_cache_capacity() {
-    // The bytes one full merge admits; 256 B blocks, so that each of the
-    // 16 shards of the small cache below holds one.
+    // The bytes one full merge admits; 128 B blocks, so that the smallest
+    // valid cache (16 shards of two blocks) is below what the merge writes.
     let merge_admits = |background_jobs, block_cache_bytes| {
         let db = sorted_store_db(UniKvOptions {
-            block_size: 256,
+            block_size: 128,
             block_cache_bytes,
             ..opts(background_jobs)
         });
-        let (admitted, gcs) = (counter(&db, "sst_cache_admit_bytes"), stat(&db, "gcs"));
+        let (admitted, gcs) = (counter(&db, "sst_cache_admit_bytes"), counter(&db, "gcs"));
         assert!(overwrite_hot_keys(&db, |_| false).is_none());
-        assert_eq!(stat(&db, "gcs"), gcs, "a GC ran too");
+        assert_eq!(counter(&db, "gcs"), gcs, "a GC ran too");
         assert!(db.block_cache_bytes() <= block_cache_bytes);
         block_reads_of_gets(&db, &untouched());
         counter(&db, "sst_cache_admit_bytes") - admitted
     };
     for background_jobs in [0, 2] {
-        let capacity = 16 * 320;
+        let capacity = 16 * 256;
         let whole = merge_admits(background_jobs, 256 << 10);
         let capped = merge_admits(background_jobs, capacity);
         assert!(
@@ -335,7 +328,7 @@ fn gc_keeps_replaced_blocks_cached() {
         assert_eq!(block_reads_of_gets(&db, &keys), 0, "the cache is warm");
         let admits = counter(&db, "sst_cache_admits");
         s.trigger(&db).unwrap();
-        assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 1, "one GC ran");
+        assert_eq!(counter(&db, "gcs"), 1, "one GC ran");
         assert!(counter(&db, "sst_cache_admits") > admits);
         assert_eq!(
             block_reads_of_gets(&db, &keys),
@@ -359,7 +352,7 @@ fn aborted_merge_install_leaves_no_admitted_blocks() {
                 "maint_jobs_quarantined",
             ]
             .iter()
-            .any(|name| stat(db, name) > 0)
+            .any(|name| counter(db, name) > 0)
     };
     for background_jobs in [0, 2] {
         for point in ["merge:commit", "gc:commit"] {
@@ -470,21 +463,20 @@ fn hash_probes_read_quarter_size_blocks() {
         }
         db.flush().unwrap();
     }
-    let stats = db.stats();
-    assert_eq!(stats.flushes.load(Ordering::Relaxed), limit as u64);
-    assert_eq!(stats.merges.load(Ordering::Relaxed), 0);
+    assert_eq!(counter(&db, "flushes"), limit as u64);
+    assert_eq!(counter(&db, "merges"), 0);
     assert_one_small_block_per_get(&db, &keys, "reads_hit_unsorted", hash_bound);
 
     // A scan reads the partition, which holds `limit` tables: it
     // scan-merges them into one hash-indexed table.
     assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
-    assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 1);
+    assert_eq!(counter(&db, "scan_merges"), 1);
     assert_one_small_block_per_get(&db, &keys, "reads_hit_unsorted", hash_bound);
 
     // SortedStore blocks hold keys and value pointers (at most 31 B) at
     // `block_size`, not at the hash tier's size.
     db.compact_all().unwrap();
-    assert_eq!(stats.merges.load(Ordering::Relaxed), 1);
+    assert_eq!(counter(&db, "merges"), 1);
     let sorted_bound = (block_size + key(0).len() + 31 + ENTRY_OVERHEAD) as u64;
     let largest = assert_one_small_block_per_get(&db, &keys, "reads_hit_sorted", sorted_bound);
     assert!(

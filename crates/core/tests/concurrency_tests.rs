@@ -18,13 +18,8 @@ fn bg_opts(jobs: usize) -> UniKvOptions {
     opts
 }
 
-fn stat(db: &UniKv, name: &str) -> u64 {
-    db.stats()
-        .snapshot()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("unknown stat {name}"))
+fn counter(db: &UniKv, name: &str) -> u64 {
+    db.metrics_snapshot().counters[name]
 }
 
 fn wkey(writer: usize, i: usize) -> Vec<u8> {
@@ -143,12 +138,12 @@ fn stress_mixed_workload_with_background_maintenance() {
     db.wait_for_background();
     assert_eq!(db.background_error(), None);
     assert!(
-        stat(&db, "maint_jobs_scheduled") > 0,
+        counter(&db, "maint_jobs_scheduled") > 0,
         "no background jobs ran"
     );
-    assert!(stat(&db, "maint_jobs_completed") > 0);
-    assert_eq!(stat(&db, "maint_jobs_failed"), 0);
-    assert!(stat(&db, "flushes") > 0);
+    assert!(counter(&db, "maint_jobs_completed") > 0);
+    assert_eq!(counter(&db, "maint_jobs_failed"), 0);
+    assert!(counter(&db, "flushes") > 0);
 
     let verify = |db: &UniKv| {
         for w in 0..WRITERS {
@@ -186,9 +181,9 @@ fn stall_counters_track_thresholds() {
     }
     db.wait_for_background();
     assert_eq!(db.background_error(), None);
-    assert_eq!(stat(&db, "stall_slowdowns"), 0);
-    assert_eq!(stat(&db, "stall_stops"), 0);
-    assert_eq!(stat(&db, "stall_time_micros"), 0);
+    assert_eq!(counter(&db, "stall_slowdowns"), 0);
+    assert_eq!(counter(&db, "stall_stops"), 0);
+    assert_eq!(counter(&db, "stall_time_micros"), 0);
     drop(db);
 
     // One sealed memtable already hard-stops: with a single worker and
@@ -203,10 +198,10 @@ fn stall_counters_track_thresholds() {
     db.wait_for_background();
     assert_eq!(db.background_error(), None);
     assert!(
-        stat(&db, "stall_stops") > 0,
+        counter(&db, "stall_stops") > 0,
         "hard-stop threshold of 1 sealed memtable never engaged"
     );
-    assert!(stat(&db, "stall_time_micros") > 0);
+    assert!(counter(&db, "stall_time_micros") > 0);
     // Every write still landed.
     for i in (0..1500u32).step_by(97) {
         assert_eq!(
@@ -228,10 +223,10 @@ fn writes_proceed_while_merges_run() {
     db.wait_for_background();
     assert_eq!(db.background_error(), None);
     assert!(
-        stat(&db, "merges") + stat(&db, "scan_merges") > 0,
+        counter(&db, "merges") + counter(&db, "scan_merges") > 0,
         "no merge ever ran"
     );
-    assert!(stat(&db, "flushes") > 0);
+    assert!(counter(&db, "flushes") > 0);
     for i in (0..4000u32).step_by(131) {
         assert_eq!(
             db.get(format!("k{i:06}").as_bytes()).unwrap(),
@@ -272,7 +267,7 @@ fn worker_failure_quarantines_and_database_self_heals() {
         fault.clear_plan();
         // Write until a fresh background job is enqueued, then make every
         // table append fail while it (or its successor) is still in flight.
-        let scheduled = stat(&db, "maint_jobs_scheduled");
+        let scheduled = counter(&db, "maint_jobs_scheduled");
         loop {
             match db.put(format!("k{i:06}").as_bytes(), &[9u8; 200]) {
                 Err(e) if e.is_read_only() => {
@@ -284,7 +279,7 @@ fn worker_failure_quarantines_and_database_self_heals() {
                 Ok(()) => {}
             }
             i += 1;
-            if stat(&db, "maint_jobs_scheduled") > scheduled {
+            if counter(&db, "maint_jobs_scheduled") > scheduled {
                 break;
             }
         }
@@ -300,8 +295,8 @@ fn worker_failure_quarantines_and_database_self_heals() {
     // Quarantine, not poison: the injected failure is permanent but not a
     // commit-step failure, so the database stays alive.
     assert_eq!(db.background_error(), None);
-    assert_eq!(stat(&db, "maint_jobs_failed"), 0);
-    assert!(stat(&db, "maint_jobs_quarantined") >= 1);
+    assert_eq!(counter(&db, "maint_jobs_failed"), 0);
+    assert!(counter(&db, "maint_jobs_quarantined") >= 1);
 
     // A quarantined flush means sealed memtables cannot drain: ReadOnly.
     // Writes are rejected with the typed error while the fault persists...

@@ -435,15 +435,10 @@ fn workload_reaches_all_structural_operations() {
         db.compact_all().unwrap();
         db.force_gc().unwrap();
         db.wait_for_background();
-        let stats: BTreeMap<String, u64> = db
-            .stats()
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
+        let stats = db.metrics_snapshot().counters;
         for counter in ["flushes", "merges", "scan_merges", "gcs", "splits"] {
             assert!(
-                stats.get(counter).copied().unwrap_or(0) > 0,
+                stats[counter] > 0,
                 "workload never triggered {counter} with background_jobs={background_jobs}: {stats:?}"
             );
         }

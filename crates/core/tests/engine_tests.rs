@@ -2,7 +2,6 @@
 //! merges, GC, splits, scans, ablations, and recovery.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::fault::FaultInjectionEnv;
@@ -70,9 +69,9 @@ fn model_check_random_workload() {
         }
     }
     // Engine exercised every mechanism.
-    let stats = db.stats();
-    assert!(stats.flushes.load(Ordering::Relaxed) > 0, "no flushes");
-    assert!(stats.merges.load(Ordering::Relaxed) > 0, "no merges");
+    let stats = db.metrics();
+    assert!(stats.flushes.value() > 0, "no flushes");
+    assert!(stats.merges.value() > 0, "no merges");
     // (splits are exercised by split_produces_disjoint_partitions — this
     // workload's live set is intentionally smaller than the split limit)
 
@@ -125,7 +124,7 @@ fn values_survive_merge_into_sorted_store() {
     }
     db.flush().unwrap();
     db.compact_all().unwrap();
-    assert!(db.stats().merges.load(Ordering::Relaxed) > 0);
+    assert!(db.metrics().merges.value() > 0);
     for i in 0..n {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i, 64)), "key {i}");
     }
@@ -167,7 +166,7 @@ fn gc_reclaims_dead_values() {
     let before = env.total_bytes();
     db.force_gc().unwrap();
     let after = env.total_bytes();
-    assert!(db.stats().gcs.load(Ordering::Relaxed) > 0, "GC never ran");
+    assert!(db.metrics().gcs.value() > 0, "GC never ran");
     assert!(
         after < before,
         "GC did not reclaim space: {before} -> {after}"
@@ -362,10 +361,7 @@ fn ablation_no_scan_optimization_still_correct() {
         assert_eq!(items.len(), 40);
         assert_eq!(items[0].key, key(50));
         assert_eq!(items[6].value, value(56 + limit as u32 - 1, 50));
-        assert_eq!(
-            db.stats().scan_merges.load(Ordering::Relaxed),
-            u64::from(enabled)
-        );
+        assert_eq!(db.metrics().scan_merges.value(), u64::from(enabled));
     }
 }
 

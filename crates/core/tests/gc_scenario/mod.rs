@@ -136,9 +136,8 @@ impl Scenario {
     /// schedules it. The new keys stay in the UnsortedStore, inline.
     pub fn trigger(&mut self, db: &UniKv) -> Result<()> {
         let count = |db: &UniKv| {
-            let s = db.stats().snapshot();
-            let get = |name: &str| s.iter().find(|(n, _)| *n == name).map_or(0, |e| e.1);
-            get("flushes") + get("maint_jobs_scheduled")
+            let c = db.metrics_snapshot().counters;
+            c["flushes"] + c["maint_jobs_scheduled"]
         };
         let before = count(db);
         let mut i = KEYS;

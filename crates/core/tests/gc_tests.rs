@@ -7,7 +7,6 @@ mod gc_scenario;
 use gc_scenario::{logs, opts, Scenario, KEYS, ROOT, VALUE_LEN};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
@@ -52,9 +51,9 @@ fn kept_logs_survive_a_triggered_gc(background_jobs: usize) {
         "the scenario must hold a kept log with some garbage: {garbage:?}"
     );
 
-    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 0);
+    assert_eq!(db.metrics().gcs.value(), 0);
     s.trigger(&db).unwrap();
-    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 1, "one GC ran");
+    assert_eq!(db.metrics().gcs.value(), 1, "one GC ran");
 
     let after = logs(env.as_ref(), 0);
     for (n, bytes) in &before {
@@ -78,7 +77,7 @@ fn kept_logs_survive_a_triggered_gc(background_jobs: usize) {
     );
     db.flush().unwrap();
     db.wait_for_background();
-    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 1, "GC fired again");
+    assert_eq!(db.metrics().gcs.value(), 1, "GC fired again");
 
     check_model(&db, &s.model);
     drop(db);
@@ -138,8 +137,8 @@ fn split_and_gc() -> SplitRun {
     round(&db, 0);
     let parent_logs = logs(env.as_ref(), 0);
     db.flush().unwrap(); // post-flush triggers: split only
-    assert_eq!(db.stats().splits.load(Ordering::Relaxed), 1);
-    assert_eq!(db.stats().gcs.load(Ordering::Relaxed), 0);
+    assert_eq!(db.metrics().splits.value(), 1);
+    assert_eq!(db.metrics().gcs.value(), 0);
     for pid in CHILDREN {
         assert!(logs(env.as_ref(), pid).is_empty(), "p{pid} owns no log yet");
     }
@@ -157,12 +156,8 @@ fn split_and_gc() -> SplitRun {
         })
         .collect();
     db.flush().unwrap();
-    assert_eq!(
-        db.stats().gcs.load(Ordering::Relaxed),
-        2,
-        "both children GC"
-    );
-    assert_eq!(db.stats().splits.load(Ordering::Relaxed), 1);
+    assert_eq!(db.metrics().gcs.value(), 2, "both children GC");
+    assert_eq!(db.metrics().splits.value(), 1);
     SplitRun {
         env,
         db,

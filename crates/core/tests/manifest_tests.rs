@@ -8,7 +8,6 @@
 //! wait for the queue to drain before they look; they are part of the CI
 //! flake sweep.
 
-use std::sync::atomic::Ordering;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
 
@@ -66,10 +65,10 @@ fn reopen_rebuilds_index_from_manifest_without_reading_tables() {
             // One more table after the scan-merge, so the reopened index
             // holds entries logged by both kinds of commit.
             write_round(&db, 6, 10);
-            let stats = db.stats();
-            assert!(stats.merges.load(Ordering::Relaxed) >= 1);
-            assert_eq!(stats.scan_merges.load(Ordering::Relaxed), 1);
-            assert_eq!(stats.splits.load(Ordering::Relaxed), 0);
+            let stats = db.metrics();
+            assert!(stats.merges.value() >= 1);
+            assert_eq!(stats.scan_merges.value(), 1);
+            assert_eq!(stats.splits.value(), 0);
             let seen = observe(&db);
             assert!(
                 seen.iter().filter(|(_, c)| c.len() >= 2).count() >= 10,

@@ -169,11 +169,11 @@ fn reset_empties_but_keeps_families() {
     assert_eq!(db.metrics_snapshot().counters["writes"], 1);
 }
 
-/// Satellite: the overhead guard. The same seeded workload with metrics
-/// disabled returns identical user-visible results, and the disabled
-/// registry records nothing at all — counters stay zero, histograms stay
-/// empty, and the clock reads as zero (the disabled fast path never takes
-/// a timestamp).
+/// The overhead guard. The same seeded workload with metrics disabled
+/// returns identical user-visible results, and the disabled registry
+/// records nothing at all — counters (the engine's work counters too)
+/// stay zero, histograms stay empty, and the clock reads as zero (the
+/// disabled fast path never takes a timestamp).
 #[test]
 fn disabled_metrics_change_nothing_and_record_nothing() {
     let run = |enable: bool| {
@@ -224,6 +224,8 @@ fn disabled_metrics_change_nothing_and_record_nothing() {
     assert!(on.counters["writes"] > 0);
     assert!(on.histograms["get_latency_us"].count > 0);
     assert!(on.counters["wal_records"] > 0);
+    assert!(on.counters["flushes"] > 0);
+    assert!(enabled_db.write_amplification() > 0.0);
 
     // ...the disabled run recorded nothing anywhere.
     let off = disabled_db.metrics_snapshot();
@@ -231,6 +233,10 @@ fn disabled_metrics_change_nothing_and_record_nothing() {
     assert!(off.gauges.values().all(|v| *v == 0));
     assert!(off.histograms.values().all(|h| h.is_empty()));
     assert_eq!(disabled_db.metrics().registry.now_micros(), 0);
+    let stats = disabled_db.stats().snapshot();
+    assert!(stats.iter().any(|(name, _)| name == "flushes"));
+    assert!(stats.iter().all(|(_, v)| *v == 0), "{stats:?}");
+    assert_eq!(disabled_db.write_amplification(), 0.0);
     // Families stay enumerable even when disabled, so reports keep their
     // shape across configurations.
     assert_eq!(
@@ -277,7 +283,7 @@ fn histogram_counts_match_op_counts_under_maintenance() {
     db.force_gc().unwrap();
 
     let snap = db.metrics_snapshot();
-    let stats: std::collections::HashMap<_, _> = db.stats().snapshot().into_iter().collect();
+    let stats = &snap.counters;
 
     assert_eq!(snap.histograms["put_latency_us"].count, puts + dels);
     assert_eq!(snap.counters["writes"], puts + dels);
@@ -456,7 +462,7 @@ fn failed_commits_leave_work_counters_unmoved() {
             fill(&db, round);
             db.flush().unwrap();
         }
-        let before: std::collections::HashMap<_, _> = db.stats().snapshot().into_iter().collect();
+        let before = db.metrics_snapshot().counters;
         let target = point;
         db.sync_points().arm(Arc::new(move |name| {
             if name == target {
@@ -465,9 +471,74 @@ fn failed_commits_leave_work_counters_unmoved() {
             Ok(())
         }));
         assert!(op(&db).is_err(), "{point} never fired");
-        let after: std::collections::HashMap<_, _> = db.stats().snapshot().into_iter().collect();
+        let after = db.metrics_snapshot().counters;
         for c in counters {
-            assert_eq!(after[c], before[c], "{c} moved on a failed {point}");
+            assert_eq!(after[*c], before[*c], "{c} moved on a failed {point}");
         }
     }
+}
+
+/// `stats().snapshot()` is a read of the registry: every name it lists is
+/// a counter family of the same value, each listed once, on UniKV and on
+/// the LSM baseline, and both engines name the work E11 and E4–E7 compare
+/// alike.
+#[test]
+fn stats_snapshot_lists_registry_counters() {
+    use unikv_lsm::{Baseline, LsmDb, LsmOptions};
+    let uni = UniKv::open(MemEnv::shared(), "/db", UniKvOptions::small_for_tests()).unwrap();
+    let mut lsm_opts = LsmOptions::baseline(Baseline::LevelDb);
+    lsm_opts.write_buffer_size = 16 << 10;
+    let lsm = LsmDb::open(MemEnv::shared(), "/lsm", lsm_opts).unwrap();
+    for i in 0..2000u32 {
+        uni.put(&key(i % 700), &value(i, 64)).unwrap();
+        lsm.put(&key(i % 700), &value(i, 64)).unwrap();
+    }
+    for i in 0..100u32 {
+        uni.get(&key(i * 7)).unwrap();
+        lsm.get(&key(i * 7)).unwrap();
+    }
+    let engines = [
+        (
+            "unikv",
+            uni.stats().snapshot(),
+            uni.metrics_snapshot().counters,
+        ),
+        (
+            "lsm",
+            lsm.stats().snapshot(),
+            lsm.metrics_registry().snapshot().counters,
+        ),
+    ];
+    for (engine, stats, counters) in engines {
+        assert!(
+            stats.windows(2).all(|w| w[0].0 < w[1].0),
+            "{engine}: names not sorted and unique"
+        );
+        assert_eq!(stats.len(), counters.len(), "{engine}");
+        for (name, v) in &stats {
+            assert_eq!(counters.get(name), Some(v), "{engine}: {name}");
+        }
+        for name in [
+            "user_bytes_written",
+            "bytes_flushed",
+            "tables_checked",
+            "memtable_hits",
+        ] {
+            assert!(counters[name] > 0, "{engine}: {name} counted nothing");
+        }
+    }
+    // UniKV's write amplification is its device-write families over the
+    // user bytes.
+    let c = uni.metrics_snapshot().counters;
+    let device = [
+        "bytes_flushed",
+        "merge_bytes_written",
+        "gc_bytes_written",
+        "split_bytes_written",
+    ];
+    let device: u64 = device.iter().map(|n| c[*n]).sum();
+    assert_eq!(
+        uni.write_amplification(),
+        device as f64 / c["user_bytes_written"] as f64
+    );
 }

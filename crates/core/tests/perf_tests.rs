@@ -302,3 +302,32 @@ fn lsm_baseline_profiles_with_exact_stage_sums() {
     assert_eq!(ctx.ops, 1);
     assert_eq!(ctx.total_micros, ctx.stage_sum());
 }
+
+/// A failed LSM get records its `get_latency_us` sample, as UniKV's and
+/// the hash store's failed gets do, and leaves the thread unarmed: the
+/// next unprofiled get reads the clock exactly twice.
+#[test]
+fn lsm_failed_get_records_its_latency_and_leaves_the_thread_unarmed() {
+    use unikv_lsm::{Baseline, LsmDb, LsmOptions};
+    let env = FaultInjectionEnv::new(MemEnv::shared());
+    let db = LsmDb::open(env.clone(), "/lsm", LsmOptions::baseline(Baseline::LevelDb)).unwrap();
+    for i in 0..20u32 {
+        db.put(&key(i), &value(i, 64)).unwrap();
+    }
+    db.flush().unwrap();
+    let reg = db.metrics_registry();
+    reg.set_clock(Some(manual_step_clock(1)));
+    let samples = || reg.snapshot().histograms["get_latency_us"].count;
+    let before = samples();
+
+    env.set_plan(FaultPlan::new(1).rule(FaultRule::fail_times(FaultOp::Read, 1).on_path(".sst")));
+    let (r, _) = perf::profile(|| db.get(&key(7)));
+    assert!(r.is_err(), "the injected read error must surface");
+    assert_eq!(env.injected_faults(), 1);
+    env.clear_plan();
+    assert_eq!(samples(), before + 1, "the failed get recorded no sample");
+
+    let start = reg.now_micros();
+    assert_eq!(db.get(&key(7)).unwrap(), Some(value(7, 64)));
+    assert_eq!(reg.now_micros() - start - 1, 2);
+}

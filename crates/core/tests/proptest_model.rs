@@ -91,9 +91,9 @@ fn check(ops: &[ModelOp], opts: UniKvOptions) {
             }
         }
     }
-    // Stats counters must never regress: snapshot here, compare after the
+    // Counters must never regress: snapshot here, compare after the
     // read-only audit below (which may trigger no maintenance at all).
-    let stats_before: BTreeMap<&str, u64> = db.stats().snapshot().into_iter().collect();
+    let stats_before = db.metrics_snapshot().counters;
 
     // Final audit: every key agrees, reads and scans.
     for k in 0..200u16 {
@@ -106,11 +106,11 @@ fn check(ops: &[ModelOp], opts: UniKvOptions) {
     let all = db.scan(b"", 1000).unwrap();
     assert_eq!(all.len(), model.len());
 
-    let stats_after: BTreeMap<&str, u64> = db.stats().snapshot().into_iter().collect();
+    let stats_after = db.metrics_snapshot().counters;
     for (name, before) in &stats_before {
         assert!(
             stats_after[name] >= *before,
-            "stats counter {name} regressed: {before} -> {}",
+            "counter {name} regressed: {before} -> {}",
             stats_after[name]
         );
     }
@@ -155,7 +155,8 @@ fn tiny_opts() -> UniKvOptions {
         partition_size_limit: 16 << 10,
         max_log_size: 4 << 10,
         gc_min_bytes: 4 << 10,
-        block_cache_bytes: 64 << 10,
+        // The smallest cache whose 16 shards each hold two 4 KiB blocks.
+        block_cache_bytes: 128 << 10,
         ..Default::default()
     }
 }

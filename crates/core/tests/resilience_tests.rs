@@ -54,13 +54,8 @@ fn seed_from_env(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn stat(db: &UniKv, name: &str) -> u64 {
-    db.stats()
-        .snapshot()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("unknown stat {name}"))
+fn counter(db: &UniKv, name: &str) -> u64 {
+    db.metrics_snapshot().counters[name]
 }
 
 /// Persist the failing plan for CI artifact upload, then panic.
@@ -214,7 +209,7 @@ fn transient_storm_degrades_then_heals_with_no_lost_writes() {
         db.wait_for_background();
         assert_eq!(db.background_error(), None, "storm poisoned the database");
         assert!(
-            stat(&db, "maint_job_retries") > 0,
+            counter(&db, "maint_job_retries") > 0,
             "storm never made a job retry (plan did not bite)"
         );
         assert!(
@@ -231,8 +226,12 @@ fn transient_storm_degrades_then_heals_with_no_lost_writes() {
                 format!("database stuck in {:?} after storm cleared", db.health()),
             );
         }
-        assert!(stat(&db, "health_transitions") >= 2);
-        assert_eq!(stat(&db, "maint_jobs_failed"), 0, "fatal failure counted");
+        assert!(counter(&db, "health_transitions") >= 2);
+        assert_eq!(
+            counter(&db, "maint_jobs_failed"),
+            0,
+            "fatal failure counted"
+        );
         // Writes work again, and every acked op is intact.
         db.put(b"post-storm", b"ok").unwrap();
         if let Err(msg) = check_live(&db, &model) {
@@ -312,10 +311,10 @@ fn storage_full_goes_read_only_then_recovers() {
     // retry must never be seen while health still reads `Healthy`), so
     // the put can see `ReadOnly` a moment before the count lands.
     let end = Instant::now() + Duration::from_secs(10);
-    while stat(&db, "maint_job_retries") == 0 && Instant::now() < end {
+    while counter(&db, "maint_job_retries") == 0 && Instant::now() < end {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(stat(&db, "maint_job_retries") > 0);
+    assert!(counter(&db, "maint_job_retries") > 0);
     assert_eq!(db.background_error(), None, "ENOSPC must not poison");
 
     // Reads and scans keep serving under ReadOnly.
@@ -367,8 +366,8 @@ fn transient_manifest_append_failure_retries_then_reopens_to_model() {
         // Arm the fault only while the foreground is idle, so it lands on
         // a worker's commit: write until a job is queued, then wait.
         for _ in 0..200 {
-            let scheduled = stat(&db, "maint_jobs_scheduled");
-            while stat(&db, "maint_jobs_scheduled") == scheduled {
+            let scheduled = counter(&db, "maint_jobs_scheduled");
+            while counter(&db, "maint_jobs_scheduled") == scheduled {
                 put(&db, &mut model);
             }
             fault.set_plan(
@@ -385,7 +384,7 @@ fn transient_manifest_append_failure_retries_then_reopens_to_model() {
             }
         }
         assert!(torn_append(&fault), "no manifest append was torn");
-        assert!(stat(&db, "maint_job_retries") >= 1, "no retry");
+        assert!(counter(&db, "maint_job_retries") >= 1, "no retry");
         assert!(wait_healthy(&db, Duration::from_secs(30)));
         assert_eq!(db.background_error(), None, "a transient failure poisoned");
         // The next commits must not append after the torn bytes: the log
@@ -418,7 +417,7 @@ fn permanent_commit_failure_still_poisons() {
         fault.clear_plan();
         // Write until a fresh background job is enqueued, then fail every
         // manifest append while it is (or its successor is) in flight.
-        let scheduled = stat(&db, "maint_jobs_scheduled");
+        let scheduled = counter(&db, "maint_jobs_scheduled");
         loop {
             match db.put(&format_key(i), &make_value(i, 3, VALUE_LEN)) {
                 Ok(()) => {}
@@ -428,7 +427,7 @@ fn permanent_commit_failure_still_poisons() {
                 }
             }
             i += 1;
-            if stat(&db, "maint_jobs_scheduled") > scheduled {
+            if counter(&db, "maint_jobs_scheduled") > scheduled {
                 break;
             }
         }
@@ -452,7 +451,7 @@ fn permanent_commit_failure_still_poisons() {
     fault.clear_plan();
 
     assert_eq!(db.health(), HealthState::Poisoned);
-    assert!(stat(&db, "maint_jobs_failed") >= 1);
+    assert!(counter(&db, "maint_jobs_failed") >= 1);
     let err = db.put(b"after", b"x").unwrap_err().to_string();
     assert!(err.contains("poisoned"), "unexpected error: {err}");
     let report = db.health_report();
@@ -477,7 +476,7 @@ fn shutdown_interrupts_backoff_and_joins_promptly() {
     // Ingest until the first flush fails transiently and parks in backoff.
     let mut i = 0u64;
     let deadline = Instant::now() + Duration::from_secs(20);
-    while stat(&db, "maint_job_retries") == 0 {
+    while counter(&db, "maint_job_retries") == 0 {
         assert!(Instant::now() < deadline, "flush never entered retry");
         match db.put(&format_key(i), &make_value(i, 5, VALUE_LEN)) {
             Ok(()) => i += 1,
@@ -513,7 +512,7 @@ fn manual_clock_drives_retry_schedule_without_sleeping() {
     );
     let mut i = 0u64;
     let deadline = Instant::now() + Duration::from_secs(20);
-    while stat(&db, "maint_job_retries") == 0 {
+    while counter(&db, "maint_job_retries") == 0 {
         assert!(Instant::now() < deadline, "flush never entered retry");
         match db.put(&format_key(i), &make_value(i, 9, VALUE_LEN)) {
             Ok(()) => i += 1,
@@ -531,8 +530,8 @@ fn manual_clock_drives_retry_schedule_without_sleeping() {
         "retry never ran after the clock advanced (health {:?})",
         db.health()
     );
-    assert!(stat(&db, "flushes") > 0);
-    assert!(stat(&db, "time_degraded_ms") > 0);
+    assert!(counter(&db, "flushes") > 0);
+    assert!(counter(&db, "time_degraded_ms") > 0);
     for j in 0..i {
         assert_eq!(
             db.get(&format_key(j)).unwrap(),
@@ -565,7 +564,7 @@ fn retry_counter_never_runs_ahead_of_health() {
             while !done.load(Ordering::Acquire) && Instant::now() < deadline {
                 // Counter first, then health: with the counter published
                 // last, a nonzero read implies health already moved.
-                let retries = stat(&db, "maint_job_retries");
+                let retries = counter(&db, "maint_job_retries");
                 let health = db.health();
                 assert!(
                     retries == 0 || health != HealthState::Healthy,
@@ -575,7 +574,7 @@ fn retry_counter_never_runs_ahead_of_health() {
             }
         });
         let mut i = 0u64;
-        while stat(&db, "maint_job_retries") == 0 {
+        while counter(&db, "maint_job_retries") == 0 {
             assert!(Instant::now() < deadline, "flush never entered retry");
             match db.put(&format_key(i), &make_value(i, 9, VALUE_LEN)) {
                 Ok(()) => i += 1,

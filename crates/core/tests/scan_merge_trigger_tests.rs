@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use unikv::meta::read_manifest;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
@@ -42,7 +41,7 @@ fn unsorted_tables(env: &MemEnv) -> Vec<usize> {
 }
 
 fn scan_merges(db: &UniKv) -> u64 {
-    db.stats().scan_merges.load(Ordering::Relaxed)
+    db.metrics().scan_merges.value()
 }
 
 /// Check a scan result against the model: the first `limit` live keys
@@ -91,9 +90,9 @@ fn write_only_run_never_scan_merges() {
         }
         db.flush().unwrap();
         db.wait_for_background();
-        let stats = db.stats();
-        assert!(stats.flushes.load(Ordering::Relaxed) > 20);
-        assert!(stats.merges.load(Ordering::Relaxed) > 0);
+        let stats = db.metrics();
+        assert!(stats.flushes.value() > 20);
+        assert!(stats.merges.value() > 0);
         assert_eq!(
             scan_merges(&db),
             0,
@@ -204,11 +203,11 @@ fn background_backstop_keeps_write_only_runs_from_stopping() {
         model.insert(key(i % 1000), v);
     }
     db.wait_for_background();
-    let stats = db.stats();
-    assert!(stats.flushes.load(Ordering::Relaxed) >= 12);
-    assert_eq!(stats.merges.load(Ordering::Relaxed), 0);
+    let stats = db.metrics();
+    assert!(stats.flushes.value() >= 12);
+    assert_eq!(stats.merges.value(), 0);
     assert!(scan_merges(&db) > 0, "the backstop never fired");
-    assert_eq!(stats.stall_stops.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.stall_stops.value(), 0);
     for (k, v) in model.iter().step_by(37) {
         assert_eq!(db.get(k).unwrap().as_ref(), Some(v));
     }

@@ -24,9 +24,7 @@ pub mod db;
 pub mod filenames;
 pub mod iter;
 pub mod options;
-pub mod stats;
 pub mod version;
 
 pub use db::{LsmDb, ScanItem};
 pub use options::{Baseline, CompactionPolicy, LsmOptions};
-pub use stats::EngineStats;

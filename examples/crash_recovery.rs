@@ -37,10 +37,8 @@ fn main() -> unikv_common::Result<()> {
         }
         println!(
             "  engine state before crash: {} flushes, {} merges, {} partitions",
-            db.stats()
-                .flushes
-                .load(std::sync::atomic::Ordering::Relaxed),
-            db.stats().merges.load(std::sync::atomic::Ordering::Relaxed),
+            db.metrics().flushes.value(),
+            db.metrics().merges.value(),
             db.partition_count(),
         );
         // No clean shutdown: the handle is dropped mid-flight.

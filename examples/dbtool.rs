@@ -171,23 +171,16 @@ fn main() -> unikv_common::Result<()> {
             println!("logical bytes: {}", db.logical_bytes());
             println!("hash-index bytes: {}", db.index_memory_bytes());
             println!("last sequence: {}", db.last_sequence());
-            for (name, value) in db.stats().snapshot() {
+            // Every counter family: work volumes, maintenance jobs, stalls,
+            // read errors, tier and I/O counters.
+            for (name, value) in db.metrics_snapshot().counters {
                 println!("{name}: {value}");
             }
-            // Blocks merges, GC and splits put in the cache for the tables
-            // they wrote, in place of the replaced tables' cached blocks.
-            let counters = db.metrics_snapshot().counters;
-            for name in ["sst_cache_admits", "sst_cache_admit_bytes"] {
-                println!("{name}: {}", counters.get(name).copied().unwrap_or(0));
-            }
-            println!(
-                "write amplification: {:.2}",
-                db.stats().write_amplification()
-            );
+            println!("write amplification: {:.2}", db.write_amplification());
         }
         ("metrics", rest) if rest.is_empty() || rest == ["--machine"] => {
-            // Latency histograms, per-tier read counters, subsystem I/O
-            // counters, and the tail of the op trace. `--machine` emits
+            // Latency histograms, the engine's work counters, per-tier
+            // read counters and subsystem I/O counters. `--machine` emits
             // the stable tab-separated form for scripts.
             if rest.is_empty() {
                 print!("{}", db.metrics_report());
@@ -210,7 +203,7 @@ fn main() -> unikv_common::Result<()> {
                     q.kind, q.partition, q.reason
                 );
             }
-            let snap: std::collections::HashMap<_, _> = db.stats().snapshot().into_iter().collect();
+            let snap = db.metrics_snapshot().counters;
             println!(
                 "maintenance: {} scheduled, {} completed, {} failed fatally",
                 snap["maint_jobs_scheduled"],

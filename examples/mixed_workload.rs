@@ -105,7 +105,7 @@ fn main() -> unikv_common::Result<()> {
     }
     println!(
         "  write amp {:.2}, partitions {}, index {:.1} KiB",
-        unikv.stats().write_amplification(),
+        unikv.write_amplification(),
         unikv.partition_count(),
         unikv.index_memory_bytes() as f64 / 1024.0
     );
@@ -142,10 +142,10 @@ fn main() -> unikv_common::Result<()> {
     if let Some(err) = unikv_bg.background_error() {
         eprintln!("  background maintenance failed: {err}");
     }
-    let snap: std::collections::HashMap<_, _> = unikv_bg.stats().snapshot().into_iter().collect();
+    let snap = unikv_bg.metrics_snapshot().counters;
     println!(
         "  write amp {:.2}, partitions {}, jobs {} done / {} failed",
-        unikv_bg.stats().write_amplification(),
+        unikv_bg.write_amplification(),
         unikv_bg.partition_count(),
         snap["maint_jobs_completed"],
         snap["maint_jobs_failed"],
@@ -196,11 +196,8 @@ fn main() -> unikv_common::Result<()> {
     )?;
     println!(
         "  write amp {:.2}, compactions {}",
-        leveldb.stats().write_amplification(),
-        leveldb
-            .stats()
-            .compactions
-            .load(std::sync::atomic::Ordering::Relaxed)
+        leveldb.write_amplification(),
+        leveldb.metrics_registry().snapshot().counters["compactions"]
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -54,9 +54,9 @@ fn main() -> unikv_common::Result<()> {
         db.flush()?;
         db.compact_all()?;
         println!(
-            "stats: {:?}",
-            db.stats()
-                .snapshot()
+            "counters: {:?}",
+            db.metrics_snapshot()
+                .counters
                 .into_iter()
                 .filter(|(_, v)| *v > 0)
                 .collect::<Vec<_>>()

@@ -76,9 +76,9 @@ fn main() -> unikv_common::Result<()> {
     println!("point reads verified across partitions");
     println!(
         "splits: {}, gcs: {}, write amp: {:.2}",
-        db.stats().splits.load(std::sync::atomic::Ordering::Relaxed),
-        db.stats().gcs.load(std::sync::atomic::Ordering::Relaxed),
-        db.stats().write_amplification()
+        db.metrics().splits.value(),
+        db.metrics().gcs.value(),
+        db.write_amplification()
     );
 
     std::fs::remove_dir_all(&dir).ok();

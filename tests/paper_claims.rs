@@ -2,7 +2,6 @@
 //! are the claims EXPERIMENTS.md reports at benchmark scale; here they are
 //! asserted as invariants so regressions that break a *shape* fail CI.
 
-use std::sync::atomic::Ordering;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
 use unikv_hashstore::{HashStore, HashStoreOptions};
@@ -41,7 +40,7 @@ fn claim_hash_index_cuts_table_probes() {
             let k = (i * 7919) % 2_000;
             assert!(db.get(&format_key(k)).unwrap().is_some());
         }
-        db.stats().tables_checked.load(Ordering::Relaxed) as f64 / reads as f64
+        db.metrics().tables_checked.value() as f64 / reads as f64
     };
     let with_index = probes_per_get(true);
     let without = probes_per_get(false);
@@ -65,13 +64,13 @@ fn claim_partial_separation_cuts_merge_writes() {
         opts.enable_partitioning = false;
         let db = load_unikv(opts, 1_500, 200);
         db.compact_all().unwrap();
-        let before = db.stats().merge_bytes_written.load(Ordering::Relaxed);
+        let before = db.metrics().merge_bytes_written.value();
         // Second batch of fresh keys, then merge again.
         for i in 1_500..2_250u64 {
             db.put(&format_key(i), &make_value(i, 1, 200)).unwrap();
         }
         db.compact_all().unwrap();
-        db.stats().merge_bytes_written.load(Ordering::Relaxed) - before
+        db.metrics().merge_bytes_written.value() - before
     };
     let with_sep = merge_bytes(true);
     let without = merge_bytes(false);
@@ -154,8 +153,8 @@ fn claim_write_amp_below_leveled_lsm() {
         uni.put(&format_key(i), &make_value(i, 0, vs)).unwrap();
         lsm.put(&format_key(i), &make_value(i, 0, vs)).unwrap();
     }
-    let uni_wa = uni.stats().write_amplification();
-    let lsm_wa = lsm.stats().write_amplification();
+    let uni_wa = uni.write_amplification();
+    let lsm_wa = lsm.write_amplification();
     assert!(
         uni_wa < lsm_wa,
         "UniKV WA ({uni_wa:.2}) should undercut leveled LSM WA ({lsm_wa:.2})"
