@@ -108,10 +108,9 @@ pub fn bench_unikv_options() -> UniKvOptions {
         write_buffer_size: 256 << 10,
         table_size: 256 << 10,
         unsorted_limit_bytes: 2 << 20,
-        // Scans trigger the size-based merge on the partitions they read,
-        // inline, and pay for it; with 2 MiB / 256 KiB = 8 flushes per
-        // full merge, a partition is scan-merged at most about once
-        // between full merges.
+        // A scan that reads a partition holding 6 UnsortedStore tables
+        // runs its full merge, inline, and pays for it; flushes alone
+        // merge at 2 MiB / 256 KiB = 8 tables.
         scan_merge_limit: 6,
         partition_size_limit: 8 << 20,
         max_log_size: 1 << 20,

@@ -52,7 +52,9 @@ pub enum EventKind {
     MergeFinish,
     /// Merge failed before committing.
     MergeAbort,
-    /// Size-triggered (scan-optimization) merge began.
+    /// Size-triggered (scan-optimization) merge began. UniKV no longer
+    /// publishes the three `ScanMerge*` kinds (a scan now runs the full
+    /// merge); they stay so that older journals still decode.
     ScanMergeStart,
     /// Scan-merge committed.
     ScanMergeFinish,

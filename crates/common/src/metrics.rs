@@ -344,8 +344,6 @@ pub enum TraceOp {
     Flush,
     /// UnsortedStore → SortedStore merge (or LSM compaction).
     Merge,
-    /// Size-based (scan-optimization) merge.
-    ScanMerge,
     /// Value-log garbage collection.
     Gc,
     /// Partition split.
@@ -646,7 +644,7 @@ impl EngineMetrics {
     pub fn maint_histogram(&self, op: TraceOp) -> &Histogram {
         match op {
             TraceOp::Flush => &self.flush_latency,
-            TraceOp::ScanMerge | TraceOp::Merge => &self.merge_latency,
+            TraceOp::Merge => &self.merge_latency,
             TraceOp::Gc => &self.gc_latency,
             TraceOp::Split => &self.split_latency,
         }

@@ -70,9 +70,9 @@ use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 /// does not reserve a huge buffer.
 const SCAN_RESERVE_ITEMS: usize = 1024;
 
-/// Tables the hash index points into (flush and scan-merge outputs) are
-/// written with data blocks of `block_size / HASH_TIER_BLOCK_DIVISOR`
-/// (1 KiB at the default). A hash probe no longer reads a block: it reads
+/// Tables the hash index points into (flush outputs) are written with data
+/// blocks of `block_size / HASH_TIER_BLOCK_DIVISOR` (1 KiB at the
+/// default). A hash probe no longer reads a block: it reads
 /// one record through the table's record directory. The small blocks now
 /// serve scan seeks and merges, whose per-block costs the divisor was
 /// measured against; SortedStore tables keep `block_size`. See DESIGN.md
@@ -168,13 +168,12 @@ impl Drop for OpScope<'_> {
     }
 }
 
-/// Phase 1 of a full merge or a scan-merge, taken under the core lock: the
-/// started op, the input table numbers (UnsortedStore, then SortedStore
-/// for a full merge) and an iterator over them. The build phase needs no
-/// lock; install checks the tiers still name `inputs`.
+/// Phase 1 of a merge, taken under the core lock: the started op, the
+/// input table numbers (UnsortedStore, then SortedStore) and an iterator
+/// over them. The build phase needs no lock; install checks the tiers
+/// still name `inputs`.
 struct MergeSnapshot<'a> {
     scope: OpScope<'a>,
-    full: bool,
     t0: u64,
     dir: PathBuf,
     inputs: Vec<u64>,
@@ -479,7 +478,7 @@ impl Engine {
                     db.flush_partition(&mut core, i)?;
                 }
             }
-            db.commit_meta(&mut core)?;
+            db.commit_meta(&mut core, None)?;
             for path in stale_wals {
                 if db.env.file_exists(&path) {
                     db.env.delete_file(&path)?;
@@ -529,6 +528,15 @@ impl Engine {
             .iter()
             .map(|p| p.meta.lo.clone())
             .collect()
+    }
+
+    /// Every partition's metadata as the running database serves it, in
+    /// key order. Between structural operations it equals what the
+    /// manifest last committed, which is what a reopen reads: a merge or
+    /// GC publishes its tables and logs only once its commit succeeded.
+    pub fn partition_metas(&self) -> Vec<PartitionMeta> {
+        let core = self.core.read();
+        core.partitions.iter().map(|p| p.meta.clone()).collect()
     }
 
     /// Logical size of the hash indexes across partitions, at the paper's
@@ -853,9 +861,7 @@ impl Engine {
             if !core.partitions[i].mem.is_empty() || !core.partitions[i].imms.is_empty() {
                 fin = self.flush_partition(&mut core, i)?;
             }
-            if !core.partitions[i].meta.unsorted.is_empty() {
-                self.merge_partition(&mut core, i, fin)?;
-            }
+            self.merge_partition(&mut core, i, fin)?;
         }
         Ok(())
     }
@@ -1247,7 +1253,7 @@ impl Engine {
     }
 
     /// The scan itself, under the read lock. Pushes onto `due` the id of
-    /// every partition it reads that is due a size-based merge.
+    /// every partition it reads that is due a scan-triggered merge.
     fn scan_range_impl(
         &self,
         from: &[u8],
@@ -1322,7 +1328,7 @@ impl Engine {
     /// iterator holds table and memtable handles for every partition, so
     /// it keeps reading a consistent snapshot while merges, GC, and
     /// splits proceed. Every partition counts as read, so any that is due
-    /// a size-based merge gets it before the cursors are built.
+    /// a scan-triggered merge gets it before the cursors are built.
     pub fn iter(&self) -> Result<crate::iter::UniKvIterator> {
         let due: Vec<u32> = self
             .core
@@ -1361,20 +1367,22 @@ impl Engine {
         ))
     }
 
-    /// The size-based merge (scan optimization) is demand-driven: a scan
-    /// pays for it only on the partitions it reads. Given the ids of the
-    /// partitions a scan or iterator just read while they were due, run
-    /// the merge on each under the write lock (inline mode) or schedule it
-    /// (background mode). Called with the core lock released. A closed
-    /// write gate (ReadOnly, Poisoned) starts no merge: the scan is still
-    /// served.
+    /// The scan optimization is demand-driven: a scan that reads a
+    /// partition crowded with UnsortedStore tables hands it to the full
+    /// merge, so later scans read one sorted run of keys and pointers.
+    /// Given the ids of the partitions a scan or iterator just read while
+    /// they were due, run the merge and its GC and split triggers on each
+    /// under the write lock (inline mode), or schedule the merge (background
+    /// mode, where the merge job schedules the rest). Called with the core
+    /// lock released. A closed write gate (ReadOnly, Poisoned) starts no
+    /// merge: the scan is still served.
     fn merge_scanned(&self, pids: &[u32]) -> Result<()> {
         if pids.is_empty() || self.maint.write_gate_error().is_some() {
             return Ok(());
         }
         if self.opts.background_jobs > 0 {
             for &pid in pids {
-                self.schedule(JobKind::ScanMerge, pid);
+                self.schedule(JobKind::Merge, pid);
             }
             return Ok(());
         }
@@ -1384,7 +1392,8 @@ impl Engine {
             // split replaced it, while no lock was held.
             if let Some(pidx) = core.partition_index(pid) {
                 if self.scan_merge_due(&core.partitions[pidx]) {
-                    self.scan_merge_partition(&mut core, pidx)?;
+                    let fin = self.merge_partition(&mut core, pidx, None)?;
+                    self.run_merge_triggers(&mut core, pidx, fin)?;
                 }
             }
         }
@@ -1400,17 +1409,16 @@ impl Engine {
         for sealed in &p.imms {
             children.push(Box::new(MemTableSource::new(sealed.mem.clone())));
         }
-        self.tables_iter(p, true, true, children)
+        self.tables_iter(p, true, children)
     }
 
     /// Merging iterator over `children` (newer sources, such as
-    /// memtables), then the partition's UnsortedStore tables and, with
-    /// `with_sorted`, its SortedStore run. Maintenance passes
-    /// `fill_cache: false`: its block misses are not cached.
+    /// memtables), then the partition's UnsortedStore tables and its
+    /// SortedStore run. Maintenance passes `fill_cache: false`: its block
+    /// misses are not cached.
     fn tables_iter(
         &self,
         p: &Partition,
-        with_sorted: bool,
         fill_cache: bool,
         mut children: Vec<Box<dyn InternalIterator>>,
     ) -> Result<MergingIterator> {
@@ -1418,13 +1426,11 @@ impl Engine {
             let table = self.open_table(p, tmeta.number)?;
             children.push(Box::new(TableSource::new(&table, fill_cache)));
         }
-        if with_sorted {
-            let mut run = Vec::with_capacity(p.meta.sorted.len());
-            for tmeta in &p.meta.sorted {
-                run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
-            }
-            children.push(Box::new(ConcatSource::new(run, fill_cache)));
+        let mut run = Vec::with_capacity(p.meta.sorted.len());
+        for tmeta in &p.meta.sorted {
+            run.push((tmeta.largest.clone(), self.open_table(p, tmeta.number)?));
         }
+        children.push(Box::new(ConcatSource::new(run, fill_cache)));
         Ok(MergingIterator::new(children))
     }
 
@@ -1434,15 +1440,27 @@ impl Engine {
 
     /// Commit the current state to the manifest: what changed since the
     /// last commit, plus the index entries added since, in one synced
-    /// record.
-    fn commit_meta(&self, core: &mut DbCore) -> Result<()> {
+    /// record. A rewrite passes its partition's next metadata as `next`,
+    /// committed in place of the metadata the partition serves; the caller
+    /// publishes it only once this commit succeeded, so a failure leaves
+    /// the served state equal to the last commit. Metadata without
+    /// UnsortedStore tables (a merge's) commits no hash-index entries.
+    fn commit_meta(&self, core: &mut DbCore, next: Option<(usize, &PartitionMeta)>) -> Result<()> {
         let views: Vec<PartitionView> = core
             .partitions
             .iter()
-            .map(|p| PartitionView {
-                meta: &p.meta,
-                index: &p.index,
-                new_entries: &p.unlogged,
+            .enumerate()
+            .map(|(i, p)| {
+                let meta = match next {
+                    Some((n, meta)) if n == i => meta,
+                    _ => &p.meta,
+                };
+                let indexed = !meta.unsorted.is_empty();
+                PartitionView {
+                    meta,
+                    index: indexed.then_some(&p.index),
+                    new_entries: if indexed { &p.unlogged } else { &[] },
+                }
             })
             .collect();
         let header = Header {
@@ -1461,10 +1479,10 @@ impl Engine {
     }
 
     /// Run post-flush triggers on partition `pidx`: full merge, GC, split.
-    /// The size-based merge is not among them: scans trigger it (see
-    /// [`Self::merge_scanned`]). `cause` is the event seq of whatever ran
-    /// last (usually the triggering flush's finish); each completed step
-    /// becomes the cause of the next, chaining seal→flush→merge→GC
+    /// The table-count merge trigger is not among them: scans check it
+    /// (see [`Self::merge_scanned`]). `cause` is the event seq of whatever
+    /// ran last (usually the triggering flush's finish); each completed
+    /// step becomes the cause of the next, chaining seal→flush→merge→GC
     /// causally.
     fn run_triggers(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
         let fin = if self.merge_due(&core.partitions[pidx]) {
@@ -1472,7 +1490,12 @@ impl Engine {
         } else {
             None
         };
-        let cause = fin.or(cause);
+        self.run_merge_triggers(core, pidx, fin.or(cause))
+    }
+
+    /// The triggers checked after a merge (or a flush that did not merge):
+    /// GC, then split.
+    fn run_merge_triggers(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
         if self.gc_due(&core.partitions[pidx]) {
             self.gc_partition(core, pidx, self.opts.gc_garbage_ratio, cause)?;
         }
@@ -1487,7 +1510,7 @@ impl Engine {
         p.unsorted_bytes() >= self.opts.unsorted_limit_bytes
     }
 
-    /// The size-based merge trigger (scan optimization), checked on every
+    /// The scan-triggered merge (scan optimization), checked on every
     /// partition a scan or iterator reads: the UnsortedStore holds
     /// `scan_merge_limit` tables.
     fn scan_merge_due(&self, p: &Partition) -> bool {
@@ -1510,17 +1533,15 @@ impl Engine {
             // A flush's cause travels with the sealed memtable itself.
             self.schedule(JobKind::Flush, pid);
         }
-        if self.merge_due(p) {
+        // Backstop for workloads that never scan: writers brake at the
+        // `slowdown_unsorted_tables` count, so merge the tables before the
+        // byte limit would.
+        if self.merge_due(p)
+            || (self.opts.enable_scan_optimization
+                && p.meta.unsorted.len() >= self.opts.slowdown_unsorted_tables)
+        {
             self.note_job_cause(JobKind::Merge, pid, cause);
             self.schedule(JobKind::Merge, pid);
-        } else if self.opts.enable_scan_optimization
-            && p.meta.unsorted.len() >= self.opts.slowdown_unsorted_tables
-        {
-            // Backstop for workloads that never scan: writers brake at
-            // this table count, so collapse the tables before the byte
-            // limit brings the full merge.
-            self.note_job_cause(JobKind::ScanMerge, pid, cause);
-            self.schedule(JobKind::ScanMerge, pid);
         }
         if self.gc_due(p) {
             self.note_job_cause(JobKind::Gc, pid, cause);
@@ -1562,7 +1583,7 @@ impl Engine {
             cause: None,
         });
         self.sync.hit("seal:commit")?;
-        self.commit_meta(core)?;
+        self.commit_meta(core, None)?;
         let p = &mut core.partitions[pidx];
         let seq = self.events.publish(
             EventKind::Seal,
@@ -1689,7 +1710,7 @@ impl Engine {
         p.imms.retain(|s| s.wal_number != old_wal);
         p.meta.sealed_wals.retain(|w| *w != old_wal);
         self.sync.hit("flush:commit")?;
-        self.commit_meta(core)
+        self.commit_meta(core, None)
     }
 
     /// Flush the partition's memtable into a new UnsortedStore table.
@@ -1767,68 +1788,39 @@ impl Engine {
         pidx: usize,
         cause: Option<u64>,
     ) -> Result<Option<u64>> {
-        let Some(mut snap) = self.snapshot_merge(core, pidx, true, || cause)? else {
+        let Some(mut snap) = self.snapshot_merge(core, pidx, || cause)? else {
             return Ok(None);
         };
         let out = self.build_merge(&mut snap, &mut || core.alloc_file())?;
         self.install_merge(core, pidx, snap, out).map(Some)
     }
 
-    /// Size-based merge (scan optimization), all three phases under the
-    /// held write lock. A scan triggers it, so no event causes it.
-    fn scan_merge_partition(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
-        let Some(mut snap) = self.snapshot_merge(core, pidx, false, || None)? else {
-            return Ok(());
-        };
-        let out = self.build_scan_merge(&mut snap, &mut || core.alloc_file())?;
-        self.install_scan_merge(core, pidx, snap, out)?;
-        Ok(())
-    }
-
-    /// Phase 1 of a full merge (`full`) or a scan-merge: if the partition
-    /// has input to merge, start the op (clock read, `begin` sync point,
-    /// start event with `cause()`) and open an iterator over the input
-    /// tables. Needs the core lock, read or write.
+    /// Phase 1 of a full merge: if the UnsortedStore holds a table, start
+    /// the op (clock read, `merge:begin` sync point, start event with
+    /// `cause()`) and open an iterator over both tiers. With the
+    /// UnsortedStore empty, a merge would only rewrite the SortedStore as
+    /// it is: a background job that a scan scheduled while an earlier
+    /// merge of the partition was running ends here. Needs the core lock,
+    /// read or write.
     fn snapshot_merge(
         &self,
         core: &DbCore,
         pidx: usize,
-        full: bool,
         cause: impl FnOnce() -> Option<u64>,
     ) -> Result<Option<MergeSnapshot<'_>>> {
         let p = &core.partitions[pidx];
-        let sorted: &[TableMeta] = if full { &p.meta.sorted } else { &[] };
-        let has_input = if full {
-            !p.meta.unsorted.is_empty() || !sorted.is_empty()
-        } else {
-            p.meta.unsorted.len() >= 2
-        };
-        if !has_input {
+        if p.meta.unsorted.is_empty() {
             return Ok(None);
         }
+        let tables = || p.meta.unsorted.iter().chain(&p.meta.sorted);
         let t0 = self.metrics.registry.now_micros();
-        self.sync.hit(if full {
-            "merge:begin"
-        } else {
-            "scanmerge:begin"
-        })?;
-        let inputs: Vec<u64> = p
-            .meta
-            .unsorted
-            .iter()
-            .chain(sorted)
-            .map(|t| t.number)
-            .collect();
-        let input_bytes = p.meta.unsorted.iter().chain(sorted).map(|t| t.size).sum();
-        let (start, abort) = if full {
-            (EventKind::MergeStart, EventKind::MergeAbort)
-        } else {
-            (EventKind::ScanMergeStart, EventKind::ScanMergeAbort)
-        };
+        self.sync.hit("merge:begin")?;
+        let inputs: Vec<u64> = tables().map(|t| t.number).collect();
+        let input_bytes = tables().map(|t| t.size).sum();
         let scope = OpScope::begin(
             &self.events,
-            start,
-            abort,
+            EventKind::MergeStart,
+            EventKind::MergeAbort,
             p.meta.id,
             cause(),
             inputs.clone(),
@@ -1836,12 +1828,11 @@ impl Engine {
         );
         Ok(Some(MergeSnapshot {
             scope,
-            full,
             t0,
             dir: partition_dir(&self.root, p.meta.id),
             inputs,
             input_bytes,
-            iter: self.tables_iter(p, full, false, Vec::new())?,
+            iter: self.tables_iter(p, false, Vec::new())?,
             vlog: p.vlog.clone(),
         }))
     }
@@ -1917,8 +1908,10 @@ impl Engine {
     }
 
     /// Phase 3 of a full merge, under the write lock: the new run replaces
-    /// both tiers, the UnsortedStore and its hash index empty, and the
-    /// manifest commits. Returns the finish event's seq.
+    /// both tiers and the UnsortedStore and its hash index empty, in a
+    /// partition state built aside and published once the manifest commit
+    /// succeeded. Then the input tables go and the output tables are
+    /// installed. Returns the finish event's seq.
     fn install_merge(
         &self,
         core: &mut DbCore,
@@ -1926,139 +1919,39 @@ impl Engine {
         snap: MergeSnapshot,
         out: MergeOutput,
     ) -> Result<u64> {
-        let p = &mut core.partitions[pidx];
+        let p = &core.partitions[pidx];
         check_merge_inputs(p.meta.unsorted.iter().chain(&p.meta.sorted), &snap.inputs)?;
         let outputs: Vec<u64> = out.tables.iter().map(|t| t.number).collect();
-        p.meta.unsorted.clear();
-        p.meta.sorted = out.tables;
-        p.meta.own_logs = snap.vlog.lock().log_numbers();
-        p.meta.live_value_bytes = out.live_value_bytes;
-        p.index.clear();
-        p.unlogged.clear();
-        self.commit_merge(core, pidx, snap, outputs, out.built, out.written)
-    }
-
-    /// Phase 2 of a scan-merge, no core lock needed: collapse the input
-    /// tables into one table holding the newest version of every key,
-    /// indexed by a fresh hash index. Values stay inline and tombstones
-    /// stay: the SortedStore below still holds older versions they must
-    /// shadow.
-    fn build_scan_merge(
-        &self,
-        snap: &mut MergeSnapshot,
-        alloc: &mut dyn FnMut() -> u64,
-    ) -> Result<(TableMeta, BuiltTable, TwoLevelHashIndex)> {
-        let number = alloc();
-        let iter = &mut snap.iter;
-        iter.seek_to_first()?;
-        let path = filenames::table_file(&snap.dir, number);
-        let mut builder = TableBuilder::new(
-            self.env.new_writable(&path)?,
-            self.table_builder_opts(Tier::Unsorted),
-        );
-        let mut index =
-            TwoLevelHashIndex::with_capacity(index_capacity(&self.opts), self.opts.num_hashes);
-        let mut last_user_key: Option<Vec<u8>> = None;
-        while iter.valid() {
-            let user_key = extract_user_key(iter.ikey());
-            if last_user_key.as_deref() != Some(user_key) {
-                last_user_key = Some(user_key.to_vec());
-                builder.add(iter.ikey(), iter.value())?;
-                if self.opts.enable_hash_index {
-                    index.insert(user_key, number as u32);
-                }
-            }
-            iter.next()?;
-        }
-        let props = builder.finish()?;
-        let table = self.open_table_file(&path, props.file_size)?;
-        self.sync.hit("scanmerge:build")?;
-        let tmeta = TableMeta {
-            number,
-            size: props.file_size,
-            smallest: props.smallest,
-            largest: props.largest,
+        let next = PartitionMeta {
+            unsorted: Vec::new(),
+            sorted: out.tables,
+            own_logs: snap.vlog.lock().log_numbers(),
+            live_value_bytes: out.live_value_bytes,
+            ..p.meta.clone()
         };
-        let built = BuiltTable {
-            number,
-            table,
-            kept: None,
-        };
-        Ok((tmeta, built, index))
-    }
-
-    /// Phase 3 of a scan-merge, under the write lock: the merged table and
-    /// its index replace the UnsortedStore and its index, then the
-    /// manifest commits with the new index's entries. Returns the finish
-    /// event's seq.
-    fn install_scan_merge(
-        &self,
-        core: &mut DbCore,
-        pidx: usize,
-        snap: MergeSnapshot,
-        (tmeta, built, index): (TableMeta, BuiltTable, TwoLevelHashIndex),
-    ) -> Result<u64> {
+        self.sync.hit("merge:commit")?;
+        self.commit_meta(core, Some((pidx, &next)))?;
         let p = &mut core.partitions[pidx];
-        check_merge_inputs(p.meta.unsorted.iter(), &snap.inputs)?;
-        let (number, size) = (tmeta.number, tmeta.size);
-        p.meta.unsorted = vec![tmeta];
-        p.index = index;
-        // The fresh index holds only the new table: log all of it. Entries
-        // of merged-away tables still unlogged (after a failed commit)
-        // would only be dropped at recovery.
-        p.unlogged = p.index.entries();
-        self.commit_merge(core, pidx, snap, vec![number], vec![built], size)
-    }
-
-    /// The end of both merges' install: commit the manifest, count the merge,
-    /// publish the finish event, delete the input tables, install the
-    /// output tables and record the op.
-    fn commit_merge(
-        &self,
-        core: &mut DbCore,
-        pidx: usize,
-        snap: MergeSnapshot,
-        outputs: Vec<u64>,
-        built: Vec<BuiltTable>,
-        bytes: u64,
-    ) -> Result<u64> {
-        let (commit, finish, cleanup, op) = if snap.full {
-            (
-                "merge:commit",
-                EventKind::MergeFinish,
-                "merge:cleanup",
-                TraceOp::Merge,
-            )
-        } else {
-            (
-                "scanmerge:commit",
-                EventKind::ScanMergeFinish,
-                "scanmerge:cleanup",
-                TraceOp::ScanMerge,
-            )
-        };
-        self.sync.hit(commit)?;
-        self.commit_meta(core)?;
-        if snap.full {
-            self.metrics.merge_bytes_read.add(snap.input_bytes);
-            self.metrics.merges.inc();
-        } else {
-            self.metrics.scan_merges.inc();
-        }
-        self.metrics.merge_bytes_written.add(bytes);
+        p.meta = next;
+        p.index.clear();
+        self.metrics.merge_bytes_read.add(snap.input_bytes);
+        self.metrics.merges.inc();
+        self.metrics.merge_bytes_written.add(out.written);
         // Manifest committed: the merge is durable, so the finish event fires
         // here — a cleanup failure below must not read as an aborted merge.
-        let fin = snap.scope.finish(finish, outputs, bytes, "");
-        self.sync.hit(cleanup)?;
+        let fin = snap
+            .scope
+            .finish(EventKind::MergeFinish, outputs, out.written, "");
+        self.sync.hit("merge:cleanup")?;
         let p = &core.partitions[pidx];
         for &number in &snap.inputs {
             p.evict_table(number);
             self.env
                 .delete_file(&filenames::table_file(&snap.dir, number))?;
         }
-        self.install_tables(p, built)?;
+        self.install_tables(p, out.built)?;
         self.maint.notify_progress();
-        self.record_maint(op, snap.t0);
+        self.record_maint(TraceOp::Merge, snap.t0);
         Ok(fin)
     }
 
@@ -2070,9 +1963,15 @@ impl Engine {
         // ratio stays meaningful and a fresh split does not look like
         // instant garbage. The lazy value split rides on the first GC
         // that real churn triggers, as the paper intends.
-        for r in &p.meta.inherited_logs {
-            let path = partition_dir(&self.root, r.partition).join(vlog_file_name(r.log_number));
-            total += self.env.file_size(&path).unwrap_or(0) / 2;
+        if !p.meta.inherited_logs.is_empty() {
+            total += p.inherited_charge.get_or_init(|| {
+                let charge = |r: &LogRef| {
+                    let dir = partition_dir(&self.root, r.partition);
+                    let path = dir.join(vlog_file_name(r.log_number));
+                    self.env.file_size(&path).unwrap_or(0) / 2
+                };
+                p.meta.inherited_logs.iter().map(charge).sum::<u64>()
+            });
         }
         if total < self.opts.gc_min_bytes {
             return false;
@@ -2106,7 +2005,7 @@ impl Engine {
                 }
                 p.vlog.lock().delete_logs(&dead)?;
                 p.meta.own_logs.clear();
-                self.commit_meta(core)?;
+                self.commit_meta(core, None)?;
             }
             return Ok(());
         }
@@ -2172,26 +2071,29 @@ impl Engine {
         }
         self.sync.hit("gc:build")?;
 
-        // All in-memory meta mutations happen together, only after every
-        // fallible build step succeeded: an abort above (injected fault or
-        // real I/O error) must leave `p.meta` exactly as committed, or a
-        // later successful commit would persist a half-applied GC — e.g.
-        // dropping `inherited_logs` that rewritten pointers still need,
-        // turning those logs into orphans deleted on the next open.
-        let p = &mut core.partitions[pidx];
-        let built = out.built;
-        let old_tables = std::mem::replace(&mut p.meta.sorted, out.tables);
-        let old_inherited = std::mem::take(&mut p.meta.inherited_logs);
-        p.meta.own_logs = p.vlog.lock().log_numbers();
-        p.meta
-            .own_logs
-            .retain(|n| victims.binary_search(n).is_err());
-        p.meta.live_value_bytes = live_value_bytes;
+        // The partition's next state is built aside and published only
+        // once its commit succeeded: an abort (injected fault or real I/O
+        // error) leaves `p.meta` exactly as committed, so gets never read
+        // the uncommitted tables and a later commit cannot persist a
+        // half-applied GC — e.g. dropping `inherited_logs` that rewritten
+        // pointers still need, turning those logs into orphans deleted on
+        // the next open.
+        let p = &core.partitions[pidx];
+        let mut own_logs = p.vlog.lock().log_numbers();
+        own_logs.retain(|n| victims.binary_search(n).is_err());
+        let next = PartitionMeta {
+            sorted: out.tables,
+            own_logs,
+            inherited_logs: Vec::new(),
+            live_value_bytes,
+            ..p.meta.clone()
+        };
 
         // Step 4: the manifest commit is the GC_done mark; afterwards the
         // victims and the old tables may be deleted.
         self.sync.hit("gc:commit")?;
-        self.commit_meta(core)?;
+        self.commit_meta(core, Some((pidx, &next)))?;
+        let old = std::mem::replace(&mut core.partitions[pidx].meta, next);
         self.metrics.gc_bytes_written.add(written);
         self.metrics.gcs.inc();
         let new_logs: Vec<u64> = core.partitions[pidx]
@@ -2203,19 +2105,19 @@ impl Engine {
             .collect();
         scope.finish(EventKind::GcFinish, new_logs, written, "");
         self.sync.hit("gc:cleanup")?;
-        let p = &mut core.partitions[pidx];
+        let p = &core.partitions[pidx];
         let dir = partition_dir(&self.root, pid);
-        for t in old_tables {
+        for t in &old.sorted {
             p.evict_table(t.number);
             self.env
                 .delete_file(&filenames::table_file(&dir, t.number))?;
         }
-        self.install_tables(p, built)?;
+        self.install_tables(p, out.built)?;
         for &n in &victims {
             self.resolver.evict(pid, n);
         }
         p.vlog.lock().delete_logs(&victims)?;
-        self.sweep_shared_logs(core, &old_inherited)?;
+        self.sweep_shared_logs(core, &old.inherited_logs)?;
         self.record_maint(TraceOp::Gc, t0);
         Ok(())
     }
@@ -2299,7 +2201,7 @@ impl Engine {
 
         // Pass 1: count live entries to find the median split point.
         let total = {
-            let mut iter = self.tables_iter(&core.partitions[pidx], true, false, Vec::new())?;
+            let mut iter = self.tables_iter(&core.partitions[pidx], false, Vec::new())?;
             iter.seek_to_first()?;
             let mut count = 0u64;
             let mut last_user_key: Option<Vec<u8>> = None;
@@ -2395,7 +2297,7 @@ impl Engine {
         let mut boundary: Option<Vec<u8>> = None;
 
         {
-            let mut iter = self.tables_iter(&core.partitions[pidx], true, false, Vec::new())?;
+            let mut iter = self.tables_iter(&core.partitions[pidx], false, Vec::new())?;
             iter.seek_to_first()?;
             let mut last_user_key: Option<Vec<u8>> = None;
             let mut kept = 0u64;
@@ -2494,6 +2396,7 @@ impl Engine {
                 vlog: Arc::new(parking_lot::Mutex::new(child.vlog)),
                 tables: parking_lot::Mutex::new(std::collections::HashMap::new()),
                 unlogged: Vec::new(),
+                inherited_charge: Default::default(),
             })
         };
         let left_p = build_partition(left, parent_lo, Some(boundary.clone()), left_wal)?;
@@ -2503,7 +2406,7 @@ impl Engine {
         core.partitions.insert(pidx + 1, right_p);
 
         self.sync.hit("split:commit")?;
-        self.commit_meta(core)?;
+        self.commit_meta(core, None)?;
         self.metrics.split_bytes_written.add(split_bytes);
         self.metrics.splits.inc();
         // Outputs name the two child *partitions* (the interesting unit
@@ -2548,7 +2451,6 @@ impl Engine {
     pub(crate) fn run_job(&self, job: &Job) -> Result<()> {
         match job.kind {
             JobKind::Flush => self.run_flush_job(job.partition),
-            JobKind::ScanMerge => self.run_scan_merge_job(job.partition),
             JobKind::Merge => self.run_merge_job(job.partition),
             JobKind::Gc => self.run_gc_job(job.partition),
             JobKind::Split => self.run_split_job(job.partition),
@@ -2616,9 +2518,7 @@ impl Engine {
             let Some(pidx) = core.partition_index(pid) else {
                 return Ok(());
             };
-            self.snapshot_merge(&core, pidx, true, || {
-                self.take_job_cause(JobKind::Merge, pid)
-            })?
+            self.snapshot_merge(&core, pidx, || self.take_job_cause(JobKind::Merge, pid))?
         };
         let Some(mut snap) = snap else {
             return Ok(());
@@ -2629,31 +2529,6 @@ impl Engine {
             return Ok(()); // partition vanished (split); scope aborts
         };
         let fin = self.install_merge(&mut core, pidx, snap, out)?;
-        self.schedule_triggers(&core, pidx, Some(fin));
-        Ok(())
-    }
-
-    /// Background size-based merge (scan optimization): the three phases
-    /// of [`Self::run_merge_job`].
-    fn run_scan_merge_job(&self, pid: u32) -> Result<()> {
-        let snap = {
-            let core = self.core.read();
-            let Some(pidx) = core.partition_index(pid) else {
-                return Ok(());
-            };
-            self.snapshot_merge(&core, pidx, false, || {
-                self.take_job_cause(JobKind::ScanMerge, pid)
-            })?
-        };
-        let Some(mut snap) = snap else {
-            return Ok(());
-        };
-        let out = self.build_scan_merge(&mut snap, &mut || self.core.write().alloc_file())?;
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
-            return Ok(()); // partition vanished (split); scope aborts
-        };
-        let fin = self.install_scan_merge(&mut core, pidx, snap, out)?;
         self.schedule_triggers(&core, pidx, Some(fin));
         Ok(())
     }
@@ -3000,6 +2875,7 @@ fn open_partition(
             vlog: Arc::new(parking_lot::Mutex::new(vlog)),
             tables: parking_lot::Mutex::new(std::collections::HashMap::new()),
             unlogged: Vec::new(),
+            inherited_charge: Default::default(),
         },
         stale_wals,
     ))

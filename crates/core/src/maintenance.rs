@@ -9,10 +9,10 @@
 //! (`crates/core/tests/layout_oracle_tests.rs` checks this). With
 //! `background_jobs >= 1`, a write that fills the memtable *seals* it
 //! (records its WAL in `PartitionMeta::sealed_wals` and continues on a
-//! fresh memtable + WAL) and enqueues a flush; merges, scan-merges, GC,
-//! and splits are likewise enqueued when their thresholds trip. Worker
-//! threads drain the queue highest-priority-first, at most one job per
-//! partition at a time.
+//! fresh memtable + WAL) and enqueues a flush; merges, GC and splits are
+//! likewise enqueued when their thresholds trip (a merge also when a
+//! scan reads a crowded partition). Worker threads drain the queue
+//! highest-priority-first, at most one job per partition at a time.
 //!
 //! ## Backpressure
 //!
@@ -99,10 +99,6 @@ pub const SYNC_POINTS: &[&str] = &[
     "merge:build",
     "merge:commit",
     "merge:cleanup",
-    "scanmerge:begin",
-    "scanmerge:build",
-    "scanmerge:commit",
-    "scanmerge:cleanup",
     "gc:begin",
     "gc:build",
     "gc:commit",
@@ -159,8 +155,6 @@ impl SyncPoints {
 pub enum JobKind {
     /// Flush sealed memtables into UnsortedStore tables.
     Flush,
-    /// Size-based merge of UnsortedStore tables (scan optimization).
-    ScanMerge,
     /// Full UnsortedStore → SortedStore merge.
     Merge,
     /// Value-log garbage collection (and lazy value split).

@@ -423,8 +423,9 @@ pub fn read_manifest(env: &dyn Env, root: &Path) -> Result<Option<Recovered>> {
 pub(crate) struct PartitionView<'a> {
     /// The partition's metadata.
     pub meta: &'a PartitionMeta,
-    /// Its hash index (walked for a snapshot).
-    pub index: &'a TwoLevelHashIndex,
+    /// Its hash index (walked for a snapshot); `None` when it indexes
+    /// nothing.
+    pub index: Option<&'a TwoLevelHashIndex>,
     /// Index entries added since the last commit, in insertion order.
     pub new_entries: &'a [IndexEntry],
 }
@@ -526,7 +527,9 @@ impl ManifestWriter {
         put_varint32(&mut rec, 0); // no removed partitions
         if self.geometry.is_some() {
             for p in parts {
-                encode_entries(&mut rec, p.meta.id, &p.index.entries());
+                if let Some(index) = p.index {
+                    encode_entries(&mut rec, p.meta.id, &index.entries());
+                }
             }
         }
         let tmp = self.root.join(format!("{MANIFEST}.tmp"));
@@ -668,7 +671,7 @@ mod tests {
             .iter()
             .map(|meta| PartitionView {
                 meta,
-                index,
+                index: Some(index),
                 new_entries: if meta.id == 0 { new } else { &[] },
             })
             .collect()

@@ -53,8 +53,6 @@ pub struct DbMetrics {
     pub flushes: Counter,
     /// Full merges.
     pub merges: Counter,
-    /// Size-based (scan-optimization) merges.
-    pub scan_merges: Counter,
     /// GC passes.
     pub gcs: Counter,
     /// Partition splits.
@@ -104,7 +102,6 @@ impl DbMetrics {
             split_bytes_written: c("split_bytes_written"),
             flushes: c("flushes"),
             merges: c("merges"),
-            scan_merges: c("scan_merges"),
             gcs: c("gcs"),
             splits: c("splits"),
             tables_checked: c("tables_checked"),

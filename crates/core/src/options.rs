@@ -12,20 +12,20 @@ pub struct UniKvOptions {
     /// Target SSTable size for SortedStore output.
     pub table_size: usize,
     /// Data-block size of SortedStore tables (paper: 4 KiB). The tables
-    /// the hash index points into (UnsortedStore flush and scan-merge
-    /// outputs) use a quarter of it, so a hash probe reads a
-    /// point-read-sized block.
+    /// the hash index points into (UnsortedStore flush outputs) use a
+    /// quarter of it, so a hash probe reads a point-read-sized block.
     pub block_size: usize,
     /// UnsortedStore byte budget; reaching it triggers a merge into the
     /// SortedStore (`UnsortedLimit`).
     pub unsorted_limit_bytes: u64,
     /// Number of UnsortedStore tables at which a scan or iterator that
-    /// reads the partition triggers the size-based merge
-    /// (`scanMergeLimit`), which collapses them into one table so later
-    /// scans merge fewer runs. A flush never triggers it: a partition no
-    /// scan reads is left to the full merge (in background mode, also to
-    /// the `slowdown_unsorted_tables` backstop). At least 2: a lone table
-    /// has nothing to merge with.
+    /// reads the partition hands it to the full merge into the SortedStore
+    /// (the paper's `scanMergeLimit` trigger, with the full merge in place
+    /// of its size-based merge), so later scans read one sorted run of
+    /// keys and pointers. A flush never checks it: a partition no scan
+    /// reads is left to `unsorted_limit_bytes` (in background mode, also
+    /// to the `slowdown_unsorted_tables` backstop). At least 2: a lone
+    /// table would be merged for one flush's worth of keys.
     pub scan_merge_limit: usize,
     /// Partition size (SortedStore keys + live values) that triggers a
     /// range split (`partitionSizeLimit`).
@@ -128,9 +128,10 @@ pub struct UniKvOptions {
     /// E9: disable dynamic range partitioning; the single partition's
     /// SortedStore grows without bound.
     pub enable_partitioning: bool,
-    /// E10: disable scan optimizations (the size-based merge, whichever
-    /// scan, iterator or backstop would trigger it, and value fetch by
-    /// runs of back-to-back records).
+    /// E10: disable scan optimizations (the merge that a scan, an
+    /// iterator or the background backstop triggers on a partition holding
+    /// `scan_merge_limit` or `slowdown_unsorted_tables` UnsortedStore
+    /// tables, and value fetch by runs of back-to-back records).
     pub enable_scan_optimization: bool,
 }
 

@@ -53,6 +53,11 @@ pub struct Partition {
     /// Entries `index` gained since the last manifest commit, in
     /// insertion order: the next commit logs them with the table list.
     pub unlogged: Vec<IndexEntry>,
+    /// Half the file bytes of each inherited value log, summed: the GC
+    /// trigger's charge for them, read once. Inherited logs are never
+    /// appended to, and the partition's set of them only ever empties (a
+    /// GC drops them all), so the first reading stays right.
+    pub inherited_charge: std::sync::OnceLock<u64>,
 }
 
 impl Partition {
@@ -251,6 +256,7 @@ mod tests {
             )),
             tables: parking_lot::Mutex::new(HashMap::new()),
             unlogged: Vec::new(),
+            inherited_charge: Default::default(),
         }
     }
 }

@@ -299,7 +299,7 @@ mod tests {
             .iter()
             .map(|p| PartitionView {
                 meta: p,
-                index: &index,
+                index: Some(&index),
                 new_entries: &[],
             })
             .collect();

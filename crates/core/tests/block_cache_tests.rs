@@ -3,8 +3,8 @@
 //! do not evict other partitions' hot blocks, a full merge or GC puts the
 //! blocks it writes in the cache in place of the replaced tables' blocks,
 //! up to the cache's capacity, and an aborted flush, merge or GC install
-//! leaves nothing in the cache. With the cache off, the block a get reads has the size of
-//! its tier's blocks.
+//! leaves nothing in the cache and the committed state served. With the
+//! cache off, the block a get reads has the size of its tier's blocks.
 //!
 //! Background mode flushes and merges on a worker thread, so these tests
 //! wait for the queue to drain before they count; they are part of the CI
@@ -12,7 +12,9 @@
 
 mod gc_scenario;
 
+use std::path::Path;
 use std::sync::Arc;
+use unikv::meta::read_manifest;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::mem::MemEnv;
 use unikv_env::metrics::CountingEnv;
@@ -45,15 +47,16 @@ const RECORD_FRAMING: u64 = 3 * 5 + 8 + 1;
 /// data block and never a cached block (records are not cached, and a
 /// flush puts nothing in the cache). The read counts as a block read and
 /// a record read, not as a cache lookup. Covers flush outputs, inline and
-/// on a worker, and the scan-merge output.
+/// on a worker.
 #[test]
 fn hash_probes_read_one_record() {
     for background_jobs in [0, 2] {
         let env = CountingEnv::new(MemEnv::shared());
         let io = env.counters();
         let db = UniKv::open(env.clone(), "/db", opts(background_jobs)).unwrap();
-        // One UnsortedStore table per flush, up to the scan-merge limit,
-        // each below the memtable size and all below the merge trigger.
+        // One UnsortedStore table per flush, up to `scan_merge_limit`,
+        // each below the memtable size and all below the merge trigger (a
+        // scan would merge them).
         let limit = db.options().scan_merge_limit as u32;
         let per_table = db.options().write_buffer_size as u32 / 400;
         let keys: Vec<u32> = (0..limit * per_table).collect();
@@ -66,46 +69,33 @@ fn hash_probes_read_one_record() {
         db.wait_for_background();
         assert_eq!(counter(&db, "flushes"), limit as u64);
         assert_eq!(counter(&db, "merges"), 0);
-        let check = |what: &str| {
-            let lookups = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
-            for &i in &keys {
-                let (reads, bytes) = (io.random_reads(), io.bytes_read());
-                let hits = counter(&db, "reads_hit_unsorted");
-                let records = db
-                    .metrics_snapshot()
-                    .counters
-                    .get("sst_record_reads")
-                    .copied();
-                assert_eq!(db.get(&key(i)).unwrap(), Some(record_value(i)));
-                assert_eq!(counter(&db, "reads_hit_unsorted"), hits + 1);
-                assert_eq!(
-                    io.random_reads(),
-                    reads + 1,
-                    "mode {background_jobs}, {what}: get of {i}"
-                );
-                let read = io.bytes_read() - bytes;
-                let record = (key(i).len() + record_value(i).len()) as u64;
-                assert!(
-                    record < read && read <= record + RECORD_FRAMING,
-                    "mode {background_jobs}, {what}: get of {i} read {read} B \
-                     for a {record} B key and value"
-                );
-                assert_eq!(counter(&db, "sst_record_reads"), records.unwrap() + 1);
-            }
-            let now = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
+        let lookups = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
+        for &i in &keys {
+            let (reads, bytes) = (io.random_reads(), io.bytes_read());
+            let hits = counter(&db, "reads_hit_unsorted");
+            let records = db
+                .metrics_snapshot()
+                .counters
+                .get("sst_record_reads")
+                .copied();
+            assert_eq!(db.get(&key(i)).unwrap(), Some(record_value(i)));
+            assert_eq!(counter(&db, "reads_hit_unsorted"), hits + 1);
             assert_eq!(
-                now, lookups,
-                "mode {background_jobs}, {what}: a get used the cache"
+                io.random_reads(),
+                reads + 1,
+                "mode {background_jobs}: get of {i}"
             );
-        };
-        check("flushed tables");
-
-        // A scan reads the partition: it scan-merges the tables into one
-        // hash-indexed table, opened when the scan-merge installs it.
-        assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
-        db.wait_for_background();
-        assert_eq!(counter(&db, "scan_merges"), 1);
-        check("scan-merged table");
+            let read = io.bytes_read() - bytes;
+            let record = (key(i).len() + record_value(i).len()) as u64;
+            assert!(
+                record < read && read <= record + RECORD_FRAMING,
+                "mode {background_jobs}: get of {i} read {read} B \
+                 for a {record} B key and value"
+            );
+            assert_eq!(counter(&db, "sst_record_reads"), records.unwrap() + 1);
+        }
+        let now = counter(&db, "sst_cache_hits") + counter(&db, "sst_cache_misses");
+        assert_eq!(now, lookups, "mode {background_jobs}: a get used the cache");
     }
 }
 
@@ -202,16 +192,16 @@ const KEYS: u32 = 400;
 
 /// Every 10th key: the keys the merge tests overwrite. Enough distinct
 /// keys that the UnsortedStore reaches its byte limit, and the full merge,
-/// before it holds the table count at which background mode collapses it
-/// with a scan-merge.
+/// before it holds the table count at which background mode's backstop
+/// schedules that merge.
 fn hot(i: u32) -> bool {
     i.is_multiple_of(10)
 }
 
 /// A one-partition database whose SortedStore holds `KEYS` keys at
 /// version 0 and whose UnsortedStore is empty.
-fn sorted_store_db(opts: UniKvOptions) -> UniKv {
-    let db = UniKv::open(MemEnv::shared(), "/db", opts).unwrap();
+fn sorted_store_db(env: Arc<MemEnv>, opts: UniKvOptions) -> UniKv {
+    let db = UniKv::open(env, "/db", opts).unwrap();
     for i in 0..KEYS {
         db.put(&key(i), &value(i, 0)).unwrap();
     }
@@ -264,7 +254,7 @@ fn overwrite_hot_keys(db: &UniKv, stop: impl Fn(&UniKv) -> bool) -> Option<unikv
 #[test]
 fn merge_keeps_replaced_blocks_cached() {
     for background_jobs in [0, 2] {
-        let db = sorted_store_db(opts(background_jobs));
+        let db = sorted_store_db(MemEnv::shared(), opts(background_jobs));
         let keys = untouched();
         block_reads_of_gets(&db, &keys);
         assert_eq!(block_reads_of_gets(&db, &keys), 0, "the cache is warm");
@@ -286,11 +276,14 @@ fn merge_admits_at_most_the_cache_capacity() {
     // The bytes one full merge admits; 128 B blocks, so that the smallest
     // valid cache (16 shards of two blocks) is below what the merge writes.
     let merge_admits = |background_jobs, block_cache_bytes| {
-        let db = sorted_store_db(UniKvOptions {
-            block_size: 128,
-            block_cache_bytes,
-            ..opts(background_jobs)
-        });
+        let db = sorted_store_db(
+            MemEnv::shared(),
+            UniKvOptions {
+                block_size: 128,
+                block_cache_bytes,
+                ..opts(background_jobs)
+            },
+        );
         let (admitted, gcs) = (counter(&db, "sst_cache_admit_bytes"), counter(&db, "gcs"));
         assert!(overwrite_hot_keys(&db, |_| false).is_none());
         assert_eq!(counter(&db, "gcs"), gcs, "a GC ran too");
@@ -338,10 +331,12 @@ fn gc_keeps_replaced_blocks_cached() {
     }
 }
 
-/// A merge or GC whose install fails at its commit point admits nothing:
-/// the cache does not grow, and a get that reads the uncommitted output
-/// (which the in-memory state names after the failed install) reads its
-/// block from the file, not from a block the build kept.
+/// A merge or GC whose install fails at its commit point publishes
+/// nothing: the running database serves the table and log sets a reopen
+/// would read, the cache does not grow, and every get is served from the
+/// committed tables, whose blocks the gets before the failure cached (a
+/// block of the uncommitted output was never cached, so reading one
+/// would miss).
 #[test]
 fn aborted_merge_install_leaves_no_admitted_blocks() {
     let install_failed = |db: &UniKv| {
@@ -358,7 +353,10 @@ fn aborted_merge_install_leaves_no_admitted_blocks() {
         for point in ["merge:commit", "gc:commit"] {
             let env = MemEnv::shared();
             let (db, keys) = if point == "merge:commit" {
-                (sorted_store_db(opts(background_jobs)), untouched())
+                (
+                    sorted_store_db(env.clone(), opts(background_jobs)),
+                    untouched(),
+                )
             } else {
                 let db = UniKv::open(
                     env.clone(),
@@ -388,13 +386,22 @@ fn aborted_merge_install_leaves_no_admitted_blocks() {
             assert!(failed || install_failed(&db), "{what}: nothing failed");
             assert_eq!(counter(&db, "sst_cache_admits"), admits, "{what}");
             assert!(db.block_cache_bytes() <= cached, "{what}: the cache grew");
+            let committed = read_manifest(env.as_ref(), Path::new("/db"))
+                .unwrap()
+                .unwrap()
+                .meta
+                .partitions;
+            assert_eq!(
+                db.partition_metas(),
+                committed,
+                "{what}: the running database serves uncommitted tables or logs"
+            );
             let misses = counter(&db, "sst_cache_misses");
-            let (k, v) = &keys[keys.len() / 2];
-            assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "{what}");
+            block_reads_of_gets(&db, &keys);
             assert_eq!(
                 counter(&db, "sst_cache_misses"),
-                misses + 1,
-                "{what}: a block of the uncommitted output answered a get"
+                misses,
+                "{what}: a get read a block of the uncommitted output"
             );
             db.sync_points().disarm();
         }
@@ -440,7 +447,7 @@ fn assert_one_small_block_per_get(db: &UniKv, keys: &[u32], tier: &str, max_byte
 }
 
 /// A hash-index probe reads a point-read-sized block: the tables the
-/// hash index points into (flush and scan-merge outputs) are written with
+/// hash index points into (flush outputs) are written with
 /// `block_size / 4` data blocks, while SortedStore tables keep
 /// `block_size`. With the cache off, every get reads its block from the
 /// file, so `sst_block_read_bytes` measures the block a probe costs.
@@ -455,7 +462,7 @@ fn hash_probes_read_quarter_size_blocks() {
     let keys: Vec<u32> = (0..400).collect();
     let record = key(0).len() + record_value(0).len() + ENTRY_OVERHEAD;
     let hash_bound = (block_size / 4 + record) as u64;
-    // One UnsortedStore table per flush, up to the scan-merge limit.
+    // One UnsortedStore table per flush, up to `scan_merge_limit`.
     let limit = db.options().scan_merge_limit;
     for chunk in keys.chunks(keys.len().div_ceil(limit)) {
         for &i in chunk {
@@ -467,15 +474,10 @@ fn hash_probes_read_quarter_size_blocks() {
     assert_eq!(counter(&db, "merges"), 0);
     assert_one_small_block_per_get(&db, &keys, "reads_hit_unsorted", hash_bound);
 
-    // A scan reads the partition, which holds `limit` tables: it
-    // scan-merges them into one hash-indexed table.
+    // A scan reads the partition, which holds `limit` tables: it merges
+    // them into the SortedStore, whose blocks hold keys and value pointers
+    // (at most 31 B) at `block_size`, not at the hash tier's size.
     assert_eq!(db.scan(&key(0), 10).unwrap().len(), 10);
-    assert_eq!(counter(&db, "scan_merges"), 1);
-    assert_one_small_block_per_get(&db, &keys, "reads_hit_unsorted", hash_bound);
-
-    // SortedStore blocks hold keys and value pointers (at most 31 B) at
-    // `block_size`, not at the hash tier's size.
-    db.compact_all().unwrap();
     assert_eq!(counter(&db, "merges"), 1);
     let sorted_bound = (block_size + key(0).len() + 31 + ENTRY_OVERHEAD) as u64;
     let largest = assert_one_small_block_per_get(&db, &keys, "reads_hit_sorted", sorted_bound);

@@ -6,7 +6,8 @@
 //! background-worker mode are covered, plus seeded random crash points
 //! under background jobs. The GC points are crashed a second time in a
 //! triggered GC that keeps logs below the garbage ratio, a path
-//! `force_gc` (every log a victim) never takes.
+//! `force_gc` (every log a victim) never takes, and the merge points a
+//! second time in a merge that a scan triggers.
 //!
 //! On failure, the failing fault plan (seed, crash point, injected fault
 //! events) is written to `target/tmp/fault-suite/` so CI can upload it
@@ -17,8 +18,8 @@ mod gc_scenario;
 use gc_scenario::Scenario;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use unikv::{verify_db, UniKv, UniKvOptions, SYNC_POINTS};
+use std::sync::{Arc, Mutex};
+use unikv::{verify_db, Event, EventKind, EventListener, UniKv, UniKvOptions, SYNC_POINTS};
 use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
 use unikv_env::Env;
@@ -27,8 +28,8 @@ use unikv_workload::{format_key, make_value};
 const OPS: u64 = 2600;
 const KEY_SPACE: u64 = 1500;
 const VALUE_LEN: usize = 120;
-/// Every this many ops the workload runs a short scan: scans are what
-/// trigger the size-based merge.
+/// Every this many ops the workload runs a short scan: a scan merges the
+/// crowded partitions it reads.
 const SCAN_EVERY: u64 = 25;
 
 /// The effects every scenario must preserve across a crash.
@@ -324,6 +325,78 @@ fn crash_matrix_covers_gc_that_keeps_logs() {
     }
 }
 
+/// Crash at merge sync point `point` (first hit) of a merge that a scan
+/// triggers: the partition holds `scan_merge_limit` flushed tables, below
+/// the byte limit, so no flush merges it. Inline, the scan runs the merge
+/// and returns its error; in background mode the scan schedules it.
+fn crash_in_scan_triggered_merge(point: &'static str, background_jobs: usize) {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let fired = Arc::new(AtomicBool::new(false));
+    let model = {
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts(background_jobs)).unwrap();
+        let mut model = Model::new();
+        for version in 0..db.options().scan_merge_limit as u64 {
+            for i in 0..12 {
+                let v = make_value(i, version, VALUE_LEN);
+                db.put(&format_key(i), &v).unwrap();
+                model.insert(format_key(i), Some(v));
+            }
+            db.flush().unwrap();
+        }
+        db.wait_for_background();
+        assert_eq!(db.metrics().merges.value(), 0, "a flush merged");
+        let f = fired.clone();
+        db.sync_points().arm(Arc::new(move |name| {
+            if name == point && !f.swap(true, Ordering::SeqCst) {
+                return Err(unikv_common::Error::internal(format!(
+                    "injected crash at {name}"
+                )));
+            }
+            Ok(())
+        }));
+        if let Ok(items) = db.scan(b"", 100) {
+            let got: Vec<_> = items.into_iter().map(|it| (it.key, it.value)).collect();
+            assert_eq!(got, model_scan(&model, b"", 100), "[{point}] scan");
+        }
+        db.wait_for_background();
+        db.sync_points().disarm();
+        // As in `crash_at_point`: a later commit would persist anything
+        // the aborted merge left half-applied in memory.
+        for i in 0..20u64 {
+            let k = format_key(KEY_SPACE + i);
+            let v = make_value(i, 99, VALUE_LEN);
+            if db.put(&k, &v).is_ok() {
+                model.insert(k, Some(v));
+            }
+        }
+        let _ = db.flush();
+        model
+    };
+    fault.crash().unwrap();
+    assert!(
+        fired.load(Ordering::SeqCst),
+        "sync point {point} never fired with background_jobs={background_jobs}"
+    );
+    if let Err(msg) = check_recovery(fault.clone(), &model, None) {
+        let scenario = format!("scan-merge-{}-bg{background_jobs}", point.replace(':', "-"));
+        fail_with_plan(&scenario, 0, &fault, format!("[{point}] {msg}"));
+    }
+}
+
+#[test]
+fn crash_matrix_covers_scan_triggered_merges() {
+    for background_jobs in [0, 2] {
+        for point in [
+            "merge:begin",
+            "merge:build",
+            "merge:commit",
+            "merge:cleanup",
+        ] {
+            crash_in_scan_triggered_merge(point, background_jobs);
+        }
+    }
+}
+
 /// Seeded random crash points under background jobs: fail the Nth sync()
 /// according to a scripted fault plan, crash, and verify recovery. The
 /// workload keeps writing through job failures until the engine refuses
@@ -419,24 +492,55 @@ fn crash_with_torn_event_journal_recovers_and_journal_resumes() {
     }
 }
 
+/// Records the cause of every merge start event.
+#[derive(Default)]
+struct MergeCauses(Mutex<Vec<Option<u64>>>);
+
+impl EventListener for MergeCauses {
+    fn on_event(&self, e: &Event) {
+        if e.kind == EventKind::MergeStart {
+            self.0.lock().unwrap().push(e.cause);
+        }
+    }
+}
+
 /// The matrix must exercise real structural work: with the workload above
 /// every job kind runs at least once when no fault is armed, in both
-/// modes.
+/// modes, and scans trigger merges.
 #[test]
 fn workload_reaches_all_structural_operations() {
     for background_jobs in [0, 2] {
         let fault = FaultInjectionEnv::new(MemEnv::shared());
-        let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", opts(background_jobs)).unwrap();
+        let causes = Arc::new(MergeCauses::default());
+        let mut o = opts(background_jobs);
+        o.listeners.0.push(causes.clone());
+        let db = UniKv::open(fault.clone() as Arc<dyn Env>, "/db", o).unwrap();
         assert!(
             run_workload(&db, 0xC0FFEE).is_ok(),
             "no faults armed, no op may fail"
         );
+        db.wait_for_background();
+        // A merge that a flush tips carries the flush's finish event as
+        // its cause; one that a scan starts has none. (So would one the
+        // stall controller re-schedules, but no write hard-stops here.)
+        let scan_merges = causes
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|c| c.is_none())
+            .count();
+        assert!(
+            scan_merges > 0,
+            "no scan triggered a merge with background_jobs={background_jobs}"
+        );
+        assert_eq!(db.metrics().stall_stops.value(), 0);
         db.flush().unwrap();
         db.compact_all().unwrap();
         db.force_gc().unwrap();
         db.wait_for_background();
         let stats = db.metrics_snapshot().counters;
-        for counter in ["flushes", "merges", "scan_merges", "gcs", "splits"] {
+        for counter in ["flushes", "merges", "gcs", "splits"] {
             assert!(
                 stats[counter] > 0,
                 "workload never triggered {counter} with background_jobs={background_jobs}: {stats:?}"

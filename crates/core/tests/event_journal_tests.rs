@@ -34,7 +34,7 @@ fn journal_opts() -> UniKvOptions {
 }
 
 /// A seeded overwrite-heavy workload sized (like the metrics suite's) so
-/// every structural operation — flush, merge or scan-merge, GC, split —
+/// every structural operation — flush, merge, GC, split —
 /// fires organically, i.e. with real `cause` links, not via force_gc.
 fn drive(db: &UniKv, ops: u64) {
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -93,7 +93,7 @@ fn causal_chain_connects_seal_flush_merge_gc() {
     assert!(kinds.contains(&EventKind::FlushStart));
     assert!(kinds.contains(&EventKind::FlushFinish));
     assert!(
-        kinds.contains(&EventKind::MergeFinish) || kinds.contains(&EventKind::ScanMergeFinish),
+        kinds.contains(&EventKind::MergeFinish),
         "no merge between flush and GC: {kinds:?}"
     );
     assert!(kinds.contains(&EventKind::GcStart));

@@ -23,30 +23,29 @@ use unikv_env::mem::MemEnv;
 use unikv_env::Env;
 
 /// Digest of the files [`run_workload`] leaves behind. Every CRC32C
-/// kernel must reproduce it. Last re-recorded when hash-indexed tables
-/// gained a record directory (a meta block, a longer footer, and entries
-/// whose shared key bytes are bounded by the previous block's last key)
-/// and GC began to open its new value log only on the first copied value.
-const LAYOUT_DIGEST: u64 = 0xa427_a75e_2ec7_fe55;
+/// kernel must reproduce it. Last re-recorded when a scan that reads a
+/// crowded partition began to run the full merge in place of the
+/// size-based merge: the scans' 87 one-table merges became full merges
+/// into the SortedStore (52 → 95 merges), which write value logs and
+/// SortedStore tables and log no hash-index entries.
+const LAYOUT_DIGEST: u64 = 0xe67f_f7c2_9eb9_71c7;
 
 /// Digest of `metrics_report_machine()` after [`run_workload`]. Last
-/// re-recorded when the engine's work counters became registry families:
-/// they moved from a list appended to the report into its counter lines
-/// with the same values, and the always-zero `fetch_*_batches` families
-/// and the duplicate `maint_queue_depth` entry went away;
-/// [`LAYOUT_DIGEST`] did not move.
-const REPORT_DIGEST: u64 = 0x9805_3f39_9166_0b96;
+/// re-recorded with [`LAYOUT_DIGEST`], for the same merges; the
+/// `scan_merges` family went away with the size-based merge.
+const REPORT_DIGEST: u64 = 0x8c28_550f_2b1f_7f86;
 
 /// Partition directories are `p<id>`; ids stay far below this bound for
 /// the workload below (the byte-count check catches a miss).
 const MAX_PARTITION_DIRS: u32 = 256;
 
-/// Puts, overwrites, deletes and short scans (which trigger the size-based
-/// merge) over a seeded key stream, with explicit flushes, full merges and
-/// GC passes between rounds, on the default inline mode (no worker
-/// threads) with the event journal off. The metrics clock is the manual
-/// step clock from right after open.
-fn run_workload(env: Arc<MemEnv>) -> UniKv {
+/// Puts, overwrites, deletes and short scans (which merge the crowded
+/// partitions they read) over a seeded key stream, with explicit flushes,
+/// full merges and GC passes between rounds, on the default inline mode
+/// (no worker threads) with the event journal off. The metrics clock is
+/// the manual step clock from right after open. Also returns the number
+/// of merges the scans ran.
+fn run_workload(env: Arc<MemEnv>) -> (UniKv, u64) {
     let opts = UniKvOptions::small_for_tests();
     assert_eq!(opts.background_jobs, 0, "the oracle runs inline");
     assert!(
@@ -56,11 +55,14 @@ fn run_workload(env: Arc<MemEnv>) -> UniKv {
     let db = UniKv::open(env, "/db", opts).unwrap();
     db.set_metrics_clock(Some(manual_step_clock(1)));
     let mut rng = DetRng::seed_from_u64(0x1a70_u64);
+    let mut scan_merges = 0;
     for round in 0..6u64 {
         for i in 0..1500 {
             let key = format!("user{:08}", rng.u64_in(0..2500)).into_bytes();
             if i % 50 == 49 {
+                let merges = db.metrics().merges.value();
                 db.scan(&key, rng.usize_in_incl(1..=30)).unwrap();
+                scan_merges += db.metrics().merges.value() - merges;
             } else if rng.u64_in(0..10) == 0 {
                 db.delete(&key).unwrap();
             } else {
@@ -75,7 +77,7 @@ fn run_workload(env: Arc<MemEnv>) -> UniKv {
             _ => db.force_gc().unwrap(),
         }
     }
-    db
+    (db, scan_merges)
 }
 
 /// Hash every file under `root` (names relative to it, sorted) together
@@ -113,11 +115,12 @@ fn digest_files(env: &MemEnv, root: &Path) -> (u64, u64) {
 #[test]
 fn inline_layout_is_byte_identical() {
     let env = MemEnv::shared();
-    let db = run_workload(env.clone());
+    let (db, scan_merges) = run_workload(env.clone());
     let counters = db.metrics_snapshot().counters;
-    for name in ["flushes", "merges", "scan_merges", "gcs", "splits"] {
+    for name in ["flushes", "merges", "gcs", "splits"] {
         assert!(counters[name] > 0, "workload ran no {name}");
     }
+    assert!(scan_merges > 0, "no scan triggered a merge");
     drop(db);
     let (digest, bytes) = digest_files(&env, Path::new("/db"));
     assert_eq!(
@@ -133,7 +136,7 @@ fn inline_layout_is_byte_identical() {
 
 #[test]
 fn inline_report_is_byte_identical() {
-    let db = run_workload(MemEnv::shared());
+    let (db, _) = run_workload(MemEnv::shared());
     let report = db.metrics_report_machine();
     let digest = hash64(report.as_bytes(), 0);
     assert_eq!(

@@ -305,16 +305,13 @@ fn histogram_counts_match_op_counts_under_maintenance() {
 
     // Maintenance histograms agree with the engine's own work counters.
     assert_eq!(snap.histograms["flush_latency_us"].count, stats["flushes"]);
-    assert_eq!(
-        snap.histograms["merge_latency_us"].count,
-        stats["merges"] + stats["scan_merges"]
-    );
+    assert_eq!(snap.histograms["merge_latency_us"].count, stats["merges"]);
     assert_eq!(snap.histograms["gc_latency_us"].count, stats["gcs"]);
     assert_eq!(snap.histograms["split_latency_us"].count, stats["splits"]);
     // This workload is sized to make every maintenance kind fire at least
     // once, so the assertions above are not vacuous.
     assert!(stats["flushes"] > 0);
-    assert!(stats["merges"] + stats["scan_merges"] > 0);
+    assert!(stats["merges"] > 0);
     assert!(stats["gcs"] > 0);
     assert!(stats["splits"] > 0);
 }
@@ -427,21 +424,18 @@ fn failed_commits_leave_work_counters_unmoved() {
             db.put(&key(i), &value(i + round, 40)).unwrap();
         }
     }
+    let merge_counters: &[&str] = &["merges", "merge_bytes_read", "merge_bytes_written"];
     let cases: [(&str, &[&str], Op); 5] = [
         ("flush:commit", &["flushes", "bytes_flushed"], |db| {
             fill(db, 99);
             db.flush()
         }),
-        (
-            "merge:commit",
-            &["merges", "merge_bytes_read", "merge_bytes_written"],
-            |db| db.compact_all(),
-        ),
-        (
-            "scanmerge:commit",
-            &["scan_merges", "merge_bytes_written"],
-            |db| db.scan(b"", 100).map(|_| ()),
-        ),
+        ("merge:commit", merge_counters, |db| db.compact_all()),
+        // A scan reads the partition's `scan_merge_limit` tables: it runs
+        // the full merge.
+        ("merge:commit", merge_counters, |db| {
+            db.scan(b"", 100).map(|_| ())
+        }),
         ("gc:commit", &["gcs", "gc_bytes_written"], |db| {
             db.force_gc()
         }),

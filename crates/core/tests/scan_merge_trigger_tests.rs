@@ -1,8 +1,8 @@
-//! The size-based merge (scan optimization) is demand-driven: a scan or an
-//! iterator triggers it on the partitions it reads, a flush never does. In
-//! background mode a backstop still collapses the UnsortedStore of a
-//! partition that nobody scans once writers would start braking on its
-//! table count.
+//! The scan optimization is demand-driven: a scan or an iterator that
+//! reads a partition holding `scan_merge_limit` UnsortedStore tables hands
+//! it to the full merge into the SortedStore; a flush never checks the
+//! table count. In background mode a backstop still merges a partition
+//! that nobody scans once writers would start braking on its table count.
 //!
 //! Background mode runs the merge on a worker thread, so these tests wait
 //! for the queue to drain before they look at the layout; they are part of
@@ -40,8 +40,12 @@ fn unsorted_tables(env: &MemEnv) -> Vec<usize> {
     meta.partitions.iter().map(|p| p.unsorted.len()).collect()
 }
 
-fn scan_merges(db: &UniKv) -> u64 {
-    db.metrics().scan_merges.value()
+fn merges(db: &UniKv) -> u64 {
+    db.metrics().merges.value()
+}
+
+fn counter(db: &UniKv, name: &str) -> u64 {
+    db.metrics_snapshot().counters[name]
 }
 
 /// Check a scan result against the model: the first `limit` live keys
@@ -84,20 +88,30 @@ fn write_only_run_never_scan_merges() {
             stop_unsorted_tables: 1000,
             ..opts(background_jobs)
         };
-        let db = UniKv::open(MemEnv::shared(), "/db", o).unwrap();
+        let env = MemEnv::shared();
+        let db = UniKv::open(env.clone(), "/db", o).unwrap();
+        let limit = db.options().scan_merge_limit;
+        // Below the byte limit, a crowded UnsortedStore stays unmerged.
+        let mut model = Model::new();
+        let keys: Vec<Vec<u8>> = (0..12).map(key).collect();
+        for version in 0..limit as u32 {
+            write_table(&db, &mut model, &keys, version);
+        }
+        db.wait_for_background();
+        assert_eq!(unsorted_tables(&env), vec![limit]);
+        assert_eq!(
+            merges(&db),
+            0,
+            "a flush merged on the table count with background_jobs={background_jobs}"
+        );
+        // Only the byte limit merges a write-only run.
         for i in 0..3000u32 {
             db.put(&key(i % 800), &value(i, 0, 64)).unwrap();
         }
         db.flush().unwrap();
         db.wait_for_background();
-        let stats = db.metrics();
-        assert!(stats.flushes.value() > 20);
-        assert!(stats.merges.value() > 0);
-        assert_eq!(
-            scan_merges(&db),
-            0,
-            "a write-only run scan-merged with background_jobs={background_jobs}"
-        );
+        assert!(db.metrics().flushes.value() > 20);
+        assert!(merges(&db) > 0);
     }
 }
 
@@ -116,12 +130,49 @@ fn scan_collapses_the_unsorted_store_it_reads() {
         let before = db.scan(b"", 100).unwrap();
         check_scan(&db, &model, b"", None, 100);
         db.wait_for_background();
-        assert_eq!(unsorted_tables(&env), vec![1]);
-        assert_eq!(scan_merges(&db), 1);
+        assert_eq!(unsorted_tables(&env), vec![0]);
+        assert_eq!(merges(&db), 1);
         assert_eq!(db.scan(b"", 100).unwrap(), before);
         for (k, v) in &model {
             assert_eq!(db.get(k).unwrap().as_ref(), Some(v));
         }
+    }
+}
+
+/// A scan over a partition that holds `scan_merge_limit` flushed tables
+/// merges the partition into the SortedStore: no UnsortedStore table and
+/// no hash-index entry is left, and the scan returns the same items. The
+/// merge puts the blocks it writes in the cache, so a repeated scan reads
+/// no block from a file: none of an UnsortedStore table, none at all.
+#[test]
+fn scan_merges_a_crowded_partition_into_the_sorted_store() {
+    for background_jobs in [0, 2] {
+        let env = MemEnv::shared();
+        let db = UniKv::open(env.clone(), "/db", opts(background_jobs)).unwrap();
+        let mut model = Model::new();
+        let keys: Vec<Vec<u8>> = (0..20).map(key).collect();
+        let limit = db.options().scan_merge_limit;
+        for version in 0..limit as u32 {
+            write_table(&db, &mut model, &keys, version);
+        }
+        db.wait_for_background();
+        assert_eq!(merges(&db), 0);
+        assert_eq!(unsorted_tables(&env), vec![limit]);
+        assert!(db.index_memory_bytes() > 0);
+        let first = db.scan(b"", 100).unwrap();
+        check_scan(&db, &model, b"", None, 100);
+        db.wait_for_background();
+        let what = format!("background_jobs={background_jobs}");
+        assert_eq!(merges(&db), 1, "{what}");
+        assert_eq!(unsorted_tables(&env), vec![0], "{what}");
+        assert_eq!(db.index_memory_bytes(), 0, "{what}");
+        let reads = counter(&db, "sst_block_reads");
+        assert_eq!(db.scan(b"", 100).unwrap(), first, "{what}");
+        assert_eq!(
+            counter(&db, "sst_block_reads"),
+            reads,
+            "{what}: the repeated scan read a block from a file"
+        );
     }
 }
 
@@ -161,12 +212,12 @@ fn only_read_partitions_are_merged() {
         // The scan ends at the first partition's upper bound.
         check_scan(&db, &model, b"", Some(&bounds[1]), 1000);
         db.wait_for_background();
-        want[0] = 1;
+        want[0] = 0;
         assert_eq!(unsorted_tables(&env), want);
 
         let mut it = db.iter().unwrap();
         db.wait_for_background();
-        want[1] = 1;
+        want[1] = 0;
         assert_eq!(unsorted_tables(&env), want);
         it.seek(b"").unwrap();
         let mut got = Model::new();
@@ -185,7 +236,7 @@ fn only_read_partitions_are_merged() {
 
 /// With no scans, the background backstop merges a partition's tables once
 /// writers would start braking on their count, long before the byte limit
-/// brings the full merge: writers never hard-stop on the table count.
+/// would: writers never hard-stop on the table count.
 #[test]
 fn background_backstop_keeps_write_only_runs_from_stopping() {
     let o = UniKvOptions {
@@ -205,8 +256,9 @@ fn background_backstop_keeps_write_only_runs_from_stopping() {
     db.wait_for_background();
     let stats = db.metrics();
     assert!(stats.flushes.value() >= 12);
-    assert_eq!(stats.merges.value(), 0);
-    assert!(scan_merges(&db) > 0, "the backstop never fired");
+    // 1500 puts stay far below the byte limit: every merge is the
+    // backstop's.
+    assert!(stats.merges.value() > 0, "the backstop never fired");
     assert_eq!(stats.stall_stops.value(), 0);
     for (k, v) in model.iter().step_by(37) {
         assert_eq!(db.get(k).unwrap().as_ref(), Some(v));

@@ -174,8 +174,9 @@ fn claim_partitioning_scales_out() {
     assert!(items.windows(2).all(|w| w[0].key < w[1].key));
 }
 
-/// Claim (§Scan optimization): the size-based merge keeps scans efficient
-/// while leaving point-read results identical.
+/// Claim (§Scan optimization): the scan-triggered merge (here the full
+/// merge, in place of the paper's size-based merge) keeps scans efficient
+/// while leaving results identical.
 #[test]
 fn claim_scan_merge_preserves_results() {
     let run = |opt: bool| {
