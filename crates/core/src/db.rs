@@ -46,6 +46,7 @@ use std::time::{Duration, Instant};
 use unikv_common::events::{EventBus, EventClock, EventKind, EventListener};
 use unikv_common::ikey::{
     extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
+    MAX_SEQUENCE_NUMBER,
 };
 use unikv_common::metrics::{Counters, MetricsClock, MetricsSnapshot, TraceOp, TraceOutcome};
 use unikv_common::perf::{self, PerfContext, PerfStage};
@@ -169,16 +170,16 @@ impl Drop for OpScope<'_> {
 }
 
 /// Phase 1 of a merge, taken under the core lock: the started op, the
-/// input table numbers (UnsortedStore, then SortedStore) and an iterator
-/// over them. The build phase needs no lock; install checks the tiers
-/// still name `inputs`.
+/// input table numbers (UnsortedStore, then SortedStore) and an
+/// unpositioned cursor over their live entries. The build phase needs no
+/// lock; install checks the tiers still name `inputs`.
 struct MergeSnapshot<'a> {
     scope: OpScope<'a>,
     t0: u64,
     dir: PathBuf,
     inputs: Vec<u64>,
     input_bytes: u64,
-    iter: MergingIterator,
+    live: LiveIter,
     vlog: Arc<parking_lot::Mutex<ValueLog>>,
 }
 
@@ -532,8 +533,8 @@ impl Engine {
 
     /// Every partition's metadata as the running database serves it, in
     /// key order. Between structural operations it equals what the
-    /// manifest last committed, which is what a reopen reads: a merge or
-    /// GC publishes its tables and logs only once its commit succeeded.
+    /// manifest last committed, which is what a reopen reads: every
+    /// structural op publishes its changes only once its commit succeeded.
     pub fn partition_metas(&self) -> Vec<PartitionMeta> {
         let core = self.core.read();
         core.partitions.iter().map(|p| p.meta.clone()).collect()
@@ -1434,33 +1435,53 @@ impl Engine {
         Ok(MergingIterator::new(children))
     }
 
+    /// An unpositioned cursor over the live entries of the partition's
+    /// UnsortedStore and SortedStore: the newest version of each key,
+    /// tombstones dropped, which is what a rewrite into the bottom tier
+    /// keeps. Its reads do not fill the block cache.
+    fn live_tables_iter(&self, p: &Partition) -> Result<LiveIter> {
+        Ok(LiveIter::new(
+            self.tables_iter(p, false, Vec::new())?,
+            MAX_SEQUENCE_NUMBER,
+        ))
+    }
+
     // ---------------------------------------------------------------
     // Structural operations
     // ---------------------------------------------------------------
 
     /// Commit the current state to the manifest: what changed since the
     /// last commit, plus the index entries added since, in one synced
-    /// record. A rewrite passes its partition's next metadata as `next`,
-    /// committed in place of the metadata the partition serves; the caller
-    /// publishes it only once this commit succeeded, so a failure leaves
-    /// the served state equal to the last commit. Metadata without
-    /// UnsortedStore tables (a merge's) commits no hash-index entries.
-    fn commit_meta(&self, core: &mut DbCore, next: Option<(usize, &PartitionMeta)>) -> Result<()> {
+    /// record. A structural op passes the next metadata of the partition
+    /// it changes as `next`: one meta (seal, flush, merge, GC) or two (a
+    /// split's children), committed in place of the metadata the partition
+    /// serves. The op publishes them in one swap only once this commit
+    /// succeeded, so a failure leaves the served state equal to the last
+    /// commit. This is the one install rule of every structural op.
+    /// Metadata without UnsortedStore tables (a merge's, a split child's)
+    /// commits no hash-index entries.
+    fn commit_meta(
+        &self,
+        core: &mut DbCore,
+        next: Option<(usize, &[PartitionMeta])>,
+    ) -> Result<()> {
         let views: Vec<PartitionView> = core
             .partitions
             .iter()
             .enumerate()
-            .map(|(i, p)| {
-                let meta = match next {
-                    Some((n, meta)) if n == i => meta,
-                    _ => &p.meta,
+            .flat_map(|(i, p)| {
+                let metas = match next {
+                    Some((n, metas)) if n == i => metas,
+                    _ => std::slice::from_ref(&p.meta),
                 };
-                let indexed = !meta.unsorted.is_empty();
-                PartitionView {
-                    meta,
-                    index: indexed.then_some(&p.index),
-                    new_entries: if indexed { &p.unlogged } else { &[] },
-                }
+                metas.iter().map(move |meta| {
+                    let indexed = !meta.unsorted.is_empty();
+                    PartitionView {
+                        meta,
+                        index: indexed.then_some(&p.index),
+                        new_entries: if indexed { &p.unlogged } else { &[] },
+                    }
+                })
             })
             .collect();
         let header = Header {
@@ -1553,10 +1574,11 @@ impl Engine {
         }
     }
 
-    /// Seal the active memtable for background flushing: the frozen
-    /// memtable stays visible to reads via `imms`, its WAL is recorded in
-    /// `sealed_wals` and committed to the manifest (so recovery replays it until
-    /// the flush lands), and writes continue on a fresh memtable + WAL.
+    /// Seal the active memtable for flushing: the manifest commits its
+    /// WAL into `sealed_wals` (so recovery replays it until the flush
+    /// lands), then one swap hands the frozen memtable to `imms`, where
+    /// reads keep consulting it, and moves writes to a fresh memtable and
+    /// WAL.
     fn seal_memtable(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
         let new_wal = core.alloc_file();
         let p = &mut core.partitions[pidx];
@@ -1566,38 +1588,37 @@ impl Engine {
         let mem_bytes = p.mem.approximate_memory_usage() as u64;
         self.sync.hit("seal:begin")?;
         p.wal.sync()?;
-        let dir = partition_dir(&self.root, p.meta.id);
-        // Create the replacement WAL before touching any state: if the
-        // create fails, the memtable and its WAL are still fully intact.
-        let new_writer =
-            LogWriter::new(self.env.new_writable(&filenames::wal_file(&dir, new_wal))?)
-                .with_metrics(self.metrics.wal.clone());
-        let sealed = std::mem::replace(&mut p.mem, Arc::new(MemTable::new()));
+        let new_writer = self.new_wal(p.meta.id, new_wal)?;
         let old_wal = p.meta.wal_number;
-        p.wal = new_writer;
-        p.meta.wal_number = new_wal;
-        p.meta.sealed_wals.push(old_wal);
-        p.imms.push(SealedMem {
-            wal_number: old_wal,
-            mem: sealed,
-            cause: None,
-        });
+        let mut next = p.meta.clone();
+        next.wal_number = new_wal;
+        next.sealed_wals.push(old_wal);
         self.sync.hit("seal:commit")?;
-        self.commit_meta(core, None)?;
-        let p = &mut core.partitions[pidx];
+        self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
         let seq = self.events.publish(
             EventKind::Seal,
-            p.meta.id,
+            next.id,
             None,
             vec![old_wal],
             vec![new_wal],
             mem_bytes,
             "",
         );
-        if let Some(s) = p.imms.last_mut() {
-            s.cause = Some(seq);
-        }
+        let p = &mut core.partitions[pidx];
+        p.meta = next;
+        p.wal = new_writer;
+        p.imms.push(SealedMem {
+            wal_number: old_wal,
+            mem: std::mem::replace(&mut p.mem, Arc::new(MemTable::new())),
+            cause: Some(seq),
+        });
         Ok(())
+    }
+
+    /// Create WAL `number` in partition `pid`'s directory.
+    fn new_wal(&self, pid: u32, number: u64) -> Result<LogWriter> {
+        let path = filenames::wal_file(&partition_dir(&self.root, pid), number);
+        Ok(LogWriter::new(self.env.new_writable(&path)?).with_metrics(self.metrics.wal.clone()))
     }
 
     /// Write a memtable out as one UnsortedStore table, deduping to the
@@ -1644,10 +1665,13 @@ impl Engine {
         })
     }
 
-    /// Install a flushed table under the write lock: append it to the
-    /// UnsortedStore, feed the hash index, retire the flushed WAL and pop
-    /// the matching sealed memtable, and commit to the manifest. The open
-    /// table joins the partition's table handles.
+    /// Install a flushed table under the write lock. The partition's next
+    /// metadata, with the table appended to the UnsortedStore and the
+    /// flushed WAL retired, commits with the table's hash-index entries;
+    /// then one swap publishes it and pops the sealed memtable, and the
+    /// open table joins the partition's table handles. The index takes the
+    /// entries before the commit, which logs them; an abort at the commit
+    /// takes them back out.
     fn install_flush(
         &self,
         core: &mut DbCore,
@@ -1658,18 +1682,39 @@ impl Engine {
     ) -> Result<()> {
         let FlushedTable { meta, keys, table } = flushed;
         let (table_number, table_size) = (meta.number, meta.size);
-        self.commit_flush(core, pidx, meta, &keys, old_wal)?;
-        core.partitions[pidx]
-            .tables_guard()
-            .insert(table_number, table);
+        self.sync.hit("flush:install")?;
+        let p = &mut core.partitions[pidx];
+        let mut next = p.meta.clone();
+        next.unsorted.push(meta);
+        next.sealed_wals.retain(|w| *w != old_wal);
+        let logged = p.unlogged.len();
+        if self.opts.enable_hash_index {
+            let id = table_number as u32;
+            for key in &keys {
+                let (bucket, tag) = p.index.insert(key, id);
+                p.unlogged.push((bucket, tag, id));
+            }
+        }
+        let committed = self
+            .sync
+            .hit("flush:commit")
+            .and_then(|()| self.commit_meta(core, Some((pidx, std::slice::from_ref(&next)))));
+        if let Err(e) = committed {
+            let p = &mut core.partitions[pidx];
+            p.index.remove_tables(&HashSet::from([table_number as u32]));
+            p.unlogged.truncate(logged);
+            return Err(e);
+        }
+        let p = &mut core.partitions[pidx];
+        p.meta = next;
+        p.imms.retain(|s| s.wal_number != old_wal);
+        p.tables_guard().insert(table_number, table);
         self.metrics.bytes_flushed.add(table_size);
         self.metrics.flushes.inc();
         self.sync.hit("flush:cleanup")?;
         // Old WAL is obsolete once the manifest no longer names it.
-        let p = &core.partitions[pidx];
-        let pid = p.meta.id;
-        let dir = partition_dir(&self.root, pid);
-        let old = filenames::wal_file(&dir, old_wal);
+        let pid = core.partitions[pidx].meta.id;
+        let old = filenames::wal_file(&partition_dir(&self.root, pid), old_wal);
         if self.env.file_exists(&old) {
             self.env.delete_file(&old)?;
             self.events.publish(
@@ -1684,33 +1729,6 @@ impl Engine {
         }
         self.maint.notify_progress();
         Ok(())
-    }
-
-    /// The state change of [`Self::install_flush`], up to and including
-    /// the manifest commit.
-    fn commit_flush(
-        &self,
-        core: &mut DbCore,
-        pidx: usize,
-        tmeta: TableMeta,
-        keys: &[Vec<u8>],
-        old_wal: u64,
-    ) -> Result<()> {
-        self.sync.hit("flush:install")?;
-        let table_number = tmeta.number;
-        let p = &mut core.partitions[pidx];
-        p.meta.unsorted.push(tmeta);
-        if self.opts.enable_hash_index {
-            let table = table_number as u32;
-            for key in keys {
-                let (bucket, tag) = p.index.insert(key, table);
-                p.unlogged.push((bucket, tag, table));
-            }
-        }
-        p.imms.retain(|s| s.wal_number != old_wal);
-        p.meta.sealed_wals.retain(|w| *w != old_wal);
-        self.sync.hit("flush:commit")?;
-        self.commit_meta(core, None)
     }
 
     /// Flush the partition's memtable into a new UnsortedStore table.
@@ -1832,9 +1850,20 @@ impl Engine {
             dir: partition_dir(&self.root, p.meta.id),
             inputs,
             input_bytes,
-            iter: self.tables_iter(p, false, Vec::new())?,
+            live: self.live_tables_iter(p)?,
             vlog: p.vlog.clone(),
         }))
+    }
+
+    /// Retire the tables a committed rewrite replaced in `p`: drop their
+    /// handles and cached blocks, then delete their files.
+    fn retire_tables(&self, p: &Partition, numbers: impl IntoIterator<Item = u64>) -> Result<()> {
+        let dir = partition_dir(&self.root, p.meta.id);
+        for number in numbers {
+            p.evict_table(number);
+            self.env.delete_file(&filenames::table_file(&dir, number))?;
+        }
+        Ok(())
     }
 
     /// Make a rewrite's output tables current once its manifest commit is
@@ -1863,38 +1892,30 @@ impl Engine {
         snap: &mut MergeSnapshot,
         alloc: &mut dyn FnMut() -> u64,
     ) -> Result<MergeOutput> {
-        let iter = &mut snap.iter;
-        iter.seek_to_first()?;
+        let live = &mut snap.live;
+        live.seek(&[], None)?;
         if self.opts.enable_kv_separation {
             snap.vlog.lock().rotate()?;
         }
         let mut out = TableRoller::new(self, snap.dir.clone());
         let mut written = 0u64;
         let mut live_value_bytes = 0u64;
-        let mut last_user_key: Option<Vec<u8>> = None;
-        while iter.valid() {
-            let user_key = extract_user_key(iter.ikey());
-            let (_, vt) = extract_seq_type(iter.ikey())?;
-            if last_user_key.as_deref() != Some(user_key) {
-                last_user_key = Some(user_key.to_vec());
-                if vt == ValueType::Value {
-                    let slot = match SeparatedValue::decode(iter.value())? {
-                        SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                            let ptr = snap.vlog.lock().append(&v)?;
-                            written += v.len() as u64;
-                            live_value_bytes += ptr.length as u64;
-                            SeparatedValue::Pointer(ptr)
-                        }
-                        inline @ SeparatedValue::Inline(_) => inline,
-                        SeparatedValue::Pointer(ptr) => {
-                            live_value_bytes += ptr.length as u64;
-                            SeparatedValue::Pointer(ptr)
-                        }
-                    };
-                    out.add(iter.ikey(), &slot.encode(), alloc)?;
+        while live.valid() {
+            let slot = match SeparatedValue::decode(live.value())? {
+                SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
+                    let ptr = snap.vlog.lock().append(&v)?;
+                    written += v.len() as u64;
+                    live_value_bytes += ptr.length as u64;
+                    SeparatedValue::Pointer(ptr)
                 }
-            }
-            iter.next()?;
+                inline @ SeparatedValue::Inline(_) => inline,
+                SeparatedValue::Pointer(ptr) => {
+                    live_value_bytes += ptr.length as u64;
+                    SeparatedValue::Pointer(ptr)
+                }
+            };
+            out.add(live.ikey(), &slot.encode(), alloc)?;
+            live.next(None)?;
         }
         out.finish()?;
         snap.vlog.lock().sync()?;
@@ -1930,7 +1951,7 @@ impl Engine {
             ..p.meta.clone()
         };
         self.sync.hit("merge:commit")?;
-        self.commit_meta(core, Some((pidx, &next)))?;
+        self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
         let p = &mut core.partitions[pidx];
         p.meta = next;
         p.index.clear();
@@ -1944,11 +1965,7 @@ impl Engine {
             .finish(EventKind::MergeFinish, outputs, out.written, "");
         self.sync.hit("merge:cleanup")?;
         let p = &core.partitions[pidx];
-        for &number in &snap.inputs {
-            p.evict_table(number);
-            self.env
-                .delete_file(&filenames::table_file(&snap.dir, number))?;
-        }
+        self.retire_tables(p, snap.inputs.iter().copied())?;
         self.install_tables(p, out.built)?;
         self.maint.notify_progress();
         self.record_maint(TraceOp::Merge, snap.t0);
@@ -1995,17 +2012,23 @@ impl Engine {
         ratio: f64,
         cause: Option<u64>,
     ) -> Result<()> {
-        let p = &mut core.partitions[pidx];
+        let p = &core.partitions[pidx];
         if p.meta.sorted.is_empty() && p.meta.inherited_logs.is_empty() {
-            // No pointers can exist; every own log is garbage.
+            // No pointers can exist; every own log is garbage. The logs go
+            // once the commit that drops them succeeded.
             let dead: Vec<u64> = p.vlog.lock().log_numbers();
             if !dead.is_empty() {
+                let next = PartitionMeta {
+                    own_logs: Vec::new(),
+                    ..p.meta.clone()
+                };
+                self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
+                let p = &mut core.partitions[pidx];
+                p.meta = next;
                 for n in &dead {
                     self.resolver.evict(p.meta.id, *n);
                 }
                 p.vlog.lock().delete_logs(&dead)?;
-                p.meta.own_logs.clear();
-                self.commit_meta(core, None)?;
             }
             return Ok(());
         }
@@ -2092,7 +2115,7 @@ impl Engine {
         // Step 4: the manifest commit is the GC_done mark; afterwards the
         // victims and the old tables may be deleted.
         self.sync.hit("gc:commit")?;
-        self.commit_meta(core, Some((pidx, &next)))?;
+        self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
         let old = std::mem::replace(&mut core.partitions[pidx].meta, next);
         self.metrics.gc_bytes_written.add(written);
         self.metrics.gcs.inc();
@@ -2106,12 +2129,7 @@ impl Engine {
         scope.finish(EventKind::GcFinish, new_logs, written, "");
         self.sync.hit("gc:cleanup")?;
         let p = &core.partitions[pidx];
-        let dir = partition_dir(&self.root, pid);
-        for t in &old.sorted {
-            p.evict_table(t.number);
-            self.env
-                .delete_file(&filenames::table_file(&dir, t.number))?;
-        }
+        self.retire_tables(p, old.sorted.iter().map(|t| t.number))?;
         self.install_tables(p, out.built)?;
         for &n in &victims {
             self.resolver.evict(pid, n);
@@ -2201,20 +2219,12 @@ impl Engine {
 
         // Pass 1: count live entries to find the median split point.
         let total = {
-            let mut iter = self.tables_iter(&core.partitions[pidx], false, Vec::new())?;
-            iter.seek_to_first()?;
+            let mut live = self.live_tables_iter(&core.partitions[pidx])?;
+            live.seek(&[], None)?;
             let mut count = 0u64;
-            let mut last_user_key: Option<Vec<u8>> = None;
-            while iter.valid() {
-                let user_key = extract_user_key(iter.ikey());
-                let (_, vt) = extract_seq_type(iter.ikey())?;
-                if last_user_key.as_deref() != Some(user_key) {
-                    last_user_key = Some(user_key.to_vec());
-                    if vt == ValueType::Value {
-                        count += 1;
-                    }
-                }
-                iter.next()?;
+            while live.valid() {
+                count += 1;
+                live.next(None)?;
             }
             count
         };
@@ -2232,30 +2242,10 @@ impl Engine {
         let left_wal = core.alloc_file();
         let right_wal = core.alloc_file();
 
-        let parent_lo = core.partitions[pidx].meta.lo.clone();
-        let parent_hi = core.partitions[pidx].meta.hi.clone();
-        let parent_id = core.partitions[pidx].meta.id;
-        let parent_logs: Vec<LogRef> = {
-            let p = &core.partitions[pidx];
-            p.meta
-                .own_logs
-                .iter()
-                .map(|&n| LogRef {
-                    partition: parent_id,
-                    log_number: n,
-                })
-                .chain(p.meta.inherited_logs.iter().copied())
-                .collect()
-        };
-        let parent_tables: Vec<u64> = {
-            let p = &core.partitions[pidx];
-            p.meta
-                .unsorted
-                .iter()
-                .chain(p.meta.sorted.iter())
-                .map(|t| t.number)
-                .collect()
-        };
+        let parent = &core.partitions[pidx].meta;
+        let (parent_id, parent_lo, parent_hi) = (parent.id, parent.lo.clone(), parent.hi.clone());
+        let parent_tables = parent.unsorted.iter().chain(&parent.sorted);
+        let parent_tables = parent_tables.map(|t| t.number).collect();
         let scope = OpScope::begin(
             &self.events,
             EventKind::SplitStart,
@@ -2266,10 +2256,9 @@ impl Engine {
             0,
         );
 
-        // Pass 2: stream entries into the two children.
+        // Pass 2: stream the live entries into the two children.
         struct ChildBuild<'a> {
             id: u32,
-            dir: PathBuf,
             vlog: ValueLog,
             out: TableRoller<'a>,
             live_value_bytes: u64,
@@ -2284,8 +2273,7 @@ impl Engine {
             vlog.set_metrics(self.metrics.vlog.clone());
             Ok(ChildBuild {
                 id,
-                out: TableRoller::new(self, dir.clone()),
-                dir,
+                out: TableRoller::new(self, dir),
                 vlog,
                 live_value_bytes: 0,
                 inherited: HashSet::new(),
@@ -2295,57 +2283,42 @@ impl Engine {
         let mut left = mk_child(left_id)?;
         let mut right = mk_child(right_id)?;
         let mut boundary: Option<Vec<u8>> = None;
-
-        {
-            let mut iter = self.tables_iter(&core.partitions[pidx], false, Vec::new())?;
-            iter.seek_to_first()?;
-            let mut last_user_key: Option<Vec<u8>> = None;
-            let mut kept = 0u64;
-            while iter.valid() {
-                let ikey = iter.ikey().to_vec();
-                let user_key = extract_user_key(&ikey).to_vec();
-                let (_, vt) = extract_seq_type(&ikey)?;
-                let is_newest = last_user_key.as_deref() != Some(user_key.as_slice());
-                if is_newest {
-                    last_user_key = Some(user_key.clone());
-                    if vt == ValueType::Value {
-                        let child = if kept < half {
-                            &mut left
-                        } else {
-                            if boundary.is_none() {
-                                boundary = Some(user_key.clone());
-                            }
-                            &mut right
-                        };
-                        kept += 1;
-                        let slot = match SeparatedValue::decode(iter.value())? {
-                            // Paper: UnsortedStore (inline) values are
-                            // split eagerly into each child's new log...
-                            SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                                let ptr = child.vlog.append(&v)?;
-                                child.written += v.len() as u64;
-                                child.live_value_bytes += ptr.length as u64;
-                                SeparatedValue::Pointer(ptr)
-                            }
-                            inline @ SeparatedValue::Inline(_) => inline,
-                            // ...while already-separated values stay in the
-                            // parent's logs, shared until lazy GC.
-                            SeparatedValue::Pointer(ptr) => {
-                                child.inherited.insert(LogRef {
-                                    partition: ptr.partition,
-                                    log_number: ptr.log_number,
-                                });
-                                child.live_value_bytes += ptr.length as u64;
-                                SeparatedValue::Pointer(ptr)
-                            }
-                        };
-                        child
-                            .out
-                            .add(&ikey, &slot.encode(), &mut || core.alloc_file())?;
-                    }
+        let mut live = self.live_tables_iter(&core.partitions[pidx])?;
+        live.seek(&[], None)?;
+        let mut kept = 0u64;
+        while live.valid() {
+            let child = if kept < half {
+                &mut left
+            } else {
+                boundary.get_or_insert_with(|| live.key().to_vec());
+                &mut right
+            };
+            kept += 1;
+            let slot = match SeparatedValue::decode(live.value())? {
+                // Paper: UnsortedStore (inline) values are split eagerly
+                // into each child's new log...
+                SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
+                    let ptr = child.vlog.append(&v)?;
+                    child.written += v.len() as u64;
+                    child.live_value_bytes += ptr.length as u64;
+                    SeparatedValue::Pointer(ptr)
                 }
-                iter.next()?;
-            }
+                inline @ SeparatedValue::Inline(_) => inline,
+                // ...while already-separated values stay in the parent's
+                // logs, shared until lazy GC.
+                SeparatedValue::Pointer(ptr) => {
+                    child.inherited.insert(LogRef {
+                        partition: ptr.partition,
+                        log_number: ptr.log_number,
+                    });
+                    child.live_value_bytes += ptr.length as u64;
+                    SeparatedValue::Pointer(ptr)
+                }
+            };
+            child
+                .out
+                .add(live.ikey(), &slot.encode(), &mut || core.alloc_file())?;
+            live.next(None)?;
         }
         for child in [&mut left, &mut right] {
             child.out.finish()?;
@@ -2355,58 +2328,42 @@ impl Engine {
         let boundary = boundary.expect("total >= 2 guarantees a right half");
         self.sync.hit("split:build")?;
 
+        // The two children are built aside: the parent stays served until
+        // the commit that replaces it succeeded.
         let split_bytes = left.written + right.written;
-        let built = [
-            std::mem::take(&mut left.out.built),
-            std::mem::take(&mut right.out.built),
-        ];
-
-        // Build the child partitions and swap them in.
-        let build_partition = |child: ChildBuild,
-                               lo: Vec<u8>,
-                               hi: Option<Vec<u8>>,
-                               wal_number: u64|
-         -> Result<Partition> {
-            let own_logs = child.vlog.log_numbers();
-            let wal = LogWriter::new(
-                self.env
-                    .new_writable(&filenames::wal_file(&child.dir, wal_number))?,
-            )
-            .with_metrics(self.metrics.wal.clone());
-            Ok(Partition {
-                meta: PartitionMeta {
-                    id: child.id,
-                    lo,
-                    hi,
-                    wal_number,
-                    unsorted: Vec::new(),
-                    sorted: child.out.tables,
-                    own_logs,
-                    inherited_logs: child.inherited.into_iter().collect(),
-                    live_value_bytes: child.live_value_bytes,
-                    sealed_wals: Vec::new(),
-                },
-                mem: Arc::new(MemTable::new()),
-                imms: Vec::new(),
-                wal,
-                index: TwoLevelHashIndex::with_capacity(
-                    index_capacity(&self.opts),
-                    self.opts.num_hashes,
-                ),
-                vlog: Arc::new(parking_lot::Mutex::new(child.vlog)),
-                tables: parking_lot::Mutex::new(std::collections::HashMap::new()),
-                unlogged: Vec::new(),
-                inherited_charge: Default::default(),
-            })
-        };
-        let left_p = build_partition(left, parent_lo, Some(boundary.clone()), left_wal)?;
-        let right_p = build_partition(right, boundary, parent_hi, right_wal)?;
-
-        let parent = std::mem::replace(&mut core.partitions[pidx], left_p);
-        core.partitions.insert(pidx + 1, right_p);
+        let (mut children, mut built) = (Vec::new(), Vec::new());
+        for (child, lo, hi, wal_number) in [
+            (left, parent_lo, Some(boundary.clone()), left_wal),
+            (right, boundary, parent_hi, right_wal),
+        ] {
+            let meta = PartitionMeta {
+                id: child.id,
+                lo,
+                hi,
+                wal_number,
+                sorted: child.out.tables,
+                own_logs: child.vlog.log_numbers(),
+                inherited_logs: child.inherited.into_iter().collect(),
+                live_value_bytes: child.live_value_bytes,
+                ..Default::default()
+            };
+            let wal = self.new_wal(child.id, wal_number)?;
+            let index =
+                TwoLevelHashIndex::with_capacity(index_capacity(&self.opts), self.opts.num_hashes);
+            let mem = Arc::new(MemTable::new());
+            children.push(Partition::new(meta, mem, wal, index, child.vlog));
+            built.push(child.out.built);
+        }
+        let metas: Vec<PartitionMeta> = children.iter().map(|c| c.meta.clone()).collect();
 
         self.sync.hit("split:commit")?;
-        self.commit_meta(core, None)?;
+        self.commit_meta(core, Some((pidx, &metas)))?;
+        // One swap: the children take the parent's place.
+        let parent = core
+            .partitions
+            .splice(pidx..=pidx, children)
+            .next()
+            .expect("the parent is replaced");
         self.metrics.split_bytes_written.add(split_bytes);
         self.metrics.splits.inc();
         // Outputs name the two child *partitions* (the interesting unit
@@ -2421,22 +2378,22 @@ impl Engine {
 
         // Delete the parent's table files and WAL; keep its value logs
         // (now shared with the children, freed by lazy GC).
-        let parent_dir = partition_dir(&self.root, parent.meta.id);
-        for t in parent.meta.unsorted.iter().chain(&parent.meta.sorted) {
-            parent.evict_table(t.number);
-            let path = filenames::table_file(&parent_dir, t.number);
-            if self.env.file_exists(&path) {
-                self.env.delete_file(&path)?;
-            }
-        }
+        let replaced = parent.meta.unsorted.iter().chain(&parent.meta.sorted);
+        self.retire_tables(&parent, replaced.map(|t| t.number))?;
         for (child, built) in built.into_iter().enumerate() {
             self.install_tables(&core.partitions[pidx + child], built)?;
         }
+        let parent_dir = partition_dir(&self.root, parent.meta.id);
         let wal_path = filenames::wal_file(&parent_dir, parent.meta.wal_number);
         if self.env.file_exists(&wal_path) {
             self.env.delete_file(&wal_path)?;
         }
         // Parent logs with no surviving references can go immediately.
+        let own_logs = parent.meta.own_logs.iter().map(|&log_number| LogRef {
+            partition: parent_id,
+            log_number,
+        });
+        let parent_logs: Vec<LogRef> = own_logs.chain(parent.meta.inherited_logs).collect();
         self.sweep_shared_logs(core, &parent_logs)?;
         self.record_maint(TraceOp::Split, t0);
         Ok(Some(fin))
@@ -2639,8 +2596,6 @@ enum Probe {
     Miss,
 }
 
-/// Expected hash-index key capacity derived from the UnsortedStore budget
-/// (assume ≥ 64 B per KV; overflow chains absorb denser data gracefully).
 /// Check that the tiers a merge replaces still name the tables it read.
 /// One job runs per partition and foreground structural operations pause
 /// the workers, so nothing may change them between snapshot and install.
@@ -2657,6 +2612,8 @@ fn check_merge_inputs<'t>(
     }
 }
 
+/// Expected hash-index key capacity derived from the UnsortedStore budget
+/// (assume ≥ 64 B per KV; overflow chains absorb denser data gracefully).
 fn index_capacity(opts: &UniKvOptions) -> usize {
     (opts.unsorted_limit_bytes as usize / 64).max(256)
 }
@@ -2847,36 +2804,18 @@ fn open_partition(
 
     let mut meta = pmeta.clone();
     meta.sealed_wals.clear();
-    let wal = if replayed {
+    if replayed {
         // The replayed WALs must survive on disk until the memtable is
         // flushed (UniKv::open flushes non-empty memtables immediately
         // after loading). Route new appends to a fresh WAL file; the old
         // ones are returned for deletion after the flush commits.
-        stale_wals.push(wal_path.clone());
-        let new_number = {
-            *next_file += 1;
-            *next_file - 1
-        };
-        meta.wal_number = new_number;
-        LogWriter::new(env.new_writable(&filenames::wal_file(&dir, new_number))?)
-            .with_metrics(metrics.wal.clone())
-    } else {
-        // Nothing buffered: recreating the (empty or absent) file is safe.
-        LogWriter::new(env.new_writable(&wal_path)?).with_metrics(metrics.wal.clone())
-    };
-
-    Ok((
-        Partition {
-            meta,
-            mem,
-            imms: Vec::new(),
-            wal,
-            index,
-            vlog: Arc::new(parking_lot::Mutex::new(vlog)),
-            tables: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            unlogged: Vec::new(),
-            inherited_charge: Default::default(),
-        },
-        stale_wals,
-    ))
+        stale_wals.push(wal_path);
+        meta.wal_number = *next_file;
+        *next_file += 1;
+    }
+    // Without a replay nothing is buffered: recreating the (empty or
+    // absent) file is safe.
+    let wal = LogWriter::new(env.new_writable(&filenames::wal_file(&dir, meta.wal_number))?)
+        .with_metrics(metrics.wal.clone());
+    Ok((Partition::new(meta, mem, wal, index, vlog), stale_wals))
 }

@@ -30,13 +30,16 @@ pub struct SealedMem {
 
 /// Live state of one partition.
 pub struct Partition {
-    /// Persistent metadata (the last committed state plus in-flight
-    /// changes about to be committed).
+    /// Persistent metadata: the last committed state. A structural op
+    /// builds its next state aside and swaps it in once its commit
+    /// succeeded.
     pub meta: PartitionMeta,
     /// Active memtable.
     pub mem: Arc<MemTable>,
-    /// Sealed memtables awaiting flush, oldest first. Always empty in
-    /// deterministic inline mode (`background_jobs = 0`).
+    /// Sealed memtables awaiting flush, oldest first. In inline mode
+    /// (`background_jobs = 0`) a flush drains them before it returns,
+    /// unless it aborted: the sealed memtable then waits for the next
+    /// flush.
     pub imms: Vec<SealedMem>,
     /// WAL protecting `mem`.
     pub wal: LogWriter,
@@ -61,6 +64,28 @@ pub struct Partition {
 }
 
 impl Partition {
+    /// A partition serving `meta` from `mem` and `wal`, with no sealed
+    /// memtable, no open table handle and no unlogged index entry.
+    pub fn new(
+        meta: PartitionMeta,
+        mem: Arc<MemTable>,
+        wal: LogWriter,
+        index: TwoLevelHashIndex,
+        vlog: ValueLog,
+    ) -> Partition {
+        Partition {
+            meta,
+            mem,
+            imms: Vec::new(),
+            wal,
+            index,
+            vlog: Arc::new(parking_lot::Mutex::new(vlog)),
+            tables: Default::default(),
+            unlogged: Vec::new(),
+            inherited_charge: Default::default(),
+        }
+    }
+
     /// Directory of this partition under `root`.
     pub fn dir(root: &Path, id: u32) -> PathBuf {
         partition_dir(root, id)
@@ -245,18 +270,12 @@ mod tests {
 
     fn test_partition(meta: crate::meta::PartitionMeta) -> Partition {
         let env = MemEnv::shared();
-        Partition {
+        Partition::new(
             meta,
-            mem: Arc::new(unikv_memtable::MemTable::new()),
-            imms: Vec::new(),
-            wal: unikv_wal::LogWriter::new(env.new_writable(Path::new("/wal")).unwrap()),
-            index: unikv_hashindex::TwoLevelHashIndex::new(16, 2),
-            vlog: Arc::new(parking_lot::Mutex::new(
-                unikv_vlog::ValueLog::open(env, "/vlog", 0, 1 << 20).unwrap(),
-            )),
-            tables: parking_lot::Mutex::new(HashMap::new()),
-            unlogged: Vec::new(),
-            inherited_charge: Default::default(),
-        }
+            Arc::new(MemTable::new()),
+            LogWriter::new(env.new_writable(Path::new("/wal")).unwrap()),
+            TwoLevelHashIndex::new(16, 2),
+            ValueLog::open(env, "/vlog", 0, 1 << 20).unwrap(),
+        )
     }
 }

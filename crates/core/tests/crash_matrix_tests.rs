@@ -7,7 +7,9 @@
 //! under background jobs. The GC points are crashed a second time in a
 //! triggered GC that keeps logs below the garbage ratio, a path
 //! `force_gc` (every log a victim) never takes, and the merge points a
-//! second time in a merge that a scan triggers.
+//! second time in a merge that a scan triggers. Every `*:commit` point
+//! also gets an abort row without a crash: the running database must keep
+//! serving exactly what the manifest last committed.
 //!
 //! On failure, the failing fault plan (seed, crash point, injected fault
 //! events) is written to `target/tmp/fault-suite/` so CI can upload it
@@ -16,9 +18,11 @@
 mod gc_scenario;
 
 use gc_scenario::Scenario;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use unikv::meta::{read_manifest, PartitionMeta};
 use unikv::{verify_db, Event, EventKind, EventListener, UniKv, UniKvOptions, SYNC_POINTS};
 use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
@@ -243,6 +247,109 @@ fn crash_matrix_inline_mode_covers_every_sync_point() {
 fn crash_matrix_background_mode_covers_every_sync_point() {
     for point in SYNC_POINTS {
         crash_at_point(point, 2);
+    }
+}
+
+/// Abort safety in the running process, at `point`, one of the
+/// `*:commit` sync points: drive puts until the point aborts its op once,
+/// then stop writing and let background work settle. From the abort on,
+/// every `*:commit` point fails, so no later commit can persist (and so
+/// hide) a state the aborted op left half-applied in memory; writing on,
+/// as [`crash_at_point`] does, would. The served metadata must then equal
+/// what the manifest last committed, every acked key must read its acked
+/// value, and the hash index must name only tables the served metadata
+/// holds: an aborted flush takes its table's entries back out.
+fn abort_at_commit_point(point: &'static str, background_jobs: usize) {
+    let env = MemEnv::shared();
+    let db = UniKv::open(env.clone(), "/db", opts(background_jobs)).unwrap();
+    let fired = Arc::new(AtomicBool::new(false));
+    let f = fired.clone();
+    db.sync_points().arm(Arc::new(move |name| {
+        if name == point && !f.swap(true, Ordering::SeqCst) {
+            return Err(unikv_common::Error::internal(format!(
+                "injected abort at {name}"
+            )));
+        }
+        if f.load(Ordering::SeqCst) && name.ends_with(":commit") {
+            return Err(unikv_common::Error::internal(format!(
+                "{name} refused after the abort"
+            )));
+        }
+        Ok(())
+    }));
+    let what = format!("{point}, background_jobs={background_jobs}");
+    let mut model = BTreeMap::new();
+    let mut in_flight = None;
+    let mut s = 0xAB0 ^ background_jobs as u64;
+    for i in 0..OPS {
+        if fired.load(Ordering::SeqCst) {
+            break;
+        }
+        s = lcg(s);
+        let k = format_key(s % KEY_SPACE);
+        let v = make_value(i, 7, VALUE_LEN);
+        if db.put(&k, &v).is_err() {
+            in_flight = Some(k);
+            break;
+        }
+        model.insert(k, v);
+    }
+    if !fired.load(Ordering::SeqCst) {
+        // Puts alone did not reach this op: drive the structural ops
+        // explicitly (their errors are the abort).
+        let _ = db.flush();
+        let _ = db.compact_all();
+        let _ = db.force_gc();
+    }
+    db.wait_for_background();
+    assert!(
+        fired.load(Ordering::SeqCst),
+        "{what}: the point never fired"
+    );
+
+    let by_id = |mut metas: Vec<PartitionMeta>| {
+        metas.sort_by_key(|m| m.id);
+        metas
+    };
+    let served = by_id(db.partition_metas());
+    let committed = read_manifest(env.as_ref(), Path::new("/db"))
+        .unwrap()
+        .unwrap()
+        .meta
+        .partitions;
+    assert_eq!(
+        served,
+        by_id(committed),
+        "{what}: the running database serves uncommitted state"
+    );
+    for (k, v) in &model {
+        if in_flight.as_ref() != Some(k) {
+            let key = String::from_utf8_lossy(k);
+            assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "{what}: get {key}");
+        }
+    }
+    let tables: HashSet<u32> = served
+        .iter()
+        .flat_map(|m| &m.unsorted)
+        .map(|t| t.number as u32)
+        .collect();
+    for k in model.keys() {
+        for t in db.index_candidates(k) {
+            assert!(
+                tables.contains(&t),
+                "{what}: the index names table {t} for {}, which no served partition holds",
+                String::from_utf8_lossy(k)
+            );
+        }
+    }
+}
+
+#[test]
+fn aborted_commits_leave_the_served_state_as_committed() {
+    for background_jobs in [0, 2] {
+        for point in SYNC_POINTS.iter().filter(|p| p.ends_with(":commit")) {
+            abort_at_commit_point(point, background_jobs);
+        }
     }
 }
 

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use unikv::{UniKv, UniKvOptions};
+use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
 use unikv_env::Env;
 use unikv_workload::{format_key, make_value};
@@ -227,4 +228,46 @@ fn gc_that_copies_nothing_leaves_no_empty_log() {
         );
     }
     check_model(&run.db, &run.model);
+}
+
+/// A partition whose SortedStore holds no pointer (every key deleted and
+/// merged away) and inherits no log has only dead own logs: GC drops them
+/// without a rewrite. If the manifest commit that drops them fails, the
+/// logs must still be there, since the manifest still names them: a
+/// paranoid reopen after a crash finds every log it lists.
+#[test]
+fn gc_without_pointers_deletes_logs_only_after_its_commit() {
+    let fault = FaultInjectionEnv::new(MemEnv::shared());
+    let env = fault.clone() as Arc<dyn Env>;
+    {
+        let db = UniKv::open(env.clone(), ROOT, opts(0)).unwrap();
+        for i in 0..150 {
+            db.put(&format_key(i), &make_value(i, 1, VALUE_LEN))
+                .unwrap();
+        }
+        db.compact_all().unwrap();
+        for i in 0..150 {
+            db.delete(&format_key(i)).unwrap();
+        }
+        db.compact_all().unwrap();
+        assert!(db.partition_metas()[0].sorted.is_empty());
+        assert!(!logs(fault.as_ref(), 0).is_empty(), "no dead log to drop");
+        fault.set_plan(
+            FaultPlan::new(0)
+                .rule(FaultRule::new(FaultOp::Sync, FaultAction::Fail).on_path("MANIFEST")),
+        );
+        assert!(db.force_gc().is_err(), "the failed commit went unnoticed");
+        fault.clear_plan();
+    }
+    fault.crash().unwrap();
+    let reopen = UniKvOptions {
+        paranoid_checks: true,
+        ..opts(0)
+    };
+    let db = UniKv::open(env.clone(), ROOT, reopen).unwrap();
+    for i in 0..150 {
+        assert_eq!(db.get(&format_key(i)).unwrap(), None, "key {i} resurrected");
+    }
+    db.force_gc().unwrap();
+    assert!(logs(fault.as_ref(), 0).is_empty(), "the dead logs survived");
 }

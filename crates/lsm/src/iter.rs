@@ -353,8 +353,15 @@ impl LiveIter {
 
     /// User key under the cursor. Panics if not [`valid`](Self::valid).
     pub fn key(&self) -> &[u8] {
+        extract_user_key(self.ikey())
+    }
+
+    /// Internal key (user key, sequence and type) of the version under
+    /// the cursor, the one [`value`](Self::value) belongs to. Panics if
+    /// not [`valid`](Self::valid).
+    pub fn ikey(&self) -> &[u8] {
         assert!(self.valid, "iterator not positioned");
-        extract_user_key(self.inner.ikey())
+        self.inner.ikey()
     }
 
     /// Value (slot) under the cursor. Panics if not [`valid`](Self::valid).
@@ -546,6 +553,61 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(merged(Some(&target)), from);
         }
+    }
+
+    #[test]
+    fn live_iter_ikey_is_the_version_of_its_value() {
+        let old = mem_with(&[
+            (b"a", 1, b"a1"),
+            (b"b", 2, b"b2"),
+            (b"c", 3, b"c3"),
+            (b"d", 4, b"d4"),
+        ]);
+        let new = mem_with(&[(b"a", 5, b"a5"), (b"c", 8, b"c8")]);
+        new.add(6, ValueType::Deletion, b"b", b"");
+        new.add(7, ValueType::Deletion, b"c", b"");
+        let live = |snapshot: u64| -> Vec<(Vec<u8>, Vec<u8>)> {
+            let mut it = LiveIter::new(
+                MergingIterator::new(vec![
+                    Box::new(MemTableSource::new(old.clone())),
+                    Box::new(MemTableSource::new(new.clone())),
+                ]),
+                snapshot,
+            );
+            it.seek(b"", None).unwrap();
+            let mut out = Vec::new();
+            while it.valid() {
+                assert_eq!(it.key(), extract_user_key(it.ikey()));
+                out.push((it.ikey().to_vec(), it.value().to_vec()));
+                it.next(None).unwrap();
+            }
+            out
+        };
+        let version = |k: &[u8], seq: u64, v: &[u8]| {
+            (make_internal_key(k, seq, ValueType::Value), v.to_vec())
+        };
+        // Newest versions: "b" is deleted, "c" was deleted and rewritten.
+        assert_eq!(
+            live(100),
+            vec![
+                version(b"a", 5, b"a5"),
+                version(b"c", 8, b"c8"),
+                version(b"d", 4, b"d4")
+            ]
+        );
+        // At seq 7 the tombstone hides "c"; at seq 6 its older version shows.
+        assert_eq!(
+            live(7),
+            vec![version(b"a", 5, b"a5"), version(b"d", 4, b"d4")]
+        );
+        assert_eq!(
+            live(6),
+            vec![
+                version(b"a", 5, b"a5"),
+                version(b"c", 3, b"c3"),
+                version(b"d", 4, b"d4")
+            ]
+        );
     }
 
     #[test]
