@@ -399,11 +399,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// True when recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Current clock reading in microseconds. Returns `0` while disabled
     /// (timing is pointless when nothing records), the manual clock when
     /// one is installed, the real monotonic clock otherwise.

@@ -12,7 +12,9 @@
 //! exclusively and run inline, so experiments are deterministic — the
 //! paper's background threads are serialized with the foreground exactly
 //! as its §GC notes ("GC and compaction operations are executed
-//! sequentially... GC cost is charged to write performance").
+//! sequentially... GC cost is charged to write performance"). With
+//! `background_jobs > 0`, workers run the same flush and merge code and
+//! release the lock around each build.
 //!
 //! ## Crash consistency
 //!
@@ -41,6 +43,7 @@ use crate::resolver::{partition_dir, ValueResolver};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unikv_common::events::{EventBus, EventClock, EventKind, EventListener};
@@ -171,8 +174,10 @@ impl Drop for OpScope<'_> {
 
 /// Phase 1 of a merge, taken under the core lock: the started op, the
 /// input table numbers (UnsortedStore, then SortedStore) and an
-/// unpositioned cursor over their live entries. The build phase needs no
-/// lock; install checks the tiers still name `inputs`.
+/// unpositioned cursor over their live entries. The build reads only the
+/// snapshot, so [`Engine::full_merge`] runs it under the caller's lock
+/// inline and with no lock on a worker; install checks the tiers still
+/// name `inputs`.
 struct MergeSnapshot<'a> {
     scope: OpScope<'a>,
     t0: u64,
@@ -212,7 +217,7 @@ struct BuiltTable {
 
 /// Writes a sorted entry stream into tables in `dir`, rolling over to a
 /// new table once one reaches `table_size`. Each table takes its number
-/// from the caller's allocator when it opens, and keeps its data blocks
+/// from the engine's file counter when it opens, and keeps its data blocks
 /// for the block cache while the cache has capacity left unreserved.
 struct TableRoller<'a> {
     db: &'a Engine,
@@ -236,9 +241,9 @@ impl<'a> TableRoller<'a> {
         }
     }
 
-    fn add(&mut self, ikey: &[u8], value: &[u8], alloc: &mut dyn FnMut() -> u64) -> Result<()> {
+    fn add(&mut self, ikey: &[u8], value: &[u8]) -> Result<()> {
         if self.builder.is_none() {
-            let number = alloc();
+            let number = self.db.new_file_number();
             let file = self
                 .db
                 .env
@@ -287,19 +292,12 @@ struct DbCore {
     /// Partitions ordered by `meta.lo`.
     partitions: Vec<Partition>,
     next_partition: u32,
-    next_file: u64,
     last_seq: SequenceNumber,
     /// The metadata log every structural change commits to.
     manifest: ManifestWriter,
 }
 
 impl DbCore {
-    fn alloc_file(&mut self) -> u64 {
-        let n = self.next_file;
-        self.next_file += 1;
-        n
-    }
-
     /// Index of the partition whose range contains `user_key`.
     fn route(&self, user_key: &[u8]) -> usize {
         let idx = self
@@ -325,6 +323,12 @@ pub struct Engine {
     pub(crate) opts: UniKvOptions,
     topts: TableOptions,
     core: RwLock<DbCore>,
+    /// The next file number (tables, WALs). Builds draw from it with or
+    /// without the core lock; each manifest commit records its value.
+    /// `Relaxed` suffices: the counter publishes no other data, and a
+    /// commit names only numbers drawn before it on its own thread or
+    /// under the core lock, so its load reads past all of them.
+    next_file: AtomicU64,
     resolver: Arc<ValueResolver>,
     pub(crate) metrics: DbMetrics,
     pub(crate) maint: MaintState,
@@ -375,7 +379,6 @@ impl Engine {
         let mut core = DbCore {
             partitions: Vec::with_capacity(meta.partitions.len()),
             next_partition: meta.next_partition,
-            next_file: meta.next_file,
             last_seq: meta.last_sequence,
             manifest: ManifestWriter::new(&root, geometry),
         };
@@ -394,7 +397,7 @@ impl Engine {
 
         let mut last_seq = meta.last_sequence;
         let mut stale_wals = Vec::new();
-        let mut next_file = core.next_file;
+        let mut next_file = meta.next_file;
         for pmeta in &meta.partitions {
             let (p, stale) = open_partition(
                 &env,
@@ -424,7 +427,6 @@ impl Engine {
             }
         }
         core.last_seq = last_seq;
-        core.next_file = next_file;
         core.partitions.sort_by(|a, b| a.meta.lo.cmp(&b.meta.lo));
 
         // Event bus + optional persistent journal. The journal is strictly
@@ -460,6 +462,7 @@ impl Engine {
             opts,
             topts,
             core: RwLock::new(core),
+            next_file: AtomicU64::new(next_file),
             metrics,
             sync: SyncPoints::default(),
             events,
@@ -751,17 +754,24 @@ impl Engine {
         self.metrics
             .user_bytes_written
             .add((key.len() + value.len()) as u64);
-        if p.mem.approximate_memory_usage() >= self.opts.write_buffer_size {
-            if self.opts.background_jobs > 0 {
-                let pid = p.meta.id;
-                self.seal_memtable(&mut core, pidx)?;
-                self.schedule(JobKind::Flush, pid);
-            } else {
-                let fin = self.flush_partition(&mut core, pidx)?;
-                self.run_triggers(&mut core, pidx, fin)?;
-            }
+        self.on_memtable_full(&mut core, pidx)
+    }
+
+    /// The write path's memtable-full step, shared by puts and batches:
+    /// once partition `pidx`'s memtable reaches `write_buffer_size`, seal
+    /// it, then drain it and run the triggers inline, or schedule its flush
+    /// (background mode).
+    fn on_memtable_full(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
+        if core.partitions[pidx].mem.approximate_memory_usage() < self.opts.write_buffer_size {
+            return Ok(());
         }
-        Ok(())
+        if self.opts.background_jobs > 0 {
+            self.seal_memtable(core, pidx)?;
+            self.schedule(JobKind::Flush, core.partitions[pidx].meta.id);
+            return Ok(());
+        }
+        let fin = self.flush_partition(core, pidx)?;
+        self.run_triggers(core, pidx, fin)
     }
 
     /// Apply `batch` atomically: each partition's slice of the batch is
@@ -813,16 +823,7 @@ impl Engine {
             }
         }
         for pidx in 0..core.partitions.len() {
-            if core.partitions[pidx].mem.approximate_memory_usage() >= self.opts.write_buffer_size {
-                if self.opts.background_jobs > 0 {
-                    let pid = core.partitions[pidx].meta.id;
-                    self.seal_memtable(&mut core, pidx)?;
-                    self.schedule(JobKind::Flush, pid);
-                } else {
-                    let fin = self.flush_partition(&mut core, pidx)?;
-                    self.run_triggers(&mut core, pidx, fin)?;
-                }
-            }
+            self.on_memtable_full(&mut core, pidx)?;
         }
         // One latency sample per batch; the contained ops count into
         // `writes`/`batch_ops` so `put_latency`'s sample count keeps
@@ -862,7 +863,8 @@ impl Engine {
             if !core.partitions[i].mem.is_empty() || !core.partitions[i].imms.is_empty() {
                 fin = self.flush_partition(&mut core, i)?;
             }
-            self.merge_partition(&mut core, i, fin)?;
+            let pid = core.partitions[i].meta.id;
+            self.full_merge(Some(&mut core), pid, || fin)?;
         }
         Ok(())
     }
@@ -1393,7 +1395,7 @@ impl Engine {
             // split replaced it, while no lock was held.
             if let Some(pidx) = core.partition_index(pid) {
                 if self.scan_merge_due(&core.partitions[pidx]) {
-                    let fin = self.merge_partition(&mut core, pidx, None)?;
+                    let fin = self.full_merge(Some(&mut core), pid, || None)?;
                     self.run_merge_triggers(&mut core, pidx, fin)?;
                 }
             }
@@ -1486,7 +1488,7 @@ impl Engine {
             .collect();
         let header = Header {
             last_sequence: core.last_seq,
-            next_file: core.next_file,
+            next_file: self.next_file.load(Ordering::Relaxed),
             next_partition: core.next_partition,
         };
         let r = core
@@ -1506,8 +1508,10 @@ impl Engine {
     /// step becomes the cause of the next, chaining seal→flush→merge→GC
     /// causally.
     fn run_triggers(&self, core: &mut DbCore, pidx: usize, cause: Option<u64>) -> Result<()> {
-        let fin = if self.merge_due(&core.partitions[pidx]) {
-            self.merge_partition(core, pidx, cause)?
+        let p = &core.partitions[pidx];
+        let fin = if self.merge_due(p) {
+            let pid = p.meta.id;
+            self.full_merge(Some(core), pid, || cause)?
         } else {
             None
         };
@@ -1544,12 +1548,14 @@ impl Engine {
     }
 
     /// Background-mode counterpart of [`Self::run_triggers`]: enqueue jobs
-    /// for whatever thresholds partition `pidx` currently exceeds. Each
-    /// job re-checks its trigger when it runs, so over-scheduling is
-    /// harmless (and duplicates collapse in the queue).
-    fn schedule_triggers(&self, core: &DbCore, pidx: usize, cause: Option<u64>) {
+    /// for whatever thresholds partition `pid` currently exceeds, if it
+    /// still exists. Each job re-checks its trigger when it runs, so
+    /// over-scheduling is harmless (and duplicates collapse in the queue).
+    fn schedule_triggers(&self, core: &DbCore, pid: u32, cause: Option<u64>) {
+        let Some(pidx) = core.partition_index(pid) else {
+            return;
+        };
         let p = &core.partitions[pidx];
-        let pid = p.meta.id;
         if !p.imms.is_empty() {
             // A flush's cause travels with the sealed memtable itself.
             self.schedule(JobKind::Flush, pid);
@@ -1580,7 +1586,7 @@ impl Engine {
     /// reads keep consulting it, and moves writes to a fresh memtable and
     /// WAL.
     fn seal_memtable(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
-        let new_wal = core.alloc_file();
+        let new_wal = self.new_file_number();
         let p = &mut core.partitions[pidx];
         if p.mem.is_empty() {
             return Ok(());
@@ -1731,47 +1737,81 @@ impl Engine {
         Ok(())
     }
 
-    /// Flush the partition's memtable into a new UnsortedStore table.
-    /// Inline flushes go through the same seal-then-drain protocol as
-    /// background mode: the active memtable is sealed (its WAL enters
-    /// `sealed_wals` and the manifest commits) *before* the fallible table build,
-    /// so an aborted build — transient I/O error or injected fault — leaves
-    /// both the in-memory and the committed state referencing every acked
-    /// byte. Sealed memtables drain oldest first, so newer data keeps
-    /// shadowing older data.
+    /// Flush the partition's memtable into new UnsortedStore tables under
+    /// the held write lock. Inline flushes go through the same
+    /// seal-then-drain protocol as background mode: the active memtable is
+    /// sealed (its WAL enters `sealed_wals` and the manifest commits)
+    /// *before* the fallible table build, so an aborted build — transient
+    /// I/O error or injected fault — leaves both the in-memory and the
+    /// committed state referencing every acked byte. Returns the last
+    /// flush's finish event seq.
     fn flush_partition(&self, core: &mut DbCore, pidx: usize) -> Result<Option<u64>> {
         if !core.partitions[pidx].mem.is_empty() {
             self.seal_memtable(core, pidx)?;
         }
+        let pid = core.partitions[pidx].meta.id;
         let mut last_finish = None;
-        while !core.partitions[pidx].imms.is_empty() {
-            let t0 = self.metrics.registry.now_micros();
-            let table_number = core.alloc_file();
-            let sealed = core.partitions[pidx].imms[0].clone();
-            let pid = core.partitions[pidx].meta.id;
-            let dir = partition_dir(&self.root, pid);
-            let scope = OpScope::begin(
-                &self.events,
-                EventKind::FlushStart,
-                EventKind::FlushAbort,
-                pid,
-                sealed.cause,
-                vec![sealed.wal_number],
-                0,
-            );
-            let flushed = self.build_flush_table(&dir, table_number, sealed.mem)?;
-            let bytes = flushed.meta.size;
-            self.install_flush(
-                core,
-                pidx,
-                flushed,
-                sealed.wal_number,
-                Some(scope.start_seq),
-            )?;
-            last_finish = Some(scope.finish(EventKind::FlushFinish, vec![table_number], bytes, ""));
-            self.record_maint(TraceOp::Flush, t0);
+        while let Some(fin) = self.flush_sealed(Some(core), pid)? {
+            last_finish = Some(fin);
         }
         Ok(last_finish)
+    }
+
+    /// Run `f` under the core write lock: the caller's (`held`), or one
+    /// taken for the call when the caller holds none.
+    fn with_core<R>(&self, held: &mut Option<&mut DbCore>, f: impl FnOnce(&mut DbCore) -> R) -> R {
+        match held {
+            Some(core) => f(core),
+            None => f(&mut self.core.write()),
+        }
+    }
+
+    /// The one flush path of both modes: flush partition `pid`'s oldest
+    /// sealed memtable into a new UnsortedStore table. Sealed memtables
+    /// drain oldest first, so newer data keeps shadowing older data. An
+    /// inline caller passes the write lock it holds as `held`, and the
+    /// whole flush runs under it. A worker passes `None`: the flush takes
+    /// the lock to pick the memtable and again to install the table, and
+    /// builds the table with the lock released, while reads and writes
+    /// proceed against the still-visible sealed memtable. Returns the
+    /// finish event's seq, or `None` when nothing is sealed or a split
+    /// replaced the partition during the build (the flush then aborts).
+    fn flush_sealed(&self, mut held: Option<&mut DbCore>, pid: u32) -> Result<Option<u64>> {
+        let picked = self.with_core(&mut held, |core| {
+            let p = &core.partitions[core.partition_index(pid)?];
+            Some((p.imms.first()?.clone(), self.new_file_number()))
+        });
+        let Some((sealed, table_number)) = picked else {
+            return Ok(None);
+        };
+        let t0 = self.metrics.registry.now_micros();
+        let scope = OpScope::begin(
+            &self.events,
+            EventKind::FlushStart,
+            EventKind::FlushAbort,
+            pid,
+            sealed.cause,
+            vec![sealed.wal_number],
+            0,
+        );
+        let dir = partition_dir(&self.root, pid);
+        let flushed = self.build_flush_table(&dir, table_number, sealed.mem)?;
+        let bytes = flushed.meta.size;
+        self.with_core(&mut held, |core| {
+            let Some(pidx) = core.partition_index(pid) else {
+                return Ok(None);
+            };
+            let start = Some(scope.start_seq);
+            self.install_flush(core, pidx, flushed, sealed.wal_number, start)?;
+            let fin = scope.finish(EventKind::FlushFinish, vec![table_number], bytes, "");
+            self.record_maint(TraceOp::Flush, t0);
+            Ok(Some(fin))
+        })
+    }
+
+    /// Draw the next file number (table or WAL).
+    fn new_file_number(&self) -> u64 {
+        self.next_file.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Record one completed maintenance operation's latency sample in the
@@ -1798,19 +1838,33 @@ impl Engine {
         }
     }
 
-    /// Merge the UnsortedStore into the SortedStore with partial KV
-    /// separation, running all three phases under the held write lock.
-    fn merge_partition(
+    /// The one merge path of both modes: merge partition `pid`'s
+    /// UnsortedStore into its SortedStore with partial KV separation, in
+    /// three phases ([`Self::snapshot_merge`], [`Self::build_merge`],
+    /// [`Self::install_merge`]). Locking is as in [`Self::flush_sealed`]:
+    /// all three phases run under `held` inline; on a worker the build runs
+    /// with the core lock released, value appends taking the partition's
+    /// vlog mutex per call. `cause` is read only if the merge starts.
+    /// Returns the finish event's seq, or `None` when the UnsortedStore
+    /// was empty or a split replaced the partition during the build.
+    fn full_merge(
         &self,
-        core: &mut DbCore,
-        pidx: usize,
-        cause: Option<u64>,
+        mut held: Option<&mut DbCore>,
+        pid: u32,
+        cause: impl FnOnce() -> Option<u64>,
     ) -> Result<Option<u64>> {
-        let Some(mut snap) = self.snapshot_merge(core, pidx, || cause)? else {
+        let snap = self.with_core(&mut held, |core| match core.partition_index(pid) {
+            Some(pidx) => self.snapshot_merge(core, pidx, cause),
+            None => Ok(None),
+        })?;
+        let Some(mut snap) = snap else {
             return Ok(None);
         };
-        let out = self.build_merge(&mut snap, &mut || core.alloc_file())?;
-        self.install_merge(core, pidx, snap, out).map(Some)
+        let out = self.build_merge(&mut snap)?;
+        self.with_core(&mut held, |core| match core.partition_index(pid) {
+            Some(pidx) => self.install_merge(core, pidx, snap, out).map(Some),
+            None => Ok(None),
+        })
     }
 
     /// Phase 1 of a full merge: if the UnsortedStore holds a table, start
@@ -1887,11 +1941,7 @@ impl Engine {
     /// separated keep their pointers and are NOT rewritten. Tombstones
     /// have done their shadowing job and are dropped: this is the bottom
     /// tier.
-    fn build_merge(
-        &self,
-        snap: &mut MergeSnapshot,
-        alloc: &mut dyn FnMut() -> u64,
-    ) -> Result<MergeOutput> {
+    fn build_merge(&self, snap: &mut MergeSnapshot) -> Result<MergeOutput> {
         let live = &mut snap.live;
         live.seek(&[], None)?;
         if self.opts.enable_kv_separation {
@@ -1914,7 +1964,7 @@ impl Engine {
                     SeparatedValue::Pointer(ptr)
                 }
             };
-            out.add(live.ikey(), &slot.encode(), alloc)?;
+            out.add(live.ikey(), &slot.encode())?;
             live.next(None)?;
         }
         out.finish()?;
@@ -2013,25 +2063,6 @@ impl Engine {
         cause: Option<u64>,
     ) -> Result<()> {
         let p = &core.partitions[pidx];
-        if p.meta.sorted.is_empty() && p.meta.inherited_logs.is_empty() {
-            // No pointers can exist; every own log is garbage. The logs go
-            // once the commit that drops them succeeded.
-            let dead: Vec<u64> = p.vlog.lock().log_numbers();
-            if !dead.is_empty() {
-                let next = PartitionMeta {
-                    own_logs: Vec::new(),
-                    ..p.meta.clone()
-                };
-                self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
-                let p = &mut core.partitions[pidx];
-                p.meta = next;
-                for n in &dead {
-                    self.resolver.evict(p.meta.id, *n);
-                }
-                p.vlog.lock().delete_logs(&dead)?;
-            }
-            return Ok(());
-        }
         let t0 = self.metrics.registry.now_micros();
         self.sync.hit("gc:begin")?;
         let pid = p.meta.id;
@@ -2084,7 +2115,7 @@ impl Engine {
             }
             // Step 3: write keys with their (new or kept) pointers back to
             // SSTables.
-            out.add(iter.ikey(), &slot.encode(), &mut || core.alloc_file())?;
+            out.add(iter.ikey(), &slot.encode())?;
             iter.next()?;
         }
         out.finish()?;
@@ -2239,8 +2270,8 @@ impl Engine {
         let left_id = core.next_partition;
         let right_id = core.next_partition + 1;
         core.next_partition += 2;
-        let left_wal = core.alloc_file();
-        let right_wal = core.alloc_file();
+        let left_wal = self.new_file_number();
+        let right_wal = self.new_file_number();
 
         let parent = &core.partitions[pidx].meta;
         let (parent_id, parent_lo, parent_hi) = (parent.id, parent.lo.clone(), parent.hi.clone());
@@ -2315,9 +2346,7 @@ impl Engine {
                     SeparatedValue::Pointer(ptr)
                 }
             };
-            child
-                .out
-                .add(live.ikey(), &slot.encode(), &mut || core.alloc_file())?;
+            child.out.add(live.ikey(), &slot.encode())?;
             live.next(None)?;
         }
         for child in [&mut left, &mut right] {
@@ -2414,79 +2443,23 @@ impl Engine {
         }
     }
 
-    /// Background flush: drain the partition's sealed memtables oldest
-    /// first. The table is built with the core lock *released* — reads
-    /// and writes proceed against the still-visible sealed memtable —
-    /// and installed under a brief write lock.
+    /// Background flush: drain the partition's sealed memtables through
+    /// [`Self::flush_sealed`], which builds each table with the core lock
+    /// released, and schedule the triggers after each flush.
     fn run_flush_job(&self, pid: u32) -> Result<()> {
-        loop {
-            let (dir, table_number, sealed) = {
-                let mut core = self.core.write();
-                let Some(pidx) = core.partition_index(pid) else {
-                    return Ok(());
-                };
-                if core.partitions[pidx].imms.is_empty() {
-                    return Ok(());
-                }
-                let table_number = core.alloc_file();
-                (
-                    partition_dir(&self.root, pid),
-                    table_number,
-                    core.partitions[pidx].imms[0].clone(),
-                )
-            };
-            let t0 = self.metrics.registry.now_micros();
-            let scope = OpScope::begin(
-                &self.events,
-                EventKind::FlushStart,
-                EventKind::FlushAbort,
-                pid,
-                sealed.cause,
-                vec![sealed.wal_number],
-                0,
-            );
-            let flushed = self.build_flush_table(&dir, table_number, sealed.mem)?;
-            let bytes = flushed.meta.size;
-            let mut core = self.core.write();
-            let Some(pidx) = core.partition_index(pid) else {
-                // Partition vanished (split); scope aborts.
-                return Ok(());
-            };
-            self.install_flush(
-                &mut core,
-                pidx,
-                flushed,
-                sealed.wal_number,
-                Some(scope.start_seq),
-            )?;
-            let fin = scope.finish(EventKind::FlushFinish, vec![table_number], bytes, "");
-            self.schedule_triggers(&core, pidx, Some(fin));
-            self.record_maint(TraceOp::Flush, t0);
+        while let Some(fin) = self.flush_sealed(None, pid)? {
+            self.schedule_triggers(&self.core.read(), pid, Some(fin));
         }
+        Ok(())
     }
 
-    /// Background full merge: snapshot under a read lock, build with the
-    /// core lock released (value appends take the partition's vlog mutex
-    /// per call, table numbers come from brief write locks), install under
-    /// the write lock.
+    /// Background full merge through [`Self::full_merge`], which builds
+    /// with the core lock released; then schedule the triggers.
     fn run_merge_job(&self, pid: u32) -> Result<()> {
-        let snap = {
-            let core = self.core.read();
-            let Some(pidx) = core.partition_index(pid) else {
-                return Ok(());
-            };
-            self.snapshot_merge(&core, pidx, || self.take_job_cause(JobKind::Merge, pid))?
-        };
-        let Some(mut snap) = snap else {
-            return Ok(());
-        };
-        let out = self.build_merge(&mut snap, &mut || self.core.write().alloc_file())?;
-        let mut core = self.core.write();
-        let Some(pidx) = core.partition_index(pid) else {
-            return Ok(()); // partition vanished (split); scope aborts
-        };
-        let fin = self.install_merge(&mut core, pidx, snap, out)?;
-        self.schedule_triggers(&core, pidx, Some(fin));
+        let cause = || self.take_job_cause(JobKind::Merge, pid);
+        if let Some(fin) = self.full_merge(None, pid, cause)? {
+            self.schedule_triggers(&self.core.read(), pid, Some(fin));
+        }
         Ok(())
     }
 
@@ -2519,9 +2492,8 @@ impl Engine {
         let cause = self.take_job_cause(JobKind::Split, pid);
         let fin = self.split_partition(&mut core, pidx, cause)?;
         // Both children may immediately warrant follow-up work.
-        self.schedule_triggers(&core, pidx, fin);
-        if pidx + 1 < core.partitions.len() {
-            self.schedule_triggers(&core, pidx + 1, fin);
+        for p in core.partitions.iter().skip(pidx).take(2) {
+            self.schedule_triggers(&core, p.meta.id, fin);
         }
         Ok(())
     }

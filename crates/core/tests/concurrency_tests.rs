@@ -5,7 +5,7 @@
 //! and clean recovery.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use unikv::{HealthState, JobKind, UniKv, UniKvOptions};
 use unikv_common::rng::DetRng;
@@ -229,6 +229,50 @@ fn writes_proceed_while_merges_run() {
             db.get(format!("k{i:06}").as_bytes()).unwrap(),
             Some(vec![3u8; 120])
         );
+    }
+}
+
+/// Background flushes and merges build with the core lock released: while
+/// the worker waits inside `flush:build` or `merge:build`, a get and a put
+/// complete. The hook waits at most 5 s for the test's go, so a build that
+/// held the lock would block the get until that wait timed out.
+#[test]
+fn background_builds_leave_the_core_lock_free() {
+    for point in ["flush:build", "merge:build"] {
+        let mut opts = bg_opts(1);
+        opts.slowdown_unsorted_tables = 1000;
+        opts.stop_unsorted_tables = 2000;
+        let db = UniKv::open(MemEnv::shared(), "/db", opts).unwrap();
+        let (hit_tx, hit_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel();
+        let go_rx = Mutex::new(go_rx);
+        let (armed, timed_out) = (AtomicBool::new(true), Arc::new(AtomicBool::new(false)));
+        let timed_out_in_hook = timed_out.clone();
+        db.sync_points().arm(Arc::new(move |name| {
+            if name == point && armed.swap(false, Ordering::SeqCst) {
+                let _ = hit_tx.send(());
+                let go = go_rx.lock().unwrap().recv_timeout(Duration::from_secs(5));
+                timed_out_in_hook.store(go.is_err(), Ordering::SeqCst);
+            }
+            Ok(())
+        }));
+        let mut i = 0u32;
+        while hit_rx.try_recv().is_err() {
+            assert!(i < 100_000, "{point} was never reached");
+            db.put(format!("k{i:06}").as_bytes(), &[5u8; 100]).unwrap();
+            i += 1;
+        }
+        assert_eq!(db.get(b"k000000").unwrap(), Some(vec![5u8; 100]));
+        db.put(b"during", b"build").unwrap();
+        go_tx.send(()).unwrap();
+        db.wait_for_background();
+        db.sync_points().disarm();
+        assert_eq!(db.background_error(), None);
+        assert!(
+            !timed_out.load(Ordering::SeqCst),
+            "{point}: the build held the core lock"
+        );
+        assert_eq!(db.get(b"during").unwrap(), Some(b"build".to_vec()));
     }
 }
 

@@ -7,6 +7,7 @@ mod gc_scenario;
 use gc_scenario::{logs, opts, Scenario, KEYS, ROOT, VALUE_LEN};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use unikv::{UniKv, UniKvOptions};
 use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
@@ -231,8 +232,9 @@ fn gc_that_copies_nothing_leaves_no_empty_log() {
 }
 
 /// A partition whose SortedStore holds no pointer (every key deleted and
-/// merged away) and inherits no log has only dead own logs: GC drops them
-/// without a rewrite. If the manifest commit that drops them fails, the
+/// merged away) and inherits no log has only dead own logs: GC takes them
+/// all as victims and drops them through the usual GC protocol, counted
+/// and past `gc:commit`. If the manifest commit that drops them fails, the
 /// logs must still be there, since the manifest still names them: a
 /// paranoid reopen after a crash finds every log it lists.
 #[test]
@@ -268,6 +270,18 @@ fn gc_without_pointers_deletes_logs_only_after_its_commit() {
     for i in 0..150 {
         assert_eq!(db.get(&format_key(i)).unwrap(), None, "key {i} resurrected");
     }
+    let gcs = db.metrics().gcs.value();
+    let committed = Arc::new(AtomicBool::new(false));
+    let seen = committed.clone();
+    db.sync_points().arm(Arc::new(move |name| {
+        if name == "gc:commit" {
+            seen.store(true, Ordering::SeqCst);
+        }
+        Ok(())
+    }));
     db.force_gc().unwrap();
+    db.sync_points().disarm();
     assert!(logs(fault.as_ref(), 0).is_empty(), "the dead logs survived");
+    assert_eq!(db.metrics().gcs.value(), gcs + 1, "an uncounted GC");
+    assert!(committed.load(Ordering::SeqCst), "the GC skipped gc:commit");
 }

@@ -781,11 +781,6 @@ impl LsmDb {
         Ok(items)
     }
 
-    /// Total SSTable bytes (space usage reporting).
-    pub fn table_bytes(&self) -> u64 {
-        self.state.lock().version.total_bytes()
-    }
-
     /// A streaming iterator over the store (memtable + all tables) at the
     /// current sequence number. The iterator sees a consistent snapshot:
     /// tables it holds open stay readable even if compactions replace them

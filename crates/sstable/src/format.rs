@@ -134,19 +134,6 @@ pub fn read_block_payload(file: &dyn RandomAccessFile, handle: &BlockHandle) -> 
     Ok(data)
 }
 
-/// Append a block (payload + trailer) to `out`, returning its handle.
-pub fn append_block(out: &mut Vec<u8>, payload: &[u8]) -> BlockHandle {
-    let handle = BlockHandle {
-        offset: out.len() as u64,
-        size: payload.len() as u64,
-    };
-    out.extend_from_slice(payload);
-    let crc = crc32c::mask(crc32c::extend(crc32c::value(payload), &[COMPRESSION_RAW]));
-    out.push(COMPRESSION_RAW);
-    out.extend_from_slice(&crc.to_le_bytes());
-    handle
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

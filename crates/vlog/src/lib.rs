@@ -340,11 +340,6 @@ impl ValueLog {
         self.sizes.values().sum()
     }
 
-    /// Number of the log currently receiving appends, if any.
-    pub fn active_log(&self) -> Option<u64> {
-        self.active.as_ref().map(|a| a.number)
-    }
-
     /// Delete the given log files (post-GC). Deleting the active log seals
     /// it first. Missing files are an error.
     pub fn delete_logs(&mut self, numbers: &[u64]) -> Result<()> {

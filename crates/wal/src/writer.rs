@@ -46,16 +46,6 @@ impl LogWriter {
         }
     }
 
-    /// Wrap a file that already contains `existing_len` bytes of log data
-    /// (used when appending to a recovered log).
-    pub fn with_offset(file: Box<dyn WritableFile>, existing_len: u64) -> Self {
-        LogWriter {
-            file,
-            block_offset: (existing_len % BLOCK_SIZE as u64) as usize,
-            metrics: None,
-        }
-    }
-
     /// Attach WAL counters (builder-style; recovery/test writers skip it).
     pub fn with_metrics(mut self, metrics: WalMetrics) -> Self {
         self.metrics = Some(metrics);
