@@ -1,7 +1,7 @@
 //! Structured lifecycle events, the listener API, and the event bus.
 //!
 //! Every structural transition in an engine — memtable seal, flush,
-//! merge, scan-merge, GC, split, write stalls, health transitions, job
+//! merge, GC, split, write stalls, health transitions, job
 //! retry/quarantine, WAL retirement — is published as an [`Event`]: a
 //! globally sequence-numbered record carrying the files and bytes
 //! involved plus a **`cause`** field naming the seq of the event that
@@ -26,14 +26,9 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Injectable clock for event timestamps (microseconds, arbitrary
-/// monotonic origin). Kept separate from the metrics clock on purpose:
-/// publishing an event must not advance a manual metrics clock.
-pub type EventClock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// What happened. Start/finish/abort triples cover every structural op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -460,9 +455,10 @@ pub struct EventBus {
     listeners: Vec<Arc<dyn EventListener>>,
     next_seq: AtomicU64,
     listener_panics: AtomicU64,
+    /// Event timestamps count microseconds from here. The bus never
+    /// reads the metrics clock, so publishing an event cannot advance a
+    /// manual metrics clock.
     origin: Instant,
-    has_manual_clock: AtomicBool,
-    clock: RwLock<Option<EventClock>>,
 }
 
 impl EventBus {
@@ -474,8 +470,6 @@ impl EventBus {
             next_seq: AtomicU64::new(first_seq),
             listener_panics: AtomicU64::new(0),
             origin: Instant::now(),
-            has_manual_clock: AtomicBool::new(false),
-            clock: RwLock::new(None),
         })
     }
 
@@ -488,28 +482,6 @@ impl EventBus {
     /// Listener invocations that panicked (caught and discarded).
     pub fn listener_panics(&self) -> u64 {
         self.listener_panics.load(Ordering::Relaxed)
-    }
-
-    /// Install a manual event clock (or restore the real one with `None`).
-    pub fn set_clock(&self, clock: Option<EventClock>) {
-        let mut guard = self.clock.write().expect("event clock lock poisoned");
-        self.has_manual_clock
-            .store(clock.is_some(), Ordering::Release);
-        *guard = clock;
-    }
-
-    fn now_micros(&self) -> u64 {
-        if self.has_manual_clock.load(Ordering::Acquire) {
-            if let Some(clock) = self
-                .clock
-                .read()
-                .expect("event clock lock poisoned")
-                .as_ref()
-            {
-                return clock();
-            }
-        }
-        self.origin.elapsed().as_micros() as u64
     }
 
     /// Publish an event: assign the next seq, stamp the time, dispatch to
@@ -532,7 +504,7 @@ impl EventBus {
         }
         let event = Event {
             seq,
-            at_micros: self.now_micros(),
+            at_micros: self.origin.elapsed().as_micros() as u64,
             kind,
             partition,
             cause,

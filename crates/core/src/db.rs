@@ -41,12 +41,12 @@ use crate::options::UniKvOptions;
 use crate::partition::{table_options_with_io, Partition, SealedMem};
 use crate::resolver::{partition_dir, ValueResolver};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unikv_common::events::{EventBus, EventClock, EventKind, EventListener};
+use unikv_common::events::{EventBus, EventKind, EventListener};
 use unikv_common::ikey::{
     extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
     MAX_SEQUENCE_NUMBER,
@@ -107,67 +107,118 @@ pub(crate) fn take_commit_failure() -> bool {
     COMMIT_FAILED.with(|c| c.replace(false))
 }
 
-/// Scope guard pairing a structural op's `*Start` event with exactly one
-/// terminal event: [`OpScope::finish`] publishes the `*Finish` and disarms
-/// the guard; any other exit — a `?` early return on a build or commit
-/// error, an injected sync-point fault, a panic — publishes the `*Abort`
-/// on drop. Every terminal event's `cause` is the op's own start seq, so
-/// causal chains stay connected even through failures.
+/// The start, finish and abort events of maintenance op `op`, and the
+/// prefix of its sync points.
+fn op_kinds(op: TraceOp) -> ([EventKind; 3], &'static str) {
+    use EventKind::*;
+    match op {
+        TraceOp::Flush => ([FlushStart, FlushFinish, FlushAbort], "flush"),
+        TraceOp::Merge => ([MergeStart, MergeFinish, MergeAbort], "merge"),
+        TraceOp::Gc => ([GcStart, GcFinish, GcAbort], "gc"),
+        TraceOp::Split => ([SplitStart, SplitFinish, SplitAbort], "split"),
+    }
+}
+
+/// Scope guard of one started maintenance op: it holds the clock reading
+/// the op's latency sample starts at and pairs the op's `*Start` event
+/// with exactly one terminal event. [`OpScope::finish`] publishes the
+/// `*Finish` and disarms the guard; any other exit — a `?` early return on
+/// a build or commit error, an injected sync-point fault, a panic —
+/// publishes the `*Abort` on drop. Every terminal event's `cause` is the
+/// op's own start seq, so causal chains stay connected even through
+/// failures.
 struct OpScope<'a> {
-    bus: &'a EventBus,
-    abort: EventKind,
+    db: &'a Engine,
+    op: TraceOp,
     partition: u32,
     start_seq: u64,
+    t0: u64,
     done: bool,
 }
 
 impl<'a> OpScope<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// Start `op` on `partition`: read the clock and publish the start
+    /// event.
     fn begin(
-        bus: &'a EventBus,
-        start: EventKind,
-        abort: EventKind,
+        db: &'a Engine,
+        op: TraceOp,
         partition: u32,
         cause: Option<u64>,
         inputs: Vec<u64>,
         bytes: u64,
     ) -> OpScope<'a> {
-        let start_seq = bus.publish(start, partition, cause, inputs, vec![], bytes, "");
+        let t0 = db.metrics.registry.now_micros();
+        let start = op_kinds(op).0[0];
+        let start_seq = db
+            .events
+            .publish(start, partition, cause, inputs, vec![], bytes, "");
         OpScope {
-            bus,
-            abort,
+            db,
+            op,
             partition,
             start_seq,
+            t0,
             done: false,
         }
     }
 
-    fn finish(mut self, kind: EventKind, outputs: Vec<u64>, bytes: u64, detail: &str) -> u64 {
+    fn finish(&mut self, outputs: Vec<u64>, bytes: u64, detail: &str) -> u64 {
+        self.end(op_kinds(self.op).0[1], outputs, bytes, detail)
+    }
+
+    /// Publish the terminal event `kind` (finish or abort) and disarm the
+    /// guard.
+    fn end(&mut self, kind: EventKind, outputs: Vec<u64>, bytes: u64, detail: &str) -> u64 {
         self.done = true;
-        self.bus.publish(
-            kind,
-            self.partition,
-            Some(self.start_seq),
-            vec![],
-            outputs,
-            bytes,
-            detail,
-        )
+        let (events, cause) = (&self.db.events, Some(self.start_seq));
+        events.publish(kind, self.partition, cause, vec![], outputs, bytes, detail)
+    }
+
+    /// The tail a merge, GC or split runs once its commit succeeded:
+    /// publish the finish event (the rewrite is durable, so a cleanup
+    /// failure below must not read as an abort) and hit the op's `cleanup`
+    /// sync point. Then retire the `replaced` tables of `old`: drop their
+    /// handles and cached blocks and delete their files. Then install each
+    /// partition's built tables, now that the tables they replace have
+    /// left the cache: each joins the partition's open handles, and the
+    /// blocks its build kept go on the cache's probation segment under its
+    /// cache id. Last, record the latency sample. Returns the finish
+    /// event's seq.
+    fn finish_rewrite<'p>(
+        mut self,
+        outputs: Vec<u64>,
+        bytes: u64,
+        detail: &str,
+        old: &Partition,
+        replaced: impl IntoIterator<Item = u64>,
+        installs: impl IntoIterator<Item = (&'p Partition, Vec<BuiltTable>)>,
+    ) -> Result<u64> {
+        let fin = self.finish(outputs, bytes, detail);
+        let db = self.db;
+        db.sync.hit(&format!("{}:cleanup", op_kinds(self.op).1))?;
+        let dir = partition_dir(&db.root, old.meta.id);
+        for number in replaced {
+            old.evict_table(number);
+            db.env.delete_file(&filenames::table_file(&dir, number))?;
+        }
+        for (p, built) in installs {
+            let mut tables = p.tables_guard();
+            for b in built {
+                if let Some(kept) = b.kept {
+                    b.table.admit(kept)?;
+                }
+                tables.insert(b.number, b.table);
+            }
+        }
+        db.record_maint(self.op, self.t0);
+        Ok(fin)
     }
 }
 
 impl Drop for OpScope<'_> {
     fn drop(&mut self) {
         if !self.done {
-            self.bus.publish(
-                self.abort,
-                self.partition,
-                Some(self.start_seq),
-                vec![],
-                vec![],
-                0,
-                "aborted",
-            );
+            self.end(op_kinds(self.op).0[2], vec![], 0, "aborted");
         }
     }
 }
@@ -180,8 +231,6 @@ impl Drop for OpScope<'_> {
 /// name `inputs`.
 struct MergeSnapshot<'a> {
     scope: OpScope<'a>,
-    t0: u64,
-    dir: PathBuf,
     inputs: Vec<u64>,
     input_bytes: u64,
     live: LiveIter,
@@ -196,52 +245,94 @@ struct FlushedTable {
     table: Arc<Table>,
 }
 
-/// What a full merge built: the new SortedStore run, its open tables,
-/// the bytes written (tables plus newly separated values) and the live
-/// separated bytes.
-struct MergeOutput {
-    tables: Vec<TableMeta>,
-    built: Vec<BuiltTable>,
-    written: u64,
-    live_value_bytes: u64,
-}
-
 /// A table a merge, GC or split wrote, opened when its build finished,
 /// with the data blocks the build kept for the block cache. Installed by
-/// [`Engine::install_tables`] once the rewrite commits.
+/// [`OpScope::finish_rewrite`] once the rewrite commits.
 struct BuiltTable {
     number: u64,
     table: Arc<Table>,
     kept: Option<KeptBlocks>,
 }
 
-/// Writes a sorted entry stream into tables in `dir`, rolling over to a
-/// new table once one reaches `table_size`. Each table takes its number
-/// from the engine's file counter when it opens, and keeps its data blocks
-/// for the block cache while the cache has capacity left unreserved.
-struct TableRoller<'a> {
+/// The one SortedStore rewrite, shared by the full merge, GC and split:
+/// writes one partition's entries, in key order, into new tables in its
+/// directory, rolling over to a new table once one reaches `table_size`.
+/// Each table takes its number from the engine's file counter when it
+/// opens, and keeps its data blocks for the block cache while the cache
+/// has capacity left unreserved. Every value goes through one rule (see
+/// [`Rewrite::add`]); the op passes only the partition's value logs and
+/// which pointers to copy.
+struct Rewrite<'a> {
     db: &'a Engine,
+    /// The partition the output belongs to, and its directory.
+    pid: u32,
     dir: PathBuf,
+    /// Its value logs, where separated and copied values are appended. A
+    /// worker's merge builds without the core lock, so each append takes
+    /// the mutex.
+    vlog: Arc<parking_lot::Mutex<ValueLog>>,
+    /// Which pointers the rewrite copies into `vlog` (GC's victim test).
+    copy: &'a dyn Fn(&ValuePointer) -> bool,
     builder: Option<TableBuilder>,
     tables: Vec<TableMeta>,
     built: Vec<BuiltTable>,
-    /// Bytes of the finished tables.
-    bytes: u64,
+    /// The log the first append rotated to: the rewrite's values never
+    /// share a log with older ones.
+    new_log: Option<u64>,
+    /// Bytes written: appended values plus finished tables.
+    written: u64,
+    /// Bytes of the values the output's pointers address.
+    live_value_bytes: u64,
+    /// The logs of other partitions that kept pointers address.
+    foreign_logs: BTreeSet<LogRef>,
 }
 
-impl<'a> TableRoller<'a> {
-    fn new(db: &'a Engine, dir: PathBuf) -> TableRoller<'a> {
-        TableRoller {
+impl<'a> Rewrite<'a> {
+    fn new(
+        db: &'a Engine,
+        pid: u32,
+        vlog: Arc<parking_lot::Mutex<ValueLog>>,
+        copy: &'a dyn Fn(&ValuePointer) -> bool,
+    ) -> Rewrite<'a> {
+        Rewrite {
             db,
-            dir,
+            pid,
+            dir: partition_dir(&db.root, pid),
+            vlog,
+            copy,
             builder: None,
             tables: Vec::new(),
             built: Vec::new(),
-            bytes: 0,
+            new_log: None,
+            written: 0,
+            live_value_bytes: 0,
+            foreign_logs: BTreeSet::new(),
         }
     }
 
+    /// Write one entry. An inline value is appended to the log when
+    /// `enable_kv_separation` is on, a pointer `copy` selects is read and
+    /// re-appended, and every other value is kept as it is.
     fn add(&mut self, ikey: &[u8], value: &[u8]) -> Result<()> {
+        let slot = match SeparatedValue::decode(value)? {
+            SeparatedValue::Inline(v) if self.db.opts.enable_kv_separation => self.append(&v)?,
+            SeparatedValue::Pointer(ptr) if (self.copy)(&ptr) => {
+                self.append(&self.db.resolver.read(&ptr)?)?
+            }
+            SeparatedValue::Pointer(ptr) => {
+                if ptr.partition != self.pid {
+                    self.foreign_logs.insert(LogRef {
+                        partition: ptr.partition,
+                        log_number: ptr.log_number,
+                    });
+                }
+                SeparatedValue::Pointer(ptr)
+            }
+            inline => inline,
+        };
+        if let SeparatedValue::Pointer(ptr) = &slot {
+            self.live_value_bytes += ptr.length as u64;
+        }
         if self.builder.is_none() {
             let number = self.db.new_file_number();
             let file = self
@@ -261,18 +352,30 @@ impl<'a> TableRoller<'a> {
             });
         }
         let b = self.builder.as_mut().expect("opened above");
-        b.add(ikey, value)?;
+        b.add(ikey, &slot.encode())?;
         if b.estimated_size() >= self.db.opts.table_size as u64 {
-            self.finish()?;
+            self.finish_table()?;
         }
         Ok(())
     }
 
+    /// Append `value` to the log, rotating to a new log first on the
+    /// rewrite's first append, so a rewrite that appends nothing leaves no
+    /// empty log behind.
+    fn append(&mut self, value: &[u8]) -> Result<SeparatedValue> {
+        let mut vlog = self.vlog.lock();
+        if self.new_log.is_none() {
+            self.new_log = Some(vlog.rotate()?);
+        }
+        self.written += value.len() as u64;
+        Ok(SeparatedValue::Pointer(vlog.append(value)?))
+    }
+
     /// Finish the open table, if any, and open it.
-    fn finish(&mut self) -> Result<()> {
+    fn finish_table(&mut self) -> Result<()> {
         if let Some(b) = self.builder.take() {
             let props = b.finish()?;
-            self.bytes += props.file_size;
+            self.written += props.file_size;
             let t = self.tables.last_mut().expect("each builder has a table");
             t.size = props.file_size;
             t.smallest = props.smallest;
@@ -283,6 +386,15 @@ impl<'a> TableRoller<'a> {
                 table: self.db.open_table_file(&path, t.size)?,
                 kept: props.kept,
             });
+        }
+        Ok(())
+    }
+
+    /// Finish the last table and sync the log the values went to.
+    fn finish(&mut self) -> Result<()> {
+        self.finish_table()?;
+        if self.new_log.is_some() {
+            self.vlog.lock().sync()?;
         }
         Ok(())
     }
@@ -478,9 +590,7 @@ impl Engine {
         {
             let mut core = db.core.write();
             for i in 0..core.partitions.len() {
-                if !core.partitions[i].mem.is_empty() {
-                    db.flush_partition(&mut core, i)?;
-                }
+                db.flush_partition(&mut core, i)?;
             }
             db.commit_meta(&mut core, None)?;
             for path in stale_wals {
@@ -634,14 +744,6 @@ impl Engine {
         &self.metrics
     }
 
-    /// The lifecycle event bus this database publishes on. Exposed for
-    /// tests and tooling that want the next seq or panic counters; new
-    /// listeners must be registered via [`UniKvOptions::listeners`]
-    /// *before* open so no event is missed.
-    pub fn event_bus(&self) -> &Arc<EventBus> {
-        &self.events
-    }
-
     /// Listener panics caught (and swallowed) so far.
     pub fn listener_panics(&self) -> u64 {
         self.events.listener_panics()
@@ -653,15 +755,6 @@ impl Engine {
         self.journal
             .as_ref()
             .map(|j| (j.events_written(), j.write_errors()))
-    }
-
-    /// Replace the event bus clock (microseconds, arbitrary monotonic
-    /// origin) used to stamp `at_micros` on published events, or restore
-    /// the real clock with `None`. Deliberately separate from the metrics
-    /// clock: publishing an event must never advance a manual metrics
-    /// clock mid-operation.
-    pub fn set_event_clock(&self, clock: Option<EventClock>) {
-        self.events.set_clock(clock);
     }
 
     /// Human-readable metrics report: every counter, gauge, and latency
@@ -837,19 +930,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Force all memtables (active and sealed) to disk. In background
-    /// mode this quiesces the workers first, so it is a true barrier.
+    /// Force all memtables (active and sealed) to disk, then run every
+    /// partition's triggers. In background mode this quiesces the workers
+    /// first, so it is a true barrier. The triggers address partitions by
+    /// id: a split shifts the index of every partition after it.
     pub fn flush(&self) -> Result<()> {
         let _pause = self.pause_maintenance()?;
         let mut core = self.core.write();
-        let mut fins = vec![None; core.partitions.len()];
-        for (i, fin) in fins.iter_mut().enumerate() {
-            if !core.partitions[i].mem.is_empty() || !core.partitions[i].imms.is_empty() {
-                *fin = self.flush_partition(&mut core, i)?;
-            }
+        let mut fins = Vec::with_capacity(core.partitions.len());
+        for i in 0..core.partitions.len() {
+            let pid = core.partitions[i].meta.id;
+            fins.push((pid, self.flush_partition(&mut core, i)?));
         }
-        for (i, fin) in fins.into_iter().enumerate() {
-            self.run_triggers(&mut core, i, fin)?;
+        for (pid, fin) in fins {
+            if let Some(pidx) = core.partition_index(pid) {
+                self.run_triggers(&mut core, pidx, fin)?;
+            }
         }
         Ok(())
     }
@@ -859,10 +955,7 @@ impl Engine {
         let _pause = self.pause_maintenance()?;
         let mut core = self.core.write();
         for i in 0..core.partitions.len() {
-            let mut fin = None;
-            if !core.partitions[i].mem.is_empty() || !core.partitions[i].imms.is_empty() {
-                fin = self.flush_partition(&mut core, i)?;
-            }
+            let fin = self.flush_partition(&mut core, i)?;
             let pid = core.partitions[i].meta.id;
             self.full_merge(Some(&mut core), pid, || fin)?;
         }
@@ -1744,7 +1837,8 @@ impl Engine {
     /// *before* the fallible table build, so an aborted build — transient
     /// I/O error or injected fault — leaves both the in-memory and the
     /// committed state referencing every acked byte. Returns the last
-    /// flush's finish event seq.
+    /// flush's finish event seq, or `None` when the memtables were empty
+    /// (then nothing is written and no file number is drawn).
     fn flush_partition(&self, core: &mut DbCore, pidx: usize) -> Result<Option<u64>> {
         if !core.partitions[pidx].mem.is_empty() {
             self.seal_memtable(core, pidx)?;
@@ -1784,16 +1878,8 @@ impl Engine {
         let Some((sealed, table_number)) = picked else {
             return Ok(None);
         };
-        let t0 = self.metrics.registry.now_micros();
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::FlushStart,
-            EventKind::FlushAbort,
-            pid,
-            sealed.cause,
-            vec![sealed.wal_number],
-            0,
-        );
+        let inputs = vec![sealed.wal_number];
+        let mut scope = OpScope::begin(self, TraceOp::Flush, pid, sealed.cause, inputs, 0);
         let dir = partition_dir(&self.root, pid);
         let flushed = self.build_flush_table(&dir, table_number, sealed.mem)?;
         let bytes = flushed.meta.size;
@@ -1803,8 +1889,8 @@ impl Engine {
             };
             let start = Some(scope.start_seq);
             self.install_flush(core, pidx, flushed, sealed.wal_number, start)?;
-            let fin = scope.finish(EventKind::FlushFinish, vec![table_number], bytes, "");
-            self.record_maint(TraceOp::Flush, t0);
+            let fin = scope.finish(vec![table_number], bytes, "");
+            self.record_maint(TraceOp::Flush, scope.t0);
             Ok(Some(fin))
         })
     }
@@ -1885,23 +1971,17 @@ impl Engine {
             return Ok(None);
         }
         let tables = || p.meta.unsorted.iter().chain(&p.meta.sorted);
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("merge:begin")?;
         let inputs: Vec<u64> = tables().map(|t| t.number).collect();
         let input_bytes = tables().map(|t| t.size).sum();
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::MergeStart,
-            EventKind::MergeAbort,
+        let scope = self.begin_op(
+            TraceOp::Merge,
             p.meta.id,
             cause(),
             inputs.clone(),
             input_bytes,
-        );
+        )?;
         Ok(Some(MergeSnapshot {
             scope,
-            t0,
-            dir: partition_dir(&self.root, p.meta.id),
             inputs,
             input_bytes,
             live: self.live_tables_iter(p)?,
@@ -1909,30 +1989,18 @@ impl Engine {
         }))
     }
 
-    /// Retire the tables a committed rewrite replaced in `p`: drop their
-    /// handles and cached blocks, then delete their files.
-    fn retire_tables(&self, p: &Partition, numbers: impl IntoIterator<Item = u64>) -> Result<()> {
-        let dir = partition_dir(&self.root, p.meta.id);
-        for number in numbers {
-            p.evict_table(number);
-            self.env.delete_file(&filenames::table_file(&dir, number))?;
-        }
-        Ok(())
-    }
-
-    /// Make a rewrite's output tables current once its manifest commit is
-    /// done and the tables it replaced have left the cache: each joins the
-    /// partition's open handles, and the blocks its build kept go on the
-    /// cache's probation segment under its cache id.
-    fn install_tables(&self, p: &Partition, built: Vec<BuiltTable>) -> Result<()> {
-        let mut tables = p.tables_guard();
-        for b in built {
-            if let Some(kept) = b.kept {
-                b.table.admit(kept)?;
-            }
-            tables.insert(b.number, b.table);
-        }
-        Ok(())
+    /// Start a merge, GC or split of partition `pid`: hit the op's `begin`
+    /// sync point, then start its scope (clock reading, start event).
+    fn begin_op(
+        &self,
+        op: TraceOp,
+        pid: u32,
+        cause: Option<u64>,
+        inputs: Vec<u64>,
+        bytes: u64,
+    ) -> Result<OpScope<'_>> {
+        self.sync.hit(&format!("{}:begin", op_kinds(op).1))?;
+        Ok(OpScope::begin(self, op, pid, cause, inputs, bytes))
     }
 
     /// Phase 2 of a full merge, no core lock needed: write the newest
@@ -1941,41 +2009,17 @@ impl Engine {
     /// separated keep their pointers and are NOT rewritten. Tombstones
     /// have done their shadowing job and are dropped: this is the bottom
     /// tier.
-    fn build_merge(&self, snap: &mut MergeSnapshot) -> Result<MergeOutput> {
+    fn build_merge(&self, snap: &mut MergeSnapshot) -> Result<Rewrite<'_>> {
         let live = &mut snap.live;
         live.seek(&[], None)?;
-        if self.opts.enable_kv_separation {
-            snap.vlog.lock().rotate()?;
-        }
-        let mut out = TableRoller::new(self, snap.dir.clone());
-        let mut written = 0u64;
-        let mut live_value_bytes = 0u64;
+        let mut out = Rewrite::new(self, snap.scope.partition, snap.vlog.clone(), &|_| false);
         while live.valid() {
-            let slot = match SeparatedValue::decode(live.value())? {
-                SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                    let ptr = snap.vlog.lock().append(&v)?;
-                    written += v.len() as u64;
-                    live_value_bytes += ptr.length as u64;
-                    SeparatedValue::Pointer(ptr)
-                }
-                inline @ SeparatedValue::Inline(_) => inline,
-                SeparatedValue::Pointer(ptr) => {
-                    live_value_bytes += ptr.length as u64;
-                    SeparatedValue::Pointer(ptr)
-                }
-            };
-            out.add(live.ikey(), &slot.encode())?;
+            out.add(live.ikey(), live.value())?;
             live.next(None)?;
         }
         out.finish()?;
-        snap.vlog.lock().sync()?;
         self.sync.hit("merge:build")?;
-        Ok(MergeOutput {
-            tables: out.tables,
-            built: out.built,
-            written: written + out.bytes,
-            live_value_bytes,
-        })
+        Ok(out)
     }
 
     /// Phase 3 of a full merge, under the write lock: the new run replaces
@@ -1988,10 +2032,18 @@ impl Engine {
         core: &mut DbCore,
         pidx: usize,
         snap: MergeSnapshot,
-        out: MergeOutput,
+        out: Rewrite,
     ) -> Result<u64> {
         let p = &core.partitions[pidx];
-        check_merge_inputs(p.meta.unsorted.iter().chain(&p.meta.sorted), &snap.inputs)?;
+        // One job runs per partition and foreground structural operations
+        // pause the workers, so nothing may change the tiers between
+        // snapshot and install.
+        let tiers = p.meta.unsorted.iter().chain(&p.meta.sorted);
+        if !tiers.map(|t| t.number).eq(snap.inputs.iter().copied()) {
+            return Err(Error::internal(
+                "merge inputs changed between snapshot and install",
+            ));
+        }
         let outputs: Vec<u64> = out.tables.iter().map(|t| t.number).collect();
         let next = PartitionMeta {
             unsorted: Vec::new(),
@@ -2008,17 +2060,12 @@ impl Engine {
         self.metrics.merge_bytes_read.add(snap.input_bytes);
         self.metrics.merges.inc();
         self.metrics.merge_bytes_written.add(out.written);
-        // Manifest committed: the merge is durable, so the finish event fires
-        // here — a cleanup failure below must not read as an aborted merge.
-        let fin = snap
-            .scope
-            .finish(EventKind::MergeFinish, outputs, out.written, "");
-        self.sync.hit("merge:cleanup")?;
         let p = &core.partitions[pidx];
-        self.retire_tables(p, snap.inputs.iter().copied())?;
-        self.install_tables(p, out.built)?;
+        let replaced = snap.inputs.iter().copied();
+        let fin =
+            snap.scope
+                .finish_rewrite(outputs, out.written, "", p, replaced, [(p, out.built)])?;
         self.maint.notify_progress();
-        self.record_maint(TraceOp::Merge, snap.t0);
         Ok(fin)
     }
 
@@ -2063,66 +2110,33 @@ impl Engine {
         cause: Option<u64>,
     ) -> Result<()> {
         let p = &core.partitions[pidx];
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("gc:begin")?;
         let pid = p.meta.id;
         let victims = self.gc_victims(p, ratio)?;
         if victims.is_empty() && p.meta.inherited_logs.is_empty() {
             return Ok(()); // every log is live enough to keep
         }
-        let is_victim = |ptr: &ValuePointer| {
-            ptr.partition != pid || victims.binary_search(&ptr.log_number).is_ok()
-        };
         let victim_bytes: u64 = {
             let vlog = p.vlog.lock();
             victims.iter().filter_map(|&n| vlog.log_size(n)).sum()
         };
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::GcStart,
-            EventKind::GcAbort,
-            pid,
-            cause,
-            victims.clone(),
-            victim_bytes,
-        );
+        let scope = self.begin_op(TraceOp::Gc, pid, cause, victims.clone(), victim_bytes)?;
 
-        // Step 1+2 of the paper's protocol: walk the SortedStore in key
-        // order, read the values that live in victims, and append them to
-        // a newly created log. The log is created by the first copy, so a
-        // GC whose victims hold no live value leaves no empty log behind.
-        let mut first_new = None;
-        let vlog = p.vlog.clone();
+        // Steps 1–3 of the paper's protocol: walk the SortedStore in key
+        // order, copy the values that live in victims (every log of
+        // another partition is one) to a new log, and write the keys with
+        // their new or kept pointers to new tables. The copies leave no
+        // pointer into another partition's log, so `inherited_logs`
+        // empties.
+        let is_victim = |ptr: &ValuePointer| {
+            ptr.partition != pid || victims.binary_search(&ptr.log_number).is_ok()
+        };
+        let mut out = Rewrite::new(self, pid, p.vlog.clone(), &is_victim);
         let mut iter = self.sorted_iter(p)?;
-        let mut out = TableRoller::new(self, partition_dir(&self.root, pid));
-        let mut written = 0u64;
-        let mut live_value_bytes = 0u64;
         while iter.valid() {
-            let slot = match SeparatedValue::decode(iter.value())? {
-                SeparatedValue::Pointer(ptr) if is_victim(&ptr) => {
-                    let value = self.resolver.read(&ptr)?;
-                    written += value.len() as u64;
-                    let mut vlog = vlog.lock();
-                    if first_new.is_none() {
-                        first_new = Some(vlog.rotate()?);
-                    }
-                    SeparatedValue::Pointer(vlog.append(&value)?)
-                }
-                slot => slot,
-            };
-            if let SeparatedValue::Pointer(ptr) = &slot {
-                live_value_bytes += ptr.length as u64;
-            }
-            // Step 3: write keys with their (new or kept) pointers back to
-            // SSTables.
-            out.add(iter.ikey(), &slot.encode())?;
+            out.add(iter.ikey(), iter.value())?;
             iter.next()?;
         }
         out.finish()?;
-        written += out.bytes;
-        if first_new.is_some() {
-            vlog.lock().sync()?;
-        }
         self.sync.hit("gc:build")?;
 
         // The partition's next state is built aside and published only
@@ -2132,14 +2146,18 @@ impl Engine {
         // half-applied GC — e.g. dropping `inherited_logs` that rewritten
         // pointers still need, turning those logs into orphans deleted on
         // the next open.
-        let p = &core.partitions[pidx];
         let mut own_logs = p.vlog.lock().log_numbers();
         own_logs.retain(|n| victims.binary_search(n).is_err());
+        let new_logs = own_logs
+            .iter()
+            .copied()
+            .filter(|&n| out.new_log.is_some_and(|first| n >= first))
+            .collect();
         let next = PartitionMeta {
             sorted: out.tables,
             own_logs,
-            inherited_logs: Vec::new(),
-            live_value_bytes,
+            inherited_logs: out.foreign_logs.into_iter().collect(),
+            live_value_bytes: out.live_value_bytes,
             ..p.meta.clone()
         };
 
@@ -2148,27 +2166,16 @@ impl Engine {
         self.sync.hit("gc:commit")?;
         self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
         let old = std::mem::replace(&mut core.partitions[pidx].meta, next);
-        self.metrics.gc_bytes_written.add(written);
+        self.metrics.gc_bytes_written.add(out.written);
         self.metrics.gcs.inc();
-        let new_logs: Vec<u64> = core.partitions[pidx]
-            .meta
-            .own_logs
-            .iter()
-            .copied()
-            .filter(|&n| first_new.is_some_and(|first| n >= first))
-            .collect();
-        scope.finish(EventKind::GcFinish, new_logs, written, "");
-        self.sync.hit("gc:cleanup")?;
         let p = &core.partitions[pidx];
-        self.retire_tables(p, old.sorted.iter().map(|t| t.number))?;
-        self.install_tables(p, out.built)?;
+        let replaced = old.sorted.iter().map(|t| t.number);
+        scope.finish_rewrite(new_logs, out.written, "", p, replaced, [(p, out.built)])?;
         for &n in &victims {
             self.resolver.evict(pid, n);
         }
         p.vlog.lock().delete_logs(&victims)?;
-        self.sweep_shared_logs(core, &old.inherited_logs)?;
-        self.record_maint(TraceOp::Gc, t0);
-        Ok(())
+        self.sweep_shared_logs(core, &old.inherited_logs)
     }
 
     /// GC's pointer pass: the own logs of `p` whose garbage reaches
@@ -2244,9 +2251,7 @@ impl Engine {
         // global write lock subsumes the partition lock. Sealed memtables
         // (background mode) drain here too — the split passes below only
         // read tables.
-        if !core.partitions[pidx].mem.is_empty() || !core.partitions[pidx].imms.is_empty() {
-            self.flush_partition(core, pidx)?;
-        }
+        self.flush_partition(core, pidx)?;
 
         // Pass 1: count live entries to find the median split point.
         let total = {
@@ -2262,126 +2267,67 @@ impl Engine {
         if total < 2 {
             return Ok(None); // cannot split fewer than two keys
         }
-        let t0 = self.metrics.registry.now_micros();
-        self.sync.hit("split:begin")?;
-        let half = total / 2;
-
-        // Allocate children.
-        let left_id = core.next_partition;
-        let right_id = core.next_partition + 1;
-        core.next_partition += 2;
-        let left_wal = self.new_file_number();
-        let right_wal = self.new_file_number();
-
         let parent = &core.partitions[pidx].meta;
         let (parent_id, parent_lo, parent_hi) = (parent.id, parent.lo.clone(), parent.hi.clone());
         let parent_tables = parent.unsorted.iter().chain(&parent.sorted);
         let parent_tables = parent_tables.map(|t| t.number).collect();
-        let scope = OpScope::begin(
-            &self.events,
-            EventKind::SplitStart,
-            EventKind::SplitAbort,
-            parent_id,
-            cause,
-            parent_tables,
-            0,
-        );
+        let scope = self.begin_op(TraceOp::Split, parent_id, cause, parent_tables, 0)?;
 
-        // Pass 2: stream the live entries into the two children.
-        struct ChildBuild<'a> {
-            id: u32,
-            vlog: ValueLog,
-            out: TableRoller<'a>,
-            live_value_bytes: u64,
-            inherited: HashSet<LogRef>,
-            written: u64,
+        // Allocate children.
+        let ids = [core.next_partition, core.next_partition + 1];
+        core.next_partition += 2;
+        let wals = [self.new_file_number(), self.new_file_number()];
+
+        // Pass 2: stream the first half of the live entries into the left
+        // child and the rest into the right one. Paper: UnsortedStore
+        // (inline) values are split eagerly into each child's new log,
+        // while already-separated values stay in the parent's logs, shared
+        // until lazy GC.
+        let mut outs = Vec::with_capacity(2);
+        for id in ids {
+            let vlog = open_vlog(&self.env, &self.root, id, &self.opts, &self.metrics)?;
+            outs.push(Rewrite::new(self, id, vlog, &|_| false));
         }
-        let mk_child = |id: u32| -> Result<ChildBuild> {
-            let dir = partition_dir(&self.root, id);
-            self.env.create_dir_all(&dir)?;
-            let mut vlog =
-                ValueLog::open(self.env.clone(), dir.clone(), id, self.opts.max_log_size)?;
-            vlog.set_metrics(self.metrics.vlog.clone());
-            Ok(ChildBuild {
-                id,
-                out: TableRoller::new(self, dir),
-                vlog,
-                live_value_bytes: 0,
-                inherited: HashSet::new(),
-                written: 0,
-            })
-        };
-        let mut left = mk_child(left_id)?;
-        let mut right = mk_child(right_id)?;
-        let mut boundary: Option<Vec<u8>> = None;
+        let (half, mut kept, mut boundary) = (total / 2, 0u64, None);
         let mut live = self.live_tables_iter(&core.partitions[pidx])?;
         live.seek(&[], None)?;
-        let mut kept = 0u64;
         while live.valid() {
-            let child = if kept < half {
-                &mut left
-            } else {
-                boundary.get_or_insert_with(|| live.key().to_vec());
-                &mut right
-            };
+            if kept == half {
+                boundary = Some(live.key().to_vec());
+            }
+            outs[usize::from(kept >= half)].add(live.ikey(), live.value())?;
             kept += 1;
-            let slot = match SeparatedValue::decode(live.value())? {
-                // Paper: UnsortedStore (inline) values are split eagerly
-                // into each child's new log...
-                SeparatedValue::Inline(v) if self.opts.enable_kv_separation => {
-                    let ptr = child.vlog.append(&v)?;
-                    child.written += v.len() as u64;
-                    child.live_value_bytes += ptr.length as u64;
-                    SeparatedValue::Pointer(ptr)
-                }
-                inline @ SeparatedValue::Inline(_) => inline,
-                // ...while already-separated values stay in the parent's
-                // logs, shared until lazy GC.
-                SeparatedValue::Pointer(ptr) => {
-                    child.inherited.insert(LogRef {
-                        partition: ptr.partition,
-                        log_number: ptr.log_number,
-                    });
-                    child.live_value_bytes += ptr.length as u64;
-                    SeparatedValue::Pointer(ptr)
-                }
-            };
-            child.out.add(live.ikey(), &slot.encode())?;
             live.next(None)?;
         }
-        for child in [&mut left, &mut right] {
-            child.out.finish()?;
-            child.written += child.out.bytes;
-            child.vlog.sync()?;
+        for out in &mut outs {
+            out.finish()?;
         }
         let boundary = boundary.expect("total >= 2 guarantees a right half");
         self.sync.hit("split:build")?;
 
         // The two children are built aside: the parent stays served until
         // the commit that replaces it succeeded.
-        let split_bytes = left.written + right.written;
+        let split_bytes = outs.iter().map(|o| o.written).sum();
+        let bounds = [(parent_lo, Some(boundary.clone())), (boundary, parent_hi)];
         let (mut children, mut built) = (Vec::new(), Vec::new());
-        for (child, lo, hi, wal_number) in [
-            (left, parent_lo, Some(boundary.clone()), left_wal),
-            (right, boundary, parent_hi, right_wal),
-        ] {
+        for ((out, (lo, hi)), wal_number) in outs.into_iter().zip(bounds).zip(wals) {
             let meta = PartitionMeta {
-                id: child.id,
+                id: out.pid,
                 lo,
                 hi,
                 wal_number,
-                sorted: child.out.tables,
-                own_logs: child.vlog.log_numbers(),
-                inherited_logs: child.inherited.into_iter().collect(),
-                live_value_bytes: child.live_value_bytes,
+                sorted: out.tables,
+                own_logs: out.vlog.lock().log_numbers(),
+                inherited_logs: out.foreign_logs.into_iter().collect(),
+                live_value_bytes: out.live_value_bytes,
                 ..Default::default()
             };
-            let wal = self.new_wal(child.id, wal_number)?;
+            let wal = self.new_wal(out.pid, wal_number)?;
             let index =
                 TwoLevelHashIndex::with_capacity(index_capacity(&self.opts), self.opts.num_hashes);
             let mem = Arc::new(MemTable::new());
-            children.push(Partition::new(meta, mem, wal, index, child.vlog));
-            built.push(child.out.built);
+            children.push(Partition::new(meta, mem, wal, index, out.vlog));
+            built.push(out.built);
         }
         let metas: Vec<PartitionMeta> = children.iter().map(|c| c.meta.clone()).collect();
 
@@ -2395,36 +2341,32 @@ impl Engine {
             .expect("the parent is replaced");
         self.metrics.split_bytes_written.add(split_bytes);
         self.metrics.splits.inc();
-        // Outputs name the two child *partitions* (the interesting unit
-        // here), not files; the detail spells out which is which.
-        let fin = scope.finish(
-            EventKind::SplitFinish,
-            vec![left_id as u64, right_id as u64],
-            split_bytes,
-            &format!("children p{left_id},p{right_id}"),
-        );
-        self.sync.hit("split:cleanup")?;
-
-        // Delete the parent's table files and WAL; keep its value logs
-        // (now shared with the children, freed by lazy GC).
+        // Delete the parent's table files; outputs name the two child
+        // *partitions* (the interesting unit here), not files, and the
+        // detail spells out which is which.
         let replaced = parent.meta.unsorted.iter().chain(&parent.meta.sorted);
-        self.retire_tables(&parent, replaced.map(|t| t.number))?;
-        for (child, built) in built.into_iter().enumerate() {
-            self.install_tables(&core.partitions[pidx + child], built)?;
-        }
+        let installs = built.into_iter().zip(&core.partitions[pidx..]);
+        let fin = scope.finish_rewrite(
+            ids.iter().map(|&id| id as u64).collect(),
+            split_bytes,
+            &format!("children p{},p{}", ids[0], ids[1]),
+            &parent,
+            replaced.map(|t| t.number),
+            installs.map(|(built, p)| (p, built)),
+        )?;
+        // Delete the parent's WAL; keep its value logs (now shared with
+        // the children, freed by lazy GC) unless nothing references them.
         let parent_dir = partition_dir(&self.root, parent.meta.id);
         let wal_path = filenames::wal_file(&parent_dir, parent.meta.wal_number);
         if self.env.file_exists(&wal_path) {
             self.env.delete_file(&wal_path)?;
         }
-        // Parent logs with no surviving references can go immediately.
         let own_logs = parent.meta.own_logs.iter().map(|&log_number| LogRef {
             partition: parent_id,
             log_number,
         });
         let parent_logs: Vec<LogRef> = own_logs.chain(parent.meta.inherited_logs).collect();
         self.sweep_shared_logs(core, &parent_logs)?;
-        self.record_maint(TraceOp::Split, t0);
         Ok(Some(fin))
     }
 
@@ -2568,22 +2510,6 @@ enum Probe {
     Miss,
 }
 
-/// Check that the tiers a merge replaces still name the tables it read.
-/// One job runs per partition and foreground structural operations pause
-/// the workers, so nothing may change them between snapshot and install.
-fn check_merge_inputs<'t>(
-    tables: impl Iterator<Item = &'t TableMeta>,
-    inputs: &[u64],
-) -> Result<()> {
-    if tables.map(|t| t.number).eq(inputs.iter().copied()) {
-        Ok(())
-    } else {
-        Err(Error::internal(
-            "merge inputs changed between snapshot and install",
-        ))
-    }
-}
-
 /// Expected hash-index key capacity derived from the UnsortedStore budget
 /// (assume ≥ 64 B per KV; overflow chains absorb denser data gracefully).
 fn index_capacity(opts: &UniKvOptions) -> usize {
@@ -2642,6 +2568,20 @@ fn sweep_partition_dir(
     Ok(())
 }
 
+/// Open partition `id`'s value logs (creating its directory), counted in
+/// the engine's value-log families.
+fn open_vlog(
+    env: &Arc<dyn Env>,
+    root: &Path,
+    id: u32,
+    opts: &UniKvOptions,
+    metrics: &DbMetrics,
+) -> Result<Arc<parking_lot::Mutex<ValueLog>>> {
+    let mut vlog = ValueLog::open(env.clone(), partition_dir(root, id), id, opts.max_log_size)?;
+    vlog.set_metrics(metrics.vlog.clone());
+    Ok(Arc::new(parking_lot::Mutex::new(vlog)))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn open_partition(
     env: &Arc<dyn Env>,
@@ -2694,8 +2634,7 @@ fn open_partition(
         }
     }
 
-    let mut vlog = ValueLog::open(env.clone(), dir.clone(), pmeta.id, opts.max_log_size)?;
-    vlog.set_metrics(metrics.vlog.clone());
+    let vlog = open_vlog(env, root, pmeta.id, opts, metrics)?;
 
     // Rebuild the hash index by replaying the logged entries of the live
     // UnsortedStore tables in log order. Only when the log holds none that

@@ -70,11 +70,11 @@ pub use metrics::DbMetrics;
 pub use options::UniKvOptions;
 pub use router::{SizeRouter, SizeRouterOptions};
 pub use unikv_common::events::{
-    causal_chain, Event, EventBus, EventClock, EventKind, EventListener, Listeners,
+    causal_chain, Event, EventBus, EventKind, EventListener, Listeners,
 };
 pub use unikv_common::metrics::{
     manual_step_clock, MetricsClock, MetricsRegistry, MetricsSnapshot, TraceOp, TraceOutcome,
 };
 pub use unikv_common::perf::{PerfContext, PerfStage, PERF_STAGE_COUNT};
 pub use unikv_lsm::db::ScanItem;
-pub use verify::{verify_db, FileDamage, LiveBytesMismatch, VerifyReport};
+pub use verify::{verify_db, FileDamage, LiveBytesMismatch, StrayPointers, VerifyReport};

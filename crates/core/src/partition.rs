@@ -71,7 +71,7 @@ impl Partition {
         mem: Arc<MemTable>,
         wal: LogWriter,
         index: TwoLevelHashIndex,
-        vlog: ValueLog,
+        vlog: Arc<parking_lot::Mutex<ValueLog>>,
     ) -> Partition {
         Partition {
             meta,
@@ -79,7 +79,7 @@ impl Partition {
             imms: Vec::new(),
             wal,
             index,
-            vlog: Arc::new(parking_lot::Mutex::new(vlog)),
+            vlog,
             tables: Default::default(),
             unlogged: Vec::new(),
             inherited_charge: Default::default(),
@@ -275,7 +275,9 @@ mod tests {
             Arc::new(MemTable::new()),
             LogWriter::new(env.new_writable(Path::new("/wal")).unwrap()),
             TwoLevelHashIndex::new(16, 2),
-            ValueLog::open(env, "/vlog", 0, 1 << 20).unwrap(),
+            Arc::new(parking_lot::Mutex::new(
+                ValueLog::open(env, "/vlog", 0, 1 << 20).unwrap(),
+            )),
         )
     }
 }

@@ -20,12 +20,16 @@
 //! * Live value bytes — per partition, the lengths of the SortedStore's
 //!   value pointers must sum to the `live_value_bytes` the manifest
 //!   records, which the GC trigger reads.
+//! * Pointer targets — every SortedStore pointer must address a log its
+//!   partition names: one of its `own_logs`, or for another partition's
+//!   log one of its `inherited_logs`. A log no partition names is deleted
+//!   as an orphan at the next open, so such a pointer would dangle.
 
 use crate::batch::decode_batch_record;
-use crate::meta::{read_manifest, MANIFEST};
+use crate::meta::{read_manifest, LogRef, MANIFEST};
 use crate::partition::table_options;
 use crate::resolver::partition_dir;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unikv_common::ikey::extract_user_key;
@@ -60,6 +64,18 @@ pub struct LiveBytesMismatch {
     pub pointed: u64,
 }
 
+/// SortedStore pointers into a value log their partition does not name,
+/// found by [`verify_db`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StrayPointers {
+    /// The partition whose SortedStore holds the pointers.
+    pub partition: u32,
+    /// The log they address.
+    pub log: LogRef,
+    /// How many of its pointers address it.
+    pub pointers: u64,
+}
+
 /// Result of a full offline scrub.
 #[derive(Debug, Default)]
 pub struct VerifyReport {
@@ -71,13 +87,17 @@ pub struct VerifyReport {
     /// SortedStore's pointers. Partitions with a damaged SortedStore
     /// table are not checked.
     pub live_bytes: Vec<LiveBytesMismatch>,
+    /// Every log a partition's SortedStore points into without the
+    /// partition naming it. Partitions with a damaged SortedStore table
+    /// are not checked.
+    pub stray_pointers: Vec<StrayPointers>,
 }
 
 impl VerifyReport {
     /// True when no file shows damage and every partition's live value
-    /// bytes agree with its pointers.
+    /// bytes and pointer targets agree with its metadata.
     pub fn is_clean(&self) -> bool {
-        self.damage.is_empty() && self.live_bytes.is_empty()
+        self.damage.is_empty() && self.live_bytes.is_empty() && self.stray_pointers.is_empty()
     }
 
     fn flag(&mut self, path: &Path, kind: &'static str, detail: impl Into<String>) {
@@ -89,12 +109,21 @@ impl VerifyReport {
     }
 }
 
+/// Per value log a table's pointers address: how many address it and the
+/// sum of their lengths.
+type PointedLogs = BTreeMap<LogRef, (u64, u64)>;
+
 /// Read every entry of the table at `path`, which verifies the footer,
 /// the index block, and each data block's checksum, and check its record
 /// directory, if it has one, against the blocks. Also checks the file
-/// size against the size the manifest recorded at commit time. Returns
-/// the sum of the lengths of the value pointers the table holds.
-fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u64> {
+/// size against the size the manifest recorded at commit time. Adds the
+/// table's value pointers to `pointed`.
+fn verify_table(
+    env: &Arc<dyn Env>,
+    path: &Path,
+    recorded_size: u64,
+    pointed: &mut PointedLogs,
+) -> Result<()> {
     if !env.file_exists(path) {
         return Err(Error::corruption("file missing"));
     }
@@ -107,15 +136,20 @@ fn verify_table(env: &Arc<dyn Env>, path: &Path, recorded_size: u64) -> Result<u
     let table = Table::open(env.new_random_access(path)?, size, table_options(None))?;
     let mut it = table.iter(true);
     it.seek_to_first()?;
-    let mut pointed = 0u64;
     while it.valid() {
         if let SeparatedValue::Pointer(ptr) = SeparatedValue::decode(it.value())? {
-            pointed += u64::from(ptr.length);
+            let log = LogRef {
+                partition: ptr.partition,
+                log_number: ptr.log_number,
+            };
+            let (pointers, bytes) = pointed.entry(log).or_default();
+            *pointers += 1;
+            *bytes += u64::from(ptr.length);
         }
         it.next()?;
     }
     table.verify_record_directory(extract_user_key)?;
-    Ok(pointed)
+    Ok(())
 }
 
 /// Strict-replay the WAL at `path`: torn tails truncate (normal), mid-log
@@ -163,25 +197,43 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
     let mut seen_vlogs: BTreeSet<(u32, u64)> = BTreeSet::new();
     for p in &meta.partitions {
         let dir = partition_dir(root, p.id);
-        // `None` once a SortedStore table is damaged.
-        let mut pointed = Some(0u64);
+        // The SortedStore's pointers, checked unless one of its tables is
+        // damaged.
+        let (mut pointed, mut damaged) = (PointedLogs::new(), false);
         for (i, tmeta) in p.unsorted.iter().chain(&p.sorted).enumerate() {
             let path = filenames::table_file(&dir, tmeta.number);
             report.files_checked += 1;
-            let result = verify_table(&env, &path, tmeta.size);
-            if i >= p.unsorted.len() {
-                pointed = pointed.zip(result.as_ref().ok()).map(|(sum, b)| sum + b);
-            }
-            if let Err(e) = result {
+            let sorted = i >= p.unsorted.len();
+            let mut unsorted = PointedLogs::new();
+            let sink = if sorted { &mut pointed } else { &mut unsorted };
+            if let Err(e) = verify_table(&env, &path, tmeta.size, sink) {
                 report.flag(&path, "sstable", e.to_string());
+                damaged |= sorted;
             }
         }
-        if let Some(pointed) = pointed.filter(|&b| b != p.live_value_bytes) {
-            report.live_bytes.push(LiveBytesMismatch {
-                partition: p.id,
-                recorded: p.live_value_bytes,
-                pointed,
-            });
+        if !damaged {
+            let bytes = pointed.values().map(|&(_, bytes)| bytes).sum();
+            if bytes != p.live_value_bytes {
+                report.live_bytes.push(LiveBytesMismatch {
+                    partition: p.id,
+                    recorded: p.live_value_bytes,
+                    pointed: bytes,
+                });
+            }
+            for (&log, &(pointers, _)) in &pointed {
+                let named = if log.partition == p.id {
+                    p.own_logs.contains(&log.log_number)
+                } else {
+                    p.inherited_logs.contains(&log)
+                };
+                if !named {
+                    report.stray_pointers.push(StrayPointers {
+                        partition: p.id,
+                        log,
+                        pointers,
+                    });
+                }
+            }
         }
         for &n in p.sealed_wals.iter().chain([p.wal_number].iter()) {
             let path = filenames::wal_file(&dir, n);
@@ -278,21 +330,15 @@ mod tests {
         }
     }
 
-    /// A manifest whose live value bytes disagree with the SortedStore is
-    /// reported as a typed mismatch, and the files as undamaged.
-    #[test]
-    fn wrong_live_value_bytes_is_reported() {
+    /// Commit the manifest of the closed database at `root` again, with
+    /// `edit` applied to its state.
+    fn recommit(env: &Arc<MemEnv>, root: &Path, edit: impl FnOnce(&mut crate::meta::DbMeta)) {
         use crate::maintenance::SyncPoints;
         use crate::meta::{Header, ManifestWriter, PartitionView};
         use unikv_hashindex::TwoLevelHashIndex;
 
-        let env = MemEnv::shared();
-        build_db(&env);
-        let root = Path::new("/db");
         let mut meta = read_manifest(env.as_ref(), root).unwrap().unwrap().meta;
-        let recorded = meta.partitions[0].live_value_bytes;
-        assert!(recorded > 0, "the merge separated values");
-        meta.partitions[0].live_value_bytes += 1;
+        edit(&mut meta);
         let index = TwoLevelHashIndex::with_capacity(1, 1);
         let views: Vec<PartitionView> = meta
             .partitions
@@ -311,6 +357,19 @@ mod tests {
         ManifestWriter::new(root, None)
             .commit(env.as_ref(), &SyncPoints::default(), header, &views)
             .unwrap();
+    }
+
+    /// A manifest whose live value bytes disagree with the SortedStore is
+    /// reported as a typed mismatch, and the files as undamaged.
+    #[test]
+    fn wrong_live_value_bytes_is_reported() {
+        let env = MemEnv::shared();
+        build_db(&env);
+        let root = Path::new("/db");
+        let meta = read_manifest(env.as_ref(), root).unwrap().unwrap().meta;
+        let recorded = meta.partitions[0].live_value_bytes;
+        assert!(recorded > 0, "the merge separated values");
+        recommit(&env, root, |meta| meta.partitions[0].live_value_bytes += 1);
 
         let report = verify_db(env.clone() as Arc<dyn Env>, root).unwrap();
         assert!(report.damage.is_empty(), "damage: {:?}", report.damage);
@@ -322,6 +381,48 @@ mod tests {
                 pointed: recorded,
             }]
         );
+        assert!(!report.is_clean());
+    }
+
+    /// A split child whose manifest entry no longer names an inherited log
+    /// its SortedStore still points into is reported, with the pointers
+    /// into that log counted; the files stay undamaged.
+    #[test]
+    fn pointers_into_an_unnamed_log_are_reported() {
+        let env = MemEnv::shared();
+        let db = UniKv::open(
+            env.clone() as Arc<dyn Env>,
+            "/db",
+            UniKvOptions::small_for_tests(),
+        )
+        .unwrap();
+        for i in 0..3000u32 {
+            db.put(format!("key{i:05}").as_bytes(), &[b'v'; 64])
+                .unwrap();
+        }
+        drop(db);
+        let root = Path::new("/db");
+        let clean = verify_db(env.clone() as Arc<dyn Env>, root).unwrap();
+        assert!(clean.is_clean(), "{clean:?}");
+        let meta = read_manifest(env.as_ref(), root).unwrap().unwrap().meta;
+        let (i, child) = meta
+            .partitions
+            .iter()
+            .enumerate()
+            .find(|(_, p)| !p.inherited_logs.is_empty())
+            .expect("a split child still shares its parent's logs");
+        let (id, dropped) = (child.id, child.inherited_logs[0]);
+        recommit(&env, root, |meta| {
+            meta.partitions[i].inherited_logs.remove(0);
+        });
+
+        let report = verify_db(env.clone() as Arc<dyn Env>, root).unwrap();
+        assert!(report.damage.is_empty(), "damage: {:?}", report.damage);
+        assert!(report.live_bytes.is_empty(), "{:?}", report.live_bytes);
+        assert_eq!(report.stray_pointers.len(), 1, "{report:?}");
+        let stray = &report.stray_pointers[0];
+        assert_eq!((stray.partition, stray.log), (id, dropped));
+        assert!(stray.pointers > 0);
         assert!(!report.is_clean());
     }
 

@@ -501,3 +501,51 @@ fn sequential_load_then_backward_probe() {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i, 64)));
     }
 }
+
+/// `flush()` runs the merge and split triggers of every partition, also
+/// when a split shifts the partitions after it. Each round puts less than
+/// a write buffer into each end of the key space, so only `flush()`
+/// flushes it, and the flushed tables make the partitions due.
+#[test]
+fn flush_leaves_no_partition_due_a_merge_or_split() {
+    let opts = UniKvOptions {
+        write_buffer_size: 64 << 10,
+        unsorted_limit_bytes: 64 << 10,
+        partition_size_limit: 128 << 10,
+        ..UniKvOptions::small_for_tests()
+    };
+    let db = open(MemEnv::shared(), opts.clone());
+    let due = |db: &UniKv| -> Vec<u32> {
+        let metas = db.partition_metas();
+        let due = metas.iter().filter(|m| {
+            let unsorted: u64 = m.unsorted.iter().map(|t| t.size).sum();
+            let sorted: u64 = m.sorted.iter().map(|t| t.size).sum();
+            unsorted >= opts.unsorted_limit_bytes
+                || unsorted + sorted + m.live_value_bytes > opts.partition_size_limit
+        });
+        due.map(|m| m.id).collect()
+    };
+    let mut i = 0u32;
+    while db.partition_count() < 2 {
+        db.put(format!("b{i:06}").as_bytes(), &value(i, 200))
+            .unwrap();
+        i += 1;
+    }
+    for round in 0..4u32 {
+        for j in 0..150u32 {
+            for prefix in ["a", "c"] {
+                let k = format!("{prefix}{round}{j:05}");
+                db.put(k.as_bytes(), &value(j, 200)).unwrap();
+            }
+        }
+        let before = db.partition_count();
+        db.flush().unwrap();
+        let due = due(&db);
+        assert!(
+            due.is_empty(),
+            "round {round} ({before} -> {} partitions): {due:?} still due after flush()",
+            db.partition_count()
+        );
+    }
+    assert!(db.partition_count() > 2, "no flush() split a partition");
+}

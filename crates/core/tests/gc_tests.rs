@@ -285,3 +285,44 @@ fn gc_without_pointers_deletes_logs_only_after_its_commit() {
     assert_eq!(db.metrics().gcs.value(), gcs + 1, "an uncounted GC");
     assert!(committed.load(Ordering::SeqCst), "the GC skipped gc:commit");
 }
+
+/// GC writes its SortedStore through the same value rule as merge and
+/// split: with `enable_kv_separation` on, an inline SortedStore value is
+/// appended to the new log. Such values exist only in a database whose
+/// last merge ran with separation off; here separation is on, then off
+/// (the overwrites stay inline), then on again for the GC.
+#[test]
+fn gc_separates_inline_sorted_store_values() {
+    let env = MemEnv::shared() as Arc<dyn Env>;
+    let with_separation = |enable_kv_separation| UniKvOptions {
+        enable_kv_separation,
+        ..opts(0)
+    };
+    let mut model = BTreeMap::new();
+    for (round, separate) in [(0, true), (1, false)] {
+        let db = UniKv::open(env.clone(), ROOT, with_separation(separate)).unwrap();
+        for i in (0..KEYS).filter(|i| round == 0 || i % 2 == 0) {
+            let value = make_value(i, round, VALUE_LEN);
+            db.put(&format_key(i), &value).unwrap();
+            model.insert(format_key(i), value);
+        }
+        db.compact_all().unwrap();
+    }
+    let db = UniKv::open(env.clone(), ROOT, with_separation(true)).unwrap();
+    let pointed = db.partition_metas()[0].live_value_bytes;
+    assert_eq!(
+        pointed,
+        (KEYS / 2) * VALUE_LEN as u64,
+        "half the values are inline"
+    );
+    db.force_gc().unwrap();
+    assert_eq!(
+        db.partition_metas()[0].live_value_bytes,
+        KEYS * VALUE_LEN as u64,
+        "GC left inline values in the SortedStore"
+    );
+    check_model(&db, &model);
+    drop(db);
+    let report = unikv::verify_db(env, ROOT).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+}

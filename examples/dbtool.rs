@@ -80,6 +80,12 @@ fn main() -> unikv_common::Result<()> {
                 m.partition, m.recorded, m.pointed
             );
         }
+        for s in &report.stray_pointers {
+            println!(
+                "STRAY partition {}: {} pointers into log {} of partition {}, which it does not name",
+                s.partition, s.pointers, s.log.log_number, s.log.partition
+            );
+        }
         if !report.is_clean() {
             std::process::exit(1);
         }
