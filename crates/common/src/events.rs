@@ -77,7 +77,10 @@ pub enum EventKind {
     JobRetry,
     /// A failed maintenance job exhausted its retry budget.
     JobQuarantine,
-    /// A WAL file became obsolete and was deleted.
+    /// A commit stopped naming a WAL file, and the file was deleted:
+    /// after a flush, after a split (the parent's WAL) and at open (the
+    /// replayed WALs). The cause is the committing op's start event; at
+    /// open there is none.
     WalRetired,
 }
 

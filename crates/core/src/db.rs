@@ -20,9 +20,10 @@
 //!
 //! Every structural change follows *write files → sync → append one
 //! record to `MANIFEST` and sync → delete old files*. The synced append
-//! is the commit point (the paper's `GC_done` marker generalized); files
-//! written before a crash that never got committed are orphans removed
-//! during recovery. The record also carries the hash-index entries of the
+//! is the commit point (the paper's `GC_done` marker generalized); the
+//! delete is one rule, `Engine::retire`: a commit deletes exactly the
+//! files it stopped naming. Files written before a crash that never got
+//! committed are orphans removed during recovery. The record also carries the hash-index entries of the
 //! tables it adds, so recovery never reads a table to rebuild the index.
 
 use crate::batch::{decode_batch_record, encode_batch_record, WriteBatch};
@@ -177,30 +178,28 @@ impl<'a> OpScope<'a> {
     /// The tail a merge, GC or split runs once its commit succeeded:
     /// publish the finish event (the rewrite is durable, so a cleanup
     /// failure below must not read as an abort) and hit the op's `cleanup`
-    /// sync point. Then retire the `replaced` tables of `old`: drop their
-    /// handles and cached blocks and delete their files. Then install each
-    /// partition's built tables, now that the tables they replace have
-    /// left the cache: each joins the partition's open handles, and the
-    /// blocks its build kept go on the cache's probation segment under its
-    /// cache id. Last, record the latency sample. Returns the finish
-    /// event's seq.
+    /// sync point. Then retire the files the commit stopped naming of
+    /// `old`, the metadata it replaced, whose table handles `served` holds
+    /// (see [`Engine::retire`]). Then install each partition's built
+    /// tables, now that the tables they replace have left the cache: each
+    /// joins the partition's open handles, and the blocks its build kept go
+    /// on the cache's probation segment under its cache id. Last, record
+    /// the latency sample. Returns the finish event's seq.
+    #[allow(clippy::too_many_arguments)]
     fn finish_rewrite<'p>(
         mut self,
+        core: &DbCore,
         outputs: Vec<u64>,
         bytes: u64,
         detail: &str,
-        old: &Partition,
-        replaced: impl IntoIterator<Item = u64>,
+        old: &PartitionMeta,
+        served: &Partition,
         installs: impl IntoIterator<Item = (&'p Partition, Vec<BuiltTable>)>,
     ) -> Result<u64> {
         let fin = self.finish(outputs, bytes, detail);
         let db = self.db;
         db.sync.hit(&format!("{}:cleanup", op_kinds(self.op).1))?;
-        let dir = partition_dir(&db.root, old.meta.id);
-        for number in replaced {
-            old.evict_table(number);
-            db.env.delete_file(&filenames::table_file(&dir, number))?;
-        }
+        db.retire(core, old, served, Some(self.start_seq))?;
         for (p, built) in installs {
             let mut tables = p.tables_guard();
             for b in built {
@@ -479,15 +478,6 @@ impl Engine {
         });
         let replay_index = geometry.is_some() && geometry == index_geometry;
 
-        // Inherited-log references across all partitions, used both for
-        // orphan sweeping and for keeping parent logs alive.
-        let inherited_refs: HashSet<(u32, u64)> = meta
-            .partitions
-            .iter()
-            .flat_map(|p| p.inherited_logs.iter())
-            .map(|r| (r.partition, r.log_number))
-            .collect();
-
         let mut core = DbCore {
             partitions: Vec::with_capacity(meta.partitions.len()),
             next_partition: meta.next_partition,
@@ -502,16 +492,18 @@ impl Engine {
             let Some(id) = s.strip_prefix('p').and_then(|x| x.parse::<u32>().ok()) else {
                 continue;
             };
-            let dir = partition_dir(&root, id);
-            let pmeta = meta.partitions.iter().find(|p| p.id == id);
-            sweep_partition_dir(env.as_ref(), &dir, id, pmeta, &inherited_refs)?;
+            sweep_partition_dir(
+                env.as_ref(),
+                &partition_dir(&root, id),
+                id,
+                &meta.partitions,
+            )?;
         }
 
         let mut last_seq = meta.last_sequence;
-        let mut stale_wals = Vec::new();
         let mut next_file = meta.next_file;
         for pmeta in &meta.partitions {
-            let (p, stale) = open_partition(
+            let p = open_partition(
                 &env,
                 &root,
                 &opts,
@@ -523,20 +515,6 @@ impl Engine {
                 &metrics,
             )?;
             core.partitions.push(p);
-            stale_wals.extend(stale);
-        }
-        if opts.paranoid_checks {
-            // Every inherited value-log reference must resolve to a file;
-            // a missing one means committed pointers would dangle.
-            for r in &inherited_refs {
-                let path = partition_dir(&root, r.0).join(vlog_file_name(r.1));
-                if !env.file_exists(&path) {
-                    return Err(Error::corruption(format!(
-                        "inherited value log missing: {}",
-                        path.display()
-                    )));
-                }
-            }
         }
         core.last_seq = last_seq;
         core.partitions.sort_by(|a, b| a.meta.lo.cmp(&b.meta.lo));
@@ -585,18 +563,21 @@ impl Engine {
         // Flush any memtable rebuilt from a WAL so the on-disk state is
         // self-describing, then commit. The first commit of every open
         // writes a fresh manifest snapshot (also covering the fresh-database
-        // case), so no record ever follows a torn tail. Replayed WAL files
-        // can go once their contents are in flushed tables.
+        // case), so no record ever follows a torn tail. Then each
+        // partition retires what the manifest named and the commit no
+        // longer does: the replayed WALs, whose contents are in flushed
+        // tables.
         {
             let mut core = db.core.write();
             for i in 0..core.partitions.len() {
                 db.flush_partition(&mut core, i)?;
             }
             db.commit_meta(&mut core, None)?;
-            for path in stale_wals {
-                if db.env.file_exists(&path) {
-                    db.env.delete_file(&path)?;
-                }
+            for old in &meta.partitions {
+                let pidx = core
+                    .partition_index(old.id)
+                    .expect("open serves every partition");
+                db.retire(&core, old, &core.partitions[pidx], None)?;
             }
         }
         Ok(db)
@@ -915,8 +896,12 @@ impl Engine {
                     .add((k.len() + v.len()) as u64);
             }
         }
-        for pidx in 0..core.partitions.len() {
-            self.on_memtable_full(&mut core, pidx)?;
+        // By id, as in `flush`: a split shifts every partition after it.
+        let pids: Vec<u32> = core.partitions.iter().map(|p| p.meta.id).collect();
+        for pid in pids {
+            if let Some(pidx) = core.partition_index(pid) {
+                self.on_memtable_full(&mut core, pidx)?;
+            }
         }
         // One latency sample per batch; the contained ops count into
         // `writes`/`batch_ops` so `put_latency`'s sample count keeps
@@ -1446,14 +1431,9 @@ impl Engine {
             });
             // Pin every log the partition's pointers may reference, so GC
             // deleting files cannot invalidate this snapshot.
-            let refs = p.meta.own_logs.iter().map(|&n| (p.meta.id, n)).chain(
-                p.meta
-                    .inherited_logs
-                    .iter()
-                    .map(|r| (r.partition, r.log_number)),
-            );
-            for (pid, log) in refs {
-                pinned.insert((pid, log), self.resolver.reader(pid, log)?);
+            for r in p.meta.logs() {
+                let reader = self.resolver.reader(r.partition, r.log_number)?;
+                pinned.insert((r.partition, r.log_number), reader);
             }
         }
         Ok(crate::iter::UniKvIterator::new(
@@ -1592,6 +1572,62 @@ impl Engine {
             Err(_) => COMMIT_FAILED.with(|c| c.set(true)),
         }
         r
+    }
+
+    /// The one retire rule: once a commit replaced the metadata `old`,
+    /// delete the files of `old` that the served state no longer names.
+    /// `served` is the partition holding `old`'s table handles: the
+    /// partition itself, or a split's parent, which is no longer served.
+    /// A table or WAL lives in `old`'s directory and goes once the served
+    /// partition with `old`'s id no longer names it, or once that
+    /// partition is gone. A value log goes once no served partition names
+    /// it: a split's children keep their parent's logs until their own
+    /// GCs drop them. Each file leaves its cache before it is deleted, and
+    /// each deleted WAL is published as `WalRetired` with `cause`, the
+    /// start event of the op that committed. Files no commit named are
+    /// orphans, which the next open sweeps.
+    fn retire(
+        &self,
+        core: &DbCore,
+        old: &PartitionMeta,
+        served: &Partition,
+        cause: Option<u64>,
+    ) -> Result<()> {
+        let dir = partition_dir(&self.root, old.id);
+        let now = core
+            .partition_index(old.id)
+            .map(|i| &core.partitions[i].meta);
+        for t in old.tables() {
+            if !now.is_some_and(|m| m.tables().any(|n| n.number == t.number)) {
+                served.evict_table(t.number);
+                self.env
+                    .delete_file(&filenames::table_file(&dir, t.number))?;
+            }
+        }
+        for w in old.wals() {
+            let path = filenames::wal_file(&dir, w);
+            if !now.is_some_and(|m| m.wals().any(|n| n == w)) && self.env.file_exists(&path) {
+                self.env.delete_file(&path)?;
+                let kind = EventKind::WalRetired;
+                self.events
+                    .publish(kind, old.id, cause, vec![w], vec![], 0, "");
+            }
+        }
+        let named = |log: &LogRef| core.partitions.iter().any(|p| p.meta.names_log(log));
+        for log in old.logs().filter(|log| !named(log)) {
+            let path =
+                partition_dir(&self.root, log.partition).join(vlog_file_name(log.log_number));
+            if !self.env.file_exists(&path) {
+                continue;
+            }
+            self.resolver.evict(log.partition, log.log_number);
+            if log.partition == old.id {
+                served.vlog.lock().delete_logs(&[log.log_number])?;
+            } else {
+                self.env.delete_file(&path)?;
+            }
+        }
+        Ok(())
     }
 
     /// Run post-flush triggers on partition `pidx`: full merge, GC, split.
@@ -1766,11 +1802,12 @@ impl Engine {
 
     /// Install a flushed table under the write lock. The partition's next
     /// metadata, with the table appended to the UnsortedStore and the
-    /// flushed WAL retired, commits with the table's hash-index entries;
-    /// then one swap publishes it and pops the sealed memtable, and the
-    /// open table joins the partition's table handles. The index takes the
-    /// entries before the commit, which logs them; an abort at the commit
-    /// takes them back out.
+    /// flushed WAL no longer named, commits with the table's hash-index
+    /// entries; then one swap publishes it and pops the sealed memtable,
+    /// the open table joins the partition's table handles, and
+    /// [`Self::retire`] deletes the WAL. The index takes the entries before
+    /// the commit, which logs them; an abort at the commit takes them back
+    /// out.
     fn install_flush(
         &self,
         core: &mut DbCore,
@@ -1805,27 +1842,13 @@ impl Engine {
             return Err(e);
         }
         let p = &mut core.partitions[pidx];
-        p.meta = next;
+        let old = std::mem::replace(&mut p.meta, next);
         p.imms.retain(|s| s.wal_number != old_wal);
         p.tables_guard().insert(table_number, table);
         self.metrics.bytes_flushed.add(table_size);
         self.metrics.flushes.inc();
         self.sync.hit("flush:cleanup")?;
-        // Old WAL is obsolete once the manifest no longer names it.
-        let pid = core.partitions[pidx].meta.id;
-        let old = filenames::wal_file(&partition_dir(&self.root, pid), old_wal);
-        if self.env.file_exists(&old) {
-            self.env.delete_file(&old)?;
-            self.events.publish(
-                EventKind::WalRetired,
-                pid,
-                flush_start,
-                vec![old_wal],
-                vec![],
-                0,
-                "",
-            );
-        }
+        self.retire(core, &old, &core.partitions[pidx], flush_start)?;
         self.maint.notify_progress();
         Ok(())
     }
@@ -1970,9 +1993,8 @@ impl Engine {
         if p.meta.unsorted.is_empty() {
             return Ok(None);
         }
-        let tables = || p.meta.unsorted.iter().chain(&p.meta.sorted);
-        let inputs: Vec<u64> = tables().map(|t| t.number).collect();
-        let input_bytes = tables().map(|t| t.size).sum();
+        let inputs: Vec<u64> = p.meta.tables().map(|t| t.number).collect();
+        let input_bytes = p.meta.tables().map(|t| t.size).sum();
         let scope = self.begin_op(
             TraceOp::Merge,
             p.meta.id,
@@ -2038,8 +2060,8 @@ impl Engine {
         // One job runs per partition and foreground structural operations
         // pause the workers, so nothing may change the tiers between
         // snapshot and install.
-        let tiers = p.meta.unsorted.iter().chain(&p.meta.sorted);
-        if !tiers.map(|t| t.number).eq(snap.inputs.iter().copied()) {
+        let tables = p.meta.tables().map(|t| t.number);
+        if !tables.eq(snap.inputs.iter().copied()) {
             return Err(Error::internal(
                 "merge inputs changed between snapshot and install",
             ));
@@ -2055,16 +2077,15 @@ impl Engine {
         self.sync.hit("merge:commit")?;
         self.commit_meta(core, Some((pidx, std::slice::from_ref(&next))))?;
         let p = &mut core.partitions[pidx];
-        p.meta = next;
+        let old = std::mem::replace(&mut p.meta, next);
         p.index.clear();
         self.metrics.merge_bytes_read.add(snap.input_bytes);
         self.metrics.merges.inc();
         self.metrics.merge_bytes_written.add(out.written);
         let p = &core.partitions[pidx];
-        let replaced = snap.inputs.iter().copied();
         let fin =
             snap.scope
-                .finish_rewrite(outputs, out.written, "", p, replaced, [(p, out.built)])?;
+                .finish_rewrite(core, outputs, out.written, "", &old, p, [(p, out.built)])?;
         self.maint.notify_progress();
         Ok(fin)
     }
@@ -2169,21 +2190,19 @@ impl Engine {
         self.metrics.gc_bytes_written.add(out.written);
         self.metrics.gcs.inc();
         let p = &core.partitions[pidx];
-        let replaced = old.sorted.iter().map(|t| t.number);
-        scope.finish_rewrite(new_logs, out.written, "", p, replaced, [(p, out.built)])?;
-        for &n in &victims {
-            self.resolver.evict(pid, n);
-        }
-        p.vlog.lock().delete_logs(&victims)?;
-        self.sweep_shared_logs(core, &old.inherited_logs)
+        scope.finish_rewrite(core, new_logs, out.written, "", &old, p, [(p, out.built)])?;
+        Ok(())
     }
 
-    /// GC's pointer pass: the own logs of `p` whose garbage reaches
+    /// GC's pointer pass: the own logs `p` names whose garbage reaches
     /// `ratio`, ascending. Each log's live bytes are the exact record bytes
     /// (payload plus framing, as [`ValueLog::log_size`] counts them) that
     /// the SortedStore's pointers address in it, so a fully live log reads
-    /// 0% garbage and a log no pointer reaches (empty, or left by an
-    /// aborted GC) is a victim at any ratio.
+    /// 0% garbage and a log no pointer reaches is a victim at any ratio.
+    /// Only named logs are candidates, because the retire rule deletes
+    /// only what the commit stops naming: a log an aborted rewrite left
+    /// is named by the next GC's commit, which keeps every log it does not
+    /// copy, and the GC after it deletes the log.
     fn gc_victims(&self, p: &Partition, ratio: f64) -> Result<Vec<u64>> {
         let mut live: HashMap<u64, u64> = HashMap::new();
         let mut iter = self.sorted_iter(p)?;
@@ -2196,7 +2215,7 @@ impl Engine {
             iter.next()?;
         }
         let vlog = p.vlog.lock();
-        let mut victims = vlog.log_numbers();
+        let mut victims = p.meta.own_logs.clone();
         victims.retain(|n| {
             let size = vlog.log_size(*n).unwrap_or(0);
             let garbage = size.saturating_sub(live.get(n).copied().unwrap_or(0));
@@ -2215,26 +2234,6 @@ impl Engine {
         let mut iter = ConcatSource::new(run, false);
         iter.seek_to_first()?;
         Ok(iter)
-    }
-
-    /// Delete formerly-inherited log files that no partition references
-    /// anymore.
-    fn sweep_shared_logs(&self, core: &DbCore, candidates: &[LogRef]) -> Result<()> {
-        for r in candidates {
-            let still_referenced = core.partitions.iter().any(|p| {
-                (p.meta.id == r.partition && p.meta.own_logs.contains(&r.log_number))
-                    || p.meta.inherited_logs.contains(r)
-            });
-            if !still_referenced {
-                let path =
-                    partition_dir(&self.root, r.partition).join(vlog_file_name(r.log_number));
-                if self.env.file_exists(&path) {
-                    self.resolver.evict(r.partition, r.log_number);
-                    self.env.delete_file(&path)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Dynamic range partitioning: split partition `pidx` at its median
@@ -2269,8 +2268,7 @@ impl Engine {
         }
         let parent = &core.partitions[pidx].meta;
         let (parent_id, parent_lo, parent_hi) = (parent.id, parent.lo.clone(), parent.hi.clone());
-        let parent_tables = parent.unsorted.iter().chain(&parent.sorted);
-        let parent_tables = parent_tables.map(|t| t.number).collect();
+        let parent_tables = parent.tables().map(|t| t.number).collect();
         let scope = self.begin_op(TraceOp::Split, parent_id, cause, parent_tables, 0)?;
 
         // Allocate children.
@@ -2341,32 +2339,20 @@ impl Engine {
             .expect("the parent is replaced");
         self.metrics.split_bytes_written.add(split_bytes);
         self.metrics.splits.inc();
-        // Delete the parent's table files; outputs name the two child
+        // The parent's tables and WAL go; its value logs stay while a
+        // child names them (lazy value split). Outputs name the two child
         // *partitions* (the interesting unit here), not files, and the
         // detail spells out which is which.
-        let replaced = parent.meta.unsorted.iter().chain(&parent.meta.sorted);
         let installs = built.into_iter().zip(&core.partitions[pidx..]);
         let fin = scope.finish_rewrite(
+            core,
             ids.iter().map(|&id| id as u64).collect(),
             split_bytes,
             &format!("children p{},p{}", ids[0], ids[1]),
+            &parent.meta,
             &parent,
-            replaced.map(|t| t.number),
             installs.map(|(built, p)| (p, built)),
         )?;
-        // Delete the parent's WAL; keep its value logs (now shared with
-        // the children, freed by lazy GC) unless nothing references them.
-        let parent_dir = partition_dir(&self.root, parent.meta.id);
-        let wal_path = filenames::wal_file(&parent_dir, parent.meta.wal_number);
-        if self.env.file_exists(&wal_path) {
-            self.env.delete_file(&wal_path)?;
-        }
-        let own_logs = parent.meta.own_logs.iter().map(|&log_number| LogRef {
-            partition: parent_id,
-            log_number,
-        });
-        let parent_logs: Vec<LogRef> = own_logs.chain(parent.meta.inherited_logs).collect();
-        self.sweep_shared_logs(core, &parent_logs)?;
         Ok(Some(fin))
     }
 
@@ -2516,53 +2502,38 @@ fn index_capacity(opts: &UniKvOptions) -> usize {
     (opts.unsorted_limit_bytes as usize / 64).max(256)
 }
 
+/// Delete every file in partition `id`'s directory `dir` that the
+/// recovered `partitions` do not name: the orphans of a build or a retire
+/// that a crash cut short. A table or WAL must be named by partition
+/// `id`; a value log may be named by any partition (a split child names
+/// its parent's logs).
 fn sweep_partition_dir(
     env: &dyn Env,
     dir: &Path,
     id: u32,
-    pmeta: Option<&PartitionMeta>,
-    inherited_refs: &HashSet<(u32, u64)>,
+    partitions: &[PartitionMeta],
 ) -> Result<()> {
-    let live_tables: HashSet<u64> = pmeta
-        .map(|m| {
-            m.unsorted
-                .iter()
-                .chain(&m.sorted)
-                .map(|t| t.number)
-                .collect()
-        })
-        .unwrap_or_default();
-    let live_logs: HashSet<u64> = pmeta
-        .map(|m| m.own_logs.iter().copied().collect())
-        .unwrap_or_default();
-    // Sealed WALs protect sealed-but-unflushed memtables; they are as
-    // live as the active WAL until their flush commits.
-    let live_wals: HashSet<u64> = pmeta
-        .map(|m| {
-            m.sealed_wals
-                .iter()
-                .copied()
-                .chain([m.wal_number])
-                .collect()
-        })
-        .unwrap_or_default();
+    let pmeta = partitions.iter().find(|p| p.id == id);
     for name in env.list_dir(dir)? {
         let Some(s) = name.to_str() else { continue };
-        if let Some(log) = parse_vlog_file_name(s) {
-            let keep = live_logs.contains(&log) || inherited_refs.contains(&(id, log));
-            if !keep {
-                env.delete_file(&dir.join(name))?;
+        let named = match (parse_vlog_file_name(s), filenames::parse_file_name(s)) {
+            (Some(log_number), _) => {
+                let log = LogRef {
+                    partition: id,
+                    log_number,
+                };
+                partitions.iter().any(|p| p.names_log(&log))
             }
-            continue;
-        }
-        match filenames::parse_file_name(s) {
-            Some(filenames::FileKind::Table(n)) if !live_tables.contains(&n) => {
-                env.delete_file(&dir.join(name))?;
+            (_, Some(filenames::FileKind::Table(n))) => {
+                pmeta.is_some_and(|m| m.tables().any(|t| t.number == n))
             }
-            Some(filenames::FileKind::Wal(n)) if !live_wals.contains(&n) => {
-                env.delete_file(&dir.join(name))?;
+            (_, Some(filenames::FileKind::Wal(n))) => {
+                pmeta.is_some_and(|m| m.wals().any(|w| w == n))
             }
-            _ => {}
+            _ => true,
+        };
+        if !named {
+            env.delete_file(&dir.join(name))?;
         }
     }
     Ok(())
@@ -2593,16 +2564,18 @@ fn open_partition(
     last_seq: &mut SequenceNumber,
     next_file: &mut u64,
     metrics: &DbMetrics,
-) -> Result<(Partition, Vec<PathBuf>)> {
+) -> Result<Partition> {
     let dir = partition_dir(root, pmeta.id);
     env.create_dir_all(&dir)?;
 
     if opts.paranoid_checks {
         // Verify every file the manifest commits to before trusting the partition:
         // tables must exist at their recorded size with a parseable
-        // footer + index, and every owned value log must exist. Data-block
-        // and value checksums are verified on every read regardless.
-        for tmeta in pmeta.unsorted.iter().chain(&pmeta.sorted) {
+        // footer + index, and every value log it names, owned or
+        // inherited, must exist: a missing one means committed pointers
+        // would dangle. Data-block and value checksums are verified on
+        // every read regardless.
+        for tmeta in pmeta.tables() {
             let path = filenames::table_file(&dir, tmeta.number);
             if !env.file_exists(&path) {
                 return Err(Error::corruption(format!(
@@ -2623,8 +2596,8 @@ fn open_partition(
                 Error::corruption(format!("table {} unreadable: {e}", path.display()))
             })?;
         }
-        for &n in &pmeta.own_logs {
-            let path = dir.join(vlog_file_name(n));
+        for log in pmeta.logs() {
+            let path = partition_dir(root, log.partition).join(vlog_file_name(log.log_number));
             if !env.file_exists(&path) {
                 return Err(Error::corruption(format!(
                     "value log missing: {}",
@@ -2670,23 +2643,12 @@ fn open_partition(
     // fresh memtable (a missing file = clean shutdown or crash before any
     // write reached it). Sealed WALs exist when a crash interrupted
     // background flushing; replay restores their memtables' contents and
-    // the flush-on-open below re-persists everything, so the sealed list
-    // is cleared afterwards.
+    // the flush-on-open re-persists everything, so the sealed list is
+    // cleared, and the open retires the sealed WALs after its commit.
     let mem = Arc::new(MemTable::new());
-    let wal_path = filenames::wal_file(&dir, pmeta.wal_number);
-    let mut stale_wals = Vec::new();
     let mut replayed = false;
-    for (number, is_sealed) in pmeta
-        .sealed_wals
-        .iter()
-        .map(|&n| (n, true))
-        .chain([(pmeta.wal_number, false)])
-    {
+    for number in pmeta.wals() {
         let path = filenames::wal_file(&dir, number);
-        if is_sealed {
-            // Superseded regardless of content once this open commits.
-            stale_wals.push(path.clone());
-        }
         if !env.file_exists(&path) {
             continue;
         }
@@ -2718,9 +2680,8 @@ fn open_partition(
     if replayed {
         // The replayed WALs must survive on disk until the memtable is
         // flushed (UniKv::open flushes non-empty memtables immediately
-        // after loading). Route new appends to a fresh WAL file; the old
-        // ones are returned for deletion after the flush commits.
-        stale_wals.push(wal_path);
+        // after loading). Route new appends to a fresh WAL file; the open
+        // retires the old ones once the flush commits.
         meta.wal_number = *next_file;
         *next_file += 1;
     }
@@ -2728,5 +2689,5 @@ fn open_partition(
     // absent) file is safe.
     let wal = LogWriter::new(env.new_writable(&filenames::wal_file(&dir, meta.wal_number))?)
         .with_metrics(metrics.wal.clone());
-    Ok((Partition::new(meta, mem, wal, index, vlog), stale_wals))
+    Ok(Partition::new(meta, mem, wal, index, vlog))
 }

@@ -258,6 +258,33 @@ fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>
 }
 
 impl PartitionMeta {
+    /// Every table the partition names: the UnsortedStore, then the
+    /// SortedStore.
+    pub fn tables(&self) -> impl Iterator<Item = &TableMeta> + Clone {
+        self.unsorted.iter().chain(&self.sorted)
+    }
+
+    /// Every WAL the partition names: the sealed ones, oldest first, then
+    /// the active one.
+    pub fn wals(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sealed_wals.iter().copied().chain([self.wal_number])
+    }
+
+    /// Every value log the partition's pointers may address: its own logs,
+    /// then the ones it inherited from a split parent.
+    pub fn logs(&self) -> impl Iterator<Item = LogRef> + '_ {
+        let own = self.own_logs.iter().map(|&log_number| LogRef {
+            partition: self.id,
+            log_number,
+        });
+        own.chain(self.inherited_logs.iter().copied())
+    }
+
+    /// True if `log` is one of [`PartitionMeta::logs`].
+    pub fn names_log(&self, log: &LogRef) -> bool {
+        self.logs().any(|l| l == *log)
+    }
+
     /// Append this partition's encoding to `out`.
     fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint32(out, self.id);

@@ -2,9 +2,7 @@
 //! tables with their hash index, the SortedStore run, and the value log.
 
 use crate::meta::{IndexEntry, PartitionMeta, TableMeta};
-use crate::resolver::partition_dir;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use unikv_common::ikey::{compare_internal_keys, extract_user_key};
 use unikv_hashindex::TwoLevelHashIndex;
@@ -86,11 +84,6 @@ impl Partition {
         }
     }
 
-    /// Directory of this partition under `root`.
-    pub fn dir(root: &Path, id: u32) -> PathBuf {
-        partition_dir(root, id)
-    }
-
     /// Lock the table-handle cache.
     pub fn tables_guard(&self) -> parking_lot::MutexGuard<'_, HashMap<u64, Arc<Table>>> {
         self.tables.lock()
@@ -142,15 +135,6 @@ impl Partition {
     pub fn stall_debt(&self) -> (usize, usize) {
         (self.imms.len(), self.meta.unsorted.len())
     }
-
-    /// True if `user_key` belongs to this partition's range.
-    pub fn contains(&self, user_key: &[u8]) -> bool {
-        self.meta.lo.as_slice() <= user_key
-            && match &self.meta.hi {
-                Some(hi) => user_key < hi.as_slice(),
-                None => true,
-            }
-    }
 }
 
 /// Build the standard table options for UniKV tables (internal-key order,
@@ -176,6 +160,7 @@ pub fn table_options_with_io(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use unikv_common::ikey::{make_internal_key, ValueType};
     use unikv_env::mem::MemEnv;
     use unikv_env::Env;
@@ -233,19 +218,6 @@ mod tests {
         assert_eq!(p.sorted_table_for(b"m").map(|t| t.number), Some(2));
         assert_eq!(p.sorted_table_for(b"a"), None);
         assert_eq!(p.sorted_table_for(b"z"), None);
-    }
-
-    #[test]
-    fn contains_respects_half_open_range() {
-        let mut meta = partition_with_sorted(vec![]);
-        meta.lo = b"g".to_vec();
-        meta.hi = Some(b"p".to_vec());
-        let p = test_partition(meta);
-        assert!(!p.contains(b"f"));
-        assert!(p.contains(b"g"));
-        assert!(p.contains(b"o"));
-        assert!(!p.contains(b"p"));
-        assert!(!p.contains(b"z"));
     }
 
     #[test]

@@ -194,13 +194,13 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
     };
 
     // Shared logs may be referenced by several partitions; scrub each once.
-    let mut seen_vlogs: BTreeSet<(u32, u64)> = BTreeSet::new();
+    let mut seen_vlogs: BTreeSet<LogRef> = BTreeSet::new();
     for p in &meta.partitions {
         let dir = partition_dir(root, p.id);
         // The SortedStore's pointers, checked unless one of its tables is
         // damaged.
         let (mut pointed, mut damaged) = (PointedLogs::new(), false);
-        for (i, tmeta) in p.unsorted.iter().chain(&p.sorted).enumerate() {
+        for (i, tmeta) in p.tables().enumerate() {
             let path = filenames::table_file(&dir, tmeta.number);
             report.files_checked += 1;
             let sorted = i >= p.unsorted.len();
@@ -221,12 +221,7 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
                 });
             }
             for (&log, &(pointers, _)) in &pointed {
-                let named = if log.partition == p.id {
-                    p.own_logs.contains(&log.log_number)
-                } else {
-                    p.inherited_logs.contains(&log)
-                };
-                if !named {
+                if !p.names_log(&log) {
                     report.stray_pointers.push(StrayPointers {
                         partition: p.id,
                         log,
@@ -235,7 +230,7 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
                 }
             }
         }
-        for &n in p.sealed_wals.iter().chain([p.wal_number].iter()) {
+        for n in p.wals() {
             let path = filenames::wal_file(&dir, n);
             if !env.file_exists(&path) {
                 continue; // crash before the first synced append
@@ -245,16 +240,11 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
                 report.flag(&path, "wal", e.to_string());
             }
         }
-        for r in p
-            .own_logs
-            .iter()
-            .map(|&n| (p.id, n))
-            .chain(p.inherited_logs.iter().map(|l| (l.partition, l.log_number)))
-        {
-            if !seen_vlogs.insert(r) {
+        for log in p.logs() {
+            if !seen_vlogs.insert(log) {
                 continue;
             }
-            let path = partition_dir(root, r.0).join(vlog_file_name(r.1));
+            let path = partition_dir(root, log.partition).join(vlog_file_name(log.log_number));
             report.files_checked += 1;
             if !env.file_exists(&path) {
                 report.flag(&path, "vlog", "file missing");
@@ -302,21 +292,42 @@ mod tests {
 
     /// Merges, GCs and splits, inline and on worker threads, keep every
     /// partition's recorded live value bytes equal to the lengths of its
-    /// SortedStore's pointers.
+    /// SortedStore's pointers, and every key reads its last written value,
+    /// by get and by a full scan, before and after a reopen: a pointer
+    /// into a deleted log fails the reads, not only the scrub.
     #[test]
     fn live_value_bytes_match_after_merges_gc_and_split() {
+        const ROUNDS: u32 = 6;
+        let key = |i: u32| format!("key{i:05}").into_bytes();
+        let value = |round: u32, i: u32| format!("{round}-{i}-").repeat(12).into_bytes();
+        // Round `r` rewrites the keys `i` with `i % ROUNDS >= r`, so key `i`
+        // keeps the value of round `i % ROUNDS` through the later merges,
+        // GCs and splits.
+        let check_reads = |db: &UniKv, when: &str| {
+            let expected: Vec<(Vec<u8>, Vec<u8>)> =
+                (0..1500).map(|i| (key(i), value(i % ROUNDS, i))).collect();
+            for (k, v) in &expected {
+                let got = db.get(k).unwrap_or_else(|e| panic!("{when}: get: {e}"));
+                assert_eq!(got.as_ref(), Some(v), "{when}: get");
+            }
+            let scanned = db
+                .scan(b"", usize::MAX)
+                .unwrap_or_else(|e| panic!("{when}: scan: {e}"));
+            let scanned: Vec<(Vec<u8>, Vec<u8>)> =
+                scanned.into_iter().map(|it| (it.key, it.value)).collect();
+            assert!(scanned == expected, "{when}: scan");
+        };
         for background_jobs in [0, 2] {
             let env = MemEnv::shared();
             let opts = UniKvOptions {
                 background_jobs,
                 ..UniKvOptions::small_for_tests()
             };
-            let db = UniKv::open(env.clone() as Arc<dyn Env>, "/db", opts).unwrap();
-            for round in 0..6u32 {
-                for i in 0..1500u32 {
-                    let value = format!("{round}-{i}-").repeat(12);
-                    db.put(format!("key{i:05}").as_bytes(), value.as_bytes())
-                        .unwrap();
+            let open = || UniKv::open(env.clone() as Arc<dyn Env>, "/db", opts.clone()).unwrap();
+            let db = open();
+            for round in 0..ROUNDS {
+                for i in (0..1500u32).filter(|i| i % ROUNDS >= round) {
+                    db.put(&key(i), &value(round, i)).unwrap();
                 }
             }
             db.wait_for_background();
@@ -324,9 +335,14 @@ mod tests {
             for op in ["merges", "gcs", "splits"] {
                 assert!(counters[op] > 0, "mode {background_jobs}: no {op} ran");
             }
+            check_reads(&db, &format!("mode {background_jobs}, before the reopen"));
             drop(db);
             let report = verify_db(env.clone() as Arc<dyn Env>, "/db").unwrap();
             assert!(report.is_clean(), "mode {background_jobs}: {report:?}");
+            check_reads(
+                &open(),
+                &format!("mode {background_jobs}, after the reopen"),
+            );
         }
     }
 

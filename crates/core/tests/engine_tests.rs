@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use unikv::{UniKv, UniKvOptions};
+use unikv::{UniKv, UniKvOptions, WriteBatch};
 use unikv_env::fault::FaultInjectionEnv;
 use unikv_env::mem::MemEnv;
 
@@ -548,4 +548,142 @@ fn flush_leaves_no_partition_due_a_merge_or_split() {
         );
     }
     assert!(db.partition_count() > 2, "no flush() split a partition");
+}
+
+/// A batch flushes every partition whose memtable it fills, also when an
+/// inline split shifts the partitions after the one it splits. Each batch
+/// puts more than a write buffer into each end of the key space.
+#[test]
+fn write_batch_flushes_every_partition_it_fills() {
+    let opts = UniKvOptions {
+        write_buffer_size: 16 << 10,
+        partition_size_limit: 96 << 10,
+        ..UniKvOptions::small_for_tests()
+    };
+    let db = open(MemEnv::shared(), opts);
+    let mut i = 0u32;
+    while db.partition_count() < 2 {
+        db.put(format!("b{i:06}").as_bytes(), &value(i, 200))
+            .unwrap();
+        i += 1;
+    }
+    let flushes = |db: &UniKv| db.metrics_snapshot().counters["flushes"];
+    let mut split = false;
+    for round in 0..6u32 {
+        let mut batch = WriteBatch::new();
+        for j in 0..100u32 {
+            for prefix in ["a", "c"] {
+                batch.put(format!("{prefix}{round}{j:05}"), value(j, 200));
+            }
+        }
+        let (before, parts) = (flushes(&db), db.partition_count());
+        db.write_batch(&batch).unwrap();
+        split |= db.partition_count() > parts;
+        assert!(
+            flushes(&db) - before >= 2,
+            "round {round} ({parts} -> {} partitions): the batch flushed {} partitions",
+            db.partition_count(),
+            flushes(&db) - before
+        );
+    }
+    assert!(split, "no batch split a partition");
+}
+
+/// Every file under the partition directories, and no other, is one the
+/// served partitions name: each partition's tables and WALs in its own
+/// directory, and each value log a partition names in its owner's
+/// directory. A commit deletes exactly the files it stops naming, so this
+/// holds after every step of a seeded run of puts, flushes, merges, GCs
+/// and splits, and after a reopen, inline and, once the workers are idle,
+/// in background mode.
+#[test]
+fn partition_directories_hold_exactly_the_named_files() {
+    use std::collections::BTreeSet;
+    use std::path::{Path, PathBuf};
+    use unikv::resolver::partition_dir;
+    use unikv_env::Env;
+    use unikv_lsm::filenames::{table_file, wal_file};
+    use unikv_vlog::vlog_file_name;
+
+    let root = Path::new("/db");
+    for background_jobs in [0, 2] {
+        let env = MemEnv::shared();
+        let opts = UniKvOptions {
+            background_jobs,
+            ..UniKvOptions::small_for_tests()
+        };
+        let check = |db: &UniKv, step: &str| {
+            db.wait_for_background();
+            let mut named = BTreeSet::new();
+            for m in db.partition_metas() {
+                let dir = partition_dir(root, m.id);
+                named.extend(m.tables().map(|t| table_file(&dir, t.number)));
+                named.extend(m.wals().map(|w| wal_file(&dir, w)));
+                for log in m.logs() {
+                    let dir = partition_dir(root, log.partition);
+                    named.insert(dir.join(vlog_file_name(log.log_number)));
+                }
+            }
+            let mut on_disk: BTreeSet<PathBuf> = BTreeSet::new();
+            for name in env.list_dir(root).unwrap() {
+                let name = name.to_str().unwrap();
+                if name
+                    .strip_prefix('p')
+                    .is_some_and(|id| id.parse::<u32>().is_ok())
+                {
+                    let dir = root.join(name);
+                    on_disk.extend(env.list_dir(&dir).unwrap().iter().map(|f| dir.join(f)));
+                }
+            }
+            let stray: Vec<_> = on_disk.difference(&named).collect();
+            let missing: Vec<_> = named.difference(&on_disk).collect();
+            assert!(
+                stray.is_empty() && missing.is_empty(),
+                "mode {background_jobs}, after {step}: unnamed files {stray:?}, \
+                 missing files {missing:?}"
+            );
+        };
+        let mut db = open(env.clone(), opts.clone());
+        let mut rng: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = |m: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % m
+        };
+        for round in 0..4u32 {
+            for chunk in 0..4u32 {
+                for _ in 0..600 {
+                    let i = next(6000) as u32;
+                    db.put(&key(i), &value(i + round, 64 + next(192) as usize))
+                        .unwrap();
+                }
+                check(&db, &format!("round {round}, puts {chunk}"));
+            }
+            if round == 2 {
+                // Every kind of op ran (the counters restart at the reopen),
+                // and split children still share their parents' logs.
+                let counters = db.metrics_snapshot().counters;
+                for op in ["flushes", "merges", "gcs", "splits"] {
+                    assert!(counters[op] > 0, "mode {background_jobs}: no {op} ran");
+                }
+                let metas = db.partition_metas();
+                assert!(metas.iter().any(|m| !m.inherited_logs.is_empty()));
+                // The memtables hold writes, so the reopen replays WALs.
+                drop(db);
+                db = open(env.clone(), opts.clone());
+                check(&db, "reopen");
+            }
+            db.flush().unwrap();
+            check(&db, &format!("round {round}, flush"));
+            db.compact_all().unwrap();
+            check(&db, &format!("round {round}, compact_all"));
+            db.force_gc().unwrap();
+            check(&db, &format!("round {round}, force_gc"));
+        }
+        assert!(
+            db.partition_count() >= 8,
+            "mode {background_jobs}: few splits"
+        );
+    }
 }

@@ -326,3 +326,46 @@ fn gc_separates_inline_sorted_store_values() {
     let report = unikv::verify_db(env, ROOT).unwrap();
     assert!(report.is_clean(), "{report:?}");
 }
+
+/// The logs a GC wrote before its commit aborted are named by no commit,
+/// so the retire rule does not delete them. The next GC's commit names
+/// them, as it names every log it does not copy, and the GC after it
+/// deletes them: the partition's directory then holds exactly its named
+/// logs again.
+#[test]
+fn logs_an_aborted_gc_wrote_are_deleted_by_later_gcs() {
+    let env = MemEnv::shared();
+    let db = UniKv::open(env.clone() as Arc<dyn Env>, ROOT, opts(0)).unwrap();
+    for round in 0..3 {
+        for i in 0..KEYS {
+            db.put(&format_key(i), &make_value(i, round, VALUE_LEN))
+                .unwrap();
+        }
+    }
+    db.compact_all().unwrap();
+    let id = db.partition_metas()[0].id;
+    let named = |db: &UniKv| db.partition_metas()[0].own_logs.clone();
+    let on_disk = || logs(env.as_ref(), id).into_keys().collect::<Vec<u64>>();
+    let fired = Arc::new(AtomicBool::new(false));
+    let armed = fired.clone();
+    db.sync_points().arm(Arc::new(move |name| {
+        if name == "gc:commit" && !armed.swap(true, Ordering::SeqCst) {
+            return Err(unikv_common::Error::internal("abort at gc:commit"));
+        }
+        Ok(())
+    }));
+    assert!(db.force_gc().is_err(), "the GC did not abort");
+    db.sync_points().disarm();
+    let left: Vec<u64> = on_disk()
+        .into_iter()
+        .filter(|n| !named(&db).contains(n))
+        .collect();
+    assert!(!left.is_empty(), "the aborted GC wrote no log");
+    db.force_gc().unwrap();
+    db.force_gc().unwrap();
+    assert_eq!(
+        on_disk(),
+        named(&db),
+        "the aborted GC's logs {left:?} survived"
+    );
+}

@@ -817,7 +817,8 @@ impl LsmDb {
     }
 }
 
-/// Encode one write as a WAL record (shared with the UniKV engine).
+/// Encode one write as a WAL record. (The UniKV engine logs write
+/// batches with its own `encode_batch_record`.)
 pub fn encode_wal_record(seq: SequenceNumber, t: ValueType, key: &[u8], value: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(key.len() + value.len() + 16);
     put_varint64(&mut rec, seq);

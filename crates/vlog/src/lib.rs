@@ -12,7 +12,6 @@
 //! The pointer's `offset` addresses the record start and `length` the value
 //! payload, so a read can cross-check both framing and checksum.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -69,9 +68,9 @@ fn decode_record(data: &[u8], expected_len: u32) -> Result<Range<usize>> {
 }
 
 /// Read and verify one value record at `offset` in a log file, expecting a
-/// value of `expected_len` bytes. Used both by [`ValueLog::read`] and by
-/// cross-partition pointer resolution after a split (children reading a
-/// parent's shared logs).
+/// value of `expected_len` bytes. Every single-value read goes through
+/// here: the engine resolves pointers of any partition with it, a split
+/// child's pointers into its parent's shared logs included.
 pub fn read_value_record(
     file: &dyn RandomAccessFile,
     offset: u64,
@@ -156,14 +155,21 @@ struct ActiveLog {
 
 /// The set of value-log files belonging to one partition.
 ///
-/// ```
-/// use unikv_vlog::ValueLog;
-/// use unikv_env::mem::MemEnv;
+/// It only writes: values are read back with [`read_value_record`].
 ///
-/// let mut vlog = ValueLog::open(MemEnv::shared(), "/p0", 0, 1 << 20).unwrap();
+/// ```
+/// use std::path::Path;
+/// use unikv_env::{mem::MemEnv, Env};
+/// use unikv_vlog::{read_value_record, vlog_file_name, ValueLog};
+///
+/// let env = MemEnv::shared();
+/// let mut vlog = ValueLog::open(env.clone(), "/p0", 0, 1 << 20).unwrap();
 /// let ptr = vlog.append(b"payload").unwrap();
 /// vlog.sync().unwrap();
-/// assert_eq!(vlog.read(&ptr).unwrap(), b"payload");
+/// let path = Path::new("/p0").join(vlog_file_name(ptr.log_number));
+/// let file = env.new_random_access(&path).unwrap();
+/// let value = read_value_record(file.as_ref(), ptr.offset, ptr.length).unwrap();
+/// assert_eq!(value, b"payload");
 /// ```
 pub struct ValueLog {
     env: Arc<dyn Env>,
@@ -174,7 +180,6 @@ pub struct ValueLog {
     next_number: u64,
     /// Size per sealed/active log file.
     sizes: HashMap<u64, u64>,
-    readers: Mutex<HashMap<u64, Arc<dyn RandomAccessFile>>>,
     metrics: Option<VlogMetrics>,
 }
 
@@ -227,7 +232,6 @@ impl ValueLog {
             active: None,
             next_number,
             sizes,
-            readers: Mutex::new(HashMap::new()),
             metrics: None,
         })
     }
@@ -235,11 +239,6 @@ impl ValueLog {
     /// Attach value-log counters (builder-style; tests skip it).
     pub fn set_metrics(&mut self, metrics: VlogMetrics) {
         self.metrics = Some(metrics);
-    }
-
-    /// Partition id stamped into pointers.
-    pub fn partition(&self) -> u32 {
-        self.partition
     }
 
     fn log_path(&self, number: u64) -> PathBuf {
@@ -286,9 +285,6 @@ impl ValueLog {
             m.appends.inc();
             m.append_bytes.add(value.len() as u64);
         }
-        // Invalidate any cached reader snapshot for the active log so reads
-        // opened before this append still see it (MemEnv shares state, but
-        // FsEnv readers see appended data too; cache stays valid).
         Ok(ValuePointer {
             partition: self.partition,
             log_number: active.number,
@@ -303,24 +299,6 @@ impl ValueLog {
             active.file.sync()?;
         }
         Ok(())
-    }
-
-    fn reader(&self, number: u64) -> Result<Arc<dyn RandomAccessFile>> {
-        let mut readers = self.readers.lock();
-        if let Some(r) = readers.get(&number) {
-            return Ok(r.clone());
-        }
-        let r = self.env.new_random_access(&self.log_path(number))?;
-        readers.insert(number, r.clone());
-        Ok(r)
-    }
-
-    /// Read the value addressed by `ptr`. The pointer's partition field is
-    /// not checked here: after a split, children legitimately read from a
-    /// parent's logs through their own [`ValueLog`] handle.
-    pub fn read(&self, ptr: &ValuePointer) -> Result<Vec<u8>> {
-        let reader = self.reader(ptr.log_number)?;
-        read_value_record(reader.as_ref(), ptr.offset, ptr.length)
     }
 
     /// Numbers of all live logs, ascending.
@@ -347,16 +325,10 @@ impl ValueLog {
             if self.active.as_ref().is_some_and(|a| a.number == n) {
                 self.active = None;
             }
-            self.readers.lock().remove(&n);
             self.sizes.remove(&n);
             self.env.delete_file(&self.log_path(n))?;
         }
         Ok(())
-    }
-
-    /// Directory holding the logs.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -367,6 +339,13 @@ mod tests {
 
     fn new_vlog(env: &Arc<MemEnv>, max: u64) -> ValueLog {
         ValueLog::open(env.clone(), "/p0/vlog", 7, max).unwrap()
+    }
+
+    /// Read the value `ptr` addresses in the logs `new_vlog` writes.
+    fn read(env: &Arc<MemEnv>, ptr: &ValuePointer) -> Result<Vec<u8>> {
+        let path = Path::new("/p0/vlog").join(vlog_file_name(ptr.log_number));
+        let file = env.new_random_access(&path)?;
+        read_value_record(file.as_ref(), ptr.offset, ptr.length)
     }
 
     #[test]
@@ -388,7 +367,7 @@ mod tests {
         vl.sync().unwrap();
         for (v, p) in values.iter().zip(&ptrs) {
             assert_eq!(p.partition, 7);
-            assert_eq!(&vl.read(p).unwrap(), v);
+            assert_eq!(&read(&env, p).unwrap(), v);
         }
     }
 
@@ -425,7 +404,7 @@ mod tests {
         assert_eq!(vl.log_numbers(), survivors);
         // Pointers into deleted logs now fail; survivors still read.
         for p in &ptrs {
-            let ok = vl.read(p).is_ok();
+            let ok = read(&env, p).is_ok();
             assert_eq!(ok, survivors.contains(&p.log_number));
         }
     }
@@ -442,13 +421,13 @@ mod tests {
         };
         let mut vl2 = new_vlog(&env, 128);
         for (p, v) in ptrs.iter().zip(&values) {
-            assert_eq!(&vl2.read(p).unwrap(), v);
+            assert_eq!(&read(&env, p).unwrap(), v);
         }
         // New appends go to a fresh number beyond recovered ones.
         let before = vl2.log_numbers().len();
         let p = vl2.append(b"new").unwrap();
         assert!(vl2.log_numbers().len() == before + 1);
-        assert_eq!(vl2.read(&p).unwrap(), b"new");
+        assert_eq!(read(&env, &p).unwrap(), b"new");
     }
 
     #[test]
@@ -464,15 +443,13 @@ mod tests {
         let mut w = env.new_writable(&path).unwrap();
         w.append(&data).unwrap();
         drop(w);
-        // Drop the cached reader by reopening the set.
-        let vl2 = new_vlog(&env, 1 << 20);
-        assert!(vl2.read(&p).unwrap_err().is_corruption());
+        assert!(read(&env, &p).unwrap_err().is_corruption());
         // Length mismatch also detected.
         let bad = ValuePointer {
             length: p.length + 1,
             ..p
         };
-        assert!(vl2.read(&bad).is_err());
+        assert!(read(&env, &bad).is_err());
     }
 
     #[test]
@@ -508,6 +485,6 @@ mod tests {
         let env = MemEnv::shared();
         let mut vl = new_vlog(&env, 1 << 20);
         let p = vl.append(b"").unwrap();
-        assert_eq!(vl.read(&p).unwrap(), Vec::<u8>::new());
+        assert_eq!(read(&env, &p).unwrap(), Vec::<u8>::new());
     }
 }
