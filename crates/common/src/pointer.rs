@@ -77,17 +77,22 @@ const TAG_POINTER: u8 = 1;
 impl SeparatedValue {
     /// Encode the slot (1-byte tag + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::new();
         match self {
-            SeparatedValue::Inline(data) => {
-                v.push(TAG_INLINE);
-                v.extend_from_slice(data);
-            }
+            SeparatedValue::Inline(data) => SeparatedValue::encode_inline(data),
             SeparatedValue::Pointer(p) => {
-                v.push(TAG_POINTER);
+                let mut v = vec![TAG_POINTER];
                 p.encode_to(&mut v);
+                v
             }
         }
+    }
+
+    /// Encode the inline slot of `value` at its exact size, without first
+    /// copying `value` into a [`SeparatedValue::Inline`].
+    pub fn encode_inline(value: &[u8]) -> Vec<u8> {
+        let mut v = Vec::with_capacity(1 + value.len());
+        v.push(TAG_INLINE);
+        v.extend_from_slice(value);
         v
     }
 
@@ -185,8 +190,10 @@ mod tests {
 
         #[test]
         fn prop_inline_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let enc = SeparatedValue::encode_inline(&data);
             let sv = SeparatedValue::Inline(data);
-            prop_assert_eq!(SeparatedValue::decode(&sv.encode()).unwrap(), sv);
+            prop_assert_eq!(&enc, &sv.encode());
+            prop_assert_eq!(SeparatedValue::decode(&enc).unwrap(), sv);
         }
     }
 }

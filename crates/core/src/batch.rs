@@ -1,14 +1,17 @@
-//! Atomic write batches.
+//! Write batches.
 //!
-//! A batch's operations reach the WAL as one record and become visible
-//! together: a crash either preserves the whole batch or none of it
-//! (per-partition: each partition's slice of the batch is one WAL record,
-//! all synced before the write returns when `sync_writes` is set).
+//! A batch is atomic per partition: each partition's slice of the batch is
+//! one WAL record, and every slice is logged (and synced, when
+//! `sync_writes` is set) before any op reaches a memtable. A batch that
+//! spans partitions writes one record per partition, so a crash, or a
+//! failed append or sync, between two records keeps one slice and loses
+//! the other.
 
 use unikv_common::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
 use unikv_common::{Error, Result, ValueType};
 
-/// An ordered set of writes applied atomically.
+/// An ordered set of writes, applied atomically per partition (see the
+/// module docs).
 ///
 /// ```
 /// use unikv::{UniKv, UniKvOptions, WriteBatch};
@@ -57,30 +60,21 @@ impl WriteBatch {
     pub fn byte_size(&self) -> usize {
         self.ops.iter().map(|(_, k, v)| k.len() + v.len()).sum()
     }
-
-    /// Validate the batch (no empty keys).
-    pub fn validate(&self) -> Result<()> {
-        if self.ops.iter().any(|(_, k, _)| k.is_empty()) {
-            return Err(Error::invalid_argument("empty keys are not supported"));
-        }
-        Ok(())
-    }
 }
 
-/// Encode a slice of batch ops (already assigned a base sequence) as one
-/// WAL record: `count | (type, key, value)*`. The base sequence travels in
-/// the surrounding record framing via the first op's sequence.
-pub(crate) fn encode_batch_record(base_seq: u64, ops: &[(ValueType, Vec<u8>, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        16 + ops
-            .iter()
-            .map(|(_, k, v)| k.len() + v.len() + 8)
-            .sum::<usize>(),
-    );
+/// Encode batch ops, borrowed from the caller, as one WAL record:
+/// `base_seq | count | (type, key, value)*`. Replay gives the ops
+/// consecutive sequences from `base_seq`.
+pub(crate) fn encode_batch_record<'a>(
+    base_seq: u64,
+    ops: impl ExactSizeIterator<Item = (ValueType, &'a [u8], &'a [u8])> + Clone,
+) -> Vec<u8> {
+    let body: usize = ops.clone().map(|(_, k, v)| k.len() + v.len() + 8).sum();
+    let mut out = Vec::with_capacity(16 + body);
     unikv_common::coding::put_varint64(&mut out, base_seq);
     unikv_common::coding::put_varint32(&mut out, ops.len() as u32);
     for (t, k, v) in ops {
-        out.push(*t as u8);
+        out.push(t as u8);
         put_length_prefixed_slice(&mut out, k);
         put_length_prefixed_slice(&mut out, v);
     }
@@ -125,20 +119,17 @@ mod tests {
         b.put(b"a".to_vec(), b"1".to_vec()).delete(b"b".to_vec());
         assert_eq!(b.len(), 2);
         assert_eq!(b.byte_size(), 3);
-        b.validate().unwrap();
-        let mut bad = WriteBatch::new();
-        bad.put(Vec::new(), b"x".to_vec());
-        assert!(bad.validate().is_err());
     }
 
     #[test]
     fn record_roundtrip() {
-        let ops = vec![
-            (ValueType::Value, b"k1".to_vec(), b"v1".to_vec()),
-            (ValueType::Deletion, b"k2".to_vec(), Vec::new()),
-            (ValueType::Value, b"k3".to_vec(), vec![0u8; 300]),
+        let long = [0u8; 300];
+        let ops: [(ValueType, &[u8], &[u8]); 3] = [
+            (ValueType::Value, b"k1", b"v1"),
+            (ValueType::Deletion, b"k2", b""),
+            (ValueType::Value, b"k3", &long),
         ];
-        let rec = encode_batch_record(41, &ops);
+        let rec = encode_batch_record(41, ops.into_iter());
         let decoded = decode_batch_record(&rec).unwrap();
         assert_eq!(decoded.len(), 3);
         assert_eq!(
@@ -153,8 +144,8 @@ mod tests {
 
     #[test]
     fn record_truncation_detected() {
-        let ops = vec![(ValueType::Value, b"k".to_vec(), b"v".to_vec())];
-        let rec = encode_batch_record(1, &ops);
+        let op: (ValueType, &[u8], &[u8]) = (ValueType::Value, b"k", b"v");
+        let rec = encode_batch_record(1, [op].into_iter());
         for cut in 1..rec.len() {
             assert!(decode_batch_record(&rec[..cut]).is_err(), "cut {cut}");
         }

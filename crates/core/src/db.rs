@@ -40,7 +40,8 @@ use crate::meta::{
 use crate::metrics::DbMetrics;
 use crate::options::UniKvOptions;
 use crate::partition::{table_options_with_io, Partition, SealedMem};
-use crate::resolver::{partition_dir, ValueResolver};
+use crate::resolver::{partition_dir, vlog_path, ValueResolver};
+use crate::verify::open_committed_table;
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -52,7 +53,9 @@ use unikv_common::ikey::{
     extract_seq_type, extract_user_key, make_internal_key, SequenceNumber, ValueType,
     MAX_SEQUENCE_NUMBER,
 };
-use unikv_common::metrics::{Counters, MetricsClock, MetricsSnapshot, TraceOp, TraceOutcome};
+use unikv_common::metrics::{
+    Counters, Histogram, MetricsClock, MetricsSnapshot, TraceOp, TraceOutcome,
+};
 use unikv_common::perf::{self, PerfContext, PerfStage};
 use unikv_common::pointer::SeparatedValue;
 use unikv_common::{Error, Result, ValuePointer};
@@ -67,7 +70,7 @@ use unikv_memtable::{LookupResult, MemTable};
 use unikv_sstable::{
     BlockCache, KeptBlocks, Table, TableBuilder, TableBuilderOptions, TableOptions,
 };
-use unikv_vlog::{parse_vlog_file_name, record_size, vlog_file_name, ValueLog};
+use unikv_vlog::{parse_vlog_file_name, record_size, ValueLog};
 use unikv_wal::{LogReader, LogWriter, ReadOutcome};
 
 /// A scan reserves `min(limit, SCAN_RESERVE_ITEMS)` items up front: a scan
@@ -770,12 +773,14 @@ impl Engine {
 
     /// Insert or update `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write(key, value, ValueType::Value)
+        let op = (ValueType::Value, key, value);
+        self.write(&[op], &self.metrics.eng.put_latency)
     }
 
     /// Delete `key`.
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.write(key, b"", ValueType::Deletion)
+        let op: (_, _, &[u8]) = (ValueType::Deletion, key, b"");
+        self.write(&[op], &self.metrics.eng.put_latency)
     }
 
     /// [`Engine::put`] in a [`perf::profile`] scope: the put's stage
@@ -786,55 +791,98 @@ impl Engine {
         r.map(|()| ctx)
     }
 
-    /// The write path. The profiler hooks reuse the op's own histogram
-    /// clock readings (`t0`/`t1`), so a profile's stage sum equals the
-    /// recorded latency exactly and an unprofiled call reads the clock
-    /// twice.
-    fn write(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<()> {
-        if key.is_empty() {
+    /// Apply `batch`, atomically per partition: each partition's slice of
+    /// the batch is one WAL record, and every slice is logged (and synced,
+    /// when `sync_writes` is on) before any op reaches a memtable. A crash,
+    /// or a failed append or sync, between two slices keeps the slices
+    /// logged before it and loses the rest.
+    pub fn write_batch(&self, batch: &WriteBatch) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let ops: Vec<_> = batch
+            .ops
+            .iter()
+            .map(|(t, k, v)| (*t, k.as_slice(), v.as_slice()))
+            .collect();
+        self.write(&ops, &self.metrics.batch_latency)?;
+        self.metrics.batch_ops.add(ops.len() as u64);
+        Ok(())
+    }
+
+    /// The one write path, for puts, deletes and batches: log each
+    /// partition's ops as one WAL record, then apply every op to its
+    /// memtable. Records `latency` once per call, so `put_latency` counts
+    /// put and delete calls and `batch_latency` batches, while `writes`
+    /// counts ops. The profiler hooks reuse the call's own histogram clock
+    /// readings (`t0`/`t1`), so a profile's stage sum equals the recorded
+    /// latency exactly and an unprofiled call reads the clock twice.
+    fn write(&self, ops: &[(ValueType, &[u8], &[u8])], latency: &Histogram) -> Result<()> {
+        if ops.iter().any(|(_, k, _)| k.is_empty()) {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let t0 = self.metrics.registry.now_micros();
         perf::begin_at(&self.metrics.registry, t0);
-        self.write_impl(key, value, t)?;
-        let t1 = self.metrics.registry.now_micros();
-        perf::finish_at(t1);
-        self.metrics.eng.writes.inc();
-        self.metrics.eng.put_latency.record(t1.saturating_sub(t0));
-        Ok(())
-    }
-
-    fn write_impl(&self, key: &[u8], value: &[u8], t: ValueType) -> Result<()> {
         if self.opts.background_jobs > 0 {
-            self.wait_for_write_room(Some(key))?;
+            self.wait_for_write_room(ops)?;
             perf::mark(PerfStage::StallWait);
         }
         let mut core = self.core.write();
-        core.last_seq += 1;
-        let seq = core.last_seq;
-        let pidx = core.route(key);
+        let base = core.last_seq + 1;
+        core.last_seq += ops.len() as u64;
+        // (partition index, partition id, op index), stably sorted so each
+        // partition's ops sit together in write order.
+        let mut order: Vec<(usize, u32, usize)> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, (_, k, _))| {
+                let pidx = core.route(k);
+                (pidx, core.partitions[pidx].meta.id, i)
+            })
+            .collect();
+        order.sort_by_key(|&(pidx, _, _)| pidx);
         perf::mark(PerfStage::Router);
-        let p = &mut core.partitions[pidx];
-        let op = [(t, key.to_vec(), value.to_vec())];
-        p.wal.add_record(&encode_batch_record(seq, &op))?;
-        if self.opts.sync_writes {
-            p.wal.sync()?;
+        // Log every partition's slice before any op reaches a memtable.
+        for slice in order.chunk_by(|a, b| a.0 == b.0) {
+            let p = &mut core.partitions[slice[0].0];
+            let slice_ops = slice.iter().map(|&(_, _, i)| ops[i]);
+            p.wal
+                .add_record(&encode_batch_record(base + slice[0].2 as u64, slice_ops))?;
+            if self.opts.sync_writes {
+                p.wal.sync()?;
+            }
         }
         // Memtable values carry the SeparatedValue slot encoding so every
         // store tier speaks the same value format.
-        let slot = SeparatedValue::Inline(value.to_vec()).encode();
-        p.mem.add(seq, t, key, &slot);
+        let mut bytes = 0;
+        for &(pidx, _, i) in &order {
+            let (t, key, value) = ops[i];
+            let slot = SeparatedValue::encode_inline(value);
+            core.partitions[pidx]
+                .mem
+                .add(base + i as u64, t, key, &slot);
+            bytes += key.len() + value.len();
+        }
         perf::mark(PerfStage::Memtable);
-        self.metrics
-            .user_bytes_written
-            .add((key.len() + value.len()) as u64);
-        self.on_memtable_full(&mut core, pidx)
+        self.metrics.user_bytes_written.add(bytes as u64);
+        // By id, as in `flush`: an inline split shifts every partition
+        // after it.
+        order.dedup_by_key(|&mut (pidx, _, _)| pidx);
+        for (_, pid, _) in order {
+            if let Some(pidx) = core.partition_index(pid) {
+                self.on_memtable_full(&mut core, pidx)?;
+            }
+        }
+        let t1 = self.metrics.registry.now_micros();
+        perf::finish_at(t1);
+        self.metrics.eng.writes.add(ops.len() as u64);
+        latency.record(t1.saturating_sub(t0));
+        Ok(())
     }
 
-    /// The write path's memtable-full step, shared by puts and batches:
-    /// once partition `pidx`'s memtable reaches `write_buffer_size`, seal
-    /// it, then drain it and run the triggers inline, or schedule its flush
-    /// (background mode).
+    /// The write path's memtable-full step: once partition `pidx`'s
+    /// memtable reaches `write_buffer_size`, seal it, then drain it and run
+    /// the triggers inline, or schedule its flush (background mode).
     fn on_memtable_full(&self, core: &mut DbCore, pidx: usize) -> Result<()> {
         if core.partitions[pidx].mem.approximate_memory_usage() < self.opts.write_buffer_size {
             return Ok(());
@@ -846,73 +894,6 @@ impl Engine {
         }
         let fin = self.flush_partition(core, pidx)?;
         self.run_triggers(core, pidx, fin)
-    }
-
-    /// Apply `batch` atomically: each partition's slice of the batch is
-    /// one WAL record, and all slices are logged (and synced, when
-    /// `sync_writes` is on) before any becomes visible via flush.
-    pub fn write_batch(&self, batch: &WriteBatch) -> Result<()> {
-        batch.validate()?;
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let t0 = self.metrics.registry.now_micros();
-        perf::begin_at(&self.metrics.registry, t0);
-        if self.opts.background_jobs > 0 {
-            self.wait_for_write_room(None)?;
-        }
-        let mut core = self.core.write();
-        // Assign sequences in batch order, grouped per partition.
-        let base = core.last_seq + 1;
-        core.last_seq += batch.ops.len() as u64;
-        #[allow(clippy::type_complexity)]
-        let mut per_partition: Vec<Vec<(u64, ValueType, Vec<u8>, Vec<u8>)>> =
-            vec![Vec::new(); core.partitions.len()];
-        for (i, (t, k, v)) in batch.ops.iter().enumerate() {
-            let pidx = core.route(k);
-            per_partition[pidx].push((base + i as u64, *t, k.clone(), v.clone()));
-        }
-        // Log every slice first (failure before visibility), then apply.
-        for (pidx, slice) in per_partition.iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let ops: Vec<(ValueType, Vec<u8>, Vec<u8>)> = slice
-                .iter()
-                .map(|(_, t, k, v)| (*t, k.clone(), v.clone()))
-                .collect();
-            let p = &mut core.partitions[pidx];
-            p.wal.add_record(&encode_batch_record(slice[0].0, &ops))?;
-            if self.opts.sync_writes {
-                p.wal.sync()?;
-            }
-        }
-        for (pidx, slice) in per_partition.iter().enumerate() {
-            for (seq, t, k, v) in slice {
-                let slot = SeparatedValue::Inline(v.clone()).encode();
-                core.partitions[pidx].mem.add(*seq, *t, k, &slot);
-                self.metrics
-                    .user_bytes_written
-                    .add((k.len() + v.len()) as u64);
-            }
-        }
-        // By id, as in `flush`: a split shifts every partition after it.
-        let pids: Vec<u32> = core.partitions.iter().map(|p| p.meta.id).collect();
-        for pid in pids {
-            if let Some(pidx) = core.partition_index(pid) {
-                self.on_memtable_full(&mut core, pidx)?;
-            }
-        }
-        // One latency sample per batch; the contained ops count into
-        // `writes`/`batch_ops` so `put_latency`'s sample count keeps
-        // matching the number of put/delete *calls*.
-        let t1 = self.metrics.registry.now_micros();
-        perf::finish_at(t1);
-        let n = batch.ops.len() as u64;
-        self.metrics.eng.writes.add(n);
-        self.metrics.batch_ops.add(n);
-        self.metrics.batch_latency.record(t1.saturating_sub(t0));
-        Ok(())
     }
 
     /// Force all memtables (active and sealed) to disk, then run every
@@ -1006,11 +987,10 @@ impl Engine {
         self.job_causes.lock().remove(&Job { kind, partition })
     }
 
-    /// Backpressure: before a write proceeds, brake against the routed
-    /// partition's debt (sealed memtables awaiting flush, UnsortedStore
-    /// merge backlog). `key = None` (batches, which may touch any
-    /// partition) brakes against the worst partition.
-    fn wait_for_write_room(&self, key: Option<&[u8]>) -> Result<()> {
+    /// Backpressure: before a write proceeds, brake against the worst debt
+    /// (sealed memtables awaiting flush, UnsortedStore merge backlog) of
+    /// the partitions its ops route to.
+    fn wait_for_write_room(&self, ops: &[(ValueType, &[u8], &[u8])]) -> Result<()> {
         let mut slowed = false;
         let mut stopped = false;
         let mut stall_seq = None;
@@ -1033,15 +1013,10 @@ impl Engine {
                         unsorted,
                     )
                 };
-                match key {
-                    Some(k) => eval(&core.partitions[core.route(k)]),
-                    None => core
-                        .partitions
-                        .iter()
-                        .map(eval)
-                        .max_by_key(|t| t.0)
-                        .unwrap_or((StallLevel::None, 0, 0, 0)),
-                }
+                ops.iter()
+                    .map(|(_, k, _)| eval(&core.partitions[core.route(k)]))
+                    .max_by_key(|t| t.0)
+                    .unwrap_or((StallLevel::None, 0, 0, 0))
             };
             match level {
                 StallLevel::None => break Ok(()),
@@ -1615,8 +1590,7 @@ impl Engine {
         }
         let named = |log: &LogRef| core.partitions.iter().any(|p| p.meta.names_log(log));
         for log in old.logs().filter(|log| !named(log)) {
-            let path =
-                partition_dir(&self.root, log.partition).join(vlog_file_name(log.log_number));
+            let path = vlog_path(&self.root, log.partition, log.log_number);
             if !self.env.file_exists(&path) {
                 continue;
             }
@@ -2101,8 +2075,7 @@ impl Engine {
         if !p.meta.inherited_logs.is_empty() {
             total += p.inherited_charge.get_or_init(|| {
                 let charge = |r: &LogRef| {
-                    let dir = partition_dir(&self.root, r.partition);
-                    let path = dir.join(vlog_file_name(r.log_number));
+                    let path = vlog_path(&self.root, r.partition, r.log_number);
                     self.env.file_size(&path).unwrap_or(0) / 2
                 };
                 p.meta.inherited_logs.iter().map(charge).sum::<u64>()
@@ -2569,35 +2542,21 @@ fn open_partition(
     env.create_dir_all(&dir)?;
 
     if opts.paranoid_checks {
-        // Verify every file the manifest commits to before trusting the partition:
-        // tables must exist at their recorded size with a parseable
-        // footer + index, and every value log it names, owned or
+        // Verify every file the manifest commits to before trusting the
+        // partition: tables must exist at their recorded size with a
+        // parseable footer + index, and every value log it names, owned or
         // inherited, must exist: a missing one means committed pointers
         // would dangle. Data-block and value checksums are verified on
         // every read regardless.
         for tmeta in pmeta.tables() {
             let path = filenames::table_file(&dir, tmeta.number);
-            if !env.file_exists(&path) {
-                return Err(Error::corruption(format!(
-                    "table missing: {}",
-                    path.display()
-                )));
-            }
-            let size = env.file_size(&path)?;
-            if size != tmeta.size {
-                return Err(Error::corruption(format!(
-                    "table {} size {} != recorded {}",
-                    path.display(),
-                    size,
-                    tmeta.size
-                )));
-            }
-            Table::open(env.new_random_access(&path)?, size, topts.clone()).map_err(|e| {
-                Error::corruption(format!("table {} unreadable: {e}", path.display()))
+            open_committed_table(env, &path, tmeta.size, topts.clone()).map_err(|e| match e {
+                Error::Corruption(m) => Error::corruption(format!("table {}: {m}", path.display())),
+                e => e,
             })?;
         }
         for log in pmeta.logs() {
-            let path = partition_dir(root, log.partition).join(vlog_file_name(log.log_number));
+            let path = vlog_path(root, log.partition, log.log_number);
             if !env.file_exists(&path) {
                 return Err(Error::corruption(format!(
                     "value log missing: {}",
@@ -2666,8 +2625,7 @@ fn open_partition(
         })? == ReadOutcome::Record
         {
             for (seq, t, key, value) in decode_batch_record(&buf)? {
-                let slot = SeparatedValue::Inline(value).encode();
-                mem.add(seq, t, &key, &slot);
+                mem.add(seq, t, &key, &SeparatedValue::encode_inline(&value));
                 *last_seq = (*last_seq).max(seq);
                 replayed = true;
             }

@@ -18,6 +18,12 @@ pub fn partition_dir(root: &Path, id: u32) -> PathBuf {
     root.join(format!("p{id}"))
 }
 
+/// Path of value log `log_number`, which partition `partition` wrote,
+/// under the database root.
+pub fn vlog_path(root: &Path, partition: u32, log_number: u64) -> PathBuf {
+    partition_dir(root, partition).join(vlog_file_name(log_number))
+}
+
 /// Reads values addressed by [`ValuePointer`]s from any partition's logs.
 pub struct ValueResolver {
     env: Arc<dyn Env>,
@@ -43,7 +49,7 @@ impl ValueResolver {
         if let Some(r) = self.readers.read().get(&key) {
             return Ok(r.clone());
         }
-        let path = partition_dir(&self.root, partition).join(vlog_file_name(log));
+        let path = vlog_path(&self.root, partition, log);
         let r = self.env.new_random_access(&path)?;
         self.readers.write().insert(key, r.clone());
         Ok(r)

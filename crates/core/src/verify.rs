@@ -28,7 +28,7 @@
 use crate::batch::decode_batch_record;
 use crate::meta::{read_manifest, LogRef, MANIFEST};
 use crate::partition::table_options;
-use crate::resolver::partition_dir;
+use crate::resolver::{partition_dir, vlog_path};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,8 +37,8 @@ use unikv_common::pointer::SeparatedValue;
 use unikv_common::{Error, Result};
 use unikv_env::Env;
 use unikv_lsm::filenames;
-use unikv_sstable::Table;
-use unikv_vlog::{verify_vlog_file, vlog_file_name};
+use unikv_sstable::{Table, TableOptions};
+use unikv_vlog::verify_vlog_file;
 use unikv_wal::{LogReader, ReadOutcome};
 
 /// One damaged file found by [`verify_db`].
@@ -113,17 +113,17 @@ impl VerifyReport {
 /// sum of their lengths.
 type PointedLogs = BTreeMap<LogRef, (u64, u64)>;
 
-/// Read every entry of the table at `path`, which verifies the footer,
-/// the index block, and each data block's checksum, and check its record
-/// directory, if it has one, against the blocks. Also checks the file
-/// size against the size the manifest recorded at commit time. Adds the
-/// table's value pointers to `pointed`.
-fn verify_table(
+/// Open the table at `path` that a commit names: the file must exist at
+/// the size the manifest recorded, and its footer and index block must
+/// parse. Each of these findings is an [`Error::Corruption`]; an I/O
+/// error passes through. The scrub and the paranoid open both check
+/// committed tables through here.
+pub(crate) fn open_committed_table(
     env: &Arc<dyn Env>,
     path: &Path,
     recorded_size: u64,
-    pointed: &mut PointedLogs,
-) -> Result<()> {
+    opts: TableOptions,
+) -> Result<Arc<Table>> {
     if !env.file_exists(path) {
         return Err(Error::corruption("file missing"));
     }
@@ -133,7 +133,21 @@ fn verify_table(
             "size {size} != recorded {recorded_size}"
         )));
     }
-    let table = Table::open(env.new_random_access(path)?, size, table_options(None))?;
+    Table::open(env.new_random_access(path)?, size, opts)
+        .map_err(|e| Error::corruption(format!("unreadable: {e}")))
+}
+
+/// Read every entry of the committed table at `path`, which verifies the
+/// checks of [`open_committed_table`] and each data block's checksum, and
+/// check its record directory, if it has one, against the blocks. Adds
+/// the table's value pointers to `pointed`.
+fn verify_table(
+    env: &Arc<dyn Env>,
+    path: &Path,
+    recorded_size: u64,
+    pointed: &mut PointedLogs,
+) -> Result<()> {
+    let table = open_committed_table(env, path, recorded_size, table_options(None))?;
     let mut it = table.iter(true);
     it.seek_to_first()?;
     while it.valid() {
@@ -244,7 +258,7 @@ pub fn verify_db(env: Arc<dyn Env>, root: impl AsRef<Path>) -> Result<VerifyRepo
             if !seen_vlogs.insert(log) {
                 continue;
             }
-            let path = partition_dir(root, log.partition).join(vlog_file_name(log.log_number));
+            let path = vlog_path(root, log.partition, log.log_number);
             report.files_checked += 1;
             if !env.file_exists(&path) {
                 report.flag(&path, "vlog", "file missing");

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use unikv::{HealthState, JobKind, UniKv, UniKvOptions};
+use unikv::{HealthState, JobKind, UniKv, UniKvOptions, WriteBatch};
 use unikv_common::rng::DetRng;
 use unikv_env::fault::{FaultAction, FaultInjectionEnv, FaultOp, FaultPlan, FaultRule};
 use unikv_env::mem::MemEnv;
@@ -209,6 +209,67 @@ fn stall_counters_track_thresholds() {
             Some(vec![7u8; 100])
         );
     }
+}
+
+/// A batch brakes against the partitions it writes, as a put does: while
+/// one partition sits at its UnsortedStore slowdown threshold, a batch
+/// that writes only another partition is not slowed, and a batch that
+/// touches the indebted partition is.
+#[test]
+fn batch_brakes_only_against_the_partitions_it_writes() {
+    let env = MemEnv::shared();
+    let key = |i: u32| format!("k{i:06}").into_bytes();
+    // Inline mode: split into at least two partitions, then merge every
+    // UnsortedStore away, so no partition starts with debt.
+    let db = UniKv::open(env.clone(), "/db", UniKvOptions::small_for_tests()).unwrap();
+    for i in 0..3000u32 {
+        db.put(&key(i), &[5u8; 100]).unwrap();
+    }
+    db.compact_all().unwrap();
+    let metas = db.partition_metas();
+    assert!(metas.len() >= 2, "no split: {} partition(s)", metas.len());
+    drop(db);
+
+    // Background mode where nothing drains the UnsortedStore debt: no
+    // scan-triggered merge, a byte limit no flush reaches, and no split.
+    let mut opts = bg_opts(1);
+    opts.enable_scan_optimization = false;
+    opts.unsorted_limit_bytes = 4 << 20;
+    opts.partition_size_limit = 1 << 40;
+    opts.slowdown_unsorted_tables = 2;
+    opts.stop_unsorted_tables = 1000;
+    opts.stall_sleep_micros = 1;
+    let db = UniKv::open(env, "/db", opts).unwrap();
+    let last_lo = metas.last().unwrap().lo.clone();
+    let hi_key = |i: u32| [last_lo.as_slice(), format!("/{i:06}").as_bytes()].concat();
+    for i in 0..300u32 {
+        db.put(&hi_key(i), &[6u8; 100]).unwrap();
+    }
+    db.wait_for_background();
+    assert_eq!(db.background_error(), None);
+    let metas = db.partition_metas();
+    let (first, last) = (&metas[0], metas.last().unwrap());
+    assert!(last.unsorted.len() >= 2, "{} unsorted", last.unsorted.len());
+    assert!(
+        first.unsorted.is_empty(),
+        "{} unsorted",
+        first.unsorted.len()
+    );
+
+    let before = counter(&db, "stall_slowdowns");
+    let mut batch = WriteBatch::new();
+    batch.put(key(1), b"a".to_vec()).put(key(2), b"b".to_vec());
+    db.write_batch(&batch).unwrap();
+    assert_eq!(
+        counter(&db, "stall_slowdowns"),
+        before,
+        "a batch that writes only a partition without debt was braked"
+    );
+    batch.put(hi_key(0), b"c".to_vec());
+    db.write_batch(&batch).unwrap();
+    assert_eq!(counter(&db, "stall_slowdowns"), before + 1);
+    assert_eq!(db.get(&key(1)).unwrap(), Some(b"a".to_vec()));
+    assert_eq!(db.get(&hi_key(0)).unwrap(), Some(b"c".to_vec()));
 }
 
 /// Foreground writes keep completing while merges run in the background

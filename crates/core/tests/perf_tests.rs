@@ -224,6 +224,25 @@ fn profiled_scan_and_batch_match_their_histogram_samples() {
     assert_eq!((batches.count, batches.sum), (1, ctx.total_micros));
 }
 
+/// A batch runs the put path, so its profile shows the same stages: one
+/// router step for all its ops, a WAL append, and one memtable step.
+#[test]
+fn profiled_batch_marks_the_put_stages_once() {
+    let db = UniKv::open(MemEnv::shared(), "/db", UniKvOptions::default()).unwrap();
+    db.set_metrics_clock(Some(manual_step_clock(2)));
+    let mut batch = WriteBatch::new();
+    for i in 0..5u32 {
+        batch.put(key(i), value(i, 48));
+    }
+    batch.delete(key(1));
+    let (r, ctx) = perf::profile(|| db.write_batch(&batch));
+    r.unwrap();
+    assert_eq!(ctx.stage_hits[PerfStage::Router as usize], 1, "{ctx:?}");
+    assert_eq!(ctx.stage_hits[PerfStage::WalAppend as usize], 1, "{ctx:?}");
+    assert_eq!(ctx.stage_hits[PerfStage::Memtable as usize], 1, "{ctx:?}");
+    assert_eq!(ctx.stage_sum(), ctx.total_micros);
+}
+
 /// Clock reads an unprofiled put makes, measured with the step-1 clock:
 /// the probe's own read, then the put's.
 fn clock_reads_of_one_put(db: &UniKv, i: u32) -> u64 {
